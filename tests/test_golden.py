@@ -1,0 +1,58 @@
+"""Byte-for-byte snapshots of the worked-example reports.
+
+Each case runs ``wno.cli.main`` in-process and compares its stdout with
+``tests/golden/<case>``.  A change that alters a report on purpose
+regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the changed lines in its description.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from wno.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {}
+for _name in ("KN", "mkdv2", "mkdv2loc", "kdv"):
+    _file = "kn.wno" if _name == "KN" else "mkdv.wno"
+    for _fmt, _ext in (("text", "txt"), ("json", "json")):
+        CASES[f"check_{_name}.{_ext}"] = ["check", _file, _name, "--el", "--format", _fmt]
+for _name in ("sphere", "flatbad"):
+    for _fmt, _ext in (("text", "txt"), ("json", "json")):
+        CASES[f"geom_{_name}.{_ext}"] = ["geom", "firstorder.wno", _name, "--format", _fmt]
+for _fmt, _ext in (("text", "txt"), ("json", "json")):
+    CASES[f"bracket_mkdv2_mkdv2.{_ext}"] = [
+        "bracket", "mkdv.wno", "mkdv2", "mkdv2", "--format", _fmt,
+    ]
+
+
+def report(argv: list[str]) -> str:
+    args = [argv[0], str(REPO / "cases" / argv[1]), *argv[2:]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        main(args)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_snapshot(case):
+    expected = (GOLDEN / case).read_text(encoding="utf-8")
+    assert report(CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in sorted(CASES.items()):
+        (GOLDEN / case).write_text(report(argv), encoding="utf-8")
+        print(f"wrote {case}", file=sys.stderr)
