@@ -8,6 +8,13 @@ when their term maps agree coefficient-wise.  All arithmetic is exact:
 coefficients live in the field of rational functions over the rationals,
 and the zero test reduces to polynomial normalization of numerators.
 
+Coefficients stay sympy expressions between steps; the normal form of a
+coefficient is its reduced fraction numerator/denominator.  ``normal_forms``
+computes it for a whole batch at once: one sparse rational-function field
+(``sympy.polys.fields.sfield``) is built over the batch's generators, each
+expression becomes a reduced field element, and ``as_expr`` turns it back
+into the expression ``sympy.cancel`` would return.
+
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
 may repeat inside a word; odd factors anticommute and square to zero.
@@ -21,6 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import sympy as sp
+from sympy.polys.fields import sfield
 
 Expr = sp.Expr
 
@@ -57,8 +65,17 @@ def coeff_is_zero(c: Expr) -> bool:
     return sp.expand(numer) == 0
 
 
-def coeff_equal(a: Expr, b: Expr) -> bool:
-    return coeff_is_zero(a - b)
+def normal_forms(exprs: Iterable[Expr]) -> list[Expr]:
+    """Reduced-fraction normal forms of a batch of rational functions.
+
+    One field over all generators of the batch serves every entry; the
+    result of each entry equals ``sympy.cancel`` of it.
+    """
+    exprs = list(exprs)
+    if not exprs:
+        return []
+    _, elements = sfield(exprs)
+    return [e.as_expr() for e in elements]
 
 
 @dataclass(frozen=True)
@@ -316,25 +333,11 @@ class SuperPoly:
     __hash__ = None  # semantic equality is not hash-compatible
 
     def canonical(self) -> "SuperPoly":
-        """Cancel every coefficient to numerator/denominator normal form."""
-        out = {}
-        for word, coeff in self.terms.items():
-            c = sp.cancel(coeff)
-            if c != 0:
-                out[word] = c
-        return SuperPoly(out)
+        """Bring every coefficient to numerator/denominator normal form."""
+        return SuperPoly(dict(zip(self.terms, normal_forms(self.terms.values()))))
 
     def odd_degrees(self) -> set[int]:
         return {sum(1 for f in w if f.parity) for w in self.terms}
-
-    def odd_degree(self) -> int:
-        """Degree of a homogeneous value (0 for the zero value)."""
-        degs = self.odd_degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise ValueError(f"value is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
 
     def parity_part(self, parity: int) -> "SuperPoly":
         return SuperPoly(

@@ -23,7 +23,9 @@ from pathlib import Path
 
 from .algebra import Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
-from .geometry import MetricData, SingularMetricError, build_operator, check_conditions
+from .geometry import (
+    MetricData, SingularMetricError, build_operator, check_conditions, derive_geometry
+)
 from .jetcalc import ELResult
 from .nonlocal_vars import NonlocalVarTable, UnsupportedStructureError
 from .schouten import WNOperator, is_hamiltonian, schouten_bracket
@@ -163,9 +165,10 @@ def cmd_geom(doc: OperatorFile, args) -> int:
     if args.name not in doc.firstorder:
         raise SystemExitWith(EXIT_USAGE, f"no firstorder block named {args.name!r}")
     metric: MetricData = doc.firstorder[args.name]
-    checks = check_conditions(metric)
+    geo = derive_geometry(metric)
+    checks = check_conditions(metric, geo)
     all_pass = all(c.ok for c in checks)
-    cross = is_hamiltonian(build_operator(metric))
+    cross = is_hamiltonian(build_operator(metric, geo))
     agrees = all_pass == cross.ok
     verdict = all_pass and cross.ok
     payload = {

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .algebra import Expr, Fields
+from .algebra import Expr, Fields, coeff_is_zero
 from .geometry import MetricData
 from .schouten import Tail, WNOperator
 
@@ -89,13 +89,6 @@ class OperatorFile:
     fields: Fields
     operators: dict[str, WNOperator] = field(default_factory=dict)
     firstorder: dict[str, MetricData] = field(default_factory=dict)
-
-    def lookup(self, name: str):
-        if name in self.operators:
-            return self.operators[name]
-        if name in self.firstorder:
-            return self.firstorder[name]
-        raise KeyError(name)
 
 
 class Parser:
@@ -290,7 +283,7 @@ class Parser:
             factor = self.parse_power()
             while self.peek().text == "/":
                 self.next()
-                factor = factor / self.parse_power()
+                factor = factor / self.nonzero(self.peek(), self.parse_power())
             coeff = coeff * factor
             if self.peek().text == "*":
                 self.next()
@@ -340,15 +333,20 @@ class Parser:
     def parse_product(self) -> Expr:
         left = self.parse_power()
         while self.peek().text in ("*", "/"):
-            op = self.next().text
-            right = self.parse_power()
-            if op == "*":
-                left = left * right
+            if self.next().text == "*":
+                left = left * self.parse_power()
             else:
-                left = left / right
+                left = left / self.nonzero(self.peek(), self.parse_power())
         return left
 
+    def nonzero(self, tok: Token, divisor: Expr) -> Expr:
+        """Refuse a divisor that is identically zero: the coefficient would be nan or zoo."""
+        if coeff_is_zero(divisor):
+            raise ParseError("non-finite coefficient: divisor is identically zero", tok.line, tok.col)
+        return divisor
+
     def parse_power(self) -> Expr:
+        tok = self.peek()
         base = self.parse_atom()
         if self.peek().text == "^":
             self.next()
@@ -357,7 +355,7 @@ class Parser:
                 self.next()
                 neg = True
             exp = int(self.expect("int").text)
-            return base ** (-exp if neg else exp)
+            return self.nonzero(tok, base) ** -exp if neg else base**exp
         return base
 
     def parse_atom(self) -> Expr:

@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from .algebra import Expr, Fields, coeff_is_zero
+from .algebra import Expr, Fields, coeff_is_zero, normal_forms
 from .schouten import Tail, WNOperator
 
 
@@ -74,96 +76,51 @@ class DerivedGeometry:
     nabla_w: list  # nabla_w[i][j][k] = covariant derivative of W^j_k along u^i
 
 
+def _tensor(n: int, rank: int, entry, *index):
+    """Nested lists ``t[i][j]...`` of ``entry(i, j, ...)`` over ``range(n)``."""
+    if rank == 0:
+        return entry(*index)
+    return [_tensor(n, rank - 1, entry, *index, i) for i in range(n)]
+
+
 def derive_geometry(m: MetricData) -> DerivedGeometry:
-    """Exact inverse metric, Levi-Civita symbols, curvature and nabla W."""
-    n = m.n
-    g_up = m._g
-    det = sp.cancel(g_up.det())
-    if det == 0:
+    """Exact inverse metric, Levi-Civita symbols, curvature and nabla W.
+
+    The derivation runs in the field QQ(u1..un), whose elements are reduced
+    fractions, and converts to expressions once, on return.
+    """
+    n, r = m.n, range(m.n)
+    K = QQ.frac_field(*m.coords())
+    x = K.gens
+    g_up = _tensor(n, 2, lambda i, j: K.from_sympy(m._g[i, j]))
+    W = _tensor(n, 2, lambda i, j: K.from_sympy(m._W[i, j]))
+    g_matrix = DomainMatrix(g_up, (n, n), K)
+    if g_matrix.det() == K.zero:
         raise SingularMetricError("metric is singular: det(g) == 0")
-    g_lo = g_up.inv().applyfunc(sp.cancel)
-    x = m.coords()
+    g_lo = g_matrix.inv().to_list()
+    dg_lo = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
+    gamma = _tensor(n, 3, lambda i, j, k: sum(
+        g_up[i][s] * (dg_lo[s][j][k] + dg_lo[s][k][j] - dg_lo[j][k][s]) for s in r
+    ) / 2)
+    gamma_up = _tensor(n, 3, lambda i, j, k: -sum(g_up[i][s] * gamma[j][s][k] for s in r))
+    riemann = _tensor(n, 4, lambda i, j, k, l: (
+        gamma[i][l][j].diff(x[k])
+        - gamma[i][k][j].diff(x[l])
+        + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j] for s in r)
+    ))
+    curvature = _tensor(n, 4, lambda i, j, k, h: sum(
+        g_up[j][s] * riemann[i][s][k][h] for s in r
+    ))
+    nabla = _tensor(n, 3, lambda i, j, k: W[j][k].diff(x[i]) + sum(
+        gamma[j][i][s] * W[s][k] - gamma[s][i][k] * W[j][s] for s in r
+    ))
 
-    def d(expr, k):
-        return sp.diff(expr, x[k])
+    def expr(tree):
+        return [expr(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
 
-    gamma = [
-        [
-            [
-                sp.cancel(
-                    sp.Rational(1, 2)
-                    * sum(
-                        g_up[i, s]
-                        * (d(g_lo[s, j], k) + d(g_lo[s, k], j) - d(g_lo[j, k], s))
-                        for s in range(n)
-                    )
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    gamma_up = [
-        [
-            [
-                sp.cancel(-sum(g_up[i, s] * gamma[j][s][k] for s in range(n)))
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    riemann = [
-        [
-            [
-                [
-                    sp.cancel(
-                        d(gamma[i][l][j], k)
-                        - d(gamma[i][k][j], l)
-                        + sum(
-                            gamma[i][k][s] * gamma[s][l][j]
-                            - gamma[i][l][s] * gamma[s][k][j]
-                            for s in range(n)
-                        )
-                    )
-                    for l in range(n)
-                ]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    curvature = [
-        [
-            [
-                [
-                    sp.cancel(sum(g_up[j, s] * riemann[i][s][k][h] for s in range(n)))
-                    for h in range(n)
-                ]
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    W = m._W
-    nabla = [
-        [
-            [
-                sp.cancel(
-                    d(W[j, k], i)
-                    + sum(gamma[j][i][s] * W[s, k] for s in range(n))
-                    - sum(gamma[s][i][k] * W[j, s] for s in range(n))
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return DerivedGeometry(g_lo, gamma, gamma_up, curvature, nabla)
+    return DerivedGeometry(
+        sp.Matrix(expr(g_lo)), expr(gamma), expr(gamma_up), expr(curvature), expr(nabla)
+    )
 
 
 @dataclass
@@ -183,10 +140,14 @@ CONDITION_NAMES = (
 )
 
 
-def check_conditions(m: MetricData) -> list[ConditionCheck]:
-    """The six-condition system; each verdict carries a witness on failure."""
+def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[ConditionCheck]:
+    """The six-condition system; each verdict carries a witness on failure.
+
+    ``geo`` is the geometry of ``m`` when the caller has derived it already.
+    """
     n = m.n
-    geo = derive_geometry(m)
+    if geo is None:
+        geo = derive_geometry(m)
     g = m._g
     W = m._W
     x = m.coords()
@@ -195,7 +156,7 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
     def verdict(name, pairs):
         for label, expr in pairs:
             if not coeff_is_zero(expr):
-                out.append(ConditionCheck(name, False, f"{label}: {sp.cancel(expr)}"))
+                out.append(ConditionCheck(name, False, f"{label}: {normal_forms([expr])[0]}"))
                 return
         out.append(ConditionCheck(name, True))
 
@@ -275,26 +236,29 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
     return out
 
 
-def build_operator(m: MetricData) -> WNOperator:
-    """Assemble g d + Gamma u_x + (W u_x) d^(-1) (W u_x) from metric data."""
+def build_operator(m: MetricData, geo: DerivedGeometry | None = None) -> WNOperator:
+    """Assemble g d + Gamma u_x + (W u_x) d^(-1) (W u_x) from metric data.
+
+    ``geo`` is the geometry of ``m`` when the caller has derived it already.
+    """
     n = m.n
-    geo = derive_geometry(m)
-    fields = m.fields
+    if geo is None:
+        geo = derive_geometry(m)
+    u_x = [m.fields.jet(k + 1, 1) for k in range(n)]
+    zeroth = normal_forms(
+        sum(geo.gamma_upper[i][j][k] * u_x[k] for k in range(n))
+        for i in range(n)
+        for j in range(n)
+    )
     local: list[list[list[tuple[Expr, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if m._g[i, j] != 0:
                 local[i][j].append((m._g[i, j], 1))
-            zeroth = sp.cancel(
-                sum(geo.gamma_upper[i][j][k] * fields.jet(k + 1, 1) for k in range(n))
-            )
-            if zeroth != 0:
-                local[i][j].append((zeroth, 0))
-    wvec = tuple(
-        sp.cancel(sum(m._W[i, k] * fields.jet(k + 1, 1) for k in range(n)))
-        for i in range(n)
-    )
+            if zeroth[i * n + j] != 0:
+                local[i][j].append((zeroth[i * n + j], 0))
+    wvec = tuple(normal_forms(sum(m._W[i, k] * u_x[k] for k in range(n)) for i in range(n)))
     tails = []
     if any(w != 0 for w in wvec):
         tails.append(Tail(sp.Integer(1), wvec, wvec))
-    return WNOperator(fields, local, tails)
+    return WNOperator(m.fields, local, tails)

@@ -49,13 +49,6 @@ class NonlocalVar:
     note: str = ""
 
 
-def _density_key(density: SuperPoly):
-    canon = density.canonical()
-    return tuple(
-        (word, sp.cancel(coeff)) for word, coeff in canon.sorted_terms()
-    )
-
-
 def scalar_content(a: SuperPoly) -> tuple[sp.Rational, SuperPoly]:
     """Split off the leading rational content: ``a == content * reduced``.
 
@@ -97,7 +90,7 @@ class NonlocalVarTable:
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        key = _density_key(canon)
+        key = tuple(canon.sorted_terms())
         if key in self._by_density:
             return self._by_density[key]
         level = 1

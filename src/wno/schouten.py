@@ -32,6 +32,7 @@ from .algebra import (
     SuperPoly,
     as_coeff,
     coeff_is_zero,
+    normal_forms,
     p,
     render_factor,
 )
@@ -79,12 +80,9 @@ class WNOperator:
         by_order: dict[int, Expr] = {}
         for coeff, order in self.entry(i, j):
             by_order[order] = by_order.get(order, sp.Integer(0)) + coeff
-        out = []
-        for order in sorted(by_order):
-            c = sp.cancel(by_order[order])
-            if c != 0:
-                out.append((c, order))
-        return out
+        orders = sorted(by_order)
+        forms = normal_forms(by_order[order] for order in orders)
+        return [(c, order) for c, order in zip(forms, orders) if c != 0]
 
     def __add__(self, other: "WNOperator") -> "WNOperator":
         if self.fields != other.fields:
@@ -102,11 +100,6 @@ class WNOperator:
         ]
         tails = [Tail(c * t.constant, t.left, t.right) for t in self.tails]
         return WNOperator(self.fields, local, tails)
-
-
-def zero_operator(fields: Fields) -> WNOperator:
-    n = fields.n
-    return WNOperator(fields, [[[] for _ in range(n)] for _ in range(n)])
 
 
 def operator_adjoint(P: WNOperator) -> WNOperator:
@@ -143,9 +136,10 @@ def skew_part(P: WNOperator) -> WNOperator:
 
 
 def _primed(expr: Expr, fields: Fields) -> Expr:
+    """``expr`` at the second point: each jet variable u_x becomes u_x(y)."""
     subs = {}
     for sym, _, _ in fields.jet_symbols(expr):
-        subs[sym] = sp.Symbol(sym.name + "__y")
+        subs[sym] = sp.Symbol(f"{sym.name}(y)")
     return expr.xreplace(subs)
 
 
@@ -193,9 +187,8 @@ def skew_check(P: WNOperator) -> SkewResult:
     for i in range(total.n):
         for j in range(total.n):
             if not coeff_is_zero(K[i][j]):
-                return SkewResult(
-                    False, f"tail kernel [{i + 1},{j + 1}]: {sp.cancel(K[i][j])}"
-                )
+                entry = normal_forms([K[i][j]])[0]
+                return SkewResult(False, f"tail kernel [{i + 1},{j + 1}]: {entry}")
     return SkewResult(True)
 
 
@@ -294,26 +287,33 @@ def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -
 
 
 def schouten_bracket(
-    P: WNOperator, Q: WNOperator, table: NonlocalVarTable | None = None
+    P: WNOperator,
+    Q: WNOperator,
+    table: NonlocalVarTable | None = None,
+    skew_p: SkewResult | None = None,
 ) -> BracketOutcome:
     """Bracket of two operator encodings, with the divergence-triviality test.
 
     Operators failing the skew test are not rejected: the encoding only
-    sees the skew part, and a warning is attached instead.
+    sees the skew part, and a warning is attached instead.  ``skew_p`` is
+    the skew test of P when the caller has run it already.
     """
     if P.fields != Q.fields:
         raise ValueError("operators live over different field sets")
     fields = P.fields
     if table is None:
         table = NonlocalVarTable()
-    warnings = []
-    for name, op in (("first", P), ("second", Q)):
-        res = skew_check(op)
-        if not res.ok:
-            warnings.append(
-                f"{name} operator is not skew-adjoint ({res.witness}); "
-                "only its skew part enters the bracket"
-            )
+    if skew_p is None:
+        skew_p = skew_check(P)
+    if Q is P:
+        checked = [("operator", skew_p)]
+    else:
+        checked = [("first operator", skew_p), ("second operator", skew_check(Q))]
+    warnings = [
+        f"{name} is not skew-adjoint ({res.witness}); only its skew part enters the bracket"
+        for name, res in checked
+        if not res.ok
+    ]
     SP = to_superfunction(P, table)
     elP = el_nonlocal(SP, fields, table)
     if Q is P:
@@ -352,5 +352,5 @@ def is_hamiltonian(P: WNOperator, table: NonlocalVarTable | None = None) -> Hami
     if table is None:
         table = NonlocalVarTable()
     skew = skew_check(P)
-    bracket = schouten_bracket(P, P, table)
+    bracket = schouten_bracket(P, P, table, skew)
     return HamiltonianResult(skew=skew, bracket=bracket, ok=skew.ok and bracket.trivial)

@@ -12,6 +12,7 @@ from wno.algebra import (
     SuperPoly,
     coeff_is_zero,
     nl,
+    normal_forms,
     normalize_word,
     p,
 )
@@ -174,3 +175,35 @@ def test_normalize_idempotence(raw):
 @given(superpoly_strategy)
 def test_zero_test_soundness(a):
     assert (a - a).is_zero()
+
+
+# Rational functions over jet symbols of two fields, built unexpanded so that
+# the normal form has to expand, cancel and fix the sign of the denominator.
+_SYMBOLS = [Fields(("u", "v")).jet(i, k) for i in (1, 2) for k in (0, 1, 2)]
+_rationals = st.builds(sp.Rational, st.integers(-5, 5), st.integers(1, 4))
+_monomials = st.builds(
+    lambda c, syms: c * sp.Mul(*syms), _rationals, st.lists(st.sampled_from(_SYMBOLS), max_size=3)
+)
+_polys = st.builds(lambda ms: sp.Add(*ms), st.lists(_monomials, max_size=3))
+_denominators = _polys.filter(lambda d: not coeff_is_zero(d))
+_ratfuncs = st.one_of(
+    st.just(sp.Integer(0)),
+    _rationals,
+    _polys,
+    st.builds(lambda a, b: a / b, _polys, _denominators),
+    st.builds(lambda a, b, c, d: a / b - c / d, _polys, _denominators, _polys, _denominators),
+    st.builds(lambda a, b, c: (a * b) / (c * b), _polys, _denominators, _denominators),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_ratfuncs, max_size=5))
+def test_normal_forms_match_cancel(batch):
+    assert [str(e) for e in normal_forms(batch)] == [str(sp.cancel(e)) for e in batch]
+
+
+def test_normal_forms_constants_and_signs():
+    batch = [sp.Integer(0), sp.Rational(-2, 3), -(u + 1) / (2 * u_x), (u + 1) / (1 - 3 * u_x)]
+    assert [str(e) for e in normal_forms(batch)] == [
+        "0", "-2/3", "(-u - 1)/(2*u_x)", "(-u - 1)/(3*u_x - 1)"
+    ]

@@ -50,6 +50,22 @@ class TestExitCodes:
         proc = run_cli("geom", str(f), "m")
         assert proc.returncode == 3
 
+    def test_non_finite_local_coefficient(self, tmp_path):
+        f = tmp_path / "nan.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: 1/(u-u)*D;\n}\n")
+        proc = run_cli("check", str(f), "P")
+        assert proc.returncode == 2
+        assert "nan.wno:3:17: non-finite coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_finite_metric_entry(self, tmp_path):
+        f = tmp_path / "nan.wno"
+        f.write_text("fields u;\nfirstorder M {\n  g[1,1]: 1/(u-u);\n}\n")
+        proc = run_cli("geom", str(f), "M")
+        assert proc.returncode == 2
+        assert "nan.wno:3:13: non-finite coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_geom_verdicts(self):
         ok = run_cli("geom", str(CASES / "firstorder.wno"), "sphere")
         assert ok.returncode == 0

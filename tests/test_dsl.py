@@ -93,6 +93,20 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="duplicate"):
             parse("fields u; operator A { } operator A { }")
 
+    @pytest.mark.parametrize(
+        "entry, col",
+        [
+            ("local[1,1]: 1/(u-u)*D;", 38),
+            ("local[1,1]: u/((u + 1)^2 - u^2 - 2*u - 1);", 38),
+            ("nonlocal[1,1]: 1*[u_x|(u-u)^-2];", 46),
+            ("nonlocal[1,1]: 1*[u_x/(0*u)|u_x];", 46),
+        ],
+    )
+    def test_non_finite_coefficient(self, entry, col):
+        with pytest.raises(ParseError, match="non-finite coefficient") as err:
+            parse(f"fields u; operator A {{ {entry} }}")
+        assert (err.value.line, err.value.col) == (1, col)
+
     def test_d_outside_local(self):
         with pytest.raises(ParseError):
             parse("fields u; firstorder m { g[1,1]: D; }")

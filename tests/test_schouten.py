@@ -99,6 +99,32 @@ class TestSkew:
         res = skew_check(P)
         assert not res.ok and "tail" in res.witness
 
+    def test_tail_witness_writes_y_copies(self):
+        P = WNOperator(F, [[[]]], [Tail(sp.Integer(1), (u**2 * u_x,), (u_x,))])
+        res = skew_check(P)
+        assert res.witness == "tail kernel [1,1]: u**2*u_x*u_x(y) - u(y)**2*u_x*u_x(y)"
+
+    def test_one_skew_test_and_one_warning_per_verdict(self, monkeypatch):
+        import wno.schouten
+
+        calls = []
+
+        def counted(op):
+            calls.append(op)
+            return skew_check(op)
+
+        monkeypatch.setattr(wno.schouten, "skew_check", counted)
+        res = is_hamiltonian(op_local([(u, 0), (sp.Integer(1), 1)]))
+        assert len(calls) == 1
+        assert res.bracket.warnings == [
+            f"operator is not skew-adjoint ({res.skew.witness}); "
+            "only its skew part enters the bracket"
+        ]
+
+    def test_bracket_of_two_operators_warns_for_each(self):
+        out = schouten_bracket(op_local([(u, 0)]), op_local([(u_x, 0)]))
+        assert [w.split(" is ")[0] for w in out.warnings] == ["first operator", "second operator"]
+
 
 class TestBracket:
     def test_self_bracket_of_pure_tail_vanishes_identically(self):
