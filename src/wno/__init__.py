@@ -6,7 +6,7 @@ skew-adjointness together with divergence-triviality of the self-bracket,
 all in exact rational arithmetic.
 """
 
-from .algebra import Fields, OddFactor, SuperPoly, nl, p, render_superpoly
+from .algebra import Fields, SuperPoly, nl, p, render_superpoly
 from .jetcalc import (
     ELResult,
     LinearizationOp,
@@ -17,7 +17,6 @@ from .jetcalc import (
     var_deriv,
 )
 from .nonlocal_vars import (
-    IntegrationResult,
     NonlocalVarTable,
     TailTerm,
     UnsupportedStructureError,
@@ -27,8 +26,6 @@ from .nonlocal_vars import (
     split_tails,
 )
 from .schouten import (
-    BracketOutcome,
-    HamiltonianResult,
     Tail,
     WNOperator,
     from_superfunction,
@@ -40,7 +37,6 @@ from .schouten import (
     to_superfunction,
 )
 from .geometry import (
-    DerivedGeometry,
     MetricData,
     SingularMetricError,
     build_operator,
@@ -50,16 +46,11 @@ from .geometry import (
 from .dsl import OperatorFile, ParseError, parse, render
 
 __all__ = [
-    "BracketOutcome",
-    "DerivedGeometry",
     "ELResult",
     "Fields",
-    "HamiltonianResult",
-    "IntegrationResult",
     "LinearizationOp",
     "MetricData",
     "NonlocalVarTable",
-    "OddFactor",
     "OperatorFile",
     "ParseError",
     "SingularMetricError",

@@ -1,19 +1,22 @@
 """Graded differential polynomials with exact rational-function coefficients.
 
-A value is a sparse map from a *word* of anticommuting factors to a sympy
-expression in the even jet variables.  Words are kept in a fixed global
+A value is a sparse map from a *word* of anticommuting factors to a
+coefficient in the even jet variables.  Words are kept in a fixed global
 order (jet factors sorted by field and derivative order, then nonlocal
 factors sorted by registration id), so that two values are equal exactly
-when their term maps agree coefficient-wise.  All arithmetic is exact:
-coefficients live in the field of rational functions over the rationals,
-and the zero test reduces to polynomial normalization of numerators.
+when their term maps agree coefficient-wise.
 
-Coefficients stay sympy expressions between steps; the normal form of a
-coefficient is its reduced fraction numerator/denominator.  ``normal_forms``
-computes it for a whole batch at once: one sparse rational-function field
-(``sympy.polys.fields.sfield``) is built over the batch's generators, each
-expression becomes a reduced field element, and ``as_expr`` turns it back
-into the expression ``sympy.cancel`` would return.
+Coefficients are elements of a field QQ(x1..xm) of rational functions of
+jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
+by construction, so zeros are dropped as they arise.  Each value carries
+its field; an operation on values from two fields lifts both into the field
+over the union of their generators.  Fields are memoised per generator
+tuple, in the generator order ``sympy.cancel`` uses, so that ``as_expr`` of
+a coefficient prints exactly as ``sympy.cancel`` of the same function.
+Sympy expressions appear only at the edges: they are converted on
+construction, and ``sorted_terms`` converts back for reports.
+``coeff_is_zero`` and ``normal_forms`` serve expression-valued operator
+entries.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -28,7 +31,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 import sympy as sp
-from sympy.polys.fields import sfield
+from sympy import ZZ
+from sympy.polys.fields import FracElement, FracField, sfield
+from sympy.polys.orderings import lex
+from sympy.polys.polyutils import _sort_gens
 
 Expr = sp.Expr
 
@@ -36,13 +42,13 @@ _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 _SUFFIX_RE = re.compile(r"^(\d*)x$")
 
 
-def as_coeff(value) -> Expr:
-    """Coerce a coefficient to an exact sympy expression.
+def as_coeff(value) -> Expr | FracElement:
+    """Coerce a coefficient to an exact sympy expression or field element.
 
     Floats are rejected: every verdict downstream is an algebraic identity
     and must not depend on rounding.
     """
-    if isinstance(value, sp.Expr):
+    if isinstance(value, (sp.Expr, FracElement)):
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"inexact coefficient {value!r}; use integers or rationals")
@@ -54,7 +60,7 @@ def as_coeff(value) -> Expr:
 
 
 def coeff_is_zero(c: Expr) -> bool:
-    """Exact zero test for a rational-function coefficient.
+    """Exact zero test for a rational-function expression.
 
     Brings the expression over a common denominator and expands the
     numerator; no gcd computation is needed to decide zero.
@@ -76,6 +82,44 @@ def normal_forms(exprs: Iterable[Expr]) -> list[Expr]:
         return []
     _, elements = sfield(exprs)
     return [e.as_expr() for e in elements]
+
+
+_FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
+
+
+def coeff_field(symbols: Iterable[sp.Symbol]) -> FracField:
+    """The field QQ(symbols), one instance per generator set, built as the
+    fraction field of ZZ[symbols], whose gcds need no change of domain."""
+    key = frozenset(symbols)
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = FracField(tuple(_sort_gens(key)), ZZ, lex)
+    return field
+
+
+def _lift(c: FracElement, field: FracField) -> FracElement:
+    """``c`` in ``field``, whose generators include its own; the generator
+    order is global, so the reduced form carries over unchanged."""
+    if c.field is field:
+        return c
+    return field.raw_new(c.numer.set_ring(field.ring), c.denom.set_ring(field.ring))
+
+
+def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[FracElement]]:
+    """A field holding ``field`` and every value, and the values in it.
+
+    Raises ValueError for an expression that is not a rational function of
+    its symbols (``log``, ``atan``, ``RootSum``, unevaluated integrals).
+    """
+    values = [as_coeff(v) for v in values]
+    symbols = set()
+    for v in values:
+        symbols.update(v.field.symbols if isinstance(v, FracElement) else v.free_symbols)
+    if field is None or not symbols.issubset(field.symbols):
+        field = coeff_field(symbols.union(field.symbols) if field else symbols)
+    return field, [
+        _lift(v, field) if isinstance(v, FracElement) else field.from_expr(v) for v in values
+    ]
 
 
 @dataclass(frozen=True)
@@ -132,20 +176,19 @@ class Fields:
             return None
         return self.names.index(base) + 1, int(m.group(1)) if m.group(1) else 1
 
-    def jet_symbols(self, expr: Expr) -> list[tuple[sp.Symbol, int, int]]:
-        """All jet symbols occurring in ``expr`` as (symbol, field, order)."""
+    def jet_symbols(self, coeff: FracElement) -> list[tuple[sp.Symbol, int, int]]:
+        """Jet symbols occurring in a coefficient as (symbol, field, order)."""
+        degrees = zip(coeff.numer.degrees(), coeff.denom.degrees())
         out = []
-        for sym in expr.free_symbols:
+        for sym, (dn, dd) in zip(coeff.field.symbols, degrees):
+            if dn <= 0 and dd <= 0:
+                continue
             hit = self.classify(sym)
             if hit is None:
                 raise ValueError(f"symbol {sym} is not a jet variable of {self.names}")
             out.append((sym, hit[0], hit[1]))
         out.sort(key=lambda t: (t[1], t[2]))
         return out
-
-    def max_order(self, expr: Expr) -> int:
-        orders = [o for _, _, o in self.jet_symbols(expr)]
-        return max(orders, default=0)
 
 
 @dataclass(frozen=True, order=False)
@@ -215,18 +258,18 @@ def normalize_word(factors: Iterable[OddFactor]) -> tuple[int, Word | None]:
 
 
 class SuperPoly:
-    """Sparse graded polynomial: word of factors -> rational-function coefficient."""
+    """Sparse graded polynomial: word of factors -> coefficient in ``field``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "field")
 
-    def __init__(self, terms: Mapping[Word, Expr] | None = None):
-        data: dict[Word, Expr] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                data[word] = coeff
-        self.terms = data
+    def __init__(self, terms: Mapping[Word, object] | None = None, field: FracField | None = None):
+        """Coefficients in ``field``, or of any exact kind when it is None."""
+        terms = terms or {}
+        if field is None:
+            field, coeffs = _into(None, terms.values())
+            terms = dict(zip(terms, coeffs))
+        self.field = field
+        self.terms: dict[Word, FracElement] = {w: c for w, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -236,7 +279,7 @@ class SuperPoly:
 
     @staticmethod
     def scalar(value) -> "SuperPoly":
-        return SuperPoly({(): as_coeff(value)})
+        return SuperPoly({(): value})
 
     @staticmethod
     def one() -> "SuperPoly":
@@ -244,7 +287,7 @@ class SuperPoly:
 
     @staticmethod
     def factor(f: OddFactor) -> "SuperPoly":
-        return SuperPoly({(f,): sp.Integer(1)})
+        return SuperPoly({(f,): 1})
 
     @staticmethod
     def monomial(coeff, factors: Iterable[OddFactor]) -> "SuperPoly":
@@ -254,54 +297,62 @@ class SuperPoly:
     def from_terms(raw: Iterable[tuple[object, Iterable[OddFactor]]]) -> "SuperPoly":
         """Normalize a raw term list: sort each word with its sign, drop
         words with repeated odd factors, merge coefficients, drop zeros."""
-        acc: dict[Word, Expr] = {}
-        for coeff, factors in raw:
-            c = as_coeff(coeff)
-            if c == 0:
-                continue
+        raw = list(raw)
+        field, coeffs = _into(None, (c for c, _ in raw))
+        acc: dict[Word, FracElement] = {}
+        for (_, factors), c in zip(raw, coeffs):
             sign, word = normalize_word(tuple(factors))
             if word is None:
                 continue
-            c = sign * c
-            if word in acc:
-                acc[word] = acc[word] + c
-            else:
-                acc[word] = c
-        return SuperPoly(acc)
+            c = c if sign > 0 else -c
+            acc[word] = acc[word] + c if word in acc else c
+        return SuperPoly(acc, field)
+
+    def set_field(self, field: FracField) -> "SuperPoly":
+        """The same value over ``field``, whose generators include this field's."""
+        if field is self.field:
+            return self
+        return SuperPoly({w: _lift(c, field) for w, c in self.terms.items()}, field)
+
+    def _aligned(self, other: "SuperPoly") -> tuple["SuperPoly", "SuperPoly"]:
+        if self.field is other.field:
+            return self, other
+        field = coeff_field(self.field.symbols + other.field.symbols)
+        return self.set_field(field), other.set_field(field)
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "SuperPoly") -> "SuperPoly":
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            if word in out:
-                out[word] = out[word] + coeff
-            else:
-                out[word] = coeff
-        return SuperPoly(out)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        a, b = self._aligned(other)
+        out = dict(a.terms)
+        for word, coeff in b.terms.items():
+            out[word] = out[word] + coeff if word in out else coeff
+        return SuperPoly(out, a.field)
 
     def __neg__(self) -> "SuperPoly":
-        return SuperPoly({w: -c for w, c in self.terms.items()})
+        return SuperPoly({w: -c for w, c in self.terms.items()}, self.field)
 
     def __sub__(self, other: "SuperPoly") -> "SuperPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
-            acc: dict[Word, Expr] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
+            a, b = self._aligned(other)
+            acc: dict[Word, FracElement] = {}
+            for w1, c1 in a.terms.items():
+                for w2, c2 in b.terms.items():
                     sign, word = normalize_word(w1 + w2)
                     if word is None:
                         continue
-                    c = sign * c1 * c2
-                    if word in acc:
-                        acc[word] = acc[word] + c
-                    else:
-                        acc[word] = c
-            return SuperPoly(acc)
+                    c = c1 * c2 if sign > 0 else -(c1 * c2)
+                    acc[word] = acc[word] + c if word in acc else c
+            return SuperPoly(acc, a.field)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -309,18 +360,13 @@ class SuperPoly:
         return self.scale(other)
 
     def scale(self, value) -> "SuperPoly":
-        c = as_coeff(value)
-        if c == 0:
-            return SuperPoly.zero()
-        return SuperPoly({w: c * k for w, k in self.terms.items()})
+        field, (c,) = _into(self.field, [value])
+        return SuperPoly({w: _lift(k, field) * c for w, k in self.terms.items()}, field)
 
     # -- structure ------------------------------------------------------
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
     def is_zero(self) -> bool:
-        return all(coeff_is_zero(c) for c in self.terms.values())
+        return not self.terms
 
     def equals(self, other: "SuperPoly") -> bool:
         return (self - other).is_zero()
@@ -333,29 +379,21 @@ class SuperPoly:
     __hash__ = None  # semantic equality is not hash-compatible
 
     def canonical(self) -> "SuperPoly":
-        """Bring every coefficient to numerator/denominator normal form."""
-        return SuperPoly(dict(zip(self.terms, normal_forms(self.terms.values()))))
+        """Coefficients are reduced fractions by construction: the identity."""
+        return self
 
     def odd_degrees(self) -> set[int]:
         return {sum(1 for f in w if f.parity) for w in self.terms}
 
+    def _odd_degree_where(self, keep) -> "SuperPoly":
+        terms = {w: c for w, c in self.terms.items() if keep(sum(1 for f in w if f.parity))}
+        return SuperPoly(terms, self.field)
+
     def parity_part(self, parity: int) -> "SuperPoly":
-        return SuperPoly(
-            {
-                w: c
-                for w, c in self.terms.items()
-                if sum(1 for f in w if f.parity) % 2 == parity
-            }
-        )
+        return self._odd_degree_where(lambda d: d % 2 == parity)
 
     def degree_part(self, degree: int) -> "SuperPoly":
-        return SuperPoly(
-            {
-                w: c
-                for w, c in self.terms.items()
-                if sum(1 for f in w if f.parity) == degree
-            }
-        )
+        return self._odd_degree_where(lambda d: d == degree)
 
     def is_local(self) -> bool:
         return all(f.kind == "p" for w in self.terms for f in w)
@@ -369,37 +407,33 @@ class SuperPoly:
     # -- derivatives ----------------------------------------------------
 
     def partial_even(self, sym: sp.Symbol) -> "SuperPoly":
-        out = {}
-        for word, coeff in self.terms.items():
-            d = sp.diff(coeff, sym)
-            if d != 0:
-                out[word] = d
-        return SuperPoly(out)
+        if sym not in self.field.symbols:
+            return SuperPoly.zero()
+        x = self.field.gens[self.field.symbols.index(sym)]
+        return SuperPoly({w: c.diff(x) for w, c in self.terms.items()}, self.field)
 
     def partial_odd(self, f: OddFactor) -> "SuperPoly":
         """Left graded derivative: strike the factor, sign from its position."""
         if f.kind != "p":
             raise ValueError("use nonlocal EL rules")
-        out: dict[Word, Expr] = {}
+        out: dict[Word, FracElement] = {}
         for word, coeff in self.terms.items():
             if f not in word:
                 continue
             pos = word.index(f)
-            sign = -1 if sum(1 for g in word[:pos] if g.parity) % 2 else 1
+            c = -coeff if sum(1 for g in word[:pos] if g.parity) % 2 else coeff
             rest = word[:pos] + word[pos + 1 :]
-            c = sign * coeff
-            if rest in out:
-                out[rest] = out[rest] + c
-            else:
-                out[rest] = c
-        return SuperPoly(out)
+            out[rest] = out[rest] + c if rest in out else c
+        return SuperPoly(out, self.field)
 
     # -- inspection -------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Word, Expr]]:
-        return sorted(
+        """Terms in word order, coefficients as reduced-fraction expressions."""
+        ordered = sorted(
             self.terms.items(), key=lambda kv: (len(kv[0]), [f.sort_key() for f in kv[0]])
         )
+        return [(word, coeff.as_expr()) for word, coeff in ordered]
 
     def __repr__(self):
         if not self.terms:
@@ -441,12 +475,11 @@ def render_superpoly(
     fields: Fields,
     names: Mapping[int, str] | None = None,
 ) -> str:
-    """Deterministic text form with canceled coefficients."""
-    canon = a.canonical()
-    if not canon.terms:
+    """Deterministic text form with reduced-fraction coefficients."""
+    if not a.terms:
         return "0"
     parts = []
-    for word, coeff in canon.sorted_terms():
+    for word, coeff in a.sorted_terms():
         factors = "*".join(render_factor(f, fields, names) for f in word)
         cstr = str(coeff)
         if ("+" in cstr[1:]) or ("-" in cstr[1:]) or cstr.startswith("-("):

@@ -16,8 +16,11 @@ Grammar (EBNF):
     jetname    := field | field "_x" | field "_<k>x"
 
 Numbers are integers; rationals are written as quotients (``2/3``).  Floats
-are rejected.  Each ``nonlocal[i,j]`` entry declares one rank-one tail
-``e * w d^(-1) z`` whose vectors are supported in slots i and j.
+are rejected.  Derivative orders (``D^k``, ``u_kx``) and exponents are at
+most ``MAX_POWER``: the cost of a check grows steeply with them, and an
+unbounded one would let a short input run without end.  Each
+``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
+vectors are supported in slots i and j.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ import sympy as sp
 from .algebra import Expr, Fields, coeff_is_zero
 from .geometry import MetricData
 from .schouten import Tail, WNOperator
+
+
+MAX_POWER = 16
 
 
 class ParseError(ValueError):
@@ -274,7 +280,7 @@ class Parser:
                 self.next()
                 if self.peek().text == "^":
                     self.next()
-                    order = int(self.expect("int").text)
+                    order = self.bounded(self.expect("int"), "derivative order")
                 else:
                     order = 1
                 if self.peek().text == "*":
@@ -345,6 +351,13 @@ class Parser:
             raise ParseError("non-finite coefficient: divisor is identically zero", tok.line, tok.col)
         return divisor
 
+    def bounded(self, tok: Token, what: str) -> int:
+        """An integer token that is at most MAX_POWER."""
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
+            raise ParseError(f"{what} exceeds the bound {MAX_POWER}", tok.line, tok.col)
+        return int(digits)
+
     def parse_power(self) -> Expr:
         tok = self.peek()
         base = self.parse_atom()
@@ -354,7 +367,7 @@ class Parser:
             if self.peek().text == "-":
                 self.next()
                 neg = True
-            exp = int(self.expect("int").text)
+            exp = self.bounded(self.expect("int"), "exponent")
             return self.nonzero(tok, base) ** -exp if neg else base**exp
         return base
 
@@ -395,7 +408,7 @@ class Parser:
                 tok.line,
                 tok.col,
             )
-        order = int(m.group(1)) if m.group(1) else 1
+        order = self.bounded(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
         return self.fields.jet(self.fields.names.index(base) + 1, order)
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import QQ
+from sympy.polys.domains import FractionField
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import Expr, Fields, coeff_is_zero, normal_forms
+from .algebra import Expr, Fields, coeff_field
 from .schouten import Tail, WNOperator
 
 
@@ -67,13 +67,31 @@ class MetricData:
         return [self.fields.jet(i, 0) for i in range(1, self.n + 1)]
 
 
+def _exprs(tree):
+    return [_exprs(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
+
+
 @dataclass
 class DerivedGeometry:
-    g_lower: sp.Matrix
-    gamma_lc: list  # gamma_lc[i][j][k] = Gamma^i_jk of the lower metric
-    gamma_upper: list  # gamma_upper[i][j][k] = Gamma^{ij}_k = -g^{is} Gamma^j_sk
-    curvature: list  # curvature[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh
+    """Metric data and its geometry as elements of the field QQ(u1..un).
+
+    Tensors are nested lists of field elements; the properties convert four
+    of them to expressions.
+    """
+
+    coords: list  # coords[k] = the generator u^k
+    g: list  # g[i][j] = g^ij
+    W: list  # W[i][j] = W^i_j
+    g_lo: list  # g_lo[i][j] = g_ij, the inverse of g^ij
+    gamma: list  # gamma[i][j][k] = Gamma^i_jk of the lower metric
+    gamma_up: list  # gamma_up[i][j][k] = Gamma^{ij}_k = -g^{is} Gamma^j_sk
+    riemann_up: list  # riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh
     nabla_w: list  # nabla_w[i][j][k] = covariant derivative of W^j_k along u^i
+
+    g_lower = property(lambda self: sp.Matrix(_exprs(self.g_lo)))
+    gamma_lc = property(lambda self: _exprs(self.gamma))
+    gamma_upper = property(lambda self: _exprs(self.gamma_up))
+    curvature = property(lambda self: _exprs(self.riemann_up))
 
 
 def _tensor(n: int, rank: int, entry, *index):
@@ -86,12 +104,12 @@ def _tensor(n: int, rank: int, entry, *index):
 def derive_geometry(m: MetricData) -> DerivedGeometry:
     """Exact inverse metric, Levi-Civita symbols, curvature and nabla W.
 
-    The derivation runs in the field QQ(u1..un), whose elements are reduced
-    fractions, and converts to expressions once, on return.
+    The derivation runs in the coefficient field QQ(u1..un), whose elements
+    are reduced fractions.
     """
     n, r = m.n, range(m.n)
-    K = QQ.frac_field(*m.coords())
-    x = K.gens
+    K = FractionField(coeff_field(m.coords()))
+    x = [K.from_sympy(u) for u in m.coords()]
     g_up = _tensor(n, 2, lambda i, j: K.from_sympy(m._g[i, j]))
     W = _tensor(n, 2, lambda i, j: K.from_sympy(m._W[i, j]))
     g_matrix = DomainMatrix(g_up, (n, n), K)
@@ -114,13 +132,7 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
     nabla = _tensor(n, 3, lambda i, j, k: W[j][k].diff(x[i]) + sum(
         gamma[j][i][s] * W[s][k] - gamma[s][i][k] * W[j][s] for s in r
     ))
-
-    def expr(tree):
-        return [expr(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
-
-    return DerivedGeometry(
-        sp.Matrix(expr(g_lo)), expr(gamma), expr(gamma_up), expr(curvature), expr(nabla)
-    )
+    return DerivedGeometry(x, g_up, W, g_lo, gamma, gamma_up, curvature, nabla)
 
 
 @dataclass
@@ -144,72 +156,70 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
     """The six-condition system; each verdict carries a witness on failure.
 
     ``geo`` is the geometry of ``m`` when the caller has derived it already.
+    Each condition is a field element tested against zero; a witness shows
+    the first nonzero one as a reduced-fraction expression.
     """
     n = m.n
     if geo is None:
         geo = derive_geometry(m)
-    g = m._g
-    W = m._W
-    x = m.coords()
+    g, W, x = geo.g, geo.W, geo.coords
     out = []
 
     def verdict(name, pairs):
-        for label, expr in pairs:
-            if not coeff_is_zero(expr):
-                out.append(ConditionCheck(name, False, f"{label}: {normal_forms([expr])[0]}"))
+        for label, value in pairs:
+            if value != 0:
+                out.append(ConditionCheck(name, False, f"{label}: {value.as_expr()}"))
                 return
         out.append(ConditionCheck(name, True))
 
     verdict(
         "metric_symmetry",
-        [
-            (f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i, j] - g[j, i])
+        (
+            (f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i][j] - g[j][i])
             for i in range(n)
             for j in range(i + 1, n)
-        ],
+        ),
     )
     verdict(
         "metric_compatibility",
-        [
+        (
             (
                 f"dg[{i + 1},{j + 1}]/du{k + 1}",
-                sp.diff(g[i, j], x[k])
-                - geo.gamma_upper[i][j][k]
-                - geo.gamma_upper[j][i][k],
+                g[i][j].diff(x[k]) - geo.gamma_up[i][j][k] - geo.gamma_up[j][i][k],
             )
             for i in range(n)
             for j in range(n)
             for k in range(n)
-        ],
+        ),
     )
     verdict(
         "gGamma_symmetry",
-        [
+        (
             (
                 f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                sum(g[i, s] * geo.gamma_upper[j][k][s] for s in range(n))
-                - sum(g[j, s] * geo.gamma_upper[i][k][s] for s in range(n)),
+                sum(g[i][s] * geo.gamma_up[j][k][s] for s in range(n))
+                - sum(g[j][s] * geo.gamma_up[i][k][s] for s in range(n)),
             )
             for i in range(n)
             for j in range(i + 1, n)
             for k in range(n)
-        ],
+        ),
     )
     verdict(
         "gW_symmetry",
-        [
+        (
             (
                 f"(i,j)=({i + 1},{j + 1})",
-                sum(g[i, s] * W[j, s] for s in range(n))
-                - sum(g[j, s] * W[i, s] for s in range(n)),
+                sum(g[i][s] * W[j][s] for s in range(n))
+                - sum(g[j][s] * W[i][s] for s in range(n)),
             )
             for i in range(n)
             for j in range(i + 1, n)
-        ],
+        ),
     )
     verdict(
         "nablaW_symmetry",
-        [
+        (
             (
                 f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
                 geo.nabla_w[i][j][k] - geo.nabla_w[k][j][i],
@@ -217,21 +227,20 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
             for i in range(n)
             for j in range(n)
             for k in range(i + 1, n)
-        ],
+        ),
     )
     verdict(
         "gauss_relation",
-        [
+        (
             (
                 f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
-                geo.curvature[i][j][k][h]
-                - (W[i, k] * W[j, h] - W[j, k] * W[i, h]),
+                geo.riemann_up[i][j][k][h] - (W[i][k] * W[j][h] - W[j][k] * W[i][h]),
             )
             for i in range(n)
             for j in range(n)
             for k in range(n)
             for h in range(n)
-        ],
+        ),
     )
     return out
 
@@ -245,19 +254,22 @@ def build_operator(m: MetricData, geo: DerivedGeometry | None = None) -> WNOpera
     if geo is None:
         geo = derive_geometry(m)
     u_x = [m.fields.jet(k + 1, 1) for k in range(n)]
-    zeroth = normal_forms(
-        sum(geo.gamma_upper[i][j][k] * u_x[k] for k in range(n))
-        for i in range(n)
-        for j in range(n)
-    )
+    L = coeff_field([*m.coords(), *u_x])
+    ux = [L.from_expr(s) for s in u_x]
+
+    def contract(row) -> Expr:
+        """sum_k row[k] u_x^k as a reduced-fraction expression."""
+        return sum((c.set_field(L) * ux[k] for k, c in enumerate(row)), L.zero).as_expr()
+
     local: list[list[list[tuple[Expr, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if m._g[i, j] != 0:
                 local[i][j].append((m._g[i, j], 1))
-            if zeroth[i * n + j] != 0:
-                local[i][j].append((zeroth[i * n + j], 0))
-    wvec = tuple(normal_forms(sum(m._W[i, k] * u_x[k] for k in range(n)) for i in range(n)))
+            zeroth = contract(geo.gamma_up[i][j])
+            if zeroth != 0:
+                local[i][j].append((zeroth, 0))
+    wvec = tuple(contract(geo.W[i]) for i in range(n))
     tails = []
     if any(w != 0 for w in wvec):
         tails.append(Tail(sp.Integer(1), wvec, wvec))

@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-import sympy as sp
-
-from .algebra import Expr, Fields, OddFactor, SuperPoly, Word, normalize_word, p
+from .algebra import Fields, OddFactor, SuperPoly, Word, coeff_field, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -30,42 +28,52 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
 
     Acts as an even derivation: raises jet orders in the coefficients and
     in the odd factors, and unfolds each nonlocal factor into its defining
-    density in place (same position, so no extra sign).
+    density in place (same position, so no extra sign).  The result lives
+    in a field that also holds the next-order jet of every jet present.
     """
-    acc: dict[Word, Expr] = {}
+    jets = [t for c in a.terms.values() for t in fields.jet_symbols(c)]
+    raised = {s: fields.jet(i, o + 1) for s, i, o in jets}
+    densities = {}
+    for ident in a.nonlocal_ids():
+        if table is None:
+            raise UnregisteredNonlocalError(f"nonlocal factor {ident} needs a variable table")
+        densities[ident] = table.density(ident)
+    symbols = [*a.field.symbols, *raised.values()]
+    K = coeff_field(symbols + [s for d in densities.values() for s in d.field.symbols])
+    a = a.set_field(K)
+    densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
+    ring = K.ring
+    gen = dict(zip(K.symbols, ring.gens))
+    chain = [(gen[s], gen[t]) for s, t in raised.items()]
+
+    def dx(c):
+        # d(n/d) = (n' d - n d') / d^2 with ' the total derivative of a polynomial
+        n, d = c.numer, c.denom
+        dn = sum((n.diff(x) * y for x, y in chain), ring.zero)
+        if d.is_ground:
+            return K.new(dn, d)
+        dd = sum((d.diff(x) * y for x, y in chain), ring.zero)
+        return K.new(dn * d - n * dd, d * d)
+
+    acc: dict[Word, object] = {}
 
     def put(word, coeff):
-        if coeff == 0 or word is None:
+        if not coeff or word is None:
             return
-        if word in acc:
-            acc[word] = acc[word] + coeff
-        else:
-            acc[word] = coeff
+        acc[word] = acc[word] + coeff if word in acc else coeff
 
     for word, coeff in a.terms.items():
-        dcoeff = sp.Integer(0)
-        for sym, idx, order in fields.jet_symbols(coeff):
-            d = sp.diff(coeff, sym)
-            if d != 0:
-                dcoeff = dcoeff + d * fields.jet(idx, order + 1)
-        put(word, dcoeff)
-
+        put(word, dx(coeff))
         for pos, f in enumerate(word):
             if f.kind == "p":
                 repl = word[:pos] + (p(f.index, f.order + 1),) + word[pos + 1 :]
                 sign, nw = normalize_word(repl)
-                put(nw, sign * coeff)
+                put(nw, coeff if sign > 0 else -coeff)
             else:
-                if table is None:
-                    raise UnregisteredNonlocalError(
-                        f"nonlocal factor {f.index} needs a variable table"
-                    )
-                density = table.density(f.index)
-                for dw, dc in density.terms.items():
-                    repl = word[:pos] + dw + word[pos + 1 :]
-                    sign, nw = normalize_word(repl)
-                    put(nw, sign * coeff * dc)
-    return SuperPoly(acc)
+                for dw, dc in densities[f.index].items():
+                    sign, nw = normalize_word(word[:pos] + dw + word[pos + 1 :])
+                    put(nw, coeff * dc if sign > 0 else -(coeff * dc))
+    return SuperPoly(acc, K)
 
 
 def total_x_pow(a: SuperPoly, order: int, fields: Fields, table=None) -> SuperPoly:
@@ -84,35 +92,30 @@ def _require_local(a: SuperPoly, what: str) -> None:
         )
 
 
-def var_deriv(a: SuperPoly, index: int, kind: str, fields: Fields) -> SuperPoly:
-    """Variational derivative of a local value with respect to one field.
+def el_sum(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None) -> ELResult:
+    """sum_k (-1)^k d_x^k( (dA/dslot_k) * fixed ) over the even slots (jet
+    variables) and odd slots (dual factors) of every field.
 
-    ``kind`` selects the even slot (jet variables of the field) or the odd
-    slot (its dual factors): sum over orders of (-1)^k d_x^k applied to the
-    corresponding partial derivative.
+    ``fixed`` None stands for 1: the variational-derivative tuple of A.
     """
-    _require_local(a, "var_deriv")
-    out = SuperPoly.zero()
-    if kind == "even":
-        orders = {
-            o
-            for coeff in a.terms.values()
-            for _, i, o in fields.jet_symbols(coeff)
-            if i == index
-        }
-        for order in orders:
-            part = a.partial_even(fields.jet(index, order))
-            term = total_x_pow(part, order, fields)
-            out = out + (term if order % 2 == 0 else -term)
-    elif kind == "odd":
-        factors = {f for f in a.jet_factors() if f.index == index}
-        for f in factors:
-            part = a.partial_odd(f)
-            term = total_x_pow(part, f.order, fields)
-            out = out + (term if f.order % 2 == 0 else -term)
-    else:
+    du = [SuperPoly.zero() for _ in range(fields.n)]
+    dp = [SuperPoly.zero() for _ in range(fields.n)]
+    jets = {(i, o) for c in A.terms.values() for _, i, o in fields.jet_symbols(c)}
+    slots = [(du, i, o, A.partial_even(fields.jet(i, o))) for i, o in jets]
+    slots += [(dp, f.index, f.order, A.partial_odd(f)) for f in A.jet_factors()]
+    for out, i, order, part in slots:
+        term = total_x_pow(part if fixed is None else part * fixed, order, fields, table)
+        out[i - 1] = out[i - 1] + (term if order % 2 == 0 else -term)
+    return ELResult(tuple(du), tuple(dp))
+
+
+def var_deriv(a: SuperPoly, index: int, kind: str, fields: Fields) -> SuperPoly:
+    """Variational derivative of a local value with respect to one field:
+    the even slot (jet variables) or the odd slot (dual factors)."""
+    if kind not in ("even", "odd"):
         raise ValueError("kind must be 'even' or 'odd'")
-    return out
+    el = euler_lagrange(a, fields)
+    return (el.du if kind == "even" else el.dp)[index - 1]
 
 
 @dataclass
@@ -153,10 +156,7 @@ class ELResult:
 def euler_lagrange(a: SuperPoly, fields: Fields) -> ELResult:
     """Full variational-derivative tuple of a local value."""
     _require_local(a, "euler_lagrange")
-    return ELResult(
-        tuple(var_deriv(a, i, "even", fields) for i in range(1, fields.n + 1)),
-        tuple(var_deriv(a, i, "odd", fields) for i in range(1, fields.n + 1)),
-    )
+    return el_sum(a, None, fields)
 
 
 @dataclass
@@ -177,11 +177,7 @@ class LinearizationOp:
             by_order: dict[int, SuperPoly] = {}
             for coeff, order in entries:
                 by_order[order] = by_order.get(order, SuperPoly.zero()) + coeff
-            kept = [
-                (c.canonical(), k)
-                for k, c in sorted(by_order.items())
-                if not c.is_zero()
-            ]
+            kept = [(c, k) for k, c in sorted(by_order.items()) if not c.is_zero()]
             if kept:
                 out[key] = kept
         return LinearizationOp(self.fields, out)
@@ -225,7 +221,7 @@ def linearize(a: SuperPoly, fields: Fields) -> LinearizationOp:
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
 
     def add_row(slot, i, coeff, order):
-        if coeff.is_structurally_zero():
+        if coeff.is_zero():
             return
         rows.setdefault((slot, i), []).append((coeff, order))
 
@@ -241,7 +237,7 @@ def linearize(a: SuperPoly, fields: Fields) -> LinearizationOp:
 
     for parity in (0, 1):
         part = a.parity_part(parity)
-        if part.is_structurally_zero():
+        if part.is_zero():
             continue
         sign = 1 if parity == 1 else -1  # (-1)^(parity+1)
         for f in sorted(part.jet_factors(), key=OddFactor.sort_key):
@@ -264,7 +260,7 @@ def adjoint(op: LinearizationOp) -> LinearizationOp:
         for coeff, order in entries:
             for parity in (0, 1):
                 part = coeff.parity_part(parity)
-                if part.is_structurally_zero():
+                if part.is_zero():
                     continue
                 sign = (-1) ** order * (-1) ** (parity * slot_parity)
                 for m in range(order + 1):

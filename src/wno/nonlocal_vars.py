@@ -30,9 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import sympy as sp
+from sympy.integrals.rationaltools import ratint
 
-from .algebra import Expr, Fields, OddFactor, SuperPoly, Word, nl
-from .jetcalc import ELResult, total_x, total_x_pow, var_deriv
+from .algebra import Fields, OddFactor, SuperPoly, Word, nl
+from .jetcalc import ELResult, el_sum, euler_lagrange, total_x
 
 
 class UnsupportedStructureError(ValueError):
@@ -55,15 +56,14 @@ def scalar_content(a: SuperPoly) -> tuple[sp.Rational, SuperPoly]:
     Used before registration so that densities differing by a rational
     multiple share one variable (their antiderivatives are proportional).
     """
-    canon = a.canonical()
-    if not canon.terms:
-        return sp.Integer(1), canon
-    _, coeff = canon.sorted_terms()[0]
+    if not a.terms:
+        return sp.Integer(1), a
+    _, coeff = a.sorted_terms()[0]
     lead = coeff.as_ordered_terms()[0]
     content, _ = lead.as_coeff_Mul(rational=True)
     if content == 0:
         content = sp.Integer(1)
-    return content, canon.scale(sp.Integer(1) / content)
+    return content, a.scale(sp.Integer(1) / content)
 
 
 class NonlocalVarTable:
@@ -75,33 +75,33 @@ class NonlocalVarTable:
         self._counts = {"r": 0, "y": 0}
 
     def register(self, density: SuperPoly, *, formal: bool = False, note: str = "") -> int:
-        """Register a defining density, deduplicating on its normal form.
+        """Register a defining density, deduplicating on its terms.
 
-        The density must be homogeneous with at least one odd factor; a
-        purely even density has a local antiderivative problem and does not
-        define a new variable here.
+        The key holds the coefficients as expressions, so it does not depend
+        on the field a density sits in.  The density must be homogeneous
+        with at least one odd factor; a purely even density has a local
+        antiderivative problem and does not define a new variable here.
         """
-        canon = density.canonical()
-        if canon.is_structurally_zero():
+        if density.is_zero():
             raise ValueError("cannot register the zero density")
-        degrees = canon.odd_degrees()
+        degrees = density.odd_degrees()
         if len(degrees) != 1:
             raise ValueError(f"density must be homogeneous; got degrees {sorted(degrees)}")
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        key = tuple(canon.sorted_terms())
+        key = tuple(density.sorted_terms())
         if key in self._by_density:
             return self._by_density[key]
         level = 1
-        for ident in canon.nonlocal_ids():
+        for ident in density.nonlocal_ids():
             level = max(level, self.entries[ident].level + 1)
         parity = degree % 2
         prefix = "r" if (level == 1 and degree == 1 and not formal) else "y"
         self._counts[prefix] += 1
         ident = len(self.entries) + 1
         self.entries[ident] = NonlocalVar(
-            density=canon,
+            density=density,
             level=level,
             parity=parity,
             name=f"{prefix}{self._counts[prefix]}",
@@ -169,34 +169,28 @@ def integrate_density(Y: SuperPoly, fields: Fields, table: NonlocalVarTable | No
     """
     if not Y.is_local():
         return IntegrationResult(None, Y)
-    Y = Y.canonical()
-    if Y.is_structurally_zero():
+    if Y.is_zero():
         return IntegrationResult(SuperPoly.zero(), None)
 
-    for i in range(1, fields.n + 1):
-        for kind in ("even", "odd"):
-            if not var_deriv(Y, i, kind, fields).is_zero():
-                return IntegrationResult(None, Y)
+    if not euler_lagrange(Y, fields).is_zero():
+        return IntegrationResult(None, Y)
 
     eta = SuperPoly.zero()
     remaining = Y
     budget = 40 * (len(Y.terms) + 4)
     while budget > 0:
         budget -= 1
-        if remaining.is_structurally_zero():
+        if remaining.is_zero():
             break
         top = _top_variable(remaining, fields)
         if top is None or top[0][0] == 0:
             # only order-0 content left; exactness would force it to vanish
-            remaining = remaining.canonical()
-            if remaining.is_structurally_zero():
-                break
             return IntegrationResult(None, remaining)
 
         if top[1][0] == "odd":
             f = top[1][1]
             lowered = OddFactor("p", f.index, f.order - 1)
-            piece: dict[Word, Expr] = {}
+            piece: dict[Word, object] = {}
             for word, coeff in remaining.terms.items():
                 if f not in word:
                     continue
@@ -207,32 +201,35 @@ def integrate_density(Y: SuperPoly, fields: Fields, table: NonlocalVarTable | No
             )
         else:
             _, sym, idx, order = top[1]
+            x = remaining.field.gens[remaining.field.symbols.index(sym)]
             lowered_sym = fields.jet(idx, order - 1)
             rows = []
             for word, coeff in remaining.terms.items():
-                d = sp.diff(coeff, sym)
-                if d == 0:
+                d = coeff.diff(x)
+                if not d:
                     continue
-                if sp.diff(d, sym) != 0:
+                if d.diff(x):
                     return IntegrationResult(None, remaining)
                 # antiderivative in the lowered variable, so coefficients
-                # like f(u_k) * u_{k+1} absorb into F(u_k) exactly
-                g = sp.integrate(d, lowered_sym)
-                if g.has(sp.log, sp.atan, sp.atanh, sp.asin, sp.Integral):
-                    return IntegrationResult(None, remaining)
-                rows.append((g, word))
-            step = SuperPoly.from_terms(rows)
+                # like f(u_k) * u_{k+1} absorb into F(u_k) exactly; ratint
+                # leaves a log part as RootSum instead of solving for roots
+                rows.append((ratint(d.as_expr(), lowered_sym, real=False), word))
+            try:
+                step = SuperPoly.from_terms(rows)
+            except ValueError:
+                # a piece outside the rational functions: log, atan, RootSum, ...
+                return IntegrationResult(None, remaining)
 
-        if step.is_structurally_zero():
+        if step.is_zero():
             return IntegrationResult(None, remaining)
         eta = eta + step
-        remaining = (remaining - total_x(step, fields)).canonical()
+        remaining = remaining - total_x(step, fields)
     else:
         return IntegrationResult(None, remaining)
 
     if not (total_x(eta, fields) - Y).is_zero():
         return IntegrationResult(None, remaining)
-    return IntegrationResult(eta.canonical(), None)
+    return IntegrationResult(eta, None)
 
 
 @dataclass
@@ -255,8 +252,8 @@ def split_tails(a: SuperPoly, table: NonlocalVarTable) -> tuple[SuperPoly, list[
     Terms with more than two nonlocal factors, or with an even-parity
     nonlocal factor, fall outside the supported forms.
     """
-    local: dict[Word, Expr] = {}
-    groups: dict[tuple[int, ...], dict[Word, Expr]] = {}
+    local: dict[Word, object] = {}
+    groups: dict[tuple[int, ...], dict[Word, object]] = {}
     for word, coeff in a.terms.items():
         tail = tuple(f for f in word if f.kind == "nl")
         if not tail:
@@ -271,15 +268,14 @@ def split_tails(a: SuperPoly, table: NonlocalVarTable) -> tuple[SuperPoly, list[
                 "even-parity nonlocal factors may appear only in results, "
                 f"not in inputs: {word}"
             )
+        # odd nonlocal factors sort last, so the word is prefix + tail
         prefix = word[: len(word) - len(tail)]
-        ids = tuple(f.index for f in tail)
-        groups.setdefault(ids, {})
-        groups[ids][prefix] = groups[ids].get(prefix, sp.Integer(0)) + coeff
+        groups.setdefault(tuple(f.index for f in tail), {})[prefix] = coeff
     terms = [
-        TailTerm(SuperPoly(prefix_terms), suffix)
+        TailTerm(SuperPoly(prefix_terms, a.field), suffix)
         for suffix, prefix_terms in sorted(groups.items())
     ]
-    return SuperPoly(local), terms
+    return SuperPoly(local, a.field), terms
 
 
 @dataclass
@@ -292,7 +288,7 @@ class Antiderivative:
 
 def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note: str) -> Antiderivative:
     content, reduced = scalar_content(A)
-    if reduced.is_structurally_zero():
+    if reduced.is_zero():
         return Antiderivative(SuperPoly.zero(), False)
     if reduced.is_local():
         result = integrate_density(reduced, fields, table)
@@ -303,29 +299,6 @@ def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note:
         SuperPoly.factor(table.factor(ident)).scale(content),
         table.entries[ident].formal,
     )
-
-
-def _el_sum(A: SuperPoly, fixed: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELResult:
-    """sum_k (-1)^k d^k( (dA/dslot_k) * fixed ), both slots, all fields."""
-    n = fields.n
-    du = [SuperPoly.zero() for _ in range(n)]
-    dp = [SuperPoly.zero() for _ in range(n)]
-    for i in range(1, n + 1):
-        orders = {
-            o
-            for coeff in A.terms.values()
-            for _, j, o in fields.jet_symbols(coeff)
-            if j == i
-        }
-        for order in orders:
-            part = A.partial_even(fields.jet(i, order)) * fixed
-            term = total_x_pow(part, order, fields, table)
-            du[i - 1] = du[i - 1] + (term if order % 2 == 0 else -term)
-    for f in sorted(A.jet_factors(), key=OddFactor.sort_key):
-        part = A.partial_odd(f) * fixed
-        term = total_x_pow(part, f.order, fields, table)
-        dp[f.index - 1] = dp[f.index - 1] + (term if f.order % 2 == 0 else -term)
-    return ELResult(tuple(du), tuple(dp))
 
 
 @dataclass
@@ -343,8 +316,6 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
     fallback.
     """
     local, tails = split_tails(a, table)
-    from .jetcalc import euler_lagrange
-
     el = euler_lagrange(local, fields)
     formal_used = False
 
@@ -357,8 +328,8 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
             anti = _antiderivative(A, fields, table, note="tail antiderivative")
             formal_used = formal_used or anti.formal
             sign = 1 if (degree + 1) % 2 == 0 else -1
-            el = el + _el_sum(A, v, fields, table)
-            el = el + _el_sum(Z, anti.value, fields, table).scale(sign)
+            el = el + el_sum(A, v, fields, table)
+            el = el + el_sum(Z, anti.value, fields, table).scale(sign)
 
     for term in tails:
         if term.suffix and not term.prefactor.is_local():
@@ -389,15 +360,11 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
         q2 = _antiderivative(B * v2, fields, table, note="level-2 antiderivative")
         q1 = _antiderivative(B * v1, fields, table, note="level-2 antiderivative")
         formal_used = formal_used or q1.formal or q2.formal
-        el = el + _el_sum(B, v1 * v2, fields, table)
-        el = el + _el_sum(table.density(id1), q2.value, fields, table)
-        el = el + _el_sum(table.density(id2), q1.value, fields, table).scale(-1)
+        el = el + el_sum(B, v1 * v2, fields, table)
+        el = el + el_sum(table.density(id1), q2.value, fields, table)
+        el = el + el_sum(table.density(id2), q1.value, fields, table).scale(-1)
 
-    canon = ELResult(
-        tuple(x.canonical() for x in el.du),
-        tuple(x.canonical() for x in el.dp),
-    )
-    return ELComputation(canon, formal_used)
+    return ELComputation(el, formal_used)
 
 
 def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tuple[list[TailTerm], bool]:
@@ -418,15 +385,15 @@ def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tup
     v1 = SuperPoly.factor(table.factor(id1))
     v2 = SuperPoly.factor(table.factor(id2))
     content, reduced = scalar_content(term.prefactor)
-    if reduced.is_structurally_zero():
+    if reduced.is_zero():
         return [], False
     result = integrate_density(reduced, fields, table)
     if not result.ok:
-        table.register((reduced * v1).canonical(), formal=True, note="level-2 antiderivative")
+        table.register(reduced * v1, formal=True, note="level-2 antiderivative")
         return [term], True
     y = result.antiderivative.scale(content)
     rewritten = (-y) * table.density(id1) * v2 + (-y) * v1 * table.density(id2)
-    local, tails = split_tails(rewritten.canonical(), table)
+    local, tails = split_tails(rewritten, table)
     out = list(tails)
     if not local.is_zero():
         out.append(TailTerm(local, ()))

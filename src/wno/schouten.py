@@ -36,7 +36,7 @@ from .algebra import (
     p,
     render_factor,
 )
-from .jetcalc import ELResult
+from .jetcalc import ELResult, total_x
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
 DiffRow = list[tuple[Expr, int]]  # sum of coefficient * d^order
@@ -110,37 +110,28 @@ def operator_adjoint(P: WNOperator) -> WNOperator:
     for i in range(n):
         for j in range(n):
             for coeff, order in P.local[j][i]:
+                derivs = _dx_powers(coeff, order, P.fields)
                 for m in range(order + 1):
-                    c = _dx_pow(coeff, order - m, P.fields)
-                    local[i][j].append(
-                        ((-1) ** order * comb(order, m) * c, m)
-                    )
+                    local[i][j].append(((-1) ** order * comb(order, m) * derivs[order - m], m))
     tails = [Tail(-t.constant, t.right, t.left) for t in P.tails]
     return WNOperator(P.fields, local, tails)
 
 
-def _dx_pow(coeff: Expr, order: int, fields: Fields) -> Expr:
-    out = coeff
+def _dx_powers(coeff: Expr, order: int, fields: Fields) -> list[Expr]:
+    """``coeff`` and its total x-derivatives up to ``order``."""
+    out = [SuperPoly.scalar(coeff)]
     for _ in range(order):
-        acc = sp.Integer(0)
-        for sym, idx, k in fields.jet_symbols(out):
-            d = sp.diff(out, sym)
-            if d != 0:
-                acc = acc + d * fields.jet(idx, k + 1)
-        out = acc
-    return out
+        out.append(total_x(out[-1], fields))
+    return [d.terms[()].as_expr() if d.terms else sp.Integer(0) for d in out]
 
 
 def skew_part(P: WNOperator) -> WNOperator:
     return (P + operator_adjoint(P).scale(-1)).scale(sp.Rational(1, 2))
 
 
-def _primed(expr: Expr, fields: Fields) -> Expr:
+def _primed(expr: Expr) -> Expr:
     """``expr`` at the second point: each jet variable u_x becomes u_x(y)."""
-    subs = {}
-    for sym, _, _ in fields.jet_symbols(expr):
-        subs[sym] = sp.Symbol(f"{sym.name}(y)")
-    return expr.xreplace(subs)
+    return expr.xreplace({sym: sp.Symbol(f"{sym.name}(y)") for sym in expr.free_symbols})
 
 
 def tail_kernel(tails: list[Tail], fields: Fields) -> list[list[Expr]]:
@@ -152,9 +143,7 @@ def tail_kernel(tails: list[Tail], fields: Fields) -> list[list[Expr]]:
     for t in tails:
         for i in range(n):
             for j in range(n):
-                K[i][j] = K[i][j] + t.constant * t.left[i] * _primed(
-                    t.right[j], fields
-                )
+                K[i][j] = K[i][j] + t.constant * t.left[i] * _primed(t.right[j])
     return K
 
 
@@ -227,8 +216,8 @@ def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) ->
     local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
     tail_vectors: dict[int, list[Expr]] = {}
     for i in range(1, n + 1):
-        v = comp.el.dp[i - 1].scale(sp.Rational(1, 2)).canonical()
-        for word, coeff in v.terms.items():
+        v = comp.el.dp[i - 1].scale(sp.Rational(1, 2))
+        for word, coeff in v.sorted_terms():
             if len(word) == 1 and word[0].kind == "p":
                 f = word[0]
                 local[i - 1][f.index - 1].append((coeff, f.order))
@@ -238,15 +227,14 @@ def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) ->
                 )
                 vec[i - 1] = vec[i - 1] + coeff
             elif len(word) == 0:
-                if not coeff_is_zero(coeff):
-                    raise ValueError("degree-0 component cannot come from an operator")
+                raise ValueError("degree-0 component cannot come from an operator")
             else:
                 raise ValueError(f"unexpected word {word} in operator reading")
     tails = []
     for ident, vec in sorted(tail_vectors.items()):
         density = table.density(ident)
         dvec = [sp.Integer(0)] * n
-        for word, coeff in density.terms.items():
+        for word, coeff in density.sorted_terms():
             if len(word) != 1 or word[0].kind != "p" or word[0].order != 0:
                 raise ValueError("tail density is not a zeroth-order covector")
             dvec[word[0].index - 1] = coeff
@@ -271,8 +259,7 @@ def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -
     report = []
     for slot, parts in (("du", el.du), ("dp", el.dp)):
         for i, part in enumerate(parts, start=1):
-            canon = part.canonical()
-            for word, coeff in canon.sorted_terms():
+            for word, coeff in part.sorted_terms():
                 monomial = "*".join(
                     render_factor(f, fields, names) for f in word
                 ) or "1"
@@ -325,7 +312,6 @@ def schouten_bracket(
     three = SuperPoly.zero()
     for i in range(fields.n):
         three = three + elP.el.du[i] * elQ.el.dp[i] + elQ.el.du[i] * elP.el.dp[i]
-    three = three.canonical()
 
     elT = el_nonlocal(three, fields, table)
     trivial = elT.el.is_zero()

@@ -16,6 +16,7 @@ from wno.algebra import (
     normalize_word,
     p,
 )
+from wno.jetcalc import total_x
 
 from conftest import random_local, random_local_mixed
 
@@ -207,3 +208,39 @@ def test_normal_forms_constants_and_signs():
     assert [str(e) for e in normal_forms(batch)] == [
         "0", "-2/3", "(-u - 1)/(2*u_x)", "(-u - 1)/(3*u_x - 1)"
     ]
+
+
+# Coefficients of values whose fields hold different generator sets: the
+# sums, products and x-derivatives below lift them into joined fields, and
+# each rendered coefficient must read exactly as sympy.cancel of the same
+# computation done on expressions.  Single fractions keep that reference
+# fast: sympy.cancel of products of the sums of fractions above can take
+# minutes.
+_F2 = Fields(("u", "v"))
+_fractions = st.one_of(
+    st.just(sp.Integer(0)), _rationals, _polys, st.builds(lambda a, b: a / b, _polys, _denominators)
+)
+
+
+def _dx(e):
+    return sum(
+        (sp.diff(e, s) * _F2.jet(i, k + 1) for s in e.free_symbols for i, k in [_F2.classify(s)]),
+        sp.Integer(0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fractions, _fractions, _fractions)
+def test_mixed_fields_render_like_cancel(e1, e2, e3):
+    a, b, c = (SuperPoly.scalar(e) for e in (e1, e2, e3))
+    cases = [
+        (a + b, e1 + e2),
+        (a * b - c, e1 * e2 - e3),
+        (a.scale(e2) + c, e1 * e2 + e3),
+        (total_x(a, _F2) * c, _dx(e1) * e3),
+        (total_x(a + b, _F2), _dx(sp.cancel(e1 + e2))),
+    ]
+    for value, expr in cases:
+        expected = sp.cancel(expr)
+        rendered = [(w, str(k)) for w, k in value.sorted_terms()]
+        assert rendered == ([((), str(expected))] if expected != 0 else [])

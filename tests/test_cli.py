@@ -66,6 +66,22 @@ class TestExitCodes:
         assert "nan.wno:3:13: non-finite coefficient" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_derivative_order_bound(self, tmp_path):
+        f = tmp_path / "big.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: D^100000;\n}\n")
+        proc = run_cli("check", str(f), "P")
+        assert proc.returncode == 2
+        assert "big.wno:3:17: derivative order exceeds the bound 16" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_exponent_bound(self, tmp_path):
+        f = tmp_path / "big.wno"
+        f.write_text("fields u;\nfirstorder M {\n  g[1,1]: (1 + u)^100000;\n}\n")
+        proc = run_cli("geom", str(f), "M")
+        assert proc.returncode == 2
+        assert "big.wno:3:19: exponent exceeds the bound 16" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_geom_verdicts(self):
         ok = run_cli("geom", str(CASES / "firstorder.wno"), "sphere")
         assert ok.returncode == 0

@@ -107,6 +107,21 @@ class TestDiagnostics:
             parse(f"fields u; operator A {{ {entry} }}")
         assert (err.value.line, err.value.col) == (1, col)
 
+    @pytest.mark.parametrize(
+        "entry, message, col",
+        [
+            ("D^17", "derivative order", 38),
+            ("u_17x*D", "derivative order", 36),
+            ("u^17*D", "exponent", 38),
+            ("D^00000000000000000000017", "derivative order", 38),
+        ],
+    )
+    def test_order_and_exponent_bounds(self, entry, message, col):
+        with pytest.raises(ParseError, match=f"{message} exceeds the bound 16") as err:
+            parse(f"fields u; operator A {{ local[1,1]: {entry}; }}")
+        assert (err.value.line, err.value.col) == (1, col)
+        parse("fields u; operator A { local[1,1]: u_16x*u^16*D^16; }")
+
     def test_d_outside_local(self):
         with pytest.raises(ParseError):
             parse("fields u; firstorder m { g[1,1]: D; }")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.integrals.rationaltools import ratint
 
 from wno.algebra import Fields, SuperPoly, p
 from wno.jetcalc import euler_lagrange, total_x
@@ -75,6 +76,28 @@ class TestIntegrateDensity:
         from wno.jetcalc import var_deriv
 
         assert var_deriv(Y, 1, "odd", F) == SuperPoly.monomial(2, [p(1, 1)])
+
+    @pytest.mark.parametrize(
+        "piece", [sp.log(u), sp.atan(u), ratint(1 / (u**3 + u + 1), u, real=False)]
+    )
+    def test_non_rational_piece_refused(self, piece):
+        # an antiderivative piece must convert into the coefficient field
+        with pytest.raises(ValueError):
+            SuperPoly.scalar(piece)
+
+    def test_rational_piece_accepted(self):
+        piece = ratint(1 / (u + 1) ** 2, u, real=False)
+        assert SuperPoly.scalar(piece) == SuperPoly.scalar(-1 / (u + 1))
+
+    @pytest.mark.parametrize("density", [u_x / u, u_x / (1 + u**2), u_x / (u**3 + u + 1)])
+    def test_exact_density_with_non_rational_antiderivative_fails(self, density):
+        # the variational test passes, but log and RootSum pieces are refused
+        res = integrate_density(SuperPoly.scalar(density), F)
+        assert not res.ok
+
+    def test_rational_antiderivative_found(self):
+        res = integrate_density(SuperPoly.scalar(u_x / (1 + u) ** 2), F)
+        assert res.ok and res.antiderivative == SuperPoly.scalar(-1 / (1 + u))
 
     def test_nonlocal_input_fails(self):
         table, rid = make_table()
