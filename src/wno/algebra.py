@@ -15,8 +15,6 @@ tuple, in the generator order ``sympy.cancel`` uses, so that ``as_expr`` of
 a coefficient prints exactly as ``sympy.cancel`` of the same function.
 Sympy expressions appear only at the edges: they are converted on
 construction, and ``sorted_terms`` converts back for reports.
-``coeff_is_zero`` and ``normal_forms`` serve expression-valued operator
-entries.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -260,7 +258,7 @@ def normalize_word(factors: Iterable[OddFactor]) -> tuple[int, Word | None]:
 class SuperPoly:
     """Sparse graded polynomial: word of factors -> coefficient in ``field``."""
 
-    __slots__ = ("terms", "field")
+    __slots__ = ("terms", "field", "_texts")
 
     def __init__(self, terms: Mapping[Word, object] | None = None, field: FracField | None = None):
         """Coefficients in ``field``, or of any exact kind when it is None."""
@@ -270,6 +268,7 @@ class SuperPoly:
             terms = dict(zip(terms, coeffs))
         self.field = field
         self.terms: dict[Word, FracElement] = {w: c for w, c in terms.items() if c}
+        self._texts: list[tuple[Word, str]] | None = None
 
     # -- constructors -------------------------------------------------
 
@@ -435,11 +434,17 @@ class SuperPoly:
         )
         return [(word, coeff.as_expr()) for word, coeff in ordered]
 
+    def sorted_texts(self) -> list[tuple[Word, str]]:
+        """``sorted_terms`` with each coefficient printed; a value prints once."""
+        if self._texts is None:
+            self._texts = [(word, str(coeff)) for word, coeff in self.sorted_terms()]
+        return self._texts
+
     def __repr__(self):
         if not self.terms:
             return "SuperPoly(0)"
         bits = []
-        for word, coeff in self.sorted_terms():
+        for word, coeff in self.sorted_texts():
             fs = "*".join(
                 f"{f.kind}{f.index}" + (f"[{f.order}]" if f.order else "") for f in word
             )
@@ -479,9 +484,8 @@ def render_superpoly(
     if not a.terms:
         return "0"
     parts = []
-    for word, coeff in a.sorted_terms():
+    for word, cstr in a.sorted_texts():
         factors = "*".join(render_factor(f, fields, names) for f in word)
-        cstr = str(coeff)
         if ("+" in cstr[1:]) or ("-" in cstr[1:]) or cstr.startswith("-("):
             cstr = f"({cstr})"
         parts.append(f"{cstr}*{factors}" if factors else cstr)

@@ -15,27 +15,32 @@ Grammar (EBNF):
     expr       := sum | product | power | "(" expr ")" | rational | jetname
     jetname    := field | field "_x" | field "_<k>x"
 
-Numbers are integers; rationals are written as quotients (``2/3``).  Floats
-are rejected.  Derivative orders (``D^k``, ``u_kx``) and exponents are at
-most ``MAX_POWER``: the cost of a check grows steeply with them, and an
-unbounded one would let a short input run without end.  Each
-``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
-vectors are supported in slots i and j.
+Numbers are integers of at most ``MAX_DIGITS`` digits; rationals are
+written as quotients (``2/3``).  Floats are rejected.  Derivative orders
+(``D^k``, ``u_kx``) and exponents are at most ``MAX_POWER``: the cost of a
+check grows steeply with them, and an unbounded one would let a short input
+run without end.  Each ``nonlocal[i,j]`` entry declares one rank-one tail
+``e * w d^(-1) z`` whose vectors are supported in slots i and j.  Entries
+are parsed into one coefficient field per block (``Parser.enter_block``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import re
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
-from .algebra import Expr, Fields, coeff_is_zero
+from .algebra import Expr, Fields, coeff_field
 from .geometry import MetricData
 from .schouten import Tail, WNOperator
 
 
 MAX_POWER = 16
+MAX_DIGITS = 4300  # Python's default limit for converting a digit string
 
 
 class ParseError(ValueError):
@@ -104,6 +109,7 @@ class Parser:
         self.tokens = tokenize(source)
         self.pos = 0
         self.fields: Fields | None = None
+        self.field = self.gens = None  # the current block's field and its generators
 
     # -- token plumbing ---------------------------------------------------
 
@@ -175,13 +181,24 @@ class Parser:
         except ValueError as exc:
             self.fail(str(exc))
 
+    def enter_block(self) -> None:
+        """Fix the field of the block ahead: the rational functions of the jet
+        names among its tokens.  Never raises; the parse reports bad names."""
+        symbols = set()
+        for tok in itertools.takewhile(lambda t: t.text != "}", self.tokens[self.pos :]):
+            if tok.kind == "ident":
+                with contextlib.suppress(ParseError):
+                    symbols.add(self.jet_from_name(tok))
+        self.field = coeff_field(symbols)
+        self.gens = dict(zip(self.field.symbols, self.field.gens))
+
     def parse_index_pair(self) -> tuple[int, int]:
         self.expect("punct", "[")
         itok = self.expect("int")
         self.expect("punct", ",")
         jtok = self.expect("int")
         self.expect("punct", "]")
-        i, j = int(itok.text), int(jtok.text)
+        i, j = self.integer(itok), self.integer(jtok)
         n = self.fields.n
         for tok, value in ((itok, i), (jtok, j)):
             if not 1 <= value <= n:
@@ -192,8 +209,9 @@ class Parser:
         self.expect("ident", "operator")
         name = self.expect("ident").text
         self.expect("punct", "{")
+        self.enter_block()
         n = self.fields.n
-        local: list[list[list[tuple[Expr, int]]]] = [
+        local: list[list[list[tuple[FracElement, int]]]] = [
             [[] for _ in range(n)] for _ in range(n)
         ]
         tails: list[Tail] = []
@@ -215,8 +233,8 @@ class Parser:
                 z_expr = self.parse_expr(stop={"]"})
                 self.expect("punct", "]")
                 self.expect("punct", ";")
-                wvec = [sp.Integer(0)] * n
-                zvec = [sp.Integer(0)] * n
+                wvec = [self.field.zero] * n
+                zvec = [self.field.zero] * n
                 wvec[i - 1] = w_expr
                 zvec[j - 1] = z_expr
                 tails.append(Tail(constant, tuple(wvec), tuple(zvec)))
@@ -229,9 +247,10 @@ class Parser:
         self.expect("ident", "firstorder")
         name = self.expect("ident").text
         self.expect("punct", "{")
+        self.enter_block()
         n = self.fields.n
-        g: list[list[Expr]] = [[sp.Integer(0)] * n for _ in range(n)]
-        w: list[list[Expr]] = [[sp.Integer(0)] * n for _ in range(n)]
+        g = [[self.field.zero] * n for _ in range(n)]
+        w = [[self.field.zero] * n for _ in range(n)]
         saw_g = False
         while self.peek().text != "}":
             kind = self.expect("ident")
@@ -242,9 +261,8 @@ class Parser:
             etok = self.peek()
             expr = self.parse_expr(stop={";"})
             self.expect("punct", ";")
-            for sym in expr.free_symbols:
-                hit = self.fields.classify(sym)
-                if hit is None or hit[1] != 0:
+            for sym, _, order in self.fields.jet_symbols(expr):
+                if order:
                     raise ParseError(
                         f"metric entries must depend on order-0 variables only, got {sym}",
                         etok.line,
@@ -264,7 +282,7 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_diffexpr(self) -> list[tuple[Expr, int]]:
+    def parse_diffexpr(self) -> list[tuple[FracElement, int]]:
         """Sum of coefficient * D^k terms; D^0 is implicit."""
         entries = [self.parse_diffterm(sign=1)]
         while self.peek().text in ("+", "-"):
@@ -272,15 +290,15 @@ class Parser:
             entries.append(self.parse_diffterm(sign=sign))
         return entries
 
-    def parse_diffterm(self, sign: int) -> tuple[Expr, int]:
-        coeff = sp.Integer(sign)
+    def parse_diffterm(self, sign: int) -> tuple[FracElement, int]:
+        coeff = self.field(sign)
         while True:
             tok = self.peek()
             if tok.kind == "ident" and tok.text == "D":
                 self.next()
                 if self.peek().text == "^":
                     self.next()
-                    order = self.bounded(self.expect("int"), "derivative order")
+                    order = self.integer(self.expect("int"), "derivative order")
                 else:
                     order = 1
                 if self.peek().text == "*":
@@ -296,7 +314,7 @@ class Parser:
                 continue
             return coeff, 0
 
-    def parse_rational(self) -> sp.Rational:
+    def parse_rational(self) -> FracElement:
         tok = self.peek()
         if tok.text == "-":
             self.next()
@@ -311,24 +329,25 @@ class Parser:
             return inner
         if tok.kind == "int":
             self.next()
-            value = sp.Integer(int(tok.text))
+            value = self.field(self.integer(tok))
             if self.peek().text == "/":
                 self.next()
                 qtok = self.expect("int")
-                if int(qtok.text) == 0:
+                q = self.integer(qtok)
+                if q == 0:
                     raise ParseError("division by zero", qtok.line, qtok.col)
-                value = sp.Rational(int(tok.text), int(qtok.text))
+                value = value / q
             return value
         self.fail("expected a rational constant")
 
-    def parse_expr(self, stop: set[str]) -> Expr:
+    def parse_expr(self, stop: set[str]) -> FracElement:
         expr = self.parse_sum()
         tok = self.peek()
         if tok.text not in stop and tok.kind != "end":
             self.fail(f"unexpected {tok.text!r} in expression")
         return expr
 
-    def parse_sum(self) -> Expr:
+    def parse_sum(self) -> FracElement:
         left = self.parse_product()
         while self.peek().text in ("+", "-"):
             op = self.next().text
@@ -336,7 +355,7 @@ class Parser:
             left = left + right if op == "+" else left - right
         return left
 
-    def parse_product(self) -> Expr:
+    def parse_product(self) -> FracElement:
         left = self.parse_power()
         while self.peek().text in ("*", "/"):
             if self.next().text == "*":
@@ -345,20 +364,23 @@ class Parser:
                 left = left / self.nonzero(self.peek(), self.parse_power())
         return left
 
-    def nonzero(self, tok: Token, divisor: Expr) -> Expr:
+    def nonzero(self, tok: Token, divisor: FracElement) -> FracElement:
         """Refuse a divisor that is identically zero: the coefficient would be nan or zoo."""
-        if coeff_is_zero(divisor):
+        if divisor == 0:
             raise ParseError("non-finite coefficient: divisor is identically zero", tok.line, tok.col)
         return divisor
 
-    def bounded(self, tok: Token, what: str) -> int:
-        """An integer token that is at most MAX_POWER."""
+    def integer(self, tok: Token, bounded: str | None = None) -> int:
+        """The value of an integer token: of at most MAX_DIGITS digits, or at
+        most MAX_POWER when it is the ``bounded`` quantity (an order, an exponent)."""
         digits = tok.text.lstrip("0") or "0"
-        if len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER:
-            raise ParseError(f"{what} exceeds the bound {MAX_POWER}", tok.line, tok.col)
+        if bounded and (len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER):
+            raise ParseError(f"{bounded} exceeds the bound {MAX_POWER}", tok.line, tok.col)
+        if len(digits) > MAX_DIGITS:
+            raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", tok.line, tok.col)
         return int(digits)
 
-    def parse_power(self) -> Expr:
+    def parse_power(self) -> FracElement:
         tok = self.peek()
         base = self.parse_atom()
         if self.peek().text == "^":
@@ -367,11 +389,12 @@ class Parser:
             if self.peek().text == "-":
                 self.next()
                 neg = True
-            exp = self.bounded(self.expect("int"), "exponent")
-            return self.nonzero(tok, base) ** -exp if neg else base**exp
+            exp = self.integer(self.expect("int"), "exponent")
+            # dividing, not a negative power, keeps the denominator's sign canonical
+            return 1 / self.nonzero(tok, base) ** exp if neg else base**exp
         return base
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> FracElement:
         tok = self.peek()
         if tok.text == "-":
             self.next()
@@ -386,10 +409,10 @@ class Parser:
             return inner
         if tok.kind == "int":
             self.next()
-            return sp.Integer(int(tok.text))
+            return self.field(self.integer(tok))
         if tok.kind == "ident":
             self.next()
-            return self.jet_from_name(tok)
+            return self.gens[self.jet_from_name(tok)]
         self.fail("expected a number, variable, or parenthesized expression")
 
     def jet_from_name(self, tok: Token) -> sp.Symbol:
@@ -408,7 +431,7 @@ class Parser:
                 tok.line,
                 tok.col,
             )
-        order = self.bounded(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
+        order = self.integer(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
         return self.fields.jet(self.fields.names.index(base) + 1, order)
 
 
@@ -419,9 +442,9 @@ def parse(source: str) -> OperatorFile:
 # -- rendering -----------------------------------------------------------
 
 
-def _render_expr(expr: Expr) -> str:
-    """Expression in file syntax: ^ for powers, no floats."""
-    expr = sp.cancel(expr)
+def _render_expr(value: Expr | FracElement) -> str:
+    """A coefficient in file syntax: ^ for powers, no floats."""
+    expr = sp.cancel(value.as_expr())
 
     def walk(e: Expr, parent: str) -> str:
         if e.is_Symbol:

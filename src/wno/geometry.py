@@ -15,12 +15,13 @@ independently of the bracket computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import sympy as sp
 from sympy.polys.domains import FractionField
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import Expr, Fields, coeff_field
+from .algebra import Fields, _into, _lift, coeff_field
 from .schouten import Tail, WNOperator
 
 
@@ -28,36 +29,39 @@ class SingularMetricError(ValueError):
     """The metric determinant vanishes identically."""
 
 
-Matrix = list[list[Expr]]
-
-
-def _as_matrix(rows: Matrix, n: int, what: str) -> sp.Matrix:
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"{what} must be an {n}x{n} matrix")
-    return sp.Matrix(rows)
+def _exprs(tree):
+    return [_exprs(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
 
 
 @dataclass
 class MetricData:
-    """Concrete input: contravariant metric and affinor, functions of u only."""
+    """Concrete input: contravariant metric g and affinor W, functions of u
+    only, as elements of QQ(u1..un); the constructor converts other kinds."""
 
     fields: Fields
-    g_upper: Matrix
-    W: Matrix
+    g: list
+    W: list
 
     def __post_init__(self):
         n = self.fields.n
-        self._g = _as_matrix(self.g_upper, n, "g")
-        self._W = _as_matrix(self.W, n, "W")
-        for name, m in (("g", self._g), ("W", self._W)):
-            for entry in m:
-                for sym in entry.free_symbols:
-                    hit = self.fields.classify(sym)
-                    if hit is None or hit[1] != 0:
-                        raise ValueError(
-                            f"{name} entries must depend on order-0 variables only; "
-                            f"found {sym}"
-                        )
+        for what, rows in (("g", self.g), ("W", self.W)):
+            if len(rows) != n or any(len(r) != n for r in rows):
+                raise ValueError(f"{what} must be an {n}x{n} matrix")
+        _, flat = _into(None, [c for rows in (self.g, self.W) for row in rows for c in row])
+        for pos, c in enumerate(flat):
+            bad = [sym for sym, _, order in self.fields.jet_symbols(c) if order]
+            if bad:
+                what = "g" if pos < n * n else "W"
+                raise ValueError(
+                    f"{what} entries must depend on order-0 variables only; found {bad[0]}")
+        K = coeff_field(self.coords())
+        flat = [_lift(c, K) for c in flat]
+        self.g = [flat[i * n : (i + 1) * n] for i in range(n)]
+        self.W = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
+
+    g_upper = property(lambda self: _exprs(self.g))
+    _g = property(lambda self: sp.Matrix(self.g_upper))
+    _W = property(lambda self: sp.Matrix(_exprs(self.W)))
 
     @property
     def n(self) -> int:
@@ -65,10 +69,6 @@ class MetricData:
 
     def coords(self) -> list[sp.Symbol]:
         return [self.fields.jet(i, 0) for i in range(1, self.n + 1)]
-
-
-def _exprs(tree):
-    return [_exprs(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
 
 
 @dataclass
@@ -101,17 +101,26 @@ def _tensor(n: int, rank: int, entry, *index):
     return [_tensor(n, rank - 1, entry, *index, i) for i in range(n)]
 
 
+def _skew(n: int, zero, entry):
+    """n x n matrix: ``entry(k, l)`` for k < l, its negative for k > l, zero on the diagonal."""
+    up = {(k, l): entry(k, l) for k, l in combinations(range(n), 2)}
+    return [[up[k, l] if k < l else -up[l, k] if k > l else zero for l in range(n)]
+            for k in range(n)]
+
+
 def derive_geometry(m: MetricData) -> DerivedGeometry:
     """Exact inverse metric, Levi-Civita symbols, curvature and nabla W.
 
-    The derivation runs in the coefficient field QQ(u1..un), whose elements
-    are reduced fractions.
+    The derivation runs in the coefficient field QQ(u1..un) of the metric
+    data, whose elements are reduced fractions.  The curvature is
+    antisymmetric in its last index pair by its formula, for any input, so
+    only the entries with k < l are computed.
     """
     n, r = m.n, range(m.n)
-    K = FractionField(coeff_field(m.coords()))
-    x = [K.from_sympy(u) for u in m.coords()]
-    g_up = _tensor(n, 2, lambda i, j: K.from_sympy(m._g[i, j]))
-    W = _tensor(n, 2, lambda i, j: K.from_sympy(m._W[i, j]))
+    F = coeff_field(m.coords())
+    K = FractionField(F)
+    x = [F.gens[F.symbols.index(u)] for u in m.coords()]
+    g_up, W = m.g, m.W
     g_matrix = DomainMatrix(g_up, (n, n), K)
     if g_matrix.det() == K.zero:
         raise SingularMetricError("metric is singular: det(g) == 0")
@@ -121,14 +130,14 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
         g_up[i][s] * (dg_lo[s][j][k] + dg_lo[s][k][j] - dg_lo[j][k][s]) for s in r
     ) / 2)
     gamma_up = _tensor(n, 3, lambda i, j, k: -sum(g_up[i][s] * gamma[j][s][k] for s in r))
-    riemann = _tensor(n, 4, lambda i, j, k, l: (
+    riemann = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, l: (
         gamma[i][l][j].diff(x[k])
         - gamma[i][k][j].diff(x[l])
         + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j] for s in r)
-    ))
-    curvature = _tensor(n, 4, lambda i, j, k, h: sum(
+    )))
+    curvature = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, h: sum(
         g_up[j][s] * riemann[i][s][k][h] for s in r
-    ))
+    )))
     nabla = _tensor(n, 3, lambda i, j, k: W[j][k].diff(x[i]) + sum(
         gamma[j][i][s] * W[s][k] - gamma[s][i][k] * W[j][s] for s in r
     ))
@@ -255,22 +264,22 @@ def build_operator(m: MetricData, geo: DerivedGeometry | None = None) -> WNOpera
         geo = derive_geometry(m)
     u_x = [m.fields.jet(k + 1, 1) for k in range(n)]
     L = coeff_field([*m.coords(), *u_x])
-    ux = [L.from_expr(s) for s in u_x]
+    ux = [L.gens[L.symbols.index(s)] for s in u_x]
 
-    def contract(row) -> Expr:
-        """sum_k row[k] u_x^k as a reduced-fraction expression."""
-        return sum((c.set_field(L) * ux[k] for k, c in enumerate(row)), L.zero).as_expr()
+    def contract(row):
+        """sum_k row[k] u_x^k in the field over u and u_x."""
+        return sum((_lift(c, L) * ux[k] for k, c in enumerate(row)), L.zero)
 
-    local: list[list[list[tuple[Expr, int]]]] = [[[] for _ in range(n)] for _ in range(n)]
+    local: list[list[list[tuple]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            if m._g[i, j] != 0:
-                local[i][j].append((m._g[i, j], 1))
+            if m.g[i][j] != 0:
+                local[i][j].append((m.g[i][j], 1))
             zeroth = contract(geo.gamma_up[i][j])
             if zeroth != 0:
                 local[i][j].append((zeroth, 0))
     wvec = tuple(contract(geo.W[i]) for i in range(n))
     tails = []
     if any(w != 0 for w in wvec):
-        tails.append(Tail(sp.Integer(1), wvec, wvec))
+        tails.append(Tail(1, wvec, wvec))
     return WNOperator(m.fields, local, tails)

@@ -66,6 +66,13 @@ def scalar_content(a: SuperPoly) -> tuple[sp.Rational, SuperPoly]:
     return content, a.scale(sp.Integer(1) / content)
 
 
+def _poly_key(poly, symbols) -> frozenset:
+    """The terms of a polynomial as (((symbol, exponent), ...), coefficient)."""
+    return frozenset(
+        (tuple((x, e) for x, e in zip(symbols, monom) if e), k) for monom, k in poly.items()
+    )
+
+
 class NonlocalVarTable:
     """Append-only registry of nonlocal variables."""
 
@@ -77,8 +84,9 @@ class NonlocalVarTable:
     def register(self, density: SuperPoly, *, formal: bool = False, note: str = "") -> int:
         """Register a defining density, deduplicating on its terms.
 
-        The key holds the coefficients as expressions, so it does not depend
-        on the field a density sits in.  The density must be homogeneous
+        The key holds each coefficient's numerator and denominator terms
+        with their exponents keyed by symbol, so it does not depend on the
+        field a density sits in.  The density must be homogeneous
         with at least one odd factor; a purely even density has a local
         antiderivative problem and does not define a new variable here.
         """
@@ -90,7 +98,10 @@ class NonlocalVarTable:
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        key = tuple(density.sorted_terms())
+        xs = density.field.symbols
+        key = frozenset(
+            (w, _poly_key(c.numer, xs), _poly_key(c.denom, xs)) for w, c in density.terms.items()
+        )
         if key in self._by_density:
             return self._by_density[key]
         level = 1

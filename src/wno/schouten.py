@@ -22,38 +22,33 @@ x-derivative, certified by a vanishing variational-derivative tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice, product
 from math import comb
 
 import sympy as sp
+from sympy.polys.fields import FracElement
+from sympy.polys.polyutils import _dict_reorder
 
-from .algebra import (
-    Expr,
-    Fields,
-    SuperPoly,
-    as_coeff,
-    coeff_is_zero,
-    normal_forms,
-    p,
-    render_factor,
-)
+from .algebra import Fields, SuperPoly, _into, _lift, coeff_field, p, render_factor
 from .jetcalc import ELResult, total_x
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
-DiffRow = list[tuple[Expr, int]]  # sum of coefficient * d^order
+DiffRow = list[tuple[FracElement, int]]  # sum of coefficient * d^order
 
 
 @dataclass(frozen=True)
 class Tail:
     """One weakly nonlocal summand e * w d^(-1) z."""
 
-    constant: Expr
-    left: tuple[Expr, ...]
-    right: tuple[Expr, ...]
+    constant: FracElement
+    left: tuple[FracElement, ...]
+    right: tuple[FracElement, ...]
 
 
 @dataclass
 class WNOperator:
-    """Matrix differential operator with weakly nonlocal tails."""
+    """Matrix differential operator with weakly nonlocal tails; all its
+    coefficients lie in ``self.field`` (the constructor converts other kinds)."""
 
     fields: Fields
     local: list[list[DiffRow]]
@@ -66,8 +61,14 @@ class WNOperator:
         for tail in self.tails:
             if len(tail.left) != n or len(tail.right) != n:
                 raise ValueError("tail vectors must have one entry per field")
-            if not as_coeff(tail.constant).is_Rational:
-                raise ValueError("tail constants must be rational numbers")
+        values = [c for rows in self.local for row in rows for c, _ in row]
+        values += [c for t in self.tails for c in (t.constant, *t.left, *t.right)]
+        self.field, elements = _into(None, values)
+        it = iter(elements)
+        self.local = [[[(next(it), o) for _, o in row] for row in rows] for rows in self.local]
+        self.tails = [Tail(next(it), tuple(islice(it, n)), tuple(islice(it, n))) for _ in self.tails]
+        if any(not (t.constant.numer.is_ground and t.constant.denom.is_ground) for t in self.tails):
+            raise ValueError("tail constants must be rational numbers")
 
     @property
     def n(self) -> int:
@@ -77,12 +78,10 @@ class WNOperator:
         return self.local[i - 1][j - 1]
 
     def merged_entry(self, i: int, j: int) -> DiffRow:
-        by_order: dict[int, Expr] = {}
+        by_order: dict[int, FracElement] = {}
         for coeff, order in self.entry(i, j):
-            by_order[order] = by_order.get(order, sp.Integer(0)) + coeff
-        orders = sorted(by_order)
-        forms = normal_forms(by_order[order] for order in orders)
-        return [(c, order) for c, order in zip(forms, orders) if c != 0]
+            by_order[order] = by_order[order] + coeff if order in by_order else coeff
+        return [(by_order[order], order) for order in sorted(by_order) if by_order[order] != 0]
 
     def __add__(self, other: "WNOperator") -> "WNOperator":
         if self.fields != other.fields:
@@ -94,11 +93,11 @@ class WNOperator:
         return WNOperator(self.fields, local, self.tails + other.tails)
 
     def scale(self, value) -> "WNOperator":
-        c = as_coeff(value)
+        K, (c,) = _into(self.field, [value])
         local = [
-            [[(c * k, o) for k, o in row] for row in rows] for rows in self.local
+            [[(c * _lift(k, K), o) for k, o in row] for row in rows] for rows in self.local
         ]
-        tails = [Tail(c * t.constant, t.left, t.right) for t in self.tails]
+        tails = [Tail(c * _lift(t.constant, K), t.left, t.right) for t in self.tails]
         return WNOperator(self.fields, local, tails)
 
 
@@ -110,51 +109,58 @@ def operator_adjoint(P: WNOperator) -> WNOperator:
     for i in range(n):
         for j in range(n):
             for coeff, order in P.local[j][i]:
-                derivs = _dx_powers(coeff, order, P.fields)
-                for m in range(order + 1):
-                    local[i][j].append(((-1) ** order * comb(order, m) * derivs[order - m], m))
+                derivs = [SuperPoly({(): coeff}, P.field)]  # coeff and its x-derivatives
+                for _ in range(order):
+                    derivs.append(total_x(derivs[-1], P.fields))
+                for m, d in enumerate(reversed(derivs)):
+                    c = d.terms.get((), d.field.zero)
+                    local[i][j].append(((-1) ** order * comb(order, m) * c, m))
     tails = [Tail(-t.constant, t.right, t.left) for t in P.tails]
     return WNOperator(P.fields, local, tails)
-
-
-def _dx_powers(coeff: Expr, order: int, fields: Fields) -> list[Expr]:
-    """``coeff`` and its total x-derivatives up to ``order``."""
-    out = [SuperPoly.scalar(coeff)]
-    for _ in range(order):
-        out.append(total_x(out[-1], fields))
-    return [d.terms[()].as_expr() if d.terms else sp.Integer(0) for d in out]
 
 
 def skew_part(P: WNOperator) -> WNOperator:
     return (P + operator_adjoint(P).scale(-1)).scale(sp.Rational(1, 2))
 
 
-def _primed(expr: Expr) -> Expr:
-    """``expr`` at the second point: each jet variable u_x becomes u_x(y)."""
-    return expr.xreplace({sym: sp.Symbol(f"{sym.name}(y)") for sym in expr.free_symbols})
+def tail_kernel(P: WNOperator) -> list[list[FracElement]]:
+    """Integral-kernel matrix of the tail sum of P, with independent copies
+    u(y), u_x(y), ... of the jet variables in the second slot; two tail lists
+    act identically exactly when their kernels agree entry-wise."""
+    n, xs = P.n, P.field.symbols
+    ys = [sp.Symbol(f"{x.name}(y)") for x in xs]
+    K = coeff_field([*xs, *ys])
+
+    def at_y(c):  # the same exponents on the copies: renamed generators
+        moved = (zip(*_dict_reorder(q, ys, K.symbols)) for q in (c.numer, c.denom))
+        return K.raw_new(*map(K.ring.from_terms, moved))
+
+    out = [[K.zero for _ in range(n)] for _ in range(n)]
+    for t in P.tails:
+        left = [_lift(t.constant * w, K) for w in t.left]
+        right = [at_y(z) for z in t.right]
+        for i, j in product(range(n), repeat=2):
+            out[i][j] = out[i][j] + left[i] * right[j]
+    return out
 
 
-def tail_kernel(tails: list[Tail], fields: Fields) -> list[list[Expr]]:
-    """Integral-kernel matrix of a tail sum, with independent copies of the
-    jet variables in the two slots; two tail lists act identically exactly
-    when their kernels agree entry-wise."""
-    n = fields.n
-    K = [[sp.Integer(0) for _ in range(n)] for _ in range(n)]
-    for t in tails:
-        for i in range(n):
-            for j in range(n):
-                K[i][j] = K[i][j] + t.constant * t.left[i] * _primed(t.right[j])
-    return K
+def _first_nonzero(P: WNOperator) -> str | None:
+    """The first nonzero local entry or tail-kernel entry of P, as text."""
+    pairs = list(product(range(1, P.n + 1), repeat=2))
+    for i, j in pairs:
+        row = P.merged_entry(i, j)
+        if row:
+            coeff, order = row[0]
+            return f"local[{i},{j}]: {coeff.as_expr()} * D^{order}"
+    K = tail_kernel(P)
+    for i, j in pairs:
+        if K[i - 1][j - 1] != 0:
+            return f"tail kernel [{i},{j}]: {K[i - 1][j - 1].as_expr()}"
+    return None
 
 
 def operators_equal(P: WNOperator, Q: WNOperator) -> bool:
-    diff = P + Q.scale(-1)
-    for i in range(1, diff.n + 1):
-        for j in range(1, diff.n + 1):
-            if diff.merged_entry(i, j):
-                return False
-    K = tail_kernel(diff.tails, diff.fields)
-    return all(coeff_is_zero(k) for row in K for k in row)
+    return _first_nonzero(P + Q.scale(-1)) is None
 
 
 @dataclass
@@ -165,41 +171,27 @@ class SkewResult:
 
 def skew_check(P: WNOperator) -> SkewResult:
     """Test P + P* == 0; the witness is the first nonzero entry found."""
-    total = P + operator_adjoint(P)
-    for i in range(1, total.n + 1):
-        for j in range(1, total.n + 1):
-            row = total.merged_entry(i, j)
-            if row:
-                coeff, order = row[0]
-                return SkewResult(False, f"local[{i},{j}]: {coeff} * D^{order}")
-    K = tail_kernel(total.tails, total.fields)
-    for i in range(total.n):
-        for j in range(total.n):
-            if not coeff_is_zero(K[i][j]):
-                entry = normal_forms([K[i][j]])[0]
-                return SkewResult(False, f"tail kernel [{i + 1},{j + 1}]: {entry}")
-    return SkewResult(True)
+    witness = _first_nonzero(P + operator_adjoint(P))
+    return SkewResult(witness is None, witness)
 
 
 def to_superfunction(P: WNOperator, table: NonlocalVarTable) -> SuperPoly:
     """Encode an operator as a degree-2 value, registering tail variables."""
-    out = SuperPoly.zero()
-    for i in range(1, P.n + 1):
-        for j in range(1, P.n + 1):
-            for coeff, order in P.entry(i, j):
-                out = out + SuperPoly.monomial(coeff, [p(i, 0), p(j, order)])
+    n = P.n
+    out = SuperPoly.from_terms(
+        (coeff, [p(i, 0), p(j, order)])
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for coeff, order in P.entry(i, j)
+    )
     for tail in P.tails:
-        density = SuperPoly.from_terms(
-            [(tail.right[j - 1], [p(j, 0)]) for j in range(1, P.n + 1)]
-        )
+        density = SuperPoly.from_terms([(tail.right[j - 1], [p(j, 0)]) for j in range(1, n + 1)])
         if density.is_zero():
             continue
         content, reduced = scalar_content(density)
         ident = table.register(reduced, note="operator tail")
         v = SuperPoly.factor(table.factor(ident))
-        W = SuperPoly.from_terms(
-            [(tail.left[i - 1], [p(i, 0)]) for i in range(1, P.n + 1)]
-        )
+        W = SuperPoly.from_terms([(tail.left[i - 1], [p(i, 0)]) for i in range(1, n + 1)])
         out = out + (W * v).scale(tail.constant * content)
     return out
 
@@ -214,31 +206,27 @@ def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) ->
     comp = el_nonlocal(S, fields, table)
     n = fields.n
     local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
-    tail_vectors: dict[int, list[Expr]] = {}
+    tail_vectors: dict[int, list] = {}
     for i in range(1, n + 1):
         v = comp.el.dp[i - 1].scale(sp.Rational(1, 2))
-        for word, coeff in v.sorted_terms():
+        for word, coeff in v.terms.items():
             if len(word) == 1 and word[0].kind == "p":
                 f = word[0]
                 local[i - 1][f.index - 1].append((coeff, f.order))
             elif len(word) == 1 and word[0].kind == "nl":
-                vec = tail_vectors.setdefault(
-                    word[0].index, [sp.Integer(0)] * n
-                )
-                vec[i - 1] = vec[i - 1] + coeff
+                tail_vectors.setdefault(word[0].index, [0] * n)[i - 1] = coeff
             elif len(word) == 0:
                 raise ValueError("degree-0 component cannot come from an operator")
             else:
                 raise ValueError(f"unexpected word {word} in operator reading")
     tails = []
     for ident, vec in sorted(tail_vectors.items()):
-        density = table.density(ident)
-        dvec = [sp.Integer(0)] * n
-        for word, coeff in density.sorted_terms():
+        dvec = [0] * n
+        for word, coeff in table.density(ident).terms.items():
             if len(word) != 1 or word[0].kind != "p" or word[0].order != 0:
                 raise ValueError("tail density is not a zeroth-order covector")
             dvec[word[0].index - 1] = coeff
-        tails.append(Tail(sp.Integer(1), tuple(vec), tuple(dvec)))
+        tails.append(Tail(1, tuple(vec), tuple(dvec)))
     return WNOperator(fields, local, tails)
 
 
@@ -259,7 +247,7 @@ def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -
     report = []
     for slot, parts in (("du", el.du), ("dp", el.dp)):
         for i, part in enumerate(parts, start=1):
-            for word, coeff in part.sorted_terms():
+            for word, coeff in part.sorted_texts():
                 monomial = "*".join(
                     render_factor(f, fields, names) for f in word
                 ) or "1"
@@ -267,7 +255,7 @@ def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -
                     {
                         "component": f"{slot}[{i}]",
                         "monomial": monomial,
-                        "coefficient": str(coeff),
+                        "coefficient": coeff,
                     }
                 )
     return report

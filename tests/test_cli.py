@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from wno.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -80,6 +82,22 @@ class TestExitCodes:
         proc = run_cli("geom", str(f), "M")
         assert proc.returncode == 2
         assert "big.wno:3:19: exponent exceeds the bound 16" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "entry, col",
+        [
+            ("local[1,1]: {big}*D;", 15),
+            ("nonlocal[1,1]: {big}*[u_x|u_x];", 18),
+            ("local[{big},1]: D;", 9),
+        ],
+    )
+    def test_long_integer_literal(self, tmp_path, entry, col):
+        f = tmp_path / "long.wno"
+        f.write_text(f"fields u;\noperator P {{\n  {entry.format(big='7' * 5000)}\n}}\n")
+        proc = run_cli("check", str(f), "P")
+        assert proc.returncode == 2
+        assert f"long.wno:3:{col}: integer literal exceeds 4300 digits" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_geom_verdicts(self):

@@ -171,6 +171,34 @@ class TestDerive:
                 cyc = lowered(i, j, k, h) + lowered(i, k, h, j) + lowered(i, h, j, k)
                 assert sp.cancel(cyc) == 0
 
+    @pytest.mark.parametrize("case", ["sphere", "non-symmetric g"])
+    def test_curvature_against_full_formula(self, case):
+        # derive_geometry computes the entries with k < l and fills the rest
+        # by antisymmetry; here every one of the n^4 entries comes from the
+        # formula, on the connection the derivation returned
+        u1, u2 = F2.jet(1, 0), F2.jet(2, 0)
+        if case == "sphere":
+            m = sphere_metric()
+        else:
+            m = MetricData(F2, [[ONE, u2], [ZERO, 1 + u1]], zeros(2))
+        geo = derive_geometry(m)
+        x, gamma, g = m.coords(), geo.gamma_lc, sp.Matrix(m.g_upper)
+        r = range(2)
+
+        def riemann(i, j, k, l):
+            return (
+                sp.diff(gamma[i][l][j], x[k])
+                - sp.diff(gamma[i][k][j], x[l])
+                + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j] for s in r)
+            )
+
+        nonzero = 0
+        for i, j, k, l in itertools.product(r, repeat=4):
+            full = sp.cancel(sum(g[j, s] * riemann(i, s, k, l) for s in r))
+            assert sp.cancel(geo.curvature[i][j][k][l] - full) == 0
+            nonzero += full != 0
+        assert nonzero
+
     def test_singular_metric_raises(self):
         with pytest.raises(SingularMetricError):
             derive_geometry(MetricData(F2, [[ONE, ONE], [ONE, ONE]], zeros(2)))
@@ -209,7 +237,7 @@ class TestBuildOperator:
         m = MetricData(F1, [[ONE]], [[u]])
         P = build_operator(m)
         assert len(P.tails) == 1
-        assert sp.cancel(P.tails[0].left[0] - u * u_x) == 0
+        assert sp.cancel(P.tails[0].left[0].as_expr() - u * u_x) == 0
 
     def test_sphere_operator_is_skew(self):
         P = build_operator(sphere_metric())

@@ -17,7 +17,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
+import wno.algebra
 from wno.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -49,6 +51,20 @@ def report(argv: list[str]) -> str:
 def test_report_matches_snapshot(case):
     expected = (GOLDEN / case).read_text(encoding="utf-8")
     assert report(CASES[case]) == expected
+
+
+def test_reports_stay_in_coefficient_fields(monkeypatch):
+    """Parsing, skew tests, brackets and reports run on field elements: with
+    the expression normalisers and the batch-field builder made to raise,
+    every snapshot still comes out byte for byte."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an expression normal form was computed")
+
+    for owner, name in ((sympy, "cancel"), (sympy, "together"), (wno.algebra, "sfield")):
+        monkeypatch.setattr(owner, name, refuse)
+    for case in sorted(CASES):
+        assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Operator encoding, skew test, bracket outcomes, and the verdict."""
 
 import random
+from math import comb
 
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wno.algebra import Fields, SuperPoly, p
 from wno.nonlocal_vars import NonlocalVarTable
@@ -253,3 +256,77 @@ class TestRoundTrip:
         rng = random.Random(53)
         P = self.random_operator(rng)
         assert skew_check(skew_part(P)).ok
+
+
+# -- independent skew oracle ------------------------------------------------
+# P + P* of a scalar operator computed on sympy expressions: entries through
+# the Leibniz rule with the jet chain rule, tails through the kernel
+# e (w(x) z(y) - z(x) w(y)), every coefficient normalised with sp.cancel.
+# It shares no code with the field computation of skew_check.
+
+_JETS = [F.jet(1, k) for k in range(8)]
+_constants = st.builds(sp.Rational, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+_monomials = st.sampled_from([1, u, u_x, u**2, u * u_x])
+_numerators = st.builds(
+    lambda terms: sp.Add(*(c * m for c, m in terms)),
+    st.lists(st.tuples(_constants, _monomials), min_size=1, max_size=2),
+)
+_coefficients = st.builds(
+    lambda a, b: a / b, _numerators, st.sampled_from([1, 1 + u, 1 + u**2, 2 + u_x, u])
+)
+
+
+def _oracle_dx(e):
+    return sum((sp.diff(e, _JETS[k]) * _JETS[k + 1] for k in range(len(_JETS) - 1)), sp.Integer(0))
+
+
+def _oracle_skew_witness(rows, tails):
+    """The first nonzero entry of P + P*, as skew_check words it, or None."""
+    by_order = {}
+    for c, k in rows:
+        by_order[k] = by_order.get(k, 0) + c
+        derivs = [c]
+        for _ in range(k):
+            derivs.append(_oracle_dx(derivs[-1]))
+        for m in range(k + 1):
+            by_order[m] = by_order.get(m, 0) + (-1) ** k * comb(k, m) * derivs[k - m]
+    for order in sorted(by_order):
+        coeff = sp.cancel(by_order[order])
+        if coeff != 0:
+            return f"local[1,1]: {coeff} * D^{order}"
+
+    def at_y(e):
+        return e.xreplace({s: sp.Symbol(f"{s.name}(y)") for s in e.free_symbols})
+
+    kernel = sp.cancel(sum((e * (w * at_y(z) - z * at_y(w)) for e, w, z in tails), sp.Integer(0)))
+    return f"tail kernel [1,1]: {kernel}" if kernel != 0 else None
+
+
+@st.composite
+def _scalar_operators(draw):
+    """Entries c*D^k (k <= 3) and at most two tails.  The local part and the
+    tails are each skew by construction in half the draws: 2c D + D(c) and
+    constant multiples of D^3, tails e (w, w)."""
+    if draw(st.booleans()):
+        rows = [(draw(_constants), 3)]
+        for c in draw(st.lists(_coefficients, max_size=2)):
+            rows += [(2 * c, 1), (_oracle_dx(c), 0)]
+    else:
+        rows = draw(st.lists(st.tuples(_coefficients, st.integers(0, 3)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        halves = draw(st.lists(st.tuples(_constants, _coefficients), max_size=2))
+        tails = [(e, w, w) for e, w in halves]
+    else:
+        tails = draw(st.lists(st.tuples(_constants, _coefficients, _coefficients), max_size=2))
+    return rows, tails
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_operators())
+def test_skew_check_matches_expression_oracle(op):
+    rows, tails = op
+    P = WNOperator(F, [[list(rows)]], [Tail(e, (w,), (z,)) for e, w, z in tails])
+    res = skew_check(P)
+    witness = _oracle_skew_witness(rows, tails)
+    assert res.ok == (witness is None)
+    assert res.witness == witness
