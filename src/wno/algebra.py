@@ -11,10 +11,11 @@ jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
 by construction, so zeros are dropped as they arise.  Each value carries
 its field; an operation on values from two fields lifts both into the field
 over the union of their generators.  Fields are memoised per generator
-tuple, in the generator order ``sympy.cancel`` uses, so that ``as_expr`` of
-a coefficient prints exactly as ``sympy.cancel`` of the same function.
-Sympy expressions appear only at the edges: they are converted on
-construction, and ``sorted_terms`` converts back for reports.
+set, in the generator order ``sympy.cancel`` uses.  Sympy expressions
+appear only at the edges: they are converted on construction (rational
+numbers go straight in), and ``_coeff_text`` writes a coefficient as
+``str(c.as_expr())``, which is how ``sympy.cancel`` of the same function
+prints, from the terms of its numerator and denominator.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -26,6 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
+from math import gcd
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import sympy as sp
@@ -116,8 +120,105 @@ def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[Fr
     if field is None or not symbols.issubset(field.symbols):
         field = coeff_field(symbols.union(field.symbols) if field else symbols)
     return field, [
-        _lift(v, field) if isinstance(v, FracElement) else field.from_expr(v) for v in values
+        _lift(v, field) if isinstance(v, FracElement)
+        else field.raw_new(field.ring(v.p), field.ring(v.q)) if v.is_Rational
+        else _canonical(field.from_expr(v))
+        for v in values
     ]
+
+
+def _canonical(c: FracElement) -> FracElement:
+    """``c`` with the denominator sign ``cancel`` gives; ``from_expr`` skips it on 1/x**k."""
+    return c.raw_new(-c.numer, -c.denom) if c.denom.LC < 0 else c
+
+
+_DIGITS = 600  # below 640, the lowest limit on int <-> str an interpreter accepts
+_BIG = 10**_DIGITS
+
+
+def _int_text(k: int) -> str:
+    """``str(k)`` for an integer of any size, ``_DIGITS`` digits at a time."""
+    if -_BIG < k < _BIG:
+        return str(k)
+    high, low = divmod(abs(k), _BIG)
+    return ("-" if k < 0 else "") + _int_text(high) + str(low).zfill(_DIGITS)
+
+
+def _int_value(digits: str) -> int:
+    """``int(digits)`` for a digit string of any length, ``_DIGITS`` digits at a time."""
+    chunks = [digits[i : i + _DIGITS] for i in range(0, len(digits), _DIGITS)]
+    return reduce(lambda value, chunk: value * 10 ** len(chunk) + int(chunk), chunks, 0)
+
+
+@cache
+def _by_name(field: FracField) -> tuple[list[tuple[int, str]], object]:
+    """Generators as (position, name) in sympy's print order, by name, and a
+    key reading a monomial's exponents in that order (terms print lex-descending)."""
+    order = sorted(range(field.ngens), key=lambda i: field.symbols[i].name)
+    key = itemgetter(*order) if order else tuple  # no generators: only the empty monomial
+    return [(i, field.symbols[i].name) for i in order], key
+
+
+def _ordered(poly, key, d: int = 1) -> list[tuple[tuple, int, int]]:
+    """The terms of ``poly / d`` as (monomial, p, q) in lowest terms, ordered as by
+    ``as_ordered_terms``: a constant before a lone negative power (``3 - 2*u**3``)."""
+    terms = sorted(poly.items(), key=lambda t: key(t[0]), reverse=True)
+    out = [(m, k // g, d // g) for m, k in terms for g in (gcd(k, d),)]
+    if len(out) == 2 and out[0][1] < 0 < out[1][1] and not any(out[1][0]):
+        if sum(1 for e in out[0][0] if e) == 1:
+            out.reverse()
+    return out
+
+
+def _parts(c: FracElement) -> tuple[list, list, list | None]:
+    """Names, numerator and denominator ``_ordered``; a ground denominator is
+    distributed over the numerator as sympy does (``2*u/3 + 1/3``) and is None."""
+    names, key = _by_name(c.field)
+    if c.denom.is_ground:
+        return names, _ordered(c.numer, key, c.denom.LC), None
+    return names, _ordered(c.numer, key), _ordered(c.denom, key)
+
+
+def _term_text(monom: tuple, p: int, q: int, names) -> str:
+    """A term (p/q) * monomial as sympy prints it: ``-2*u**2*v/3``, ``-1/3``."""
+    factors = [name if monom[i] == 1 else f"{name}**{monom[i]}" for i, name in names if monom[i]]
+    text = "*".join([_int_text(abs(p))] * (abs(p) != 1 or not factors) + factors)
+    return ("-" if p < 0 else "") + text + (f"/{_int_text(q)}" if q != 1 else "")
+
+
+def _sum_text(terms, names) -> str:
+    """A sum of ``_ordered`` terms joined with `` + `` and `` - ``."""
+    texts = [_term_text(*t, names) for t in terms]
+    return texts[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in texts[1:])
+
+
+def _coeff_text(c: FracElement) -> str:
+    """``str(c.as_expr())`` for a reduced ``c``, without building the expression.
+
+    Over a polynomial denominator the quotient prints as sympy's ``Mul``, sums
+    in parentheses, and a lone ``1/x**k`` as ``x**(-k)``.
+    """
+    names, num, den = _parts(c)
+    if den is None:
+        return _sum_text(num, names) if num else "0"
+    top = _term_text(*num[0], names) if len(num) == 1 else f"({_sum_text(num, names)})"
+    if len(den) > 1:
+        return f"{top}/({_sum_text(den, names)})"
+    (m, d, _), = den
+    powers = [(name, m[i]) for i, name in names if m[i]]
+    if top == "1" and d == 1 and len(powers) == 1 and powers[0][1] > 1:
+        return "{}**(-{})".format(*powers[0])
+    bottom = _term_text(m, d, 1, names)
+    return f"{top}/({bottom})" if len(powers) + (d != 1) > 1 else f"{top}/{bottom}"
+
+
+def _lead_rational(c: FracElement) -> tuple[int, int]:
+    """(p, q) of ``c.as_expr().as_ordered_terms()[0].as_coeff_Mul(rational=True)[0]``;
+    a monomial numerator's and denominator's contents are coprime in a reduced ``c``."""
+    _, num, den = _parts(c)
+    if den is None:
+        return num[0][1:]
+    return num[0][1] if len(num) == 1 else 1, den[0][1] if len(den) == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -231,6 +332,11 @@ def nl(ident: int, parity: int = 1) -> OddFactor:
 
 
 Word = tuple[OddFactor, ...]
+
+
+def _word_key(word: Word) -> tuple:
+    """The report order of words: by length, then factor by factor."""
+    return len(word), [f.sort_key() for f in word]
 
 
 def normalize_word(factors: Iterable[OddFactor]) -> tuple[int, Word | None]:
@@ -427,17 +533,11 @@ class SuperPoly:
 
     # -- inspection -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Word, Expr]]:
-        """Terms in word order, coefficients as reduced-fraction expressions."""
-        ordered = sorted(
-            self.terms.items(), key=lambda kv: (len(kv[0]), [f.sort_key() for f in kv[0]])
-        )
-        return [(word, coeff.as_expr()) for word, coeff in ordered]
-
     def sorted_texts(self) -> list[tuple[Word, str]]:
-        """``sorted_terms`` with each coefficient printed; a value prints once."""
+        """Terms in word order, coefficients as ``str(c.as_expr())``; a value prints once."""
         if self._texts is None:
-            self._texts = [(word, str(coeff)) for word, coeff in self.sorted_terms()]
+            words = sorted(self.terms, key=_word_key)
+            self._texts = [(w, _coeff_text(self.terms[w])) for w in words]
         return self._texts
 
     def __repr__(self):

@@ -70,6 +70,10 @@ def _el_payload(el: ELResult, fields: Fields, table: NonlocalVarTable) -> dict:
     }
 
 
+def _el_lines(el: dict) -> list[str]:
+    return [f"  {slot}[{i}] = {s}" for slot in ("du", "dp") for i, s in enumerate(el[slot], 1)]
+
+
 def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -116,11 +120,7 @@ def cmd_check(doc: OperatorFile, args) -> int:
         )
     if args.el:
         payload["el"] = _el_payload(result.bracket.el, op.fields, table)
-        lines.append("EL tuple of the self-bracket:")
-        for i, s in enumerate(payload["el"]["du"], start=1):
-            lines.append(f"  du[{i}] = {s}")
-        for i, s in enumerate(payload["el"]["dp"], start=1):
-            lines.append(f"  dp[{i}] = {s}")
+        lines += ["EL tuple of the self-bracket:", *_el_lines(payload["el"])]
     lines.append(f"HAMILTONIAN: {'yes' if verdict else 'no'}")
     _emit(payload, args.format, lines)
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -147,11 +147,7 @@ def cmd_bracket(doc: OperatorFile, args) -> int:
     lines = [f"bracket [{args.p}, {args.q}]", f"representative: {three}"]
     for warning in outcome.warnings:
         lines.append(f"warning: {warning}")
-    lines.append("EL tuple:")
-    for i, s in enumerate(payload["el"]["du"], start=1):
-        lines.append(f"  du[{i}] = {s}")
-    for i, s in enumerate(payload["el"]["dp"], start=1):
-        lines.append(f"  dp[{i}] = {s}")
+    lines += ["EL tuple:", *_el_lines(payload["el"])]
     lines.append(f"trivial (total derivative): {'yes' if outcome.trivial else 'no'}")
     lines.append(
         f"independence assumption used: "

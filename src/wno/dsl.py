@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.polys.fields import FracElement
 
-from .algebra import Expr, Fields, coeff_field
+from .algebra import Fields, _coeff_text, _int_value, coeff_field
 from .geometry import MetricData
 from .schouten import Tail, WNOperator
 
 
 MAX_POWER = 16
-MAX_DIGITS = 4300  # Python's default limit for converting a digit string
+MAX_DIGITS = 4300  # digits of an integer literal
 
 
 class ParseError(ValueError):
@@ -378,7 +378,7 @@ class Parser:
             raise ParseError(f"{bounded} exceeds the bound {MAX_POWER}", tok.line, tok.col)
         if len(digits) > MAX_DIGITS:
             raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", tok.line, tok.col)
-        return int(digits)
+        return _int_value(digits)
 
     def parse_power(self) -> FracElement:
         tok = self.peek()
@@ -442,38 +442,9 @@ def parse(source: str) -> OperatorFile:
 # -- rendering -----------------------------------------------------------
 
 
-def _render_expr(value: Expr | FracElement) -> str:
-    """A coefficient in file syntax: ^ for powers, no floats."""
-    expr = sp.cancel(value.as_expr())
-
-    def walk(e: Expr, parent: str) -> str:
-        if e.is_Symbol:
-            return e.name
-        if e.is_Integer:
-            s = str(e)
-            return f"({s})" if e < 0 and parent in ("mul", "pow") else s
-        if e.is_Rational:
-            s = f"{e.p}/{e.q}"
-            return f"({s})" if parent in ("mul", "pow") else s
-        if e.is_Add:
-            s = " + ".join(walk(a, "add") for a in e.as_ordered_terms())
-            s = s.replace("+ -", "- ")
-            return f"({s})" if parent in ("mul", "pow") else s
-        if e.is_Mul:
-            num, den = e.as_numer_denom()
-            if den != 1:
-                return walk(num, "mul") + "/" + walk(den, "pow")
-            s = "*".join(walk(a, "mul") for a in e.as_ordered_factors())
-            return f"({s})" if parent == "pow" else s
-        if e.is_Pow:
-            base, exp = e.args
-            if exp.is_Integer and exp > 0:
-                return f"{walk(base, 'pow')}^{exp}"
-            if exp.is_Integer and exp < 0:
-                return f"1/{walk(base, 'pow')}^{-exp}"
-        raise ValueError(f"cannot render {e} in file syntax")
-
-    return walk(expr, "add")
+def _render_expr(value: FracElement) -> str:
+    """A coefficient in file syntax: the report text with ^ for ** (x^-k for x**(-k))."""
+    return re.sub(r"\*\*\((-\d+)\)", r"^\1", _coeff_text(value)).replace("**", "^")
 
 
 def render(doc: OperatorFile) -> str:
@@ -489,11 +460,10 @@ def render(doc: OperatorFile) -> str:
                 bits = []
                 for coeff, order in row:
                     cs = _render_expr(coeff)
-                    if order == 0:
-                        bits.append(cs)
-                    else:
-                        d = "D" if order == 1 else f"D^{order}"
-                        bits.append(d if cs == "1" else f"{cs}*{d}")
+                    if order and coeff.denom.is_ground and len(coeff.numer) > 1:
+                        cs = f"({cs})"  # a sum
+                    d = "D" if order == 1 else f"D^{order}"
+                    bits.append(cs if order == 0 else d if cs == "1" else f"{cs}*{d}")
                 lines.append(f"  local[{i},{j}]: {' + '.join(bits)};")
         for tail in op.tails:
             slots_w = [k for k, v in enumerate(tail.left) if v != 0]
@@ -514,13 +484,10 @@ def render(doc: OperatorFile) -> str:
     for name, metric in doc.firstorder.items():
         lines.append(f"firstorder {name} {{")
         n = metric.n
-        for i in range(n):
-            for j in range(n):
-                if metric._g[i, j] != 0:
-                    lines.append(f"  g[{i + 1},{j + 1}]: {_render_expr(metric._g[i, j])};")
-        for i in range(n):
-            for j in range(n):
-                if metric._W[i, j] != 0:
-                    lines.append(f"  w[{i + 1},{j + 1}]: {_render_expr(metric._W[i, j])};")
+        for kind, matrix in (("g", metric.g), ("w", metric.W)):
+            for i in range(n):
+                for j in range(n):
+                    if matrix[i][j] != 0:
+                        lines.append(f"  {kind}[{i + 1},{j + 1}]: {_render_expr(matrix[i][j])};")
         lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ import sympy as sp
 from sympy.polys.domains import FractionField
 from sympy.polys.matrices import DomainMatrix
 
-from .algebra import Fields, _into, _lift, coeff_field
+from .algebra import Fields, _coeff_text, _into, _lift, coeff_field
 from .schouten import Tail, WNOperator
 
 
@@ -177,7 +177,7 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
     def verdict(name, pairs):
         for label, value in pairs:
             if value != 0:
-                out.append(ConditionCheck(name, False, f"{label}: {value.as_expr()}"))
+                out.append(ConditionCheck(name, False, f"{label}: {_coeff_text(value)}"))
                 return
         out.append(ConditionCheck(name, True))
 

@@ -183,17 +183,8 @@ class LinearizationOp:
         return LinearizationOp(self.fields, out)
 
     def equals(self, other: "LinearizationOp") -> bool:
-        a, b = self.merged(), other.merged()
-        keys = set(a.rows) | set(b.rows)
-        for key in keys:
-            da = {k: c for c, k in a.rows.get(key, [])}
-            db = {k: c for c, k in b.rows.get(key, [])}
-            for order in set(da) | set(db):
-                ca = da.get(order, SuperPoly.zero())
-                cb = db.get(order, SuperPoly.zero())
-                if not ca.equals(cb):
-                    return False
-        return True
+        # merged rows hold no zero coefficient, so equal operators have equal rows
+        return self.merged().rows == other.merged().rows
 
     def apply_to_one(self) -> ELResult:
         """Evaluate the operator on the constant argument 1 in every slot."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, nl
+from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _word_key, nl
 from .jetcalc import ELResult, el_sum, euler_lagrange, total_x
 
 
@@ -58,12 +58,8 @@ def scalar_content(a: SuperPoly) -> tuple[sp.Rational, SuperPoly]:
     """
     if not a.terms:
         return sp.Integer(1), a
-    _, coeff = a.sorted_terms()[0]
-    lead = coeff.as_ordered_terms()[0]
-    content, _ = lead.as_coeff_Mul(rational=True)
-    if content == 0:
-        content = sp.Integer(1)
-    return content, a.scale(sp.Integer(1) / content)
+    content = sp.Rational(*_lead_rational(a.terms[min(a.terms, key=_word_key)]))
+    return content, a if content == 1 else a.scale(1 / content)
 
 
 def _poly_key(poly, symbols) -> frozenset:

@@ -29,7 +29,7 @@ import sympy as sp
 from sympy.polys.fields import FracElement
 from sympy.polys.polyutils import _dict_reorder
 
-from .algebra import Fields, SuperPoly, _into, _lift, coeff_field, p, render_factor
+from .algebra import Fields, SuperPoly, _coeff_text, _into, _lift, coeff_field, p, render_factor
 from .jetcalc import ELResult, total_x
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
@@ -151,11 +151,11 @@ def _first_nonzero(P: WNOperator) -> str | None:
         row = P.merged_entry(i, j)
         if row:
             coeff, order = row[0]
-            return f"local[{i},{j}]: {coeff.as_expr()} * D^{order}"
+            return f"local[{i},{j}]: {_coeff_text(coeff)} * D^{order}"
     K = tail_kernel(P)
     for i, j in pairs:
         if K[i - 1][j - 1] != 0:
-            return f"tail kernel [{i},{j}]: {K[i - 1][j - 1].as_expr()}"
+            return f"tail kernel [{i},{j}]: {_coeff_text(K[i - 1][j - 1])}"
     return None
 
 

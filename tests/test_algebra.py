@@ -1,15 +1,21 @@
 """Graded-algebra kernel: normalization, products, partials, invariants."""
 
+import math
 import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wno.algebra import (
     Fields,
     SuperPoly,
+    _coeff_text,
+    _int_text,
+    _int_value,
+    _lead_rational,
+    coeff_field,
     coeff_is_zero,
     nl,
     normal_forms,
@@ -17,6 +23,7 @@ from wno.algebra import (
     p,
 )
 from wno.jetcalc import total_x
+from wno.nonlocal_vars import scalar_content
 
 from conftest import random_local, random_local_mixed
 
@@ -242,5 +249,76 @@ def test_mixed_fields_render_like_cancel(e1, e2, e3):
     ]
     for value, expr in cases:
         expected = sp.cancel(expr)
-        rendered = [(w, str(k)) for w, k in value.sorted_terms()]
+        rendered = value.sorted_texts()
         assert rendered == ([((), str(expected))] if expected != 0 else [])
+
+
+# The report printer against sympy's own: fields whose generators sort
+# differently by plain name (u10 before u2) than in sympy's generator order,
+# with ground, monomial and sum denominators.
+_PRINT_NAMES = ["u", "u2", "u10", "u_x", "u_10x", "u(y)", "u_x(y)"]
+
+
+@st.composite
+def _field_elements(draw):
+    names = draw(st.lists(st.sampled_from(_PRINT_NAMES), min_size=1, max_size=4, unique=True))
+    K = coeff_field(sp.Symbol(n) for n in names)
+    powers = st.lists(st.tuples(st.sampled_from(K.gens), st.integers(1, 3)), max_size=3)
+
+    def poly(min_terms, max_terms, coeffs=st.integers(-12, 12)):
+        terms = draw(st.lists(st.tuples(coeffs, powers), min_size=min_terms, max_size=max_terms))
+        return sum((c * math.prod((g**e for g, e in f), start=K.one) for c, f in terms), K.zero)
+
+    kind = draw(st.sampled_from(["ground", "monomial", "sum"]))
+    if kind == "ground":
+        den = K(draw(st.integers(1, 12)))
+    elif kind == "monomial":
+        den = poly(1, 1, st.integers(1, 12) | st.integers(-12, -1))
+    else:
+        den = poly(2, 3)
+    assume(den != 0)
+    return poly(1, 4) / den, K
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_elements())
+def test_coeff_text_matches_sympy_printer(drawn):
+    c, K = drawn
+    expr = c.as_expr()
+    assert _coeff_text(c) == str(expr)
+    if c:
+        lead, _ = expr.as_ordered_terms()[0].as_coeff_Mul(rational=True)
+        assert sp.Rational(*_lead_rational(c)) == lead
+        other = K.one + K.gens[0]
+        a = SuperPoly({(p(1, 1),): other, (p(1),): c}, K)
+        content, reduced = scalar_content(a)
+        assert content == lead
+        assert reduced.scale(content) == a
+
+
+def test_coeff_text_fixed_cases():
+    K = coeff_field(sp.symbols("u u2 u10"))
+    u, u2, u10 = (K.gens[K.symbols.index(sp.Symbol(n))] for n in ("u", "u2", "u10"))
+    cases = {
+        3 - 2 * u2**3: "3 - 2*u2**3",
+        (2 * u + 1) / 3: "2*u/3 + 1/3",
+        u2 + u10: "u10 + u2",
+        (u + 1) / (3 * u2): "(u + 1)/(3*u2)",
+        1 / u**2: "u**(-2)",
+        -1 / u**2: "-1/u**2",
+        1 / (u * u2): "1/(u*u2)",
+    }
+    for c, text in cases.items():
+        assert _coeff_text(c) == text == str(c.as_expr())
+
+
+def test_negative_power_converts_with_canonical_sign():
+    a = SuperPoly.scalar(1 / (1 - u))
+    assert a.sorted_texts() == [((), "-1/(u - 1)")]
+    assert a.terms[()] == (-SuperPoly.scalar(1 / (u - 1))).terms[()]
+
+
+def test_integer_text_in_chunks():
+    for k in (0, -7, 10**600 - 1, 10**600, -(10**1200) - 7, 7 * 10**3000 + 1):
+        assert _int_text(k) == str(k)
+        assert _int_value(str(abs(k))) == abs(k)

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, output formats, report stability."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +15,13 @@ REPO = Path(__file__).resolve().parent.parent
 CASES = REPO / "cases"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "wno.cli", *args],
         capture_output=True,
         text=True,
         cwd=REPO,
+        env={**os.environ, **env} if env else None,
     )
     return proc
 
@@ -99,6 +102,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"long.wno:3:{col}: integer literal exceeds 4300 digits" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_huge_coefficient_prints(self, tmp_path):
+        f = tmp_path / "huge.wno"
+        f.write_text(f"fields u;\noperator P {{\n  local[1,1]: {'7' * 3000}*u^2*D^3 + u*u_x*D^2;\n}}\n")
+        proc = run_cli("check", str(f), "P", "--el")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"\d{6000}", proc.stdout)  # an EL coefficient past 4300 digits
+
+    def test_long_literal_under_low_digit_limit(self, tmp_path):
+        f = tmp_path / "long.wno"
+        f.write_text(f"fields u;\noperator P {{\n  local[1,1]: {'7' * 1000}*u*D + u_x;\n}}\n")
+        proc = run_cli("check", str(f), "P", "--el", env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"\d{1000}", proc.stdout)  # the skew witness
 
     def test_geom_verdicts(self):
         ok = run_cli("geom", str(CASES / "firstorder.wno"), "sphere")

@@ -140,6 +140,7 @@ class TestRoundTrip:
         MKDV_SOURCE,
         "fields u1, u2; operator A { local[1,2]: u2*D^2 + u1_x; local[2,1]: -1*D; }",
         "fields u1, u2; firstorder m { g[1,1]: 1; g[2,2]: (1 + (u1^2+u2^2)/4)^2; w[1,2]: u1/3; }",
+        "fields u; operator A { local[1,1]: (1 + u)*D + 1/u^2 + (u_x - 2*u/3)*D^3; }",
     ]
 
     @pytest.mark.parametrize("source", CASES)
@@ -161,3 +162,7 @@ class TestRoundTrip:
                 for j in range(m.n)
             )
         assert render(second) == text
+
+    def test_sum_coefficient_keeps_parentheses(self):
+        text = render(parse("fields u; operator A { local[1,1]: (1 + u)*D + 1/u^2; }"))
+        assert "  local[1,1]: u^-2 + (u + 1)*D;" in text.splitlines()

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+import sympy.printing.str
 
 import wno.algebra
 from wno.cli import main
@@ -63,6 +64,20 @@ def test_reports_stay_in_coefficient_fields(monkeypatch):
 
     for owner, name in ((sympy, "cancel"), (sympy, "together"), (wno.algebra, "sfield")):
         monkeypatch.setattr(owner, name, refuse)
+    for case in sorted(CASES):
+        assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
+
+
+def test_reports_print_without_sympy_printer(monkeypatch):
+    """Coefficients, witnesses and conditions are written from the field
+    elements' terms: with sympy's printer made to raise on sums, products,
+    powers and numbers, every snapshot still comes out byte for byte."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an expression was printed")
+
+    for name in ("_print_Add", "_print_Mul", "_print_Pow", "_print_Rational", "_print_Integer"):
+        monkeypatch.setattr(sympy.printing.str.StrPrinter, name, refuse)
     for case in sorted(CASES):
         assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
 
