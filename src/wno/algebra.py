@@ -8,14 +8,15 @@ when their term maps agree coefficient-wise.
 
 Coefficients are elements of a field QQ(x1..xm) of rational functions of
 jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
-by construction, so zeros are dropped as they arise.  Each value carries
+by construction, so zeros are dropped as they arise; their own type
+``_Frac`` keeps them reduced with gcds of factors only.  Each value carries
 its field; an operation on values from two fields lifts both into the field
-over the union of their generators.  Fields are memoised per generator
-set, in the generator order ``sympy.cancel`` uses.  Sympy expressions
-appear only at the edges: they are converted on construction (rational
-numbers go straight in), and ``_coeff_text`` writes a coefficient as
-``str(c.as_expr())``, which is how ``sympy.cancel`` of the same function
-prints, from the terms of its numerator and denominator.
+over the union of their generators, by a per-pair map of exponent positions.
+Fields are memoised per generator set, in the order ``sympy.cancel`` uses.
+Sympy expressions appear only at the edges: they are converted on
+construction (rational numbers go straight in), and ``_coeff_text`` writes a
+coefficient as ``str(c.as_expr())``, how ``sympy.cancel`` of the same
+function prints, from the terms of its numerator and denominator.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping
 
 import sympy as sp
 from sympy import ZZ
-from sympy.polys.fields import FracElement, FracField, sfield
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 
@@ -61,50 +62,120 @@ def as_coeff(value) -> Expr | FracElement:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-def coeff_is_zero(c: Expr) -> bool:
-    """Exact zero test for a rational-function expression.
+class _Frac(FracElement):
+    """A ``coeff_field`` element: ``+``, ``-``, ``*``, ``/`` and ``diff`` of reduced
+    operands take gcds of factors, not of the full products ``FracElement.new``
+    cancels (Henrici 1956; Knuth, TAOCP 2, 4.5.1); a reduced fraction with a positive
+    leading denominator coefficient is unique, so the results are sympy's own."""
 
-    Brings the expression over a common denominator and expands the
-    numerator; no gcd computation is needed to decide zero.
-    """
-    if c == 0:
-        return True
-    numer, _ = sp.fraction(sp.together(c))
-    return sp.expand(numer) == 0
+    def _own(self, g) -> "_Frac | None":
+        """``g`` in this field if it is an ``int`` or of this field, else None."""
+        if isinstance(g, int):
+            return self.raw_new(self.field.ring.ground_new(g))
+        return g if isinstance(g, _Frac) and g.field is self.field else None
+
+    def _signed(self, num, den) -> "_Frac":
+        """``num/den`` for coprime ``num`` and ``den``, with the canonical sign."""
+        if not num:
+            return self.field.zero
+        return self.raw_new(-num, -den) if den.LC < 0 else self.raw_new(num, den)
+
+    def __add__(self, other):
+        g = self._own(other)
+        if g is None:
+            return super().__add__(other)
+        if not g or not self:
+            return g or self
+        # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
+        a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.one.numer
+        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else b.cofactors(d)
+        t, b = _times(a, d) + _times(c, b), _times(b, d)
+        if h != 1:
+            _, t, h = t.cofactors(h)
+        return self._signed(t, _times(b, h))
+
+    def __sub__(self, other):
+        g = self._own(other)
+        return super().__sub__(other) if g is None else self + -g
+
+    def __mul__(self, other):
+        g = self._own(other)
+        if g is None:
+            return super().__mul__(other)
+        if not self or not g:
+            return self.field.zero
+        # (a/b)(c/d): cross-cancel a with d and c with b
+        a, b, c, d = self.numer, self.denom, g.numer, g.denom
+        if d != 1:
+            _, a, d = a.cofactors(d)
+        if b != 1:
+            _, c, b = c.cofactors(b)
+        return self._signed(_times(a, c), _times(b, d))
+
+    def __radd__(self, other):
+        g = self._own(other)
+        return super().__radd__(other) if g is None else self + g
+
+    def __rmul__(self, other):
+        g = self._own(other)
+        return super().__rmul__(other) if g is None else self * g
+
+    def __truediv__(self, other):
+        g = self._own(other)
+        return super().__truediv__(other) if g is None else self * g.raw_new(g.denom, g.numer)
+
+    def diff(self, x) -> "_Frac":
+        return self._quotient_rule(*(q.diff(x.to_poly()) for q in (self.numer, self.denom)))
+
+    def _quotient_rule(self, dn, dd) -> "_Frac":
+        """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
+        irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
+        ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
+        if self.denom == 1:
+            return self.raw_new(dn)
+        h, d, dd = self.denom.cofactors(dd)
+        num = _times(dn, d) - _times(self.numer, dd)
+        if h != 1:
+            _, num, h = num.cofactors(h)
+        return self._signed(num, _times(_times(d, d), h))
 
 
-def normal_forms(exprs: Iterable[Expr]) -> list[Expr]:
-    """Reduced-fraction normal forms of a batch of rational functions.
-
-    One field over all generators of the batch serves every entry; the
-    result of each entry equals ``sympy.cancel`` of it.
-    """
-    exprs = list(exprs)
-    if not exprs:
-        return []
-    _, elements = sfield(exprs)
-    return [e.as_expr() for e in elements]
+def _times(p, q):
+    """``p * q`` for polynomials, skipping the pass over terms when either is 1."""
+    return q if p == 1 else p if q == 1 else p * q
 
 
 _FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
 
 
 def coeff_field(symbols: Iterable[sp.Symbol]) -> FracField:
-    """The field QQ(symbols), one instance per generator set, built as the
-    fraction field of ZZ[symbols], whose gcds need no change of domain."""
+    """The field QQ(symbols) of ``_Frac`` elements, one instance per generator set,
+    built as the fraction field of ZZ[symbols], whose gcds need no change of domain."""
     key = frozenset(symbols)
     field = _FIELDS.get(key)
     if field is None:
         field = _FIELDS[key] = FracField(tuple(_sort_gens(key)), ZZ, lex)
+        field.dtype = _Frac(field, field.ring.zero).raw_new
+        field.zero, field.one = field.dtype(field.ring.zero), field.dtype(field.ring.one)
+        field.gens = field._gens()
     return field
 
 
-def _lift(c: FracElement, field: FracField) -> FracElement:
-    """``c`` in ``field``, whose generators include its own; the generator
-    order is global, so the reduced form carries over unchanged."""
+@cache
+def _mover(src: FracField, dst: FracField, names: tuple | None = None):
+    """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``)."""
+    at = {sym: i for i, sym in enumerate(names or src.symbols)}
+    pick = itemgetter(*[at.get(sym, src.ngens) for sym in dst.symbols], src.ngens)
+    return lambda m: pick(m + (0,))[:-1]
+
+
+def _lift(c: FracElement, field: FracField, names: tuple | None = None) -> FracElement:
+    """``c`` in ``field``, whose generators include its own (or ``names``); the
+    generator order is global, so the reduced form carries over unchanged."""
     if c.field is field:
         return c
-    return field.raw_new(c.numer.set_ring(field.ring), c.denom.set_ring(field.ring))
+    move, new = _mover(c.field, field, names), field.ring.dtype
+    return field.raw_new(*(new({move(m): k for m, k in q.items()}) for q in (c.numer, c.denom)))
 
 
 def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[FracElement]]:

@@ -20,6 +20,7 @@ from itertools import combinations
 import sympy as sp
 from sympy.polys.domains import FractionField
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 from .algebra import Fields, _coeff_text, _into, _lift, coeff_field
 from .schouten import Tail, WNOperator
@@ -121,10 +122,10 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
     K = FractionField(F)
     x = [F.gens[F.symbols.index(u)] for u in m.coords()]
     g_up, W = m.g, m.W
-    g_matrix = DomainMatrix(g_up, (n, n), K)
-    if g_matrix.det() == K.zero:
-        raise SingularMetricError("metric is singular: det(g) == 0")
-    g_lo = g_matrix.inv().to_list()
+    try:
+        g_lo = DomainMatrix(g_up, (n, n), K).inv().to_list()
+    except DMNonInvertibleMatrixError:
+        raise SingularMetricError("metric is singular: det(g) == 0") from None
     dg_lo = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
     gamma = _tensor(n, 3, lambda i, j, k: sum(
         g_up[i][s] * (dg_lo[s][j][k] + dg_lo[s][k][j] - dg_lo[j][k][s]) for s in r

@@ -46,15 +46,6 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     gen = dict(zip(K.symbols, ring.gens))
     chain = [(gen[s], gen[t]) for s, t in raised.items()]
 
-    def dx(c):
-        # d(n/d) = (n' d - n d') / d^2 with ' the total derivative of a polynomial
-        n, d = c.numer, c.denom
-        dn = sum((n.diff(x) * y for x, y in chain), ring.zero)
-        if d.is_ground:
-            return K.new(dn, d)
-        dd = sum((d.diff(x) * y for x, y in chain), ring.zero)
-        return K.new(dn * d - n * dd, d * d)
-
     acc: dict[Word, object] = {}
 
     def put(word, coeff):
@@ -63,7 +54,9 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
         acc[word] = acc[word] + coeff if word in acc else coeff
 
     for word, coeff in a.terms.items():
-        put(word, dx(coeff))
+        # the quotient rule, with ' the total derivative of a polynomial
+        put(word, coeff._quotient_rule(*(sum((q.diff(x) * y for x, y in chain), ring.zero)
+                                         for q in (coeff.numer, coeff.denom))))
         for pos, f in enumerate(word):
             if f.kind == "p":
                 repl = word[:pos] + (p(f.index, f.order + 1),) + word[pos + 1 :]

@@ -27,7 +27,6 @@ from math import comb
 
 import sympy as sp
 from sympy.polys.fields import FracElement
-from sympy.polys.polyutils import _dict_reorder
 
 from .algebra import Fields, SuperPoly, _coeff_text, _into, _lift, coeff_field, p, render_factor
 from .jetcalc import ELResult, total_x
@@ -128,17 +127,12 @@ def tail_kernel(P: WNOperator) -> list[list[FracElement]]:
     u(y), u_x(y), ... of the jet variables in the second slot; two tail lists
     act identically exactly when their kernels agree entry-wise."""
     n, xs = P.n, P.field.symbols
-    ys = [sp.Symbol(f"{x.name}(y)") for x in xs]
+    ys = tuple(sp.Symbol(f"{x.name}(y)") for x in xs)
     K = coeff_field([*xs, *ys])
-
-    def at_y(c):  # the same exponents on the copies: renamed generators
-        moved = (zip(*_dict_reorder(q, ys, K.symbols)) for q in (c.numer, c.denom))
-        return K.raw_new(*map(K.ring.from_terms, moved))
-
     out = [[K.zero for _ in range(n)] for _ in range(n)]
     for t in P.tails:
         left = [_lift(t.constant * w, K) for w in t.left]
-        right = [at_y(z) for z in t.right]
+        right = [_lift(z, K, ys) for z in t.right]  # the same exponents on the copies
         for i, j in product(range(n), repeat=2):
             out[i][j] = out[i][j] + left[i] * right[j]
     return out
@@ -298,8 +292,9 @@ def schouten_bracket(
         elQ = el_nonlocal(SQ, fields, table)
 
     three = SuperPoly.zero()
-    for i in range(fields.n):
-        three = three + elP.el.du[i] * elQ.el.dp[i] + elQ.el.du[i] * elP.el.dp[i]
+    for i in range(fields.n):  # [P, P] = 2 sum_i dP/du_i dP/dp_i computes one product
+        pq = elP.el.du[i] * elQ.el.dp[i]
+        three = three + (pq.scale(2) if Q is P else pq + elQ.el.du[i] * elP.el.dp[i])
 
     elT = el_nonlocal(three, fields, table)
     trivial = elT.el.is_zero()

@@ -55,6 +55,15 @@ class TestExitCodes:
         proc = run_cli("geom", str(f), "m")
         assert proc.returncode == 3
 
+    def test_singular_metric_with_proportional_rows(self, tmp_path):
+        f = tmp_path / "sing.wno"
+        f.write_text("fields u1, u2; firstorder m { g[1,1]: u1; g[1,2]: u2; "
+                     "g[2,1]: u1^2; g[2,2]: u1*u2; }")
+        proc = run_cli("geom", str(f), "m")
+        assert proc.returncode == 3
+        assert "metric is singular" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_finite_local_coefficient(self, tmp_path):
         f = tmp_path / "nan.wno"
         f.write_text("fields u;\noperator P {\n  local[1,1]: 1/(u-u)*D;\n}\n")

@@ -330,3 +330,37 @@ def test_skew_check_matches_expression_oracle(op):
     witness = _oracle_skew_witness(rows, tails)
     assert res.ok == (witness is None)
     assert res.witness == witness
+
+
+# Pencil bilinearity: the bracket is a symmetric bilinear form, so the EL
+# tuple of [P + lam Q, P + lam Q] is [P,P] + 2 lam [P,Q] + lam^2 [Q,Q].  The
+# left side runs the single-product self-bracket, [P,Q] the two-operand path;
+# one variable table serves all four brackets.
+_VIRASORO = [(sp.Integer(1), 3), (2 * u, 1), (u_x, 0)]
+_SECOND = [(1 + u**2, 1), (u * u_x, 0)]
+
+
+def _pencil_sides(P, Q, lam):
+    table = NonlocalVarTable()
+    R = P + Q.scale(lam)
+    lhs = schouten_bracket(R, R, table).el
+    pq = schouten_bracket(P, Q, table).el
+    rhs = schouten_bracket(P, P, table).el + pq.scale(2 * lam)
+    return lhs, rhs + schouten_bracket(Q, Q, table).el.scale(lam**2), pq
+
+
+def test_pencil_bilinearity_fixed_pair():
+    lhs, rhs, pq = _pencil_sides(op_local(_VIRASORO), op_local(_SECOND), sp.Rational(2, 3))
+    assert not pq.is_zero()
+    assert lhs.equals(rhs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.tuples(_coefficients, st.integers(0, 3)), min_size=1, max_size=2),
+    st.lists(st.tuples(_coefficients, st.integers(0, 3)), min_size=1, max_size=2) | st.just(_SECOND),
+    _constants,
+)
+def test_pencil_bilinearity(p_rows, q_rows, lam):
+    lhs, rhs, _ = _pencil_sides(op_local(p_rows), op_local(q_rows), lam)
+    assert lhs.equals(rhs)
