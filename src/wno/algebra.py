@@ -9,7 +9,9 @@ when their term maps agree coefficient-wise.
 Coefficients are elements of a field QQ(x1..xm) of rational functions of
 jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
 by construction, so zeros are dropped as they arise; their own type
-``_Frac`` keeps them reduced with gcds of factors only.  Each value carries
+``_Frac`` keeps them reduced with gcds of factors only, ``_fsum`` reduces a
+many-term sum once, and gcds of two polynomials of two or more terms each are
+memoised in sympy's cache, which ``clear_cache`` empties.  Each value carries
 its field; an operation on values from two fields lifts both into the field
 over the union of their generators, by a per-pair map of exponent positions.
 Fields are memoised per generator set, in the order ``sympy.cancel`` uses.
@@ -35,9 +37,11 @@ from typing import Iterable, Mapping
 
 import sympy as sp
 from sympy import ZZ
+from sympy.core.cache import cacheit
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement
 
 Expr = sp.Expr
 
@@ -88,10 +92,10 @@ class _Frac(FracElement):
             return g or self
         # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
         a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.one.numer
-        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else b.cofactors(d)
+        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else _cofactors(b, d)
         t, b = _times(a, d) + _times(c, b), _times(b, d)
         if h != 1:
-            _, t, h = t.cofactors(h)
+            _, t, h = _cofactors(t, h)
         return self._signed(t, _times(b, h))
 
     def __sub__(self, other):
@@ -107,9 +111,9 @@ class _Frac(FracElement):
         # (a/b)(c/d): cross-cancel a with d and c with b
         a, b, c, d = self.numer, self.denom, g.numer, g.denom
         if d != 1:
-            _, a, d = a.cofactors(d)
+            _, a, d = _cofactors(a, d)
         if b != 1:
-            _, c, b = c.cofactors(b)
+            _, c, b = _cofactors(c, b)
         return self._signed(_times(a, c), _times(b, d))
 
     def __radd__(self, other):
@@ -133,16 +137,41 @@ class _Frac(FracElement):
         ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
         if self.denom == 1:
             return self.raw_new(dn)
-        h, d, dd = self.denom.cofactors(dd)
+        h, d, dd = _cofactors(self.denom, dd)
         num = _times(dn, d) - _times(self.numer, dd)
         if h != 1:
-            _, num, h = num.cofactors(h)
+            _, num, h = _cofactors(num, h)
         return self._signed(num, _times(_times(d, d), h))
 
 
 def _times(p, q):
     """``p * q`` for polynomials, skipping the pass over terms when either is 1."""
     return q if p == 1 else p if q == 1 else p * q
+
+
+_memo_cofactors = cacheit(PolyElement.cofactors)  # emptied by sympy's clear_cache
+
+
+def _cofactors(p, q):
+    """``p.cofactors(q)``, memoised in sympy's cache when both have two or more terms;
+    zero, constant and monomial operands take sympy's cheap paths directly."""
+    return _memo_cofactors(p, q) if len(p) > 1 and len(q) > 1 else p.cofactors(q)
+
+
+def _fsum(values: Iterable[_Frac], field: FracField) -> _Frac:
+    """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up
+    over the running lcm of the denominators, with no gcd while a denominator equals it."""
+    num, den = field.ring.zero, field.ring.one
+    for v in filter(None, values):
+        a, b = v.numer, v.denom
+        if b == den:
+            num += a
+        else:
+            den_b, b = (den, b) if den == 1 or b == 1 else _cofactors(den, b)[1:]
+            num, den = _times(num, b) + _times(a, den_b), _times(den, b)
+    if num and den != 1:
+        _, num, den = _cofactors(num, den)
+    return field.zero._signed(num, den)
 
 
 _FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
@@ -157,7 +186,10 @@ def coeff_field(symbols: Iterable[sp.Symbol]) -> FracField:
         field = _FIELDS[key] = FracField(tuple(_sort_gens(key)), ZZ, lex)
         field.dtype = _Frac(field, field.ring.zero).raw_new
         field.zero, field.one = field.dtype(field.ring.zero), field.dtype(field.ring.one)
-        field.gens = field._gens()
+        plain, field.gens = field.gens, field._gens()
+        for sym, was, gen in zip(field.symbols, plain, field.gens):
+            if vars(field).get(sym.name) is was:  # the by-name attributes sympy set
+                setattr(field, sym.name, gen)
     return field
 
 
@@ -621,15 +653,6 @@ class SuperPoly:
             )
             bits.append(f"({coeff})*{fs}" if fs else f"({coeff})")
         return "SuperPoly(" + " + ".join(bits) + ")"
-
-
-def partial(a: SuperPoly, v) -> SuperPoly:
-    """Graded partial derivative: even for a jet symbol, left-odd for a factor."""
-    if isinstance(v, OddFactor):
-        return a.partial_odd(v)
-    if isinstance(v, sp.Symbol):
-        return a.partial_even(v)
-    raise TypeError(f"cannot differentiate with respect to {v!r}")
 
 
 def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None = None) -> str:

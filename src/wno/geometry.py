@@ -2,10 +2,10 @@
 
 Input is a contravariant metric g (entries rational functions of the
 order-0 variables only) together with an affinor W.  The derived geometry
-fixes the Levi-Civita connection of the inverse metric, the contravariant
-Christoffel symbols, the curvature with both upper indices, and the
-covariant derivative of W, and the module checks the classical system of
-conditions equivalent to the Poisson property of
+fixes the Levi-Civita connection of the inverse metric and the contravariant
+Christoffel symbols; the curvature with both upper indices and the
+covariant derivative of W are computed from them on first read.  The module
+checks the classical system of conditions equivalent to the Poisson property of
 
     P = g d + Gamma u_x + (W u_x) d^(-1) (W u_x)
 
@@ -15,6 +15,7 @@ independently of the bracket computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import sympy as sp
@@ -22,7 +23,7 @@ from sympy.polys.domains import FractionField
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from .algebra import Fields, _coeff_text, _into, _lift, coeff_field
+from .algebra import Fields, _coeff_text, _fsum, _into, _lift, coeff_field
 from .schouten import Tail, WNOperator
 
 
@@ -76,8 +77,8 @@ class MetricData:
 class DerivedGeometry:
     """Metric data and its geometry as elements of the field QQ(u1..un).
 
-    Tensors are nested lists of field elements; the properties convert four
-    of them to expressions.
+    Tensors are nested lists of field elements.  The curvature and nabla W
+    are computed from the stored connection on first read.
     """
 
     coords: list  # coords[k] = the generator u^k
@@ -86,13 +87,28 @@ class DerivedGeometry:
     g_lo: list  # g_lo[i][j] = g_ij, the inverse of g^ij
     gamma: list  # gamma[i][j][k] = Gamma^i_jk of the lower metric
     gamma_up: list  # gamma_up[i][j][k] = Gamma^{ij}_k = -g^{is} Gamma^j_sk
-    riemann_up: list  # riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh
-    nabla_w: list  # nabla_w[i][j][k] = covariant derivative of W^j_k along u^i
 
-    g_lower = property(lambda self: sp.Matrix(_exprs(self.g_lo)))
-    gamma_lc = property(lambda self: _exprs(self.gamma))
-    gamma_upper = property(lambda self: _exprs(self.gamma_up))
-    curvature = property(lambda self: _exprs(self.riemann_up))
+    @cached_property
+    def riemann_up(self) -> list:
+        """riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh; antisymmetric in its
+        last index pair by its formula, for any input, so only k < h is computed."""
+        x, g, gamma, F = self.coords, self.g, self.gamma, self.coords[0].field
+        n, r = len(x), range(len(x))
+        riemann = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, l: _fsum([
+            gamma[i][l][j].diff(x[k]), -gamma[i][k][j].diff(x[l]),
+            *(gamma[i][k][s] * gamma[s][l][j] for s in r),
+            *(-(gamma[i][l][s] * gamma[s][k][j]) for s in r)], F)))
+        return _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, h: _fsum(
+            (g[j][s] * riemann[i][s][k][h] for s in r), F)))
+
+    @cached_property
+    def nabla_w(self) -> list:
+        """nabla_w[i][j][k] = covariant derivative of W^j_k along u^i."""
+        x, W, gamma, F = self.coords, self.W, self.gamma, self.coords[0].field
+        r = range(len(x))
+        return _tensor(len(x), 3, lambda i, j, k: _fsum([
+            W[j][k].diff(x[i]), *(gamma[j][i][s] * W[s][k] for s in r),
+            *(-(gamma[s][i][k] * W[j][s]) for s in r)], F))
 
 
 def _tensor(n: int, rank: int, entry, *index):
@@ -110,13 +126,8 @@ def _skew(n: int, zero, entry):
 
 
 def derive_geometry(m: MetricData) -> DerivedGeometry:
-    """Exact inverse metric, Levi-Civita symbols, curvature and nabla W.
-
-    The derivation runs in the coefficient field QQ(u1..un) of the metric
-    data, whose elements are reduced fractions.  The curvature is
-    antisymmetric in its last index pair by its formula, for any input, so
-    only the entries with k < l are computed.
-    """
+    """Exact inverse metric and Levi-Civita symbols, in the coefficient field
+    QQ(u1..un) of the metric data, whose elements are reduced fractions."""
     n, r = m.n, range(m.n)
     F = coeff_field(m.coords())
     K = FractionField(F)
@@ -126,23 +137,12 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
         g_lo = DomainMatrix(g_up, (n, n), K).inv().to_list()
     except DMNonInvertibleMatrixError:
         raise SingularMetricError("metric is singular: det(g) == 0") from None
-    dg_lo = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
-    gamma = _tensor(n, 3, lambda i, j, k: sum(
-        g_up[i][s] * (dg_lo[s][j][k] + dg_lo[s][k][j] - dg_lo[j][k][s]) for s in r
-    ) / 2)
-    gamma_up = _tensor(n, 3, lambda i, j, k: -sum(g_up[i][s] * gamma[j][s][k] for s in r))
-    riemann = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, l: (
-        gamma[i][l][j].diff(x[k])
-        - gamma[i][k][j].diff(x[l])
-        + sum(gamma[i][k][s] * gamma[s][l][j] - gamma[i][l][s] * gamma[s][k][j] for s in r)
-    )))
-    curvature = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, h: sum(
-        g_up[j][s] * riemann[i][s][k][h] for s in r
-    )))
-    nabla = _tensor(n, 3, lambda i, j, k: W[j][k].diff(x[i]) + sum(
-        gamma[j][i][s] * W[s][k] - gamma[s][i][k] * W[j][s] for s in r
-    ))
-    return DerivedGeometry(x, g_up, W, g_lo, gamma, gamma_up, curvature, nabla)
+    dg = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
+    # first[s][j][k] = 2 Gamma_sjk, the Christoffel symbols of the first kind
+    first = _tensor(n, 3, lambda s, j, k: _fsum([dg[s][j][k], dg[s][k][j], -dg[j][k][s]], F))
+    gamma = _tensor(n, 3, lambda i, j, k: _fsum((g_up[i][s] * first[s][j][k] for s in r), F) / 2)
+    gamma_up = _tensor(n, 3, lambda i, j, k: -_fsum((g_up[i][s] * gamma[j][s][k] for s in r), F))
+    return DerivedGeometry(x, g_up, W, g_lo, gamma, gamma_up)
 
 
 @dataclass
@@ -172,7 +172,7 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
     n = m.n
     if geo is None:
         geo = derive_geometry(m)
-    g, W, x = geo.g, geo.W, geo.coords
+    g, W, x, F = geo.g, geo.W, geo.coords, geo.coords[0].field
     out = []
 
     def verdict(name, pairs):
@@ -195,7 +195,7 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
         (
             (
                 f"dg[{i + 1},{j + 1}]/du{k + 1}",
-                g[i][j].diff(x[k]) - geo.gamma_up[i][j][k] - geo.gamma_up[j][i][k],
+                _fsum([g[i][j].diff(x[k]), -geo.gamma_up[i][j][k], -geo.gamma_up[j][i][k]], F),
             )
             for i in range(n)
             for j in range(n)
@@ -207,8 +207,8 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
         (
             (
                 f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                sum(g[i][s] * geo.gamma_up[j][k][s] for s in range(n))
-                - sum(g[j][s] * geo.gamma_up[i][k][s] for s in range(n)),
+                _fsum([*(g[i][s] * geo.gamma_up[j][k][s] for s in range(n)),
+                       *(-(g[j][s] * geo.gamma_up[i][k][s]) for s in range(n))], F),
             )
             for i in range(n)
             for j in range(i + 1, n)
@@ -220,8 +220,8 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
         (
             (
                 f"(i,j)=({i + 1},{j + 1})",
-                sum(g[i][s] * W[j][s] for s in range(n))
-                - sum(g[j][s] * W[i][s] for s in range(n)),
+                _fsum([*(g[i][s] * W[j][s] for s in range(n)),
+                       *(-(g[j][s] * W[i][s]) for s in range(n))], F),
             )
             for i in range(n)
             for j in range(i + 1, n)
@@ -244,7 +244,7 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
         (
             (
                 f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
-                geo.riemann_up[i][j][k][h] - (W[i][k] * W[j][h] - W[j][k] * W[i][h]),
+                _fsum([geo.riemann_up[i][j][k][h], -(W[i][k] * W[j][h]), W[j][k] * W[i][h]], F),
             )
             for i in range(n)
             for j in range(n)
@@ -269,7 +269,7 @@ def build_operator(m: MetricData, geo: DerivedGeometry | None = None) -> WNOpera
 
     def contract(row):
         """sum_k row[k] u_x^k in the field over u and u_x."""
-        return sum((_lift(c, L) * ux[k] for k, c in enumerate(row)), L.zero)
+        return _fsum((_lift(c, L) * ux[k] for k, c in enumerate(row)), L)
 
     local: list[list[list[tuple]]] = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n):

@@ -1,7 +1,9 @@
 """Graded-algebra kernel: normalization, products, partials, invariants."""
 
 import math
+import operator
 import random
+from functools import reduce
 
 import pytest
 import sympy as sp
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sympy import ZZ
+from sympy.core import cache as sympy_cache
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 
@@ -16,7 +19,11 @@ import wno
 from wno.algebra import (
     Fields,
     SuperPoly,
+    _cofactors,
     _coeff_text,
+    _Frac,
+    _fsum,
+    _memo_cofactors,
     _lift,
     _int_text,
     _int_value,
@@ -112,15 +119,6 @@ class TestPartials:
         a = SuperPoly.monomial(1, [p(1), nl(1)])
         with pytest.raises(ValueError, match="nonlocal EL rules"):
             a.partial_odd(nl(1))
-
-    def test_partial_dispatcher(self):
-        from wno.algebra import partial
-
-        a = SuperPoly.monomial(u**2, [p(1, 0), p(1, 1)])
-        assert partial(a, u) == SuperPoly.monomial(2 * u, [p(1, 0), p(1, 1)])
-        assert partial(a, p(1, 1)) == SuperPoly.monomial(-(u**2), [p(1, 0)])
-        with pytest.raises(TypeError):
-            partial(a, 3)
 
 
 # -- property suites ------------------------------------------------------
@@ -403,3 +401,64 @@ def test_sympy_field_classes_stay_unpatched():
         assert method.__qualname__ == f"FracElement.{name}"
     assert type(FracField(sp.symbols("u v"), ZZ, lex).one) is FracElement
     assert type(coeff_field(sp.symbols("u v")).one) is not FracElement
+
+
+def test_generator_attributes_are_field_elements():
+    K = coeff_field(sp.symbols("u v"))
+    assert K.u is K.gens[0] and K.v is K.gens[1]
+    assert type(K.u) is _Frac and type(K.u * K.v + K.u) is _Frac
+
+
+@st.composite
+def _fraction_lists(draw):
+    """0-5 reduced fractions whose denominators come from a pool of 1-3 polynomials
+    (so some are equal), numerators and denominators with a planted common factor,
+    and some later terms negating earlier ones."""
+    f, one = draw(_any_poly), _SYMPY.ring.one
+    pool = draw(st.lists(_any_poly, min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        if out and draw(st.booleans()):
+            out.append(-draw(st.sampled_from(out)))
+            continue
+        top = draw(_any_poly | st.just(_SYMPY.ring.zero)) * draw(st.sampled_from([f, one]))
+        bottom = draw(st.sampled_from(pool)) * draw(st.sampled_from([f, one]))
+        out.append(_SYMPY.new(top, bottom))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fraction_lists())
+def test_fsum_matches_left_to_right_sum(xs):
+    _same(_fsum([_ours(x) for x in xs], _ARITH), reduce(operator.add, xs, _SYMPY.zero))
+
+
+def test_fsum_of_no_terms_zeros_and_one_term():
+    K = _ARITH
+    x = (K.gens[0] + 1) / (2 * K.gens[2] - 6)
+    for values, expected in (([], K.zero), ([K.zero] * 3, K.zero), ([x], x), ([K.zero, x], x)):
+        total = _fsum(values, K)
+        assert type(total) is _Frac
+        assert (dict(total.numer), dict(total.denom)) == (dict(expected.numer), dict(expected.denom))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_poly | st.just(_SYMPY.ring.zero), _any_poly | st.just(_SYMPY.ring.zero))
+def test_cofactors_match_sympy(p, q):
+    p, q = (_ARITH.ring(dict(x)) for x in (p, q))
+    assert _cofactors(p, q) == p.cofactors(q)
+
+
+@pytest.mark.skipif(sympy_cache.USE_CACHE != "yes", reason="sympy's cache is switched off")
+def test_cofactors_memo_lives_in_sympys_cache():
+    x, y, _ = _ARITH.ring.gens
+    p, q = (x + y) * (x - 2), (x + y) * (y + 3)
+    sympy_cache.clear_cache()
+    info = _memo_cofactors.cache_info
+    first = _cofactors(p, q)
+    assert (info().hits, info().misses) == (0, 1)
+    assert _cofactors(p, q) is first and info().hits == 1
+    _cofactors(x, p), _cofactors(p, 2 * y)  # monomial operands bypass the memo
+    assert info().currsize == 1
+    sympy_cache.clear_cache()
+    assert info().currsize == 0

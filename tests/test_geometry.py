@@ -23,6 +23,11 @@ ZERO = sp.Integer(0)
 ONE = sp.Integer(1)
 
 
+def as_expr(tree):
+    """A nested list of field elements as the same nesting of sympy expressions."""
+    return [as_expr(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
+
+
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
@@ -96,13 +101,13 @@ class TestDerive:
         geo = derive_geometry(m)
         assert all(
             g == 0
-            for layer in geo.gamma_lc
+            for layer in as_expr(geo.gamma)
             for row in layer
             for g in row
         )
         assert all(
             r == 0
-            for a in geo.curvature
+            for a in as_expr(geo.riemann_up)
             for b in a
             for c in b
             for r in c
@@ -114,8 +119,8 @@ class TestDerive:
         geo = derive_geometry(m)
         # lower metric 1/(1+u)^2 has Gamma^1_11 = -g'/(2g) for g = (1+u)^2
         expected = sp.cancel(-sp.diff((1 + u) ** 2, u) / (2 * (1 + u) ** 2))
-        assert sp.cancel(geo.gamma_lc[0][0][0] - expected) == 0
-        assert geo.curvature[0][0][0][0] == 0
+        assert sp.cancel(as_expr(geo.gamma)[0][0][0] - expected) == 0
+        assert as_expr(geo.riemann_up)[0][0][0][0] == 0
 
     def test_sphere_against_oracle(self):
         m = sphere_metric()
@@ -126,15 +131,15 @@ class TestDerive:
         gamma, riemann = oracle_curvature(g_lower, coords)
         geo = derive_geometry(m)
         for i, j, k in itertools.product(range(2), repeat=3):
-            assert sp.cancel(geo.gamma_lc[i][j][k] - gamma[i][j][k]) == 0
+            assert sp.cancel(as_expr(geo.gamma)[i][j][k] - gamma[i][j][k]) == 0
         g_up = sp.Matrix(m.g_upper)
         for i, j, k, l in itertools.product(range(2), repeat=4):
             raised = sp.cancel(
                 sum(g_up[j, s] * riemann[i][s][k][l] for s in range(2))
             )
-            assert sp.cancel(geo.curvature[i][j][k][l] - raised) == 0
+            assert sp.cancel(as_expr(geo.riemann_up)[i][j][k][l] - raised) == 0
         # unit-sphere normalization
-        assert sp.cancel(geo.curvature[0][1][0][1] - 1) == 0
+        assert sp.cancel(as_expr(geo.riemann_up)[0][1][0][1] - 1) == 0
 
     def test_compatibility_identities_by_construction(self):
         m = sphere_metric()
@@ -143,11 +148,11 @@ class TestDerive:
         x = m.coords()
         for i, j, k in itertools.product(range(2), repeat=3):
             lhs = sp.diff(g[i, j], x[k])
-            rhs = geo.gamma_upper[i][j][k] + geo.gamma_upper[j][i][k]
+            rhs = as_expr(geo.gamma_up)[i][j][k] + as_expr(geo.gamma_up)[j][i][k]
             assert sp.cancel(lhs - rhs) == 0
         for i, j, k in itertools.product(range(2), repeat=3):
-            lhs = sum(g[i, s] * geo.gamma_upper[j][k][s] for s in range(2))
-            rhs = sum(g[j, s] * geo.gamma_upper[i][k][s] for s in range(2))
+            lhs = sum(g[i, s] * as_expr(geo.gamma_up)[j][k][s] for s in range(2))
+            rhs = sum(g[j, s] * as_expr(geo.gamma_up)[i][k][s] for s in range(2))
             assert sp.cancel(lhs - rhs) == 0
 
     def test_first_bianchi_on_rational_metrics(self):
@@ -159,10 +164,10 @@ class TestDerive:
         ]
         m = MetricData(F3, g, zeros(3))
         geo = derive_geometry(m)
-        g_lo = geo.g_lower
+        g_lo = sp.Matrix(as_expr(geo.g_lo))
 
         def lowered(i, j, k, h):
-            return sum(g_lo[j, s] * geo.curvature[i][s][k][h] for s in range(3))
+            return sum(g_lo[j, s] * as_expr(geo.riemann_up)[i][s][k][h] for s in range(3))
 
         # cyclic identity; triples with a repeated index vanish by the
         # antisymmetry in the last index pair, so distinct triples suffice
@@ -182,7 +187,7 @@ class TestDerive:
         else:
             m = MetricData(F2, [[ONE, u2], [ZERO, 1 + u1]], zeros(2))
         geo = derive_geometry(m)
-        x, gamma, g = m.coords(), geo.gamma_lc, sp.Matrix(m.g_upper)
+        x, gamma, g = m.coords(), as_expr(geo.gamma), sp.Matrix(m.g_upper)
         r = range(2)
 
         def riemann(i, j, k, l):
@@ -195,13 +200,25 @@ class TestDerive:
         nonzero = 0
         for i, j, k, l in itertools.product(r, repeat=4):
             full = sp.cancel(sum(g[j, s] * riemann(i, s, k, l) for s in r))
-            assert sp.cancel(geo.curvature[i][j][k][l] - full) == 0
+            assert sp.cancel(as_expr(geo.riemann_up)[i][j][k][l] - full) == 0
             nonzero += full != 0
         assert nonzero
 
     def test_singular_metric_raises(self):
         with pytest.raises(SingularMetricError):
             derive_geometry(MetricData(F2, [[ONE, ONE], [ONE, ONE]], zeros(2)))
+
+
+class TestLazyCurvature:
+    def test_curvature_and_nabla_w_computed_on_first_read(self):
+        m = sphere_metric()
+        geo = derive_geometry(m)
+        build_operator(m, geo)
+        assert "riemann_up" not in vars(geo) and "nabla_w" not in vars(geo)
+        check_conditions(m, geo)
+        assert "riemann_up" in vars(geo) and "nabla_w" in vars(geo)
+        first = geo.riemann_up, geo.nabla_w
+        assert geo.riemann_up is first[0] and geo.nabla_w is first[1]
 
 
 class TestConditions:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,6 +82,34 @@ def test_reports_print_without_sympy_printer(monkeypatch):
         monkeypatch.setattr(sympy.printing.str.StrPrinter, name, refuse)
     for case in sorted(CASES):
         assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
+
+
+def test_reports_repeat_with_warm_gcd_memo():
+    """Two passes over every case in one process, sharing the gcds memoised in
+    sympy's cache, both give the snapshots: no cached polynomial is changed in
+    place and no result of one command leaks into the next."""
+    for _ in range(2):
+        for case in sorted(CASES):
+            assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
+
+
+def test_reports_without_sympy_cache():
+    """With sympy's cache switched off, so that no gcd is memoised, every
+    snapshot still comes out byte for byte."""
+    script = (
+        "import sys\n"
+        "from wno.algebra import _memo_cofactors\n"
+        "from test_golden import CASES, GOLDEN, report\n"
+        "assert not hasattr(_memo_cofactors, 'cache_info')\n"
+        "bad = [c for c in sorted(CASES) if report(CASES[c]) != (GOLDEN / c).read_text(encoding='utf-8')]\n"
+        "sys.exit(f'changed: {bad}' if bad else 0)\n"
+    )
+    path = os.pathsep.join([str(REPO / "src"), str(GOLDEN.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "SYMPY_USE_CACHE": "no", "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 if __name__ == "__main__":
