@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
 from operator import itemgetter
@@ -59,8 +58,6 @@ def as_coeff(value) -> Expr | FracElement:
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"inexact coefficient {value!r}; use integers or rationals")
-    if isinstance(value, Fraction):
-        return sp.Rational(value.numerator, value.denominator)
     if isinstance(value, int):
         return sp.Integer(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
@@ -172,6 +169,14 @@ def _fsum(values: Iterable[_Frac], field: FracField) -> _Frac:
     if num and den != 1:
         _, num, den = _cofactors(num, den)
     return field.zero._signed(num, den)
+
+
+def _by_order(entries: Iterable[tuple]) -> list[tuple]:
+    """``(coefficient, order)`` pairs summed per order, by increasing order, zeros dropped."""
+    acc: dict[int, object] = {}
+    for coeff, order in entries:
+        acc[order] = acc[order] + coeff if order in acc else coeff
+    return [(acc[k], k) for k in sorted(acc) if acc[k]]
 
 
 _FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
@@ -420,9 +425,6 @@ class OddFactor:
             return (0, self.index, self.order)
         return (1 if self.parity else 2, self.index, 0)
 
-    def __lt__(self, other: "OddFactor") -> bool:
-        return self.sort_key() < other.sort_key()
-
 
 def p(index: int, order: int = 0) -> OddFactor:
     """Odd dual factor of field ``index`` at derivative ``order``."""
@@ -563,10 +565,6 @@ class SuperPoly:
             return SuperPoly(acc, a.field)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        # scalars commute with everything, so left/right scaling agree
-        return self.scale(other)
-
     def scale(self, value) -> "SuperPoly":
         field, (c,) = _into(self.field, [value])
         return SuperPoly({w: _lift(k, field) * c for w, k in self.terms.items()}, field)
@@ -575,6 +573,9 @@ class SuperPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def equals(self, other: "SuperPoly") -> bool:
         return (self - other).is_zero()

@@ -23,9 +23,7 @@ from pathlib import Path
 
 from .algebra import Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
-from .geometry import (
-    MetricData, SingularMetricError, build_operator, check_conditions, derive_geometry
-)
+from .geometry import MetricData, SingularMetricError, build_operator, check_conditions
 from .jetcalc import ELResult
 from .nonlocal_vars import NonlocalVarTable, UnsupportedStructureError
 from .schouten import WNOperator, is_hamiltonian, schouten_bracket
@@ -41,6 +39,8 @@ def _load(path: str) -> OperatorFile:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExitWith(EXIT_USAGE, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SystemExitWith(EXIT_USAGE, f"cannot read {path}: {exc}")
     try:
         return parse(source)
     except ParseError as exc:
@@ -161,10 +161,9 @@ def cmd_geom(doc: OperatorFile, args) -> int:
     if args.name not in doc.firstorder:
         raise SystemExitWith(EXIT_USAGE, f"no firstorder block named {args.name!r}")
     metric: MetricData = doc.firstorder[args.name]
-    geo = derive_geometry(metric)
-    checks = check_conditions(metric, geo)
+    checks = check_conditions(metric)
     all_pass = all(c.ok for c in checks)
-    cross = is_hamiltonian(build_operator(metric, geo))
+    cross = is_hamiltonian(build_operator(metric))
     agrees = all_pass == cross.ok
     verdict = all_pass and cross.ok
     payload = {

@@ -19,9 +19,11 @@ Numbers are integers of at most ``MAX_DIGITS`` digits; rationals are
 written as quotients (``2/3``).  Floats are rejected.  Derivative orders
 (``D^k``, ``u_kx``) and exponents are at most ``MAX_POWER``: the cost of a
 check grows steeply with them, and an unbounded one would let a short input
-run without end.  Each ``nonlocal[i,j]`` entry declares one rank-one tail
-``e * w d^(-1) z`` whose vectors are supported in slots i and j.  Entries
-are parsed into one coefficient field per block (``Parser.enter_block``).
+run without end.  Parentheses and unary signs nest at most ``MAX_DEPTH``
+deep, so the recursive descent stays within Python's stack.  Each
+``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
+vectors are supported in slots i and j.  Entries are parsed into one
+coefficient field per block (``Parser.enter_block``).
 """
 
 from __future__ import annotations
@@ -34,12 +36,13 @@ from dataclasses import dataclass, field
 import sympy as sp
 from sympy.polys.fields import FracElement
 
-from .algebra import Fields, _coeff_text, _int_value, coeff_field
+from .algebra import Fields, _int_value, coeff_field
 from .geometry import MetricData
 from .schouten import Tail, WNOperator
 
 
 MAX_POWER = 16
+MAX_DEPTH = 100  # nesting of parentheses and unary signs
 MAX_DIGITS = 4300  # digits of an integer literal
 
 
@@ -110,6 +113,7 @@ class Parser:
         self.pos = 0
         self.fields: Fields | None = None
         self.field = self.gens = None  # the current block's field and its generators
+        self.depth = 0  # open parentheses and unary signs
 
     # -- token plumbing ---------------------------------------------------
 
@@ -314,19 +318,24 @@ class Parser:
                 continue
             return coeff, 0
 
+    def nested(self, parse):
+        """Step past a ``(`` or unary sign and ``parse()`` one level deeper."""
+        tok = self.next()
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting exceeds the bound {MAX_DEPTH}", tok.line, tok.col)
+        self.depth += 1
+        try:
+            value = parse()
+            if tok.text == "(":
+                self.expect("punct", ")")
+            return -value if tok.text == "-" else value
+        finally:
+            self.depth -= 1
+
     def parse_rational(self) -> FracElement:
         tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            return -self.parse_rational()
-        if tok.text == "+":
-            self.next()
-            return self.parse_rational()
-        if tok.text == "(":
-            self.next()
-            inner = self.parse_rational()
-            self.expect("punct", ")")
-            return inner
+        if tok.text in ("-", "+", "("):
+            return self.nested(self.parse_rational)
         if tok.kind == "int":
             self.next()
             value = self.field(self.integer(tok))
@@ -396,17 +405,10 @@ class Parser:
 
     def parse_atom(self) -> FracElement:
         tok = self.peek()
-        if tok.text == "-":
-            self.next()
-            return -self.parse_power()
-        if tok.text == "+":
-            self.next()
-            return self.parse_power()
+        if tok.text in ("-", "+"):
+            return self.nested(self.parse_power)
         if tok.text == "(":
-            self.next()
-            inner = self.parse_sum()
-            self.expect("punct", ")")
-            return inner
+            return self.nested(self.parse_sum)
         if tok.kind == "int":
             self.next()
             return self.field(self.integer(tok))
@@ -437,57 +439,3 @@ class Parser:
 
 def parse(source: str) -> OperatorFile:
     return Parser(source).parse_file()
-
-
-# -- rendering -----------------------------------------------------------
-
-
-def _render_expr(value: FracElement) -> str:
-    """A coefficient in file syntax: the report text with ^ for ** (x^-k for x**(-k))."""
-    return re.sub(r"\*\*\((-\d+)\)", r"^\1", _coeff_text(value)).replace("**", "^")
-
-
-def render(doc: OperatorFile) -> str:
-    """Canonical text form; parsing it back yields an identical structure."""
-    lines = [f"fields {', '.join(doc.fields.names)};"]
-    for name, op in doc.operators.items():
-        lines.append(f"operator {name} {{")
-        for i in range(1, op.n + 1):
-            for j in range(1, op.n + 1):
-                row = op.merged_entry(i, j)
-                if not row:
-                    continue
-                bits = []
-                for coeff, order in row:
-                    cs = _render_expr(coeff)
-                    if order and coeff.denom.is_ground and len(coeff.numer) > 1:
-                        cs = f"({cs})"  # a sum
-                    d = "D" if order == 1 else f"D^{order}"
-                    bits.append(cs if order == 0 else d if cs == "1" else f"{cs}*{d}")
-                lines.append(f"  local[{i},{j}]: {' + '.join(bits)};")
-        for tail in op.tails:
-            slots_w = [k for k, v in enumerate(tail.left) if v != 0]
-            slots_z = [k for k, v in enumerate(tail.right) if v != 0]
-            if len(slots_w) != 1 or len(slots_z) != 1:
-                raise ValueError(
-                    "only rank-one single-slot tails can be rendered in file syntax"
-                )
-            i, j = slots_w[0] + 1, slots_z[0] + 1
-            const = _render_expr(tail.constant)
-            if "/" in const or const.startswith("-"):
-                const = f"({const})"
-            lines.append(
-                f"  nonlocal[{i},{j}]: {const}*"
-                f"[{_render_expr(tail.left[i - 1])}|{_render_expr(tail.right[j - 1])}];"
-            )
-        lines.append("}")
-    for name, metric in doc.firstorder.items():
-        lines.append(f"firstorder {name} {{")
-        n = metric.n
-        for kind, matrix in (("g", metric.g), ("w", metric.W)):
-            for i in range(n):
-                for j in range(n):
-                    if matrix[i][j] != 0:
-                        lines.append(f"  {kind}[{i + 1},{j + 1}]: {_render_expr(matrix[i][j])};")
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -3,8 +3,10 @@
 Input is a contravariant metric g (entries rational functions of the
 order-0 variables only) together with an affinor W.  The derived geometry
 fixes the Levi-Civita connection of the inverse metric and the contravariant
-Christoffel symbols; the curvature with both upper indices and the
-covariant derivative of W are computed from them on first read.  The module
+Christoffel symbols; it is derived once per ``MetricData``, on the first read
+of ``MetricData.geometry``, which the condition checks and the operator
+assembly share.  The curvature with both upper indices and the covariant
+derivative of W are computed from the connection on first read.  The module
 checks the classical system of conditions equivalent to the Poisson property of
 
     P = g d + Gamma u_x + (W u_x) d^(-1) (W u_x)
@@ -29,10 +31,6 @@ from .schouten import Tail, WNOperator
 
 class SingularMetricError(ValueError):
     """The metric determinant vanishes identically."""
-
-
-def _exprs(tree):
-    return [_exprs(t) for t in tree] if isinstance(tree, list) else tree.as_expr()
 
 
 @dataclass
@@ -61,16 +59,17 @@ class MetricData:
         self.g = [flat[i * n : (i + 1) * n] for i in range(n)]
         self.W = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
 
-    g_upper = property(lambda self: _exprs(self.g))
-    _g = property(lambda self: sp.Matrix(self.g_upper))
-    _W = property(lambda self: sp.Matrix(_exprs(self.W)))
-
     @property
     def n(self) -> int:
         return self.fields.n
 
     def coords(self) -> list[sp.Symbol]:
         return [self.fields.jet(i, 0) for i in range(1, self.n + 1)]
+
+    @cached_property
+    def geometry(self) -> DerivedGeometry:
+        """The geometry of this metric data, derived on first read."""
+        return derive_geometry(self)
 
 
 @dataclass
@@ -152,26 +151,13 @@ class ConditionCheck:
     witness: str | None = None
 
 
-CONDITION_NAMES = (
-    "metric_symmetry",
-    "metric_compatibility",
-    "gGamma_symmetry",
-    "gW_symmetry",
-    "nablaW_symmetry",
-    "gauss_relation",
-)
-
-
-def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[ConditionCheck]:
+def check_conditions(m: MetricData) -> list[ConditionCheck]:
     """The six-condition system; each verdict carries a witness on failure.
 
-    ``geo`` is the geometry of ``m`` when the caller has derived it already.
     Each condition is a field element tested against zero; a witness shows
     the first nonzero one as a reduced-fraction expression.
     """
-    n = m.n
-    if geo is None:
-        geo = derive_geometry(m)
+    n, geo = m.n, m.geometry
     g, W, x, F = geo.g, geo.W, geo.coords, geo.coords[0].field
     out = []
 
@@ -255,14 +241,9 @@ def check_conditions(m: MetricData, geo: DerivedGeometry | None = None) -> list[
     return out
 
 
-def build_operator(m: MetricData, geo: DerivedGeometry | None = None) -> WNOperator:
-    """Assemble g d + Gamma u_x + (W u_x) d^(-1) (W u_x) from metric data.
-
-    ``geo`` is the geometry of ``m`` when the caller has derived it already.
-    """
-    n = m.n
-    if geo is None:
-        geo = derive_geometry(m)
+def build_operator(m: MetricData) -> WNOperator:
+    """Assemble g d + Gamma u_x + (W u_x) d^(-1) (W u_x) from metric data."""
+    n, geo = m.n, m.geometry
     u_x = [m.fields.jet(k + 1, 1) for k in range(n)]
     L = coeff_field([*m.coords(), *u_x])
     ux = [L.gens[L.symbols.index(s)] for s in u_x]

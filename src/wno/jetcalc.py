@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, coeff_field, normalize_word, p
+from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, coeff_field, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -102,15 +102,6 @@ def el_sum(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None) ->
     return ELResult(tuple(du), tuple(dp))
 
 
-def var_deriv(a: SuperPoly, index: int, kind: str, fields: Fields) -> SuperPoly:
-    """Variational derivative of a local value with respect to one field:
-    the even slot (jet variables) or the odd slot (dual factors)."""
-    if kind not in ("even", "odd"):
-        raise ValueError("kind must be 'even' or 'odd'")
-    el = euler_lagrange(a, fields)
-    return (el.du if kind == "even" else el.dp)[index - 1]
-
-
 @dataclass
 class ELResult:
     """Variational-derivative tuple, one entry per field and slot."""
@@ -133,18 +124,6 @@ class ELResult:
     def is_zero(self) -> bool:
         return all(a.is_zero() for a in self.du) and all(a.is_zero() for a in self.dp)
 
-    def equals(self, other: "ELResult") -> bool:
-        return all(a.equals(b) for a, b in zip(self.du, other.du)) and all(
-            a.equals(b) for a, b in zip(self.dp, other.dp)
-        )
-
-    @staticmethod
-    def zero(n: int) -> "ELResult":
-        return ELResult(
-            tuple(SuperPoly.zero() for _ in range(n)),
-            tuple(SuperPoly.zero() for _ in range(n)),
-        )
-
 
 def euler_lagrange(a: SuperPoly, fields: Fields) -> ELResult:
     """Full variational-derivative tuple of a local value."""
@@ -165,15 +144,8 @@ class LinearizationOp:
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]]
 
     def merged(self) -> "LinearizationOp":
-        out: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
-        for key, entries in self.rows.items():
-            by_order: dict[int, SuperPoly] = {}
-            for coeff, order in entries:
-                by_order[order] = by_order.get(order, SuperPoly.zero()) + coeff
-            kept = [(c, k) for k, c in sorted(by_order.items()) if not c.is_zero()]
-            if kept:
-                out[key] = kept
-        return LinearizationOp(self.fields, out)
+        rows = {key: _by_order(entries) for key, entries in self.rows.items()}
+        return LinearizationOp(self.fields, {key: row for key, row in rows.items() if row})
 
     def equals(self, other: "LinearizationOp") -> bool:
         # merged rows hold no zero coefficient, so equal operators have equal rows

@@ -165,7 +165,7 @@ def _top_variable(a: SuperPoly, fields: Fields):
     return best
 
 
-def integrate_density(Y: SuperPoly, fields: Fields, table: NonlocalVarTable | None = None) -> IntegrationResult:
+def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
     """Find a local antiderivative of a density, or report failure.
 
     Exactness is pre-checked cheaply: every local variational derivative of
@@ -298,7 +298,7 @@ def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note:
     if reduced.is_zero():
         return Antiderivative(SuperPoly.zero(), False)
     if reduced.is_local():
-        result = integrate_density(reduced, fields, table)
+        result = integrate_density(reduced, fields)
         if result.ok:
             return Antiderivative(result.antiderivative.scale(content), False)
     ident = table.register(reduced, formal=True, note=note)
@@ -394,7 +394,7 @@ def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tup
     content, reduced = scalar_content(term.prefactor)
     if reduced.is_zero():
         return [], False
-    result = integrate_density(reduced, fields, table)
+    result = integrate_density(reduced, fields)
     if not result.ok:
         table.register(reduced * v1, formal=True, note="level-2 antiderivative")
         return [term], True

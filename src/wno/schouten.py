@@ -28,7 +28,9 @@ from math import comb
 import sympy as sp
 from sympy.polys.fields import FracElement
 
-from .algebra import Fields, SuperPoly, _coeff_text, _into, _lift, coeff_field, p, render_factor
+from .algebra import (
+    Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, coeff_field, p, render_factor
+)
 from .jetcalc import ELResult, total_x
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
@@ -77,10 +79,7 @@ class WNOperator:
         return self.local[i - 1][j - 1]
 
     def merged_entry(self, i: int, j: int) -> DiffRow:
-        by_order: dict[int, FracElement] = {}
-        for coeff, order in self.entry(i, j):
-            by_order[order] = by_order[order] + coeff if order in by_order else coeff
-        return [(by_order[order], order) for order in sorted(by_order) if by_order[order] != 0]
+        return _by_order(self.entry(i, j))
 
     def __add__(self, other: "WNOperator") -> "WNOperator":
         if self.fields != other.fields:
@@ -233,6 +232,7 @@ class BracketOutcome:
     trivial: bool
     independence_assumed: bool
     coefficient_report: list[dict]
+    skew: list[SkewResult]  # the skew test of each distinct operand
     warnings: list[str] = field(default_factory=list)
 
 
@@ -255,32 +255,24 @@ def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -
     return report
 
 
-def schouten_bracket(
-    P: WNOperator,
-    Q: WNOperator,
-    table: NonlocalVarTable | None = None,
-    skew_p: SkewResult | None = None,
-) -> BracketOutcome:
+def schouten_bracket(P: WNOperator, Q: WNOperator,
+                     table: NonlocalVarTable | None = None) -> BracketOutcome:
     """Bracket of two operator encodings, with the divergence-triviality test.
 
-    Operators failing the skew test are not rejected: the encoding only
-    sees the skew part, and a warning is attached instead.  ``skew_p`` is
-    the skew test of P when the caller has run it already.
+    Each distinct operand is skew-tested once.  Operators failing the test
+    are not rejected: the encoding only sees the skew part, and a warning is
+    attached instead.
     """
     if P.fields != Q.fields:
         raise ValueError("operators live over different field sets")
     fields = P.fields
     if table is None:
         table = NonlocalVarTable()
-    if skew_p is None:
-        skew_p = skew_check(P)
-    if Q is P:
-        checked = [("operator", skew_p)]
-    else:
-        checked = [("first operator", skew_p), ("second operator", skew_check(Q))]
+    operands = {"operator": P} if Q is P else {"first operator": P, "second operator": Q}
+    skew = [skew_check(op) for op in operands.values()]
     warnings = [
         f"{name} is not skew-adjoint ({res.witness}); only its skew part enters the bracket"
-        for name, res in checked
+        for name, res in zip(operands, skew)
         if not res.ok
     ]
     SP = to_superfunction(P, table)
@@ -305,6 +297,7 @@ def schouten_bracket(
         trivial=trivial,
         independence_assumed=elP.formal_used or elQ.formal_used or elT.formal_used,
         coefficient_report=report,
+        skew=skew,
         warnings=warnings,
     )
 
@@ -318,8 +311,6 @@ class HamiltonianResult:
 
 def is_hamiltonian(P: WNOperator, table: NonlocalVarTable | None = None) -> HamiltonianResult:
     """Poisson-property verdict: skew-adjointness and a trivial self-bracket."""
-    if table is None:
-        table = NonlocalVarTable()
-    skew = skew_check(P)
-    bracket = schouten_bracket(P, P, table, skew)
+    bracket = schouten_bracket(P, P, table)
+    (skew,) = bracket.skew
     return HamiltonianResult(skew=skew, bracket=bracket, ok=skew.ok and bracket.trivial)

@@ -16,7 +16,7 @@ import sympy as sp
 
 from wno.algebra import Fields, SuperPoly, normalize_word, p
 from wno.geometry import MetricData, build_operator, check_conditions
-from wno.jetcalc import adjoint, euler_lagrange, linearize, total_x, var_deriv
+from wno.jetcalc import adjoint, euler_lagrange, linearize, total_x
 from wno.nonlocal_vars import NonlocalVarTable, el_nonlocal, integrate_density
 from wno.schouten import Tail, WNOperator, is_hamiltonian, schouten_bracket
 
@@ -111,7 +111,7 @@ def test_criterion_3_linearization_adjoint_identity():
         a = random_local(rng, F, degree, max_order=4, terms=2)
         lhs = adjoint(linearize(a, F)).apply_to_one()
         rhs = euler_lagrange(a, F)
-        assert lhs.equals(rhs)
+        assert lhs == rhs
         count += 1
     report(3, "adjoint of the linearization at 1 equals the EL tuple", count == 100,
            f"{count} random cases, exact")
@@ -129,8 +129,7 @@ def test_criterion_4_derivation_and_annihilation():
     for _ in range(100):
         a = random_local_mixed(rng, F, max_degree=3, max_order=4)
         d = total_x(a, F)
-        assert var_deriv(d, 1, "even", F).is_zero()
-        assert var_deriv(d, 1, "odd", F).is_zero()
+        assert euler_lagrange(d, F).is_zero()
         annihilated += 1
     report(4, "total derivative is a derivation and its image has zero EL",
            leibniz == 100 and annihilated == 100, "100 + 100 random cases, exact")

@@ -1,5 +1,7 @@
 """Command-line contract: exit codes, output formats, report stability."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,7 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import wno.geometry
+import wno.schouten
 from wno.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -78,6 +84,27 @@ class TestExitCodes:
         proc = run_cli("geom", str(f), "M")
         assert proc.returncode == 2
         assert "nan.wno:3:13: non-finite coefficient" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_file(self, tmp_path):
+        f = tmp_path / "bytes.wno"
+        f.write_bytes(b"fields u;\n\xff")
+        proc = run_cli("check", str(f), "A")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot read {f}: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "coeff, col",
+        [("(" * 260 + "u" + ")" * 260, 115), ("-" * 2000 + "u", 115)],
+        ids=["parentheses", "minus-signs"],
+    )
+    def test_deep_nesting(self, tmp_path, coeff, col):
+        f = tmp_path / "deep.wno"
+        f.write_text(f"fields u;\noperator A {{\n  local[1,1]: {coeff}*D;\n}}\n")
+        proc = run_cli("check", str(f), "A")
+        assert proc.returncode == 2
+        assert f"deep.wno:3:{col}: nesting exceeds the bound 100" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_derivative_order_bound(self, tmp_path):
@@ -196,3 +223,98 @@ class TestInProcess:
     def test_usage_error(self, capsys):
         assert main(["check"]) == 2
         capsys.readouterr()
+
+
+class TestOnceByConstruction:
+    """One geometry derivation per command, one skew test per distinct operand."""
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls, original = [], getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["geom", "check"])
+    def test_geometry_derived_once(self, monkeypatch, capsys, command):
+        calls = self.counted(monkeypatch, wno.geometry, "derive_geometry")
+        assert main([command, str(CASES / "firstorder.wno"), "sphere"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv, operands",
+        [
+            ("check mkdv.wno mkdv2loc", 1),
+            ("check firstorder.wno flatbad", 1),
+            ("geom firstorder.wno sphere", 1),
+            ("bracket mkdv.wno mkdv2 mkdv2", 1),
+            ("bracket mkdv.wno mkdv2 kdv", 2),
+        ],
+    )
+    def test_skew_tested_once_per_operand(self, monkeypatch, capsys, argv, operands):
+        calls = self.counted(monkeypatch, wno.schouten, "skew_check")
+        command, name, *rest = argv.split()
+        assert main([command, str(CASES / name), *rest]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == operands
+
+
+# -- fuzzing the command line ----------------------------------------------------
+# Derivative orders stay at 3 or below and exponents at 2 or -1, so that each
+# example runs in milliseconds; the parse bounds have their own tests.
+
+_EXPR = ["u", "v", "u_x", "v_x", "u_2x", "0", "1", "2", "3", "+", "-", "*", "/", "^2", "^-1", "(", ")"]
+_TOKENS = _EXPR + [
+    "D", "D^2", "D^3", "fields", "operator", "firstorder", "local", "nonlocal", "g", "w",
+    "A", "M", "[", "]", ",", ":", ";", "{", "}", "|", "[1,1]", "#", "\n", "u_99x", "1.5", "\u00e9",
+]
+
+
+def _soup(tokens, max_size):
+    return st.lists(st.sampled_from(tokens), min_size=1, max_size=max_size).map(" ".join)
+
+
+def _expr(atoms):
+    return st.recursive(st.sampled_from(atoms), lambda e: st.one_of(
+        st.builds("({} + {})".format, e, e), st.builds("{}*{}".format, e, e),
+        st.builds("{}/{}".format, e, e), st.builds("-{}^2".format, e)), max_leaves=4)
+
+
+@st.composite
+def _operator_files(draw):
+    """An operator file by the grammar; a coefficient is sometimes token soup."""
+    names = draw(st.sampled_from([["u"], ["u", "v"]]))
+    pairs = st.sampled_from([f"{i},{j}" for i in range(1, len(names) + 1) for j in range(1, len(names) + 1)])
+    plain = [*names, "0", "1", "2", "3"]
+    coeff = st.one_of(_expr(plain + [f"{n}_{k}" for n in names for k in ("x", "2x")]), _soup(_EXPR, 6))
+    term = st.builds("{}*D^{}".format, coeff, st.integers(0, 3))
+    local = st.builds("local[{}]: {};".format, pairs, st.lists(term, min_size=1, max_size=3).map(" + ".join))
+    constant = st.sampled_from(["1", "-2/3", "(1/2)", "0", "u"])
+    tail = st.builds("nonlocal[{}]: {}*[{}|{}];".format, pairs, constant, coeff, coeff)
+    metric = st.builds("{}[{}]: {};".format, st.sampled_from("gw"), pairs,
+                       st.one_of(_expr(plain), _soup(_EXPR, 4)))
+    op = " ".join(draw(st.lists(st.one_of(local, tail), max_size=3)))
+    m = " ".join([f"g[{i},{i}]: 1;" for i in range(1, len(names) + 1)] + draw(st.lists(metric, max_size=3)))
+    return f"fields {', '.join(names)}; operator A {{ {op} }} firstorder M {{ {m} }}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.one_of(
+    st.binary(max_size=60), _soup(_TOKENS, 30).map(str.encode), _operator_files().map(str.encode)))
+@example(source=b"fields u;\n\xff")
+@example(source=f"fields u; operator A {{ local[1,1]: {'(' * 260}u{')' * 260}*D; }}".encode())
+@example(source=f"fields u; operator A {{ local[1,1]: {'-' * 2000}u*D; }}".encode())
+def test_main_on_arbitrary_input(tmp_path_factory, source):
+    path = tmp_path_factory.getbasetemp() / "fuzz.wno"
+    path.write_bytes(source)
+    for argv in (["check", "A"], ["geom", "M"], ["bracket", "A", "M"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2, 3)
+        assert not re.search(r"\b(nan|zoo)\b", out.getvalue())

@@ -132,7 +132,7 @@ class TestDerive:
         geo = derive_geometry(m)
         for i, j, k in itertools.product(range(2), repeat=3):
             assert sp.cancel(as_expr(geo.gamma)[i][j][k] - gamma[i][j][k]) == 0
-        g_up = sp.Matrix(m.g_upper)
+        g_up = sp.Matrix(as_expr(m.g))
         for i, j, k, l in itertools.product(range(2), repeat=4):
             raised = sp.cancel(
                 sum(g_up[j, s] * riemann[i][s][k][l] for s in range(2))
@@ -144,7 +144,7 @@ class TestDerive:
     def test_compatibility_identities_by_construction(self):
         m = sphere_metric()
         geo = derive_geometry(m)
-        g = sp.Matrix(m.g_upper)
+        g = sp.Matrix(as_expr(m.g))
         x = m.coords()
         for i, j, k in itertools.product(range(2), repeat=3):
             lhs = sp.diff(g[i, j], x[k])
@@ -187,7 +187,7 @@ class TestDerive:
         else:
             m = MetricData(F2, [[ONE, u2], [ZERO, 1 + u1]], zeros(2))
         geo = derive_geometry(m)
-        x, gamma, g = m.coords(), as_expr(geo.gamma), sp.Matrix(m.g_upper)
+        x, gamma, g = m.coords(), as_expr(geo.gamma), sp.Matrix(as_expr(m.g))
         r = range(2)
 
         def riemann(i, j, k, l):
@@ -212,10 +212,11 @@ class TestDerive:
 class TestLazyCurvature:
     def test_curvature_and_nabla_w_computed_on_first_read(self):
         m = sphere_metric()
-        geo = derive_geometry(m)
-        build_operator(m, geo)
+        build_operator(m)
+        geo = m.geometry
         assert "riemann_up" not in vars(geo) and "nabla_w" not in vars(geo)
-        check_conditions(m, geo)
+        check_conditions(m)
+        assert m.geometry is geo
         assert "riemann_up" in vars(geo) and "nabla_w" in vars(geo)
         first = geo.riemann_up, geo.nabla_w
         assert geo.riemann_up is first[0] and geo.nabla_w is first[1]
@@ -235,7 +236,7 @@ class TestConditions:
         u1 = F2.jet(1, 0)
         m = sphere_metric()
         w = [[ONE, u1], [ZERO, ONE]]
-        checks = check_conditions(MetricData(F2, m.g_upper, w))
+        checks = check_conditions(MetricData(F2, m.g, w))
         failing = {c.name for c in checks if not c.ok}
         assert failing & {"nablaW_symmetry", "gauss_relation", "gW_symmetry"}
         assert all(c.witness for c in checks if not c.ok)

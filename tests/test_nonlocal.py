@@ -73,9 +73,7 @@ class TestIntegrateDensity:
         assert not res.ok
         assert res.residual == Y
         # the failure is forced: the odd-slot variational derivative is 2 p_x
-        from wno.jetcalc import var_deriv
-
-        assert var_deriv(Y, 1, "odd", F) == SuperPoly.monomial(2, [p(1, 1)])
+        assert euler_lagrange(Y, F).dp[0] == SuperPoly.monomial(2, [p(1, 1)])
 
     @pytest.mark.parametrize(
         "piece", [sp.log(u), sp.atan(u), ratint(1 / (u**3 + u + 1), u, real=False)]
@@ -102,7 +100,7 @@ class TestIntegrateDensity:
     def test_nonlocal_input_fails(self):
         table, rid = make_table()
         Y = SuperPoly.monomial(1, [p(1, 1), table.factor(rid)])
-        assert not integrate_density(Y, F, table).ok
+        assert not integrate_density(Y, F).ok
 
     def test_back_substitution_on_random_divergences(self):
         rng = random.Random(23)
@@ -286,7 +284,7 @@ class TestSplitAndReduce:
             for t in reduced:
                 total = total + t.as_superpoly(table)
             after = el_nonlocal(total, F, table)
-            assert before.el.equals(after.el)
+            assert before.el == after.el
 
     def test_two_tail_fallback_rule_against_local_oracle(self):
         # Suffix densities are exact with explicit local antiderivatives
@@ -329,4 +327,4 @@ class TestSplitAndReduce:
         for t in reduced:
             total = total + t.as_superpoly(table)
         via_reduction = el_nonlocal(total, F, table)
-        assert direct.el.equals(via_reduction.el)
+        assert direct.el == via_reduction.el

@@ -169,7 +169,7 @@ class TestBracket:
             Q = op_local([(random_coeff(rng, F, 1), rng.randint(0, 3))])
             a = schouten_bracket(P, Q)
             b = schouten_bracket(Q, P)
-            assert a.el.equals(b.el)
+            assert a.el == b.el
 
     def test_symmetry_with_distinct_tails_shared_table(self):
         P = kn_operator()
@@ -177,7 +177,7 @@ class TestBracket:
         table = NonlocalVarTable()
         a = schouten_bracket(P, Q, table)
         b = schouten_bracket(Q, P, table)
-        assert a.el.equals(b.el)
+        assert a.el == b.el
 
     def test_bilinearity_in_second_slot(self):
         rng = random.Random(37)
@@ -187,7 +187,7 @@ class TestBracket:
             Q2 = op_local([(random_coeff(rng, F, 1), rng.randint(0, 2))])
             lhs = schouten_bracket(P, Q1 + Q2).el
             rhs = schouten_bracket(P, Q1).el + schouten_bracket(P, Q2).el
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
     def test_quadratic_scaling(self):
         rng = random.Random(41)
@@ -195,7 +195,7 @@ class TestBracket:
             P = op_local([(random_coeff(rng, F, 1), rng.randint(0, 3))])
             lhs = schouten_bracket(P.scale(c), P.scale(c)).el
             rhs = schouten_bracket(P, P).el.scale(c**2)
-            assert lhs.equals(rhs)
+            assert lhs == rhs
 
 
 class TestVerdicts:
@@ -352,7 +352,7 @@ def _pencil_sides(P, Q, lam):
 def test_pencil_bilinearity_fixed_pair():
     lhs, rhs, pq = _pencil_sides(op_local(_VIRASORO), op_local(_SECOND), sp.Rational(2, 3))
     assert not pq.is_zero()
-    assert lhs.equals(rhs)
+    assert lhs == rhs
 
 
 @settings(max_examples=15, deadline=None)
@@ -363,4 +363,4 @@ def test_pencil_bilinearity_fixed_pair():
 )
 def test_pencil_bilinearity(p_rows, q_rows, lam):
     lhs, rhs, _ = _pencil_sides(op_local(p_rows), op_local(q_rows), lam)
-    assert lhs.equals(rhs)
+    assert lhs == rhs
