@@ -11,7 +11,9 @@ jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
 by construction, so zeros are dropped as they arise; their own type
 ``_Frac`` keeps them reduced with gcds of factors only, ``_fsum`` reduces a
 many-term sum once, and gcds of two polynomials of two or more terms each are
-memoised in sympy's cache, which ``clear_cache`` empties.  Each value carries
+memoised in sympy's cache, which ``clear_cache`` empties.  Their numerators
+and denominators are ``_Poly``, whose arithmetic within one ring works on the
+term dicts without sympy's dispatch, as ``D_x`` (``jetcalc._chain``) does.  Each value carries
 its field; an operation on values from two fields lifts both into the field
 over the union of their generators, by a per-pair map of exponent positions.
 Fields are memoised per generator set, in the order ``sympy.cancel`` uses.
@@ -28,6 +30,7 @@ may repeat inside a word; odd factors anticommute and square to zero.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import gcd
@@ -141,6 +144,90 @@ class _Frac(FracElement):
         return self._signed(num, _times(_times(d, d), h))
 
 
+class _Poly(PolyElement):
+    """A ``coeff_field`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
+    (``==`` also with an ``int``), ``diff``, ``LC`` and ``_gcd_monom`` take one pass over the term
+    dicts, without sympy's ring test; other operands take sympy's methods, gcds its ``heugcd``."""
+
+    __hash__ = PolyElement.__hash__  # defining __eq__ would drop it; _cofactors keys on it
+
+    def __eq__(p1, p2):
+        if p2.__class__ is _Poly and p2.ring is p1.ring:
+            return dict.__eq__(p1, p2)
+        if p2.__class__ is int:
+            return not p1 if not p2 else len(p1) == 1 and p1.get(p1.ring.zero_monom) == p2
+        return PolyElement.__eq__(p1, p2)
+
+    def __ne__(p1, p2):
+        return not p1.__eq__(p2)
+
+    def __neg__(self):
+        return _Poly(self.ring, {m: -c for m, c in self.items()})
+
+    def __add__(p1, p2):
+        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
+            return PolyElement.__add__(p1, p2)
+        return _collect(p1.ring, p1, p2.items())
+
+    def __sub__(p1, p2):
+        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
+            return PolyElement.__sub__(p1, p2)
+        return _collect(p1.ring, p1, p2.items(), -1)
+
+    def __mul__(p1, p2):
+        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
+            return PolyElement.__mul__(p1, p2)
+        if len(p1) < len(p2):
+            p1, p2 = p2, p1
+        mul, p = p1.ring.monomial_mul, _Poly(p1.ring, ())
+        if len(p2) == 1:  # no two products share a monomial, and over ZZ none is zero
+            (m2, c2), = p2.items()
+            p.update((mul(m1, m2), c1 * c2) for m1, c1 in p1.items())
+            return p
+        get = p.get
+        for m2, c2 in p2.items():
+            for m1, c1 in p1.items():
+                m = mul(m1, m2)
+                c = get(m, 0) + c1 * c2
+                if c:
+                    p[m] = c
+                else:
+                    del p[m]
+        return p
+
+    def _gcd_monom(f, g):
+        """``(h, f/h, g/h)`` for a monomial ``f``, in one pass over ``g`` that stops at a gcd of 1."""
+        ring, ((mf, cf),) = f.ring, f.items()
+        m, c = mf, cf
+        for mg, cg in g.items():
+            m, c = ring.monomial_gcd(m, mg), gcd(c, cg)
+            if c == 1 and m == ring.zero_monom:
+                return ring.one, f, g
+        div, new = ring.monomial_ldiv, f.new
+        return new({m: c}), new({div(mf, m): cf // c}), new({div(mg, m): cg // c for mg, cg in g.items()})
+
+    def diff(f, x):
+        i = f.ring.index(x)  # no two terms of f differentiate to the same monomial
+        return _Poly(f.ring, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in f.items() if m[i]})
+
+    @property
+    def LC(self):
+        return self[max(self)] if self else 0  # every coeff_field ring is lex
+
+
+def _collect(ring, start, terms, sign: int = 1) -> _Poly:
+    """``start`` plus ``sign`` times the (monomial, coefficient) ``terms``, zeros dropped as they arise."""
+    p = _Poly(ring, start)
+    get = p.get
+    for m, c in terms:
+        c = get(m, 0) + sign * c
+        if c:
+            p[m] = c
+        else:
+            del p[m]
+    return p
+
+
 def _times(p, q):
     """``p * q`` for polynomials, skipping the pass over terms when either is 1."""
     return q if p == 1 else p if q == 1 else p * q
@@ -183,18 +270,21 @@ _FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
 
 
 def coeff_field(symbols: Iterable[sp.Symbol]) -> FracField:
-    """The field QQ(symbols) of ``_Frac`` elements, one instance per generator set,
-    built as the fraction field of ZZ[symbols], whose gcds need no change of domain."""
+    """The field QQ(symbols) of ``_Frac`` elements over ``_Poly`` polynomials, one instance
+    per generator set: the fraction field of ZZ[symbols], whose gcds need no change of domain."""
     key = frozenset(symbols)
     field = _FIELDS.get(key)
     if field is None:
         field = _FIELDS[key] = FracField(tuple(_sort_gens(key)), ZZ, lex)
-        field.dtype = _Frac(field, field.ring.zero).raw_new
-        field.zero, field.one = field.dtype(field.ring.zero), field.dtype(field.ring.one)
-        plain, field.gens = field.gens, field._gens()
-        for sym, was, gen in zip(field.symbols, plain, field.gens):
-            if vars(field).get(sym.name) is was:  # the by-name attributes sympy set
-                setattr(field, sym.name, gen)
+        ring = field.ring
+        for domain, dtype in ((ring, _Poly(ring, ()).new), (field, _Frac(field, ring.zero).raw_new)):
+            domain.dtype = dtype
+            plain, domain.gens = domain.gens, domain._gens()
+            for sym, was, gen in zip(domain.symbols, plain, domain.gens):
+                if vars(domain).get(sym.name) is was:  # the by-name attributes sympy set
+                    setattr(domain, sym.name, gen)
+        ring._gens_set = set(ring.gens)  # sympy's in-place methods copy these first
+        field.zero, field.one = field.dtype(ring.zero), field.dtype(ring.one)
     return field
 
 
@@ -329,6 +419,11 @@ def _lead_rational(c: FracElement) -> tuple[int, int]:
     return num[0][1] if len(num) == 1 else 1, den[0][1] if len(den) == 1 else 1
 
 
+def _jet_name(base: str, order: int) -> str:
+    """``base``, ``base_x``, ``base_2x``, ... at derivative ``order``."""
+    return base if order == 0 else f"{base}_x" if order == 1 else f"{base}_{order}x"
+
+
 @dataclass(frozen=True)
 class Fields:
     """Declared dependent variables; owns the jet-symbol naming scheme.
@@ -361,12 +456,7 @@ class Fields:
             raise ValueError(f"field index {index} out of range 1..{self.n}")
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        base = self.names[index - 1]
-        if order == 0:
-            return sp.Symbol(base)
-        if order == 1:
-            return sp.Symbol(f"{base}_x")
-        return sp.Symbol(f"{base}_{order}x")
+        return sp.Symbol(_jet_name(self.names[index - 1], order))
 
     def classify(self, sym: sp.Symbol) -> tuple[int, int] | None:
         """Map a symbol back to ``(field_index, order)``, or None."""
@@ -398,27 +488,25 @@ class Fields:
         return out
 
 
-@dataclass(frozen=True, order=False)
-class OddFactor:
+class OddFactor(namedtuple("_Factor", "kind index order parity")):
     """One anticommuting (or even nonlocal) factor of a word.
 
     kind ``"p"``: dual jet factor of field ``index`` at derivative ``order``.
     kind ``"nl"``: nonlocal variable with registration id ``index``; its
-    parity equals the parity of its defining density.
+    parity equals the parity of its defining density.  A tuple, so that
+    words hash and compare in C.
     """
 
-    kind: str
-    index: int
-    order: int = 0
-    parity: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("p", "nl"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
-        if self.kind == "p" and self.parity != 1:
+    def __new__(cls, kind: str, index: int, order: int = 0, parity: int = 1):
+        if kind not in ("p", "nl"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        if kind == "p" and parity != 1:
             raise ValueError("jet factors are always odd")
-        if self.order < 0:
+        if order < 0:
             raise ValueError("derivative order must be nonnegative")
+        return tuple.__new__(cls, (kind, index, order, parity))
 
     def sort_key(self) -> tuple[int, int, int]:
         if self.kind == "p":
@@ -490,10 +578,6 @@ class SuperPoly:
     @staticmethod
     def scalar(value) -> "SuperPoly":
         return SuperPoly({(): value})
-
-    @staticmethod
-    def one() -> "SuperPoly":
-        return SuperPoly.scalar(1)
 
     @staticmethod
     def factor(f: OddFactor) -> "SuperPoly":
@@ -577,13 +661,10 @@ class SuperPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def equals(self, other: "SuperPoly") -> bool:
-        return (self - other).is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self.equals(other)
+        return (self - other).is_zero()
 
     __hash__ = None  # semantic equality is not hash-compatible
 
@@ -662,12 +743,7 @@ def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None 
         if names and f.index in names:
             return names[f.index]
         return f"r{f.index}"
-    base = "p" if fields.n == 1 else f"p{f.index}"
-    if f.order == 0:
-        return base
-    if f.order == 1:
-        return base + "_x"
-    return f"{base}_{f.order}x"
+    return _jet_name("p" if fields.n == 1 else f"p{f.index}", f.order)
 
 
 def render_superpoly(

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .algebra import Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
-from .geometry import MetricData, SingularMetricError, build_operator, check_conditions
+from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
 from .nonlocal_vars import NonlocalVarTable, UnsupportedStructureError
 from .schouten import WNOperator, is_hamiltonian, schouten_bracket
@@ -58,7 +58,7 @@ def _get_operator(doc: OperatorFile, name: str) -> WNOperator:
     if name in doc.operators:
         return doc.operators[name]
     if name in doc.firstorder:
-        return build_operator(doc.firstorder[name])
+        return doc.firstorder[name].operator
     raise SystemExitWith(EXIT_USAGE, f"no operator or firstorder block named {name!r}")
 
 
@@ -163,7 +163,7 @@ def cmd_geom(doc: OperatorFile, args) -> int:
     metric: MetricData = doc.firstorder[args.name]
     checks = check_conditions(metric)
     all_pass = all(c.ok for c in checks)
-    cross = is_hamiltonian(build_operator(metric))
+    cross = is_hamiltonian(metric.operator)
     agrees = all_pass == cross.ok
     verdict = all_pass and cross.ok
     payload = {

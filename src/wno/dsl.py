@@ -392,7 +392,8 @@ class Parser:
     def parse_power(self) -> FracElement:
         tok = self.peek()
         base = self.parse_atom()
-        if self.peek().text == "^":
+        # a signed atom has taken its exponent already: -u^2 is -(u^2), and -u^2^2 is refused
+        if tok.text not in ("-", "+") and self.peek().text == "^":
             self.next()
             neg = False
             if self.peek().text == "-":

@@ -71,6 +71,11 @@ class MetricData:
         """The geometry of this metric data, derived on first read."""
         return derive_geometry(self)
 
+    @cached_property
+    def operator(self) -> WNOperator:
+        """The operator of this metric data, assembled on first read."""
+        return build_operator(self)
+
 
 @dataclass
 class DerivedGeometry:

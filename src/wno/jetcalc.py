@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, coeff_field, normalize_word, p
+from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, _collect, coeff_field, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -42,9 +42,9 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     K = coeff_field(symbols + [s for d in densities.values() for s in d.field.symbols])
     a = a.set_field(K)
     densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
-    ring = K.ring
-    gen = dict(zip(K.symbols, ring.gens))
-    chain = [(gen[s], gen[t]) for s, t in raised.items()]
+    at = {s: i for i, s in enumerate(K.symbols)}
+    moves = {at[s]: at[t] for s, t in raised.items()}  # position of a jet -> of its next-order jet
+    step = [(i, tuple((k == j) - (k == i) for k in range(K.ngens))) for i, j in moves.items()]
 
     acc: dict[Word, object] = {}
 
@@ -55,8 +55,7 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
 
     for word, coeff in a.terms.items():
         # the quotient rule, with ' the total derivative of a polynomial
-        put(word, coeff._quotient_rule(*(sum((q.diff(x) * y for x, y in chain), ring.zero)
-                                         for q in (coeff.numer, coeff.denom))))
+        put(word, coeff._quotient_rule(_chain(coeff.numer, step), _chain(coeff.denom, step)))
         for pos, f in enumerate(word):
             if f.kind == "p":
                 repl = word[:pos] + (p(f.index, f.order + 1),) + word[pos + 1 :]
@@ -67,6 +66,12 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
                     sign, nw = normalize_word(word[:pos] + dw + word[pos + 1 :])
                     put(nw, coeff * dc if sign > 0 else -(coeff * dc))
     return SuperPoly(acc, K)
+
+
+def _chain(q, step: list[tuple[int, tuple]]):
+    """``D_x q`` in one pass: an exponent ``e = m[i] > 0`` gives ``e`` times ``m`` shifted by ``d``."""
+    mul = q.ring.monomial_mul
+    return _collect(q.ring, (), ((mul(m, d), c * m[i]) for m, c in q.items() for i, d in step if m[i]))
 
 
 def total_x_pow(a: SuperPoly, order: int, fields: Fields, table=None) -> SuperPoly:
@@ -157,12 +162,10 @@ class LinearizationOp:
         du = [SuperPoly.zero() for _ in range(n)]
         dp = [SuperPoly.zero() for _ in range(n)]
         for (slot, i), entries in self.rows.items():
+            out = du if slot == "u" else dp
             for coeff, order in entries:
                 if order == 0:
-                    if slot == "u":
-                        du[i - 1] = du[i - 1] + coeff
-                    else:
-                        dp[i - 1] = dp[i - 1] + coeff
+                    out[i - 1] = out[i - 1] + coeff
         return ELResult(tuple(du), tuple(dp))
 
 

@@ -14,11 +14,14 @@ from sympy import ZZ
 from sympy.core import cache as sympy_cache
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
 import wno
 from wno.algebra import (
     Fields,
+    OddFactor,
     SuperPoly,
+    _Poly,
     _cofactors,
     _coeff_text,
     _Frac,
@@ -70,6 +73,20 @@ class TestNormalize:
         b = SuperPoly.from_terms([(1, [p(1), y])])
         assert a == b
         assert not SuperPoly.from_terms([(1, [y, y])]).is_zero()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("q", 1), "unknown factor kind 'q'"),
+            (("p", 1, 0, 0), "jet factors are always odd"),
+            (("p", 1, -1), "derivative order must be nonnegative"),
+            (("nl", 1, -1, 0), "derivative order must be nonnegative"),
+        ],
+    )
+    def test_factor_validation(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            OddFactor(*args)
+        assert OddFactor("nl", 3, 0, 0) == nl(3, 0) and hash(p(2, 1)) == hash(OddFactor("p", 2, 1))
 
     def test_normalize_word_sign(self):
         sign, word = normalize_word((p(1, 1), nl(1), p(1, 3)))
@@ -399,8 +416,17 @@ def test_sympy_field_classes_stay_unpatched():
         method = vars(FracElement)[name]
         assert method.__module__ == "sympy.polys.fields"
         assert method.__qualname__ == f"FracElement.{name}"
-    assert type(FracField(sp.symbols("u v"), ZZ, lex).one) is FracElement
-    assert type(coeff_field(sp.symbols("u v")).one) is not FracElement
+    for name in ("__eq__", "__ne__", "__hash__", "__neg__", "__add__", "__sub__", "__mul__",
+                 "_gcd_monom", "diff", "LC"):
+        method = vars(PolyElement)[name]
+        method = getattr(method, "fget", method)
+        assert method.__module__ == "sympy.polys.rings"
+        assert method.__qualname__ == f"PolyElement.{name}"
+    gens = sp.symbols("u v")
+    assert type(FracField(gens, ZZ, lex).one) is FracElement
+    assert type(PolyRing(gens, ZZ, lex).one) is PolyElement
+    assert type(coeff_field(gens).one) is not FracElement
+    assert type(coeff_field(gens).ring.one) is _Poly
 
 
 def test_generator_attributes_are_field_elements():
@@ -447,6 +473,47 @@ def test_fsum_of_no_terms_zeros_and_one_term():
 def test_cofactors_match_sympy(p, q):
     p, q = (_ARITH.ring(dict(x)) for x in (p, q))
     assert _cofactors(p, q) == p.cofactors(q)
+
+
+# The rings' own element type against sympy's PolyRing over the same generators:
+# operands share a planted factor, so that gcds are nontrivial; monomial
+# operands take the one-pass monomial gcd.
+def _mine(x):
+    return _ARITH.ring(dict(x))
+
+
+def _same_poly(ours, theirs):
+    assert type(ours) is _Poly and ours.ring is _ARITH.ring
+    assert dict(ours) == dict(theirs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _any_poly | st.just(_SYMPY.ring.zero),
+    _any_poly | st.just(_SYMPY.ring.zero),
+    _any_poly,
+    _ring_polys("monomial"),
+    st.integers(-3, 3),
+)
+def test_poly_arithmetic_matches_sympy(x, y, f, m, k):
+    x, y = x * f, y * f
+    a, b, c = _mine(x), _mine(y), _mine(m)
+    _same_poly(a + b, x + y)
+    _same_poly(a - b, x - y)
+    _same_poly(-a, -x)
+    _same_poly(a * b, x * y)
+    _same_poly(a * c, x * m)
+    assert (a == b, a != b, a == k, a != k) == (x == y, x != y, x == k, x != k)
+    const = x.get(x.ring.zero_monom, 0)
+    assert (a == const, a != const) == (x == const, x != const)
+    assert a == _mine(x) and hash(a) == hash(_mine(x)) == hash(x)
+    assert hash(a * b) == hash(b * a) and hash(a + b - b) == hash(a)
+    for ours, theirs in zip(_ARITH.ring.gens, _SYMPY.ring.gens):
+        _same_poly(a.diff(ours), x.diff(theirs))
+    assert a.LC == x.LC
+    for (p_, q_), (s_, t_) in (((a, b), (x, y)), ((a, c), (x, m)), ((c, a), (m, x))):
+        for ours, theirs in zip(p_.cofactors(q_), s_.cofactors(t_)):
+            _same_poly(ours, theirs)
 
 
 @pytest.mark.skipif(sympy_cache.USE_CACHE != "yes", reason="sympy's cache is switched off")

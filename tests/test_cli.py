@@ -107,6 +107,14 @@ class TestExitCodes:
         assert f"deep.wno:3:{col}: nesting exceeds the bound 100" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_signed_power_takes_one_exponent(self, tmp_path):
+        f = tmp_path / "pow.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: -u^2^2*D;\n}\n")
+        proc = run_cli("check", str(f), "P")
+        assert proc.returncode == 2
+        assert "pow.wno:3:19: expected ';', got '^'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_derivative_order_bound(self, tmp_path):
         f = tmp_path / "big.wno"
         f.write_text("fields u;\noperator P {\n  local[1,1]: D^100000;\n}\n")
@@ -254,6 +262,8 @@ class TestOnceByConstruction:
             ("geom firstorder.wno sphere", 1),
             ("bracket mkdv.wno mkdv2 mkdv2", 1),
             ("bracket mkdv.wno mkdv2 kdv", 2),
+            ("bracket firstorder.wno sphere sphere", 1),
+            ("bracket firstorder.wno sphere flatbad", 2),
         ],
     )
     def test_skew_tested_once_per_operand(self, monkeypatch, capsys, argv, operands):
@@ -262,6 +272,16 @@ class TestOnceByConstruction:
         assert main([command, str(CASES / name), *rest]) in (0, 1)
         capsys.readouterr()
         assert len(calls) == operands
+
+    def test_firstorder_self_bracket_builds_one_operator(self, monkeypatch, capsys, tmp_path):
+        built = self.counted(monkeypatch, wno.geometry, "build_operator")
+        el = self.counted(monkeypatch, wno.schouten, "el_nonlocal")
+        f = tmp_path / "skewed.wno"  # g is not symmetric, so the operator is not skew-adjoint
+        f.write_text("fields u1, u2; firstorder m { g[1,1]: 1; g[1,2]: 1; g[2,2]: 1; }")
+        assert main(["bracket", str(f), "m", "m"]) == 0
+        out = capsys.readouterr().out
+        assert (len(built), len(el)) == (1, 2)
+        assert "warning: operator is not skew-adjoint" in out
 
 
 # -- fuzzing the command line ----------------------------------------------------

@@ -6,6 +6,7 @@ import sympy as sp
 from wno.dsl import MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
 
+u = sp.Symbol("u")
 
 KN_SOURCE = "fields u; operator KN { nonlocal[1,1]: 1*[u_x|u_x]; }"
 
@@ -128,6 +129,18 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="integer literal exceeds 4300 digits") as err:
             parse(f"fields u; operator A {{ local[1,1]: {'7' * 4301}*D; }}")
         assert (err.value.line, err.value.col) == (1, 36)
+
+    @pytest.mark.parametrize("entry, col", [("u^2^2*D", 39), ("-u^2^2*D", 40)])
+    def test_one_exponent_per_power(self, entry, col):
+        with pytest.raises(ParseError, match="expected ';', got '\\^'") as err:
+            parse(f"fields u; operator A {{ local[1,1]: {entry}; }}")
+        assert (err.value.line, err.value.col) == (1, col)
+
+    @pytest.mark.parametrize("entry, value", [("-u^2*D", -u**2), ("(-u)^2*D", u**2)])
+    def test_sign_binds_looser_than_power(self, entry, value):
+        op = parse(f"fields u; operator A {{ local[1,1]: {entry}; }}").operators["A"]
+        (coeff, order), = op.local[0][0]
+        assert order == 1 and coeff.as_expr() == value
 
     def test_d_outside_local(self):
         with pytest.raises(ParseError):

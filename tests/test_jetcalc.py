@@ -114,7 +114,7 @@ class TestLinearize:
         op = linearize(SuperPoly.scalar(u_x), F)
         assert set(op.rows) == {("u", 1)}
         [(coeff, order)] = op.rows[("u", 1)]
-        assert order == 1 and coeff == SuperPoly.one()
+        assert order == 1 and coeff == SuperPoly.scalar(1)
 
     def test_linearize_square_is_multiplication(self):
         op = linearize(SuperPoly.scalar(u**2), F)
@@ -138,7 +138,7 @@ class TestLinearize:
             op = linearize(a, F)
             assert adjoint(adjoint(op)).equals(op)
         for k in range(4):
-            row = {("u", 1): [(SuperPoly.one(), k)]}
+            row = {("u", 1): [(SuperPoly.scalar(1), k)]}
             op = LinearizationOp(F, row)
             expected = LinearizationOp(
                 F, {("u", 1): [(SuperPoly.scalar((-1) ** k), k)]}

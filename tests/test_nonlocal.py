@@ -304,7 +304,7 @@ class TestSplitAndReduce:
         oracle = euler_lagrange((B * eta_r * eta_s).canonical(), F)
         assert not (B * eta_r * eta_s).is_zero()
         for got, want in zip(comp.el.du + comp.el.dp, oracle.du + oracle.dp):
-            assert substitute_nonlocals(got, honest).equals(want)
+            assert substitute_nonlocals(got, honest) == want
 
     def test_two_tail_el_agrees_with_reduction(self):
         # Exact prefactor and exact suffix densities: both EL routes are

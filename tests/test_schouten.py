@@ -364,3 +364,40 @@ def test_pencil_bilinearity_fixed_pair():
 def test_pencil_bilinearity(p_rows, q_rows, lam):
     lhs, rhs, _ = _pencil_sides(op_local(p_rows), op_local(q_rows), lam)
     assert lhs == rhs
+
+
+# With one tail each, skew local parts whose coefficients depend on u alone
+# (a constant multiple of D^3 plus 2c D + D(c)) and tail vectors f(u) u_x with
+# monomial denominators, the densities the four brackets meet either integrate
+# or are rational multiples of ones already in the shared table, so the
+# identity holds term by term in the nonlocal variables.  Outside this family
+# it can fail: a local coefficient in u_x can make one formal density the sum
+# of others, and the table misses a rational multiple whose leading
+# coefficient has a polynomial denominator (see ROADMAP.md, robustness oracles).
+_TAIL_VECTORS = st.sampled_from([u_x, u * u_x, u**2 * u_x, u_x / u])
+_u_coefficients = st.builds(
+    lambda a, b, c: (a + b * u) / c, _constants, _constants, st.sampled_from([1, 1 + u, 1 + u**2, u])
+)
+
+
+@st.composite
+def _skew_operators_with_tail(draw):
+    c = draw(_u_coefficients)
+    rows = [(draw(_constants), 3), (2 * c, 1), (_oracle_dx(c), 0)]
+    w = draw(_TAIL_VECTORS)
+    return WNOperator(F, [[rows]], [Tail(draw(_constants), (w,), (w,))])
+
+
+def test_pencil_bilinearity_with_tails_fixed_pair():
+    P = WNOperator(F, [[_VIRASORO]], [Tail(sp.Integer(1), (u_x,), (u_x,))])
+    Q = WNOperator(F, [[_SECOND]], [Tail(sp.Rational(-2, 3), (u * u_x,), (u * u_x,))])
+    lhs, rhs, pq = _pencil_sides(P, Q, sp.Rational(2, 3))
+    assert not pq.is_zero()
+    assert lhs == rhs
+
+
+@settings(max_examples=15, deadline=None)
+@given(_skew_operators_with_tail(), _skew_operators_with_tail(), _constants)
+def test_pencil_bilinearity_with_tails(P, Q, lam):
+    lhs, rhs, _ = _pencil_sides(P, Q, lam)
+    assert lhs == rhs
