@@ -6,20 +6,22 @@ order (jet factors sorted by field and derivative order, then nonlocal
 factors sorted by registration id), so that two values are equal exactly
 when their term maps agree coefficient-wise.
 
-Coefficients are elements of a field QQ(x1..xm) of rational functions of
-jet symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical
-by construction, so zeros are dropped as they arise; their own type
-``_Frac`` keeps them reduced with gcds of factors only, ``_fsum`` reduces a
-many-term sum once, and gcds of two polynomials of two or more terms each are
-memoised in sympy's cache, which ``clear_cache`` empties.  Their numerators
-and denominators are ``_Poly``, whose arithmetic within one ring works on the
-term dicts without sympy's dispatch, as ``D_x`` (``jetcalc._chain``) does.  Each value carries
-its field; an operation on values from two fields lifts both into the field
-over the union of their generators, by a per-pair map of exponent positions.
-Fields are memoised per generator set, in the order ``sympy.cancel`` uses.
-Sympy expressions appear only at the edges: they are converted on
-construction (rational numbers go straight in), and ``_coeff_text`` writes a
-coefficient as ``str(c.as_expr())``, how ``sympy.cancel`` of the same
+Coefficients are elements of a field QQ(x1..xm) of rational functions of jet
+symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical by
+construction, so zeros are dropped as they arise; their own type ``_Frac``
+keeps them reduced with gcds of factors only, ``_fsum`` reduces a many-term
+sum once, and gcds of two polynomials of two or more terms each are memoised
+in sympy's cache, which ``clear_cache`` empties.  Their numerators and
+denominators are ``_Poly``, whose arithmetic within one ring works on the term
+dicts without sympy's dispatch, as ``D_x`` (``_d_x``) does.  Each value
+carries its field; an operation on values from two fields lifts both into the
+field over the union of their generators, by a per-pair map of exponent
+positions.  Fields are memoised per generator set, in the order
+``sympy.cancel`` uses.  Only this module imports sympy or reads a
+coefficient's terms; other modules hold coefficients as ``Coeff`` and use its
+private helpers.  Scalars come in as ``int``, ``Fraction`` or sympy
+``Rational``, expressions are converted on construction, and ``_coeff_text``
+writes a coefficient as ``str(c.as_expr())``, how ``sympy.cancel`` of the same
 function prints, from the terms of its numerator and denominator.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
@@ -32,6 +34,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, reduce
 from math import gcd
 from operator import itemgetter
@@ -40,30 +43,27 @@ from typing import Iterable, Mapping
 import sympy as sp
 from sympy import ZZ
 from sympy.core.cache import cacheit
+from sympy.integrals.rationaltools import ratint
+from sympy.polys.domains import FractionField
 from sympy.polys.fields import FracElement, FracField
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 from sympy.polys.orderings import lex
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement
 
-Expr = sp.Expr
+Coeff = FracElement  # a coefficient: an element of a ``coeff_field``
+Jet = sp.Symbol  # a jet variable, as ``Fields.jet`` names it
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 _SUFFIX_RE = re.compile(r"^(\d*)x$")
+_RATIONALS = (int, Fraction, sp.Rational)  # exact scalars, read by numerator and denominator
 
 
-def as_coeff(value) -> Expr | FracElement:
-    """Coerce a coefficient to an exact sympy expression or field element.
-
-    Floats are rejected: every verdict downstream is an algebraic identity
-    and must not depend on rounding.
-    """
-    if isinstance(value, (sp.Expr, FracElement)):
-        return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"inexact coefficient {value!r}; use integers or rationals")
-    if isinstance(value, int):
-        return sp.Integer(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+def _rational(field: FracField, q) -> "_Frac":
+    """The rational number ``q``, one of ``_RATIONALS``, in ``field``."""
+    ground = field.ring.ground_new
+    return field.raw_new(ground(q.numerator), ground(q.denominator))
 
 
 class _Frac(FracElement):
@@ -73,10 +73,10 @@ class _Frac(FracElement):
     leading denominator coefficient is unique, so the results are sympy's own."""
 
     def _own(self, g) -> "_Frac | None":
-        """``g`` in this field if it is an ``int`` or of this field, else None."""
-        if isinstance(g, int):
-            return self.raw_new(self.field.ring.ground_new(g))
-        return g if isinstance(g, _Frac) and g.field is self.field else None
+        """``g`` in this field if it is a rational number or of this field, else None."""
+        if isinstance(g, _Frac):
+            return g if g.field is self.field else None
+        return _rational(self.field, g) if isinstance(g, _RATIONALS) else None
 
     def _signed(self, num, den) -> "_Frac":
         """``num/den`` for coprime ``num`` and ``den``, with the canonical sign."""
@@ -115,10 +115,6 @@ class _Frac(FracElement):
         if b != 1:
             _, c, b = _cofactors(c, b)
         return self._signed(_times(a, c), _times(b, d))
-
-    def __radd__(self, other):
-        g = self._own(other)
-        return super().__radd__(other) if g is None else self + g
 
     def __rmul__(self, other):
         g = self._own(other)
@@ -308,18 +304,25 @@ def _lift(c: FracElement, field: FracField, names: tuple | None = None) -> FracE
 def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[FracElement]]:
     """A field holding ``field`` and every value, and the values in it.
 
-    Raises ValueError for an expression that is not a rational function of
-    its symbols (``log``, ``atan``, ``RootSum``, unevaluated integrals).
+    Raises TypeError for a value that is no field element, expression or
+    rational number (a float too: every verdict is an algebraic identity)
+    and ValueError for an expression that is not a rational function of its
+    symbols (``log``, ``atan``, ``RootSum``).
     """
-    values = [as_coeff(v) for v in values]
+    values = list(values)
     symbols = set()
     for v in values:
-        symbols.update(v.field.symbols if isinstance(v, FracElement) else v.free_symbols)
+        if isinstance(v, FracElement):
+            symbols.update(v.field.symbols)
+        elif isinstance(v, sp.Expr):
+            symbols.update(v.free_symbols)
+        elif isinstance(v, bool) or not isinstance(v, _RATIONALS):
+            raise TypeError(f"cannot use {v!r} as a coefficient; use integers or rationals")
     if field is None or not symbols.issubset(field.symbols):
         field = coeff_field(symbols.union(field.symbols) if field else symbols)
     return field, [
         _lift(v, field) if isinstance(v, FracElement)
-        else field.raw_new(field.ring(v.p), field.ring(v.q)) if v.is_Rational
+        else _rational(field, v) if isinstance(v, _RATIONALS)
         else _canonical(field.from_expr(v))
         for v in values
     ]
@@ -328,6 +331,45 @@ def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[Fr
 def _canonical(c: FracElement) -> FracElement:
     """``c`` with the denominator sign ``cancel`` gives; ``from_expr`` skips it on 1/x**k."""
     return c.raw_new(-c.numer, -c.denom) if c.denom.LC < 0 else c
+
+
+def _d_x(field: FracField, raised: Mapping[sp.Symbol, sp.Symbol]):
+    """``D_x`` on ``field``, which holds each jet present and, as ``raised[jet]``, its
+    next-order jet.  Each numerator and denominator takes one pass (the chain rule: an
+    exponent ``e = m[i] > 0`` gives ``e`` times ``m`` shifted by ``d``), then ``_quotient_rule``."""
+    at, ring = {s: i for i, s in enumerate(field.symbols)}, field.ring
+    step = [(at[s], tuple((k == at[t]) - (k == at[s]) for k in range(field.ngens)))
+            for s, t in raised.items()]
+    mul = ring.monomial_mul
+
+    def chain(q):
+        return _collect(ring, (), ((mul(m, d), c * m[i]) for m, c in q.items() for i, d in step if m[i]))
+
+    return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
+
+
+def _inverse(rows: list[list[FracElement]], field: FracField) -> list[list[FracElement]] | None:
+    """The inverse of a square matrix over ``field``, or None when it is singular."""
+    try:
+        return DomainMatrix(rows, (len(rows), len(rows)), FractionField(field)).inv().to_list()
+    except DMNonInvertibleMatrixError:
+        return None
+
+
+def _ratint(c: FracElement, x: sp.Symbol) -> FracElement | None:
+    """An antiderivative of ``c`` in ``x``, or None when it is not a rational function:
+    ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
+    anti = ratint(c.as_expr(), x, real=False)
+    try:
+        return _into(None, [anti])[1][0]
+    except ValueError:  # log, atan, RootSum, ...
+        return None
+
+
+def _two_point(field: FracField) -> tuple[FracField, tuple]:
+    """The field over ``field``'s generators and a copy ``x(y)`` of each, and the copies."""
+    ys = tuple(sp.Symbol(f"{x.name}(y)") for x in field.symbols)
+    return coeff_field([*field.symbols, *ys]), ys
 
 
 _DIGITS = 600  # below 640, the lowest limit on int <-> str an interpreter accepts

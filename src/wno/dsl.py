@@ -33,12 +33,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
-from .algebra import Fields, _int_value, coeff_field
+from .algebra import Coeff, Fields, Jet, _int_value, coeff_field
 from .geometry import MetricData
-from .schouten import Tail, WNOperator
+from .schouten import DiffRow, Tail, WNOperator
 
 
 MAX_POWER = 16
@@ -215,9 +212,7 @@ class Parser:
         self.expect("punct", "{")
         self.enter_block()
         n = self.fields.n
-        local: list[list[list[tuple[FracElement, int]]]] = [
-            [[] for _ in range(n)] for _ in range(n)
-        ]
+        local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
         tails: list[Tail] = []
         while self.peek().text != "}":
             kind = self.expect("ident")
@@ -286,7 +281,7 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_diffexpr(self) -> list[tuple[FracElement, int]]:
+    def parse_diffexpr(self) -> DiffRow:
         """Sum of coefficient * D^k terms; D^0 is implicit."""
         entries = [self.parse_diffterm(sign=1)]
         while self.peek().text in ("+", "-"):
@@ -294,7 +289,7 @@ class Parser:
             entries.append(self.parse_diffterm(sign=sign))
         return entries
 
-    def parse_diffterm(self, sign: int) -> tuple[FracElement, int]:
+    def parse_diffterm(self, sign: int) -> tuple[Coeff, int]:
         coeff = self.field(sign)
         while True:
             tok = self.peek()
@@ -332,7 +327,7 @@ class Parser:
         finally:
             self.depth -= 1
 
-    def parse_rational(self) -> FracElement:
+    def parse_rational(self) -> Coeff:
         tok = self.peek()
         if tok.text in ("-", "+", "("):
             return self.nested(self.parse_rational)
@@ -349,14 +344,14 @@ class Parser:
             return value
         self.fail("expected a rational constant")
 
-    def parse_expr(self, stop: set[str]) -> FracElement:
+    def parse_expr(self, stop: set[str]) -> Coeff:
         expr = self.parse_sum()
         tok = self.peek()
         if tok.text not in stop and tok.kind != "end":
             self.fail(f"unexpected {tok.text!r} in expression")
         return expr
 
-    def parse_sum(self) -> FracElement:
+    def parse_sum(self) -> Coeff:
         left = self.parse_product()
         while self.peek().text in ("+", "-"):
             op = self.next().text
@@ -364,7 +359,7 @@ class Parser:
             left = left + right if op == "+" else left - right
         return left
 
-    def parse_product(self) -> FracElement:
+    def parse_product(self) -> Coeff:
         left = self.parse_power()
         while self.peek().text in ("*", "/"):
             if self.next().text == "*":
@@ -373,7 +368,7 @@ class Parser:
                 left = left / self.nonzero(self.peek(), self.parse_power())
         return left
 
-    def nonzero(self, tok: Token, divisor: FracElement) -> FracElement:
+    def nonzero(self, tok: Token, divisor: Coeff) -> Coeff:
         """Refuse a divisor that is identically zero: the coefficient would be nan or zoo."""
         if divisor == 0:
             raise ParseError("non-finite coefficient: divisor is identically zero", tok.line, tok.col)
@@ -389,7 +384,7 @@ class Parser:
             raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", tok.line, tok.col)
         return _int_value(digits)
 
-    def parse_power(self) -> FracElement:
+    def parse_power(self) -> Coeff:
         tok = self.peek()
         base = self.parse_atom()
         # a signed atom has taken its exponent already: -u^2 is -(u^2), and -u^2^2 is refused
@@ -404,7 +399,7 @@ class Parser:
             return 1 / self.nonzero(tok, base) ** exp if neg else base**exp
         return base
 
-    def parse_atom(self) -> FracElement:
+    def parse_atom(self) -> Coeff:
         tok = self.peek()
         if tok.text in ("-", "+"):
             return self.nested(self.parse_power)
@@ -418,7 +413,7 @@ class Parser:
             return self.gens[self.jet_from_name(tok)]
         self.fail("expected a number, variable, or parenthesized expression")
 
-    def jet_from_name(self, tok: Token) -> sp.Symbol:
+    def jet_from_name(self, tok: Token) -> Jet:
         name = tok.text
         if name == "D":
             self.fail("D is only valid inside a local[] entry", tok)

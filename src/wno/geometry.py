@@ -20,12 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-import sympy as sp
-from sympy.polys.domains import FractionField
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-
-from .algebra import Fields, _coeff_text, _fsum, _into, _lift, coeff_field
+from .algebra import Fields, Jet, _coeff_text, _fsum, _into, _inverse, _lift, coeff_field
 from .schouten import Tail, WNOperator
 
 
@@ -63,7 +58,7 @@ class MetricData:
     def n(self) -> int:
         return self.fields.n
 
-    def coords(self) -> list[sp.Symbol]:
+    def coords(self) -> list[Jet]:
         return [self.fields.jet(i, 0) for i in range(1, self.n + 1)]
 
     @cached_property
@@ -134,13 +129,11 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
     QQ(u1..un) of the metric data, whose elements are reduced fractions."""
     n, r = m.n, range(m.n)
     F = coeff_field(m.coords())
-    K = FractionField(F)
     x = [F.gens[F.symbols.index(u)] for u in m.coords()]
     g_up, W = m.g, m.W
-    try:
-        g_lo = DomainMatrix(g_up, (n, n), K).inv().to_list()
-    except DMNonInvertibleMatrixError:
-        raise SingularMetricError("metric is singular: det(g) == 0") from None
+    g_lo = _inverse(g_up, F)
+    if g_lo is None:
+        raise SingularMetricError("metric is singular: det(g) == 0")
     dg = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
     # first[s][j][k] = 2 Gamma_sjk, the Christoffel symbols of the first kind
     first = _tensor(n, 3, lambda s, j, k: _fsum([dg[s][j][k], dg[s][k][j], -dg[j][k][s]], F))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, _collect, coeff_field, normalize_word, p
+from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, _d_x, coeff_field, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -42,9 +42,7 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     K = coeff_field(symbols + [s for d in densities.values() for s in d.field.symbols])
     a = a.set_field(K)
     densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
-    at = {s: i for i, s in enumerate(K.symbols)}
-    moves = {at[s]: at[t] for s, t in raised.items()}  # position of a jet -> of its next-order jet
-    step = [(i, tuple((k == j) - (k == i) for k in range(K.ngens))) for i, j in moves.items()]
+    dx = _d_x(K, raised)
 
     acc: dict[Word, object] = {}
 
@@ -54,8 +52,7 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
         acc[word] = acc[word] + coeff if word in acc else coeff
 
     for word, coeff in a.terms.items():
-        # the quotient rule, with ' the total derivative of a polynomial
-        put(word, coeff._quotient_rule(_chain(coeff.numer, step), _chain(coeff.denom, step)))
+        put(word, dx(coeff))
         for pos, f in enumerate(word):
             if f.kind == "p":
                 repl = word[:pos] + (p(f.index, f.order + 1),) + word[pos + 1 :]
@@ -66,12 +63,6 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
                     sign, nw = normalize_word(word[:pos] + dw + word[pos + 1 :])
                     put(nw, coeff * dc if sign > 0 else -(coeff * dc))
     return SuperPoly(acc, K)
-
-
-def _chain(q, step: list[tuple[int, tuple]]):
-    """``D_x q`` in one pass: an exponent ``e = m[i] > 0`` gives ``e`` times ``m`` shifted by ``d``."""
-    mul = q.ring.monomial_mul
-    return _collect(q.ring, (), ((mul(m, d), c * m[i]) for m, c in q.items() for i, d in step if m[i]))
 
 
 def total_x_pow(a: SuperPoly, order: int, fields: Fields, table=None) -> SuperPoly:

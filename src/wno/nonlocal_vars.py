@@ -28,11 +28,9 @@ whenever the reduction applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-import sympy as sp
-from sympy.integrals.rationaltools import ratint
-
-from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _word_key, nl
+from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _ratint, _word_key, nl
 from .jetcalc import ELResult, el_sum, euler_lagrange, total_x
 
 
@@ -50,23 +48,16 @@ class NonlocalVar:
     note: str = ""
 
 
-def scalar_content(a: SuperPoly) -> tuple[sp.Rational, SuperPoly]:
+def scalar_content(a: SuperPoly) -> tuple[Fraction, SuperPoly]:
     """Split off the leading rational content: ``a == content * reduced``.
 
     Used before registration so that densities differing by a rational
     multiple share one variable (their antiderivatives are proportional).
     """
     if not a.terms:
-        return sp.Integer(1), a
-    content = sp.Rational(*_lead_rational(a.terms[min(a.terms, key=_word_key)]))
+        return Fraction(1), a
+    content = Fraction(*_lead_rational(a.terms[min(a.terms, key=_word_key)]))
     return content, a if content == 1 else a.scale(1 / content)
-
-
-def _poly_key(poly, symbols) -> frozenset:
-    """The terms of a polynomial as (((symbol, exponent), ...), coefficient)."""
-    return frozenset(
-        (tuple((x, e) for x, e in zip(symbols, monom) if e), k) for monom, k in poly.items()
-    )
 
 
 class NonlocalVarTable:
@@ -80,11 +71,11 @@ class NonlocalVarTable:
     def register(self, density: SuperPoly, *, formal: bool = False, note: str = "") -> int:
         """Register a defining density, deduplicating on its terms.
 
-        The key holds each coefficient's numerator and denominator terms
-        with their exponents keyed by symbol, so it does not depend on the
-        field a density sits in.  The density must be homogeneous
-        with at least one odd factor; a purely even density has a local
-        antiderivative problem and does not define a new variable here.
+        The key is the density's terms with their coefficients as text
+        (``sorted_texts``), which does not depend on the field a density
+        sits in.  The density must be homogeneous with at least one odd
+        factor; a purely even density has a local antiderivative problem
+        and does not define a new variable here.
         """
         if density.is_zero():
             raise ValueError("cannot register the zero density")
@@ -94,10 +85,7 @@ class NonlocalVarTable:
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        xs = density.field.symbols
-        key = frozenset(
-            (w, _poly_key(c.numer, xs), _poly_key(c.denom, xs)) for w, c in density.terms.items()
-        )
+        key = tuple(density.sorted_texts())
         if key in self._by_density:
             return self._by_density[key]
         level = 1
@@ -208,24 +196,15 @@ def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
             )
         else:
             _, sym, idx, order = top[1]
-            x = remaining.field.gens[remaining.field.symbols.index(sym)]
-            lowered_sym = fields.jet(idx, order - 1)
-            rows = []
-            for word, coeff in remaining.terms.items():
-                d = coeff.diff(x)
-                if not d:
-                    continue
-                if d.diff(x):
-                    return IntegrationResult(None, remaining)
-                # antiderivative in the lowered variable, so coefficients
-                # like f(u_k) * u_{k+1} absorb into F(u_k) exactly; ratint
-                # leaves a log part as RootSum instead of solving for roots
-                rows.append((ratint(d.as_expr(), lowered_sym, real=False), word))
-            try:
-                step = SuperPoly.from_terms(rows)
-            except ValueError:
-                # a piece outside the rational functions: log, atan, RootSum, ...
+            slope = remaining.partial_even(sym)
+            if slope.partial_even(sym):  # not linear in the top variable
                 return IntegrationResult(None, remaining)
+            # antiderivatives in the lowered variable, so coefficients
+            # like f(u_k) * u_{k+1} absorb into F(u_k) exactly
+            rows = [(_ratint(d, fields.jet(idx, order - 1)), w) for w, d in slope.terms.items()]
+            if any(anti is None for anti, _ in rows):  # a piece outside the rational functions
+                return IntegrationResult(None, remaining)
+            step = SuperPoly.from_terms(rows)
 
         if step.is_zero():
             return IntegrationResult(None, remaining)

@@ -22,28 +22,26 @@ x-derivative, certified by a vanishing variational-derivative tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice, product
 from math import comb
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
 from .algebra import (
-    Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, coeff_field, p, render_factor
+    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _two_point, p, render_factor
 )
 from .jetcalc import ELResult, total_x
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
-DiffRow = list[tuple[FracElement, int]]  # sum of coefficient * d^order
+DiffRow = list[tuple[Coeff, int]]  # sum of coefficient * d^order
 
 
 @dataclass(frozen=True)
 class Tail:
     """One weakly nonlocal summand e * w d^(-1) z."""
 
-    constant: FracElement
-    left: tuple[FracElement, ...]
-    right: tuple[FracElement, ...]
+    constant: Coeff
+    left: tuple[Coeff, ...]
+    right: tuple[Coeff, ...]
 
 
 @dataclass
@@ -68,7 +66,7 @@ class WNOperator:
         it = iter(elements)
         self.local = [[[(next(it), o) for _, o in row] for row in rows] for rows in self.local]
         self.tails = [Tail(next(it), tuple(islice(it, n)), tuple(islice(it, n))) for _ in self.tails]
-        if any(not (t.constant.numer.is_ground and t.constant.denom.is_ground) for t in self.tails):
+        if any(self.fields.jet_symbols(t.constant) for t in self.tails):
             raise ValueError("tail constants must be rational numbers")
 
     @property
@@ -118,16 +116,14 @@ def operator_adjoint(P: WNOperator) -> WNOperator:
 
 
 def skew_part(P: WNOperator) -> WNOperator:
-    return (P + operator_adjoint(P).scale(-1)).scale(sp.Rational(1, 2))
+    return (P + operator_adjoint(P).scale(-1)).scale(Fraction(1, 2))
 
 
-def tail_kernel(P: WNOperator) -> list[list[FracElement]]:
+def tail_kernel(P: WNOperator) -> list[list[Coeff]]:
     """Integral-kernel matrix of the tail sum of P, with independent copies
     u(y), u_x(y), ... of the jet variables in the second slot; two tail lists
     act identically exactly when their kernels agree entry-wise."""
-    n, xs = P.n, P.field.symbols
-    ys = tuple(sp.Symbol(f"{x.name}(y)") for x in xs)
-    K = coeff_field([*xs, *ys])
+    n, (K, ys) = P.n, _two_point(P.field)
     out = [[K.zero for _ in range(n)] for _ in range(n)]
     for t in P.tails:
         left = [_lift(t.constant * w, K) for w in t.left]
@@ -201,7 +197,7 @@ def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) ->
     local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
     tail_vectors: dict[int, list] = {}
     for i in range(1, n + 1):
-        v = comp.el.dp[i - 1].scale(sp.Rational(1, 2))
+        v = comp.el.dp[i - 1].scale(Fraction(1, 2))
         for word, coeff in v.terms.items():
             if len(word) == 1 and word[0].kind == "p":
                 f = word[0]

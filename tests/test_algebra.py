@@ -1,9 +1,13 @@
 """Graded-algebra kernel: normalization, products, partials, invariants."""
 
+import ast
 import math
 import operator
 import random
+from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -38,6 +42,7 @@ from wno.algebra import (
 )
 from wno.jetcalc import total_x
 from wno.nonlocal_vars import scalar_content
+from wno.schouten import Tail, WNOperator
 
 from conftest import random_local, random_local_mixed
 
@@ -117,8 +122,22 @@ class TestArithmetic:
         assert (a + (-a)).is_zero()
 
     def test_scalar_floats_rejected(self):
-        with pytest.raises(TypeError):
-            SuperPoly.scalar(0.5)
+        """Exact scalars of one value give one element, as a factor and as a
+        tail constant; inexact or foreign ones are refused."""
+        for kinds in ((-3, Fraction(-3), sp.Integer(-3), sp.Rational(-3)),
+                      (Fraction(2, 3), sp.Rational(2, 3))):
+            scaled = [SuperPoly.factor(p(1, 1)).scale(k) for k in kinds]
+            tails = [WNOperator(F, [[[]]], [Tail(k, (u,), (u_x,))]).tails[0].constant for k in kinds]
+            for got in (scaled, tails):
+                assert all(type(x) is type(got[0]) and x == got[0] for x in got)
+            assert scaled[0].sorted_texts() == [((p(1, 1),), str(sp.Rational(kinds[0])))]
+        for bad in (0.5, 2.0, True, Decimal("0.5"), "1/2"):
+            with pytest.raises(TypeError):
+                SuperPoly.scalar(bad)
+            with pytest.raises(TypeError):
+                SuperPoly.factor(p(1)).scale(bad)
+        with pytest.raises(ValueError, match="tail constants must be rational"):
+            WNOperator(F, [[[]]], [Tail(u, (u,), (u_x,))])
 
 
 class TestPartials:
@@ -427,6 +446,25 @@ def test_sympy_field_classes_stay_unpatched():
     assert type(PolyRing(gens, ZZ, lex).one) is PolyElement
     assert type(coeff_field(gens).one) is not FracElement
     assert type(coeff_field(gens).ring.one) is _Poly
+
+
+def test_only_algebra_knows_the_coefficient_representation():
+    """No module but ``wno.algebra`` imports sympy, reads a coefficient's
+    numerator, denominator or ring, or calls its quotient rule."""
+    found = []
+    for path in sorted(Path(wno.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(m == "sympy" or m.startswith("sympy.") for m in modules):
+                found.append(f"{path.name}:{node.lineno} imports sympy")
+            name = node.attr if isinstance(node, ast.Attribute) else (
+                node.id if isinstance(node, ast.Name) else None)
+            if name in ("numer", "denom", "ring", "_quotient_rule"):
+                found.append(f"{path.name}:{node.lineno} uses {name}")
+    assert not found
 
 
 def test_generator_attributes_are_field_elements():

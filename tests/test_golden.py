@@ -84,6 +84,27 @@ def test_reports_print_without_sympy_printer(monkeypatch):
         assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
 
 
+def test_reports_stay_in_owned_arithmetic(monkeypatch):
+    """Every sum, difference, product and quotient of coefficients on the CLI
+    path takes the field's own element arithmetic: with sympy's fallbacks
+    made to raise, every snapshot still comes out byte for byte."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's field element arithmetic was called")
+
+    for name in ("__add__", "__sub__", "__mul__", "__radd__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(sympy.polys.fields.FracElement, name, refuse)
+    bad = []
+    for case in sorted(CASES):
+        try:
+            ok = report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8")
+        except AssertionError:
+            ok = False
+        if not ok:
+            bad.append(case)
+    assert not bad
+
+
 def test_reports_repeat_with_warm_gcd_memo():
     """Two passes over every case in one process, sharing the gcds memoised in
     sympy's cache, both give the snapshots: no cached polynomial is changed in
