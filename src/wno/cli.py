@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from .algebra import Fields, render_superpoly
@@ -190,6 +191,7 @@ def cmd_geom(doc: OperatorFile, args) -> int:
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
+@cache  # built once per process; argparse reads sys.stderr when it reports
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wno",

@@ -55,6 +55,18 @@ class TestExitCodes:
         proc = run_cli("check", str(CASES / "kn.wno"), "nope")
         assert proc.returncode == 2
 
+    def test_repeated_in_process_usage_errors(self):
+        """The parser is built once per process; each call still reports its own
+        usage error to the stderr of its own call."""
+        for argv, bad in ((["check"], "the following arguments are required: file, name"),
+                          (["geom", "f", "m", "--format", "xml"], "invalid choice: 'xml'")):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code == 2
+            assert err.getvalue().startswith("usage: wno ") and bad in err.getvalue()
+            assert err.getvalue().count("usage:") == 1
+
     def test_singular_metric_unsupported(self, tmp_path):
         f = tmp_path / "sing.wno"
         f.write_text("fields u1, u2; firstorder m { g[1,1]: 1; g[1,2]: 1; g[2,1]: 1; g[2,2]: 1; }")
