@@ -24,8 +24,8 @@ ZERO, ONE = sp.Integer(0), sp.Integer(1)
 def instances():
     F1 = Fields(("u",))
     F2 = Fields(("u1", "u2"))
-    u = F1.jet(1, 0)
-    u1, u2 = F2.jet(1, 0), F2.jet(2, 0)
+    u = sp.Symbol(F1.jet(1, 0))
+    u1, u2 = sp.symbols([F2.jet(1, 0), F2.jet(2, 0)])
     eye = [[ONE, ZERO], [ZERO, ONE]]
     h = 1 + (u1**2 + u2**2) / 4
 

@@ -6,23 +6,16 @@ order (jet factors sorted by field and derivative order, then nonlocal
 factors sorted by registration id), so that two values are equal exactly
 when their term maps agree coefficient-wise.
 
-Coefficients are elements of a field QQ(x1..xm) of rational functions of jet
-symbols (``sympy.polys.fields.FracField``): reduced fractions, canonical by
-construction, so zeros are dropped as they arise; their own type ``_Frac``
-keeps them reduced with gcds of factors only, ``_fsum`` reduces a many-term
-sum once, and gcds of two polynomials of two or more terms each are memoised
-in sympy's cache, which ``clear_cache`` empties.  Their numerators and
-denominators are ``_Poly``, whose arithmetic within one ring works on the term
-dicts without sympy's dispatch, as ``D_x`` (``_d_x``) does.  Each value
-carries its field; an operation on values from two fields lifts both into the
-field over the union of their generators, by a per-pair map of exponent
-positions.  Fields are memoised per generator set, in the order
-``sympy.cancel`` uses.  Only this module imports sympy or reads a
-coefficient's terms; other modules hold coefficients as ``Coeff`` and use its
-private helpers.  Scalars come in as ``int``, ``Fraction`` or sympy
-``Rational``, expressions are converted on construction, and ``_coeff_text``
-writes a coefficient as ``str(c.as_expr())``, how ``sympy.cancel`` of the same
-function prints, from the terms of its numerator and denominator.
+Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
+reduced pairs ``_Frac`` of ``_Poly`` term dicts (exponent tuple -> ``int``),
+the leading denominator coefficient positive in lex order, so equal values
+have equal terms.  Arithmetic takes gcds of factors only.  Values of two
+fields lift into the field over the union of their generators; fields are
+memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.
+Sympy is reached through private converters only (the gcd of two sums,
+memoised in sympy's cache; the metric inverse; ``ratint``; expressions given
+to ``_into``), and no other module imports it or reads a coefficient's terms.
+``_coeff_text`` writes a coefficient as ``sympy.cancel`` of it prints.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -44,138 +37,81 @@ import sympy as sp
 from sympy import ZZ
 from sympy.core.cache import cacheit
 from sympy.integrals.rationaltools import ratint
-from sympy.polys.domains import FractionField
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
-from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement
 
-Coeff = FracElement  # a coefficient: an element of a ``coeff_field``
-Jet = sp.Symbol  # a jet variable, as ``Fields.jet`` names it
+Jet = str  # a jet variable, as ``Fields.jet`` names it
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
-_SUFFIX_RE = re.compile(r"^(\d*)x$")
-_RATIONALS = (int, Fraction, sp.Rational)  # exact scalars, read by numerator and denominator
+_JET_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:_(\d*)x)?")  # a field name, a derivative suffix
+_RANK = dict(zip("xyzpqrstuvwabcdefghijklmno", [*range(124, 127), *range(216, 224), *range(301, 316)]))
 
 
-def _rational(field: FracField, q) -> "_Frac":
-    """The rational number ``q``, one of ``_RATIONALS``, in ``field``."""
-    ground = field.ring.ground_new
-    return field.raw_new(ground(q.numerator), ground(q.denominator))
+def _gen_key(name: Jet) -> tuple:
+    """sympy's ``_sort_gens`` key: a letter's rank, the name less its trailing digits, those
+    digits; then the name, which orders names that sympy leaves in input order (``u1``, ``u01``)."""
+    base, digits = re.match(r"(.*?)(\d*)$", name).groups()
+    return _RANK.get(base, 1000), base, int(digits or 0), name
 
 
-class _Frac(FracElement):
-    """A ``coeff_field`` element: ``+``, ``-``, ``*``, ``/`` and ``diff`` of reduced
-    operands take gcds of factors, not of the full products ``FracElement.new``
-    cancels (Henrici 1956; Knuth, TAOCP 2, 4.5.1); a reduced fraction with a positive
-    leading denominator coefficient is unique, so the results are sympy's own."""
-
-    def _own(self, g) -> "_Frac | None":
-        """``g`` in this field if it is a rational number or of this field, else None."""
-        if isinstance(g, _Frac):
-            return g if g.field is self.field else None
-        return _rational(self.field, g) if isinstance(g, _RATIONALS) else None
-
-    def _signed(self, num, den) -> "_Frac":
-        """``num/den`` for coprime ``num`` and ``den``, with the canonical sign."""
-        if not num:
-            return self.field.zero
-        return self.raw_new(-num, -den) if den.LC < 0 else self.raw_new(num, den)
-
-    def __add__(self, other):
-        g = self._own(other)
-        if g is None:
-            return super().__add__(other)
-        if not g or not self:
-            return g or self
-        # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
-        a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.one.numer
-        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else _cofactors(b, d)
-        t, b = _times(a, d) + _times(c, b), _times(b, d)
-        if h != 1:
-            _, t, h = _cofactors(t, h)
-        return self._signed(t, _times(b, h))
-
-    def __sub__(self, other):
-        g = self._own(other)
-        return super().__sub__(other) if g is None else self + -g
-
-    def __mul__(self, other):
-        g = self._own(other)
-        if g is None:
-            return super().__mul__(other)
-        if not self or not g:
-            return self.field.zero
-        # (a/b)(c/d): cross-cancel a with d and c with b
-        a, b, c, d = self.numer, self.denom, g.numer, g.denom
-        if d != 1:
-            _, a, d = _cofactors(a, d)
-        if b != 1:
-            _, c, b = _cofactors(c, b)
-        return self._signed(_times(a, c), _times(b, d))
-
-    def __rmul__(self, other):
-        g = self._own(other)
-        return super().__rmul__(other) if g is None else self * g
-
-    def __truediv__(self, other):
-        g = self._own(other)
-        return super().__truediv__(other) if g is None else self * g.raw_new(g.denom, g.numer)
-
-    def diff(self, x) -> "_Frac":
-        return self._quotient_rule(*(q.diff(x.to_poly()) for q in (self.numer, self.denom)))
-
-    def _quotient_rule(self, dn, dd) -> "_Frac":
-        """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
-        irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
-        ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
-        if self.denom == 1:
-            return self.raw_new(dn)
-        h, d, dd = _cofactors(self.denom, dd)
-        num = _times(dn, d) - _times(self.numer, dd)
-        if h != 1:
-            _, num, h = _cofactors(num, h)
-        return self._signed(num, _times(_times(d, d), h))
+def _monomial_op(n: int, entry: str):
+    """``entry`` at each of ``n`` positions of two monomials, unrolled as in sympy's ``MonomialOps``."""
+    return eval(f"lambda a, b: ({''.join(entry.format(i) + ', ' for i in range(n))})")
 
 
-class _Poly(PolyElement):
-    """A ``coeff_field`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
-    (``==`` also with an ``int``), ``diff``, ``LC`` and ``_gcd_monom`` take one pass over the term
-    dicts, without sympy's ring test; other operands take sympy's methods, gcds its ``heugcd``."""
+class _Ring:
+    """ZZ[symbols] in lex order; monomials are exponent tuples, ``sympy`` its converter (``_sympy``)."""
 
-    __hash__ = PolyElement.__hash__  # defining __eq__ would drop it; _cofactors keys on it
+    __slots__ = ("symbols", "index", "zero_monom", "one", "sympy", "monomial_mul", "monomial_gcd",
+                 "monomial_ldiv")
+
+    def __init__(self, symbols: tuple[Jet, ...]):
+        self.symbols, self.index, self.sympy = symbols, {s: i for i, s in enumerate(symbols)}, None
+        self.zero_monom, n = (0,) * len(symbols), len(symbols)
+        self.monomial_mul, self.monomial_gcd, self.monomial_ldiv = (
+            _monomial_op(n, e) for e in ("a[{0}] + b[{0}]", "min(a[{0}], b[{0}])", "a[{0}] - b[{0}]"))
+        self.one = _poly(self, {self.zero_monom: 1})
+
+
+class _Poly(dict):
+    """A ``_Ring`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
+    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts."""
+
+    __slots__ = ("ring",)
 
     def __eq__(p1, p2):
-        if p2.__class__ is _Poly and p2.ring is p1.ring:
-            return dict.__eq__(p1, p2)
+        if p2.__class__ is _Poly:
+            return p2.ring is p1.ring and dict.__eq__(p1, p2)
         if p2.__class__ is int:
             return not p1 if not p2 else len(p1) == 1 and p1.get(p1.ring.zero_monom) == p2
-        return PolyElement.__eq__(p1, p2)
+        return NotImplemented
 
     def __ne__(p1, p2):
         return not p1.__eq__(p2)
 
+    def __hash__(self):  # for the gcd memo; a polynomial is not changed once built
+        return hash(frozenset(self.items()))
+
     def __neg__(self):
-        return _Poly(self.ring, {m: -c for m, c in self.items()})
+        return _poly(self.ring, {m: -c for m, c in self.items()})
 
     def __add__(p1, p2):
         if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return PolyElement.__add__(p1, p2)
+            return NotImplemented
         return _collect(p1.ring, p1, p2.items())
 
     def __sub__(p1, p2):
         if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return PolyElement.__sub__(p1, p2)
+            return NotImplemented
         return _collect(p1.ring, p1, p2.items(), -1)
 
     def __mul__(p1, p2):
         if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return PolyElement.__mul__(p1, p2)
+            return NotImplemented
         if len(p1) < len(p2):
             p1, p2 = p2, p1
-        mul, p = p1.ring.monomial_mul, _Poly(p1.ring, ())
+        mul, p = p1.ring.monomial_mul, _poly(p1.ring)
         if len(p2) == 1:  # no two products share a monomial, and over ZZ none is zero
             (m2, c2), = p2.items()
             p.update((mul(m1, m2), c1 * c2) for m1, c1 in p1.items())
@@ -191,29 +127,25 @@ class _Poly(PolyElement):
                     del p[m]
         return p
 
-    def _gcd_monom(f, g):
-        """``(h, f/h, g/h)`` for a monomial ``f``, in one pass over ``g`` that stops at a gcd of 1."""
-        ring, ((mf, cf),) = f.ring, f.items()
-        m, c = mf, cf
-        for mg, cg in g.items():
-            m, c = ring.monomial_gcd(m, mg), gcd(c, cg)
-            if c == 1 and m == ring.zero_monom:
-                return ring.one, f, g
-        div, new = ring.monomial_ldiv, f.new
-        return new({m: c}), new({div(mf, m): cf // c}), new({div(mg, m): cg // c for mg, cg in g.items()})
-
-    def diff(f, x):
-        i = f.ring.index(x)  # no two terms of f differentiate to the same monomial
-        return _Poly(f.ring, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in f.items() if m[i]})
+    def diff(f, i: int):
+        """The derivative by the generator at position ``i``."""
+        return _poly(f.ring, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in f.items() if m[i]})
 
     @property
     def LC(self):
-        return self[max(self)] if self else 0  # every coeff_field ring is lex
+        return self[max(self)] if self else 0  # the leading coefficient in lex order
+
+
+def _poly(ring: _Ring, terms=()) -> _Poly:
+    """The polynomial of ``ring`` with the (monomial, nonzero coefficient) ``terms``."""
+    p = _Poly(terms)
+    p.ring = ring
+    return p
 
 
 def _collect(ring, start, terms, sign: int = 1) -> _Poly:
     """``start`` plus ``sign`` times the (monomial, coefficient) ``terms``, zeros dropped as they arise."""
-    p = _Poly(ring, start)
+    p = _poly(ring, start)
     get = p.get
     for m, c in terms:
         c = get(m, 0) + sign * c
@@ -229,19 +161,171 @@ def _times(p, q):
     return q if p == 1 else p if q == 1 else p * q
 
 
-_memo_cofactors = cacheit(PolyElement.cofactors)  # emptied by sympy's clear_cache
+class _Field:
+    """QQ(symbols): ``_Frac`` over ``_Ring(symbols)``, one instance per generator set."""
+
+    __slots__ = ("ring", "symbols", "zero", "one", "gens")
+
+    def __init__(self, symbols: tuple[Jet, ...]):
+        ring = self.ring = _Ring(symbols)
+        self.symbols, one, n = symbols, ring.one, len(symbols)
+        self.zero, self.one = _Frac(self, _poly(ring), one), _Frac(self, one, one)
+        self.gens = tuple(_Frac(self, _poly(ring, {tuple(int(k == i) for k in range(n)): 1}), one)
+                          for i in range(n))
+
+
+def _rational(field: _Field, q) -> "_Frac":
+    """The rational number ``q``, an ``int`` or a ``Fraction``, in ``field``."""
+    if not q:
+        return field.zero
+    ring, zero = field.ring, field.ring.zero_monom
+    return _Frac(field, _poly(ring, {zero: q.numerator}), _poly(ring, {zero: q.denominator}))
+
+
+class _Frac:
+    """A ``coeff_field`` element, the reduced pair ``numer/denom``.  ``+``, ``-``, ``*``, ``/`` and
+    ``diff`` of reduced operands take gcds of factors, not of the full products (Henrici 1956;
+    Knuth, TAOCP 2, 4.5.1)."""
+
+    __slots__ = ("field", "numer", "denom")
+
+    def __init__(self, field: _Field, numer: _Poly, denom: _Poly):
+        self.field, self.numer, self.denom = field, numer, denom
+
+    def _own(self, g) -> "_Frac | None":
+        """``g`` in this field if it is a rational number or of this field, else None."""
+        if g.__class__ is _Frac:
+            return g if g.field is self.field else None
+        return _rational(self.field, g) if isinstance(g, (int, Fraction)) else None
+
+    def _signed(self, num, den) -> "_Frac":
+        """``num/den`` for coprime ``num`` and ``den``, with the canonical sign."""
+        if not num:
+            return self.field.zero
+        return _Frac(self.field, -num, -den) if den.LC < 0 else _Frac(self.field, num, den)
+
+    def __bool__(self):
+        return bool(self.numer)
+
+    def __eq__(self, other):
+        g = self._own(other)
+        return g is not None and self.numer == g.numer and self.denom == g.denom
+
+    def __neg__(self):
+        return _Frac(self.field, -self.numer, self.denom)
+
+    def __add__(self, other):
+        g = self._own(other)
+        if g is None:
+            return NotImplemented
+        if not g or not self:
+            return g or self
+        # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
+        a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.ring.one
+        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else _cofactors(b, d)
+        t, b = _times(a, d) + _times(c, b), _times(b, d)
+        if h != 1:
+            _, t, h = _cofactors(t, h)
+        return self._signed(t, _times(b, h))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        g = self._own(other)
+        return NotImplemented if g is None else self + -g
+
+    def __mul__(self, other):
+        g = self._own(other)
+        if g is None:
+            return NotImplemented
+        if not self or not g:
+            return self.field.zero
+        # (a/b)(c/d): cross-cancel a with d and c with b
+        a, b, c, d = self.numer, self.denom, g.numer, g.denom
+        if d != 1:
+            _, a, d = _cofactors(a, d)
+        if b != 1:
+            _, c, b = _cofactors(c, b)
+        return self._signed(_times(a, c), _times(b, d))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        g = self._own(other)
+        return NotImplemented if g is None else self * _Frac(g.field, g.denom, g.numer)
+
+    def __pow__(self, n: int) -> "_Frac":
+        """``self**n`` for ``n >= 0``: powers of coprime polynomials are coprime."""
+        one = self.field.ring.one
+        return _Frac(self.field, *(reduce(_times, [q] * n, one) for q in (self.numer, self.denom)))
+
+    def diff(self, x: Jet) -> "_Frac":
+        """The partial derivative by the generator named ``x``."""
+        i = self.field.ring.index[x]
+        return self._quotient_rule(self.numer.diff(i), self.denom.diff(i))
+
+    def _quotient_rule(self, dn, dd) -> "_Frac":
+        """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
+        irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
+        ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
+        if self.denom == 1:
+            return self._signed(dn, self.denom)
+        h, d, dd = _cofactors(self.denom, dd)
+        num = _times(dn, d) - _times(self.numer, dd)
+        if h != 1:
+            _, num, h = _cofactors(num, h)
+        return self._signed(num, _times(_times(d, d), h))
+
+
+Coeff = _Frac  # a coefficient: an element of a ``coeff_field``
+
+
+def _sympy(ring: _Ring) -> FracField:
+    """Sympy's field over ``ring``'s generators, built on first use: the converter."""
+    if ring.sympy is None:
+        ring.sympy = FracField([sp.Symbol(s) for s in ring.symbols], ZZ, lex)
+    return ring.sympy
+
+
+@cacheit  # in sympy's cache, which clear_cache empties
+def _memo_cofactors(p, q):
+    """Sympy's ``cofactors`` (``heugcd``) of two polynomials, through the converter."""
+    to = _sympy(p.ring).ring
+    return tuple(_poly(p.ring, x) for x in PolyElement(to, p).cofactors(PolyElement(to, q)))
 
 
 def _cofactors(p, q):
-    """``p.cofactors(q)``, memoised in sympy's cache when both have two or more terms;
-    zero, constant and monomial operands take sympy's cheap paths directly."""
-    return _memo_cofactors(p, q) if len(p) > 1 and len(q) > 1 else p.cofactors(q)
+    """``(h, p/h, q/h)`` for ``h = gcd(p, q)`` as sympy's ``cofactors`` normalises it; two
+    polynomials of two or more terms each take the memo, others one pass."""
+    if len(p) > 1 and len(q) > 1:
+        return _memo_cofactors(p, q)
+    if not p or not q:  # gcd(g, 0) = g up to sign; gcd(0, 0) = 0, cofactors 0
+        g, zero = p or q, _poly(p.ring)
+        h, u = (g, p.ring.one) if g.LC > 0 else (-g, -p.ring.one) if g else (g, g)
+        return (h, zero, u) if not p else (h, u, zero)
+    if len(p) == 1:
+        return _gcd_monom(p, q)
+    h, cq, cp = _gcd_monom(q, p)
+    return h, cp, cq
 
 
-def _fsum(values: Iterable[_Frac], field: FracField) -> _Frac:
+def _gcd_monom(f, g):
+    """``_cofactors`` of a monomial ``f`` and a nonzero ``g``, in one pass that stops at a gcd of 1."""
+    ring, ((mf, cf),) = f.ring, f.items()
+    m, c = mf, cf
+    for mg, cg in g.items():
+        m, c = ring.monomial_gcd(m, mg), gcd(c, cg)
+        if c == 1 and m == ring.zero_monom:
+            return ring.one, f, g
+    div = ring.monomial_ldiv
+    cofactor = _poly(ring, {div(mg, m): cg // c for mg, cg in g.items()})
+    return _poly(ring, {m: c}), _poly(ring, {div(mf, m): cf // c}), cofactor
+
+
+def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
     """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up
     over the running lcm of the denominators, with no gcd while a denominator equals it."""
-    num, den = field.ring.zero, field.ring.one
+    num, den = _poly(field.ring), field.ring.one
     for v in filter(None, values):
         a, b = v.numer, v.denom
         if b == den:
@@ -262,85 +346,71 @@ def _by_order(entries: Iterable[tuple]) -> list[tuple]:
     return [(acc[k], k) for k in sorted(acc) if acc[k]]
 
 
-_FIELDS: dict[frozenset[sp.Symbol], FracField] = {}
+_FIELDS: dict[frozenset[Jet], _Field] = {}
 
 
-def coeff_field(symbols: Iterable[sp.Symbol]) -> FracField:
-    """The field QQ(symbols) of ``_Frac`` elements over ``_Poly`` polynomials, one instance
-    per generator set: the fraction field of ZZ[symbols], whose gcds need no change of domain."""
+def coeff_field(symbols: Iterable[Jet]) -> _Field:
+    """The field QQ(symbols), one instance per generator set, generators in ``_gen_key`` order."""
     key = frozenset(symbols)
     field = _FIELDS.get(key)
     if field is None:
-        field = _FIELDS[key] = FracField(tuple(_sort_gens(key)), ZZ, lex)
-        ring = field.ring
-        for domain, dtype in ((ring, _Poly(ring, ()).new), (field, _Frac(field, ring.zero).raw_new)):
-            domain.dtype = dtype
-            plain, domain.gens = domain.gens, domain._gens()
-            for sym, was, gen in zip(domain.symbols, plain, domain.gens):
-                if vars(domain).get(sym.name) is was:  # the by-name attributes sympy set
-                    setattr(domain, sym.name, gen)
-        ring._gens_set = set(ring.gens)  # sympy's in-place methods copy these first
-        field.zero, field.one = field.dtype(ring.zero), field.dtype(ring.one)
+        field = _FIELDS[key] = _Field(tuple(sorted(key, key=_gen_key)))
     return field
 
 
 @cache
-def _mover(src: FracField, dst: FracField, names: tuple | None = None):
+def _mover(src: _Field, dst: _Field, names: tuple | None = None):
     """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``)."""
-    at = {sym: i for i, sym in enumerate(names or src.symbols)}
-    pick = itemgetter(*[at.get(sym, src.ngens) for sym in dst.symbols], src.ngens)
+    at, n = {sym: i for i, sym in enumerate(names or src.symbols)}, len(src.symbols)
+    pick = itemgetter(*[at.get(sym, n) for sym in dst.symbols], n)
     return lambda m: pick(m + (0,))[:-1]
 
 
-def _lift(c: FracElement, field: FracField, names: tuple | None = None) -> FracElement:
+def _lift(c: _Frac, field: _Field, names: tuple | None = None) -> _Frac:
     """``c`` in ``field``, whose generators include its own (or ``names``); the
     generator order is global, so the reduced form carries over unchanged."""
     if c.field is field:
         return c
-    move, new = _mover(c.field, field, names), field.ring.dtype
-    return field.raw_new(*(new({move(m): k for m, k in q.items()}) for q in (c.numer, c.denom)))
+    move, ring = _mover(c.field, field, names), field.ring
+    return _Frac(field, *(_poly(ring, {move(m): k for m, k in q.items()}) for q in (c.numer, c.denom)))
 
 
-def _into(field: FracField | None, values: Iterable) -> tuple[FracField, list[FracElement]]:
-    """A field holding ``field`` and every value, and the values in it.
-
-    Raises TypeError for a value that is no field element, expression or
-    rational number (a float too: every verdict is an algebraic identity)
-    and ValueError for an expression that is not a rational function of its
-    symbols (``log``, ``atan``, ``RootSum``).
-    """
+def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
+    """A field holding ``field`` and every value, and the values in it.  Raises TypeError for
+    a value that is no field element, sympy expression, ``int`` or ``Fraction`` (a float too: every
+    verdict is an algebraic identity) and ValueError for an expression that is not a rational
+    function of its symbols (``log``, ``atan``, ``RootSum``)."""
     values = list(values)
     symbols = set()
     for v in values:
-        if isinstance(v, FracElement):
+        if isinstance(v, _Frac):
             symbols.update(v.field.symbols)
         elif isinstance(v, sp.Expr):
-            symbols.update(v.free_symbols)
-        elif isinstance(v, bool) or not isinstance(v, _RATIONALS):
+            symbols.update(s.name for s in v.free_symbols)
+        elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise TypeError(f"cannot use {v!r} as a coefficient; use integers or rationals")
     if field is None or not symbols.issubset(field.symbols):
         field = coeff_field(symbols.union(field.symbols) if field else symbols)
     return field, [
-        _lift(v, field) if isinstance(v, FracElement)
-        else _rational(field, v) if isinstance(v, _RATIONALS)
-        else _canonical(field.from_expr(v))
+        _lift(v, field) if isinstance(v, _Frac)
+        else _from_sympy(_sympy(field.ring).from_expr(v), field) if isinstance(v, sp.Expr)
+        else _rational(field, v)
         for v in values
     ]
 
 
-def _canonical(c: FracElement) -> FracElement:
-    """``c`` with the denominator sign ``cancel`` gives; ``from_expr`` skips it on 1/x**k."""
-    return c.raw_new(-c.numer, -c.denom) if c.denom.LC < 0 else c
+def _from_sympy(x, field: _Field) -> _Frac:
+    """A reduced element ``x`` of the converter of ``field``, in ``field`` with the canonical sign."""
+    return field.zero._signed(_poly(field.ring, x.numer), _poly(field.ring, x.denom))
 
 
-def _d_x(field: FracField, raised: Mapping[sp.Symbol, sp.Symbol]):
+def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
     """``D_x`` on ``field``, which holds each jet present and, as ``raised[jet]``, its
     next-order jet.  Each numerator and denominator takes one pass (the chain rule: an
     exponent ``e = m[i] > 0`` gives ``e`` times ``m`` shifted by ``d``), then ``_quotient_rule``."""
-    at, ring = {s: i for i, s in enumerate(field.symbols)}, field.ring
-    step = [(at[s], tuple((k == at[t]) - (k == at[s]) for k in range(field.ngens)))
-            for s, t in raised.items()]
-    mul = ring.monomial_mul
+    ring = field.ring
+    at, n, mul = ring.index, len(field.symbols), ring.monomial_mul
+    step = [(at[s], tuple((k == at[t]) - (k == at[s]) for k in range(n))) for s, t in raised.items()]
 
     def chain(q):
         return _collect(ring, (), ((mul(m, d), c * m[i]) for m, c in q.items() for i, d in step if m[i]))
@@ -348,27 +418,37 @@ def _d_x(field: FracField, raised: Mapping[sp.Symbol, sp.Symbol]):
     return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
 
 
-def _inverse(rows: list[list[FracElement]], field: FracField) -> list[list[FracElement]] | None:
-    """The inverse of a square matrix over ``field``, or None when it is singular."""
-    try:
-        return DomainMatrix(rows, (len(rows), len(rows)), FractionField(field)).inv().to_list()
-    except DMNonInvertibleMatrixError:
-        return None
+def _inverse(rows: list[list[_Frac]], field: _Field) -> list[list[_Frac]] | None:
+    """The inverse of a square matrix over ``field``, or None when it is singular: Gauss-Jordan
+    elimination of ``[rows | 1]``, each column's first nonzero entry its pivot."""
+    n, one, zero = len(rows), field.one, field.zero
+    m = [[*row, *(one if j == i else zero for j in range(n))] for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return None
+        m[k], m[pivot] = m[pivot], m[k]
+        m[k] = [c / m[k][k] for c in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return [row[n:] for row in m]
 
 
-def _ratint(c: FracElement, x: sp.Symbol) -> FracElement | None:
+def _ratint(c: _Frac, x: Jet) -> _Frac | None:
     """An antiderivative of ``c`` in ``x``, or None when it is not a rational function:
     ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
-    anti = ratint(c.as_expr(), x, real=False)
+    to = _sympy(c.field.ring).ring
+    expr = PolyElement(to, c.numer).as_expr() / PolyElement(to, c.denom).as_expr()
     try:
-        return _into(None, [anti])[1][0]
+        return _into(None, [ratint(expr, sp.Symbol(x), real=False)])[1][0]
     except ValueError:  # log, atan, RootSum, ...
         return None
 
 
-def _two_point(field: FracField) -> tuple[FracField, tuple]:
+def _two_point(field: _Field) -> tuple[_Field, tuple]:
     """The field over ``field``'s generators and a copy ``x(y)`` of each, and the copies."""
-    ys = tuple(sp.Symbol(f"{x.name}(y)") for x in field.symbols)
+    ys = tuple(f"{x}(y)" for x in field.symbols)
     return coeff_field([*field.symbols, *ys]), ys
 
 
@@ -391,12 +471,12 @@ def _int_value(digits: str) -> int:
 
 
 @cache
-def _by_name(field: FracField) -> tuple[list[tuple[int, str]], object]:
+def _by_name(field: _Field) -> tuple[list[tuple[int, str]], object]:
     """Generators as (position, name) in sympy's print order, by name, and a
     key reading a monomial's exponents in that order (terms print lex-descending)."""
-    order = sorted(range(field.ngens), key=lambda i: field.symbols[i].name)
+    order = sorted(range(len(field.symbols)), key=field.symbols.__getitem__)
     key = itemgetter(*order) if order else tuple  # no generators: only the empty monomial
-    return [(i, field.symbols[i].name) for i in order], key
+    return [(i, field.symbols[i]) for i in order], key
 
 
 def _ordered(poly, key, d: int = 1) -> list[tuple[tuple, int, int]]:
@@ -410,11 +490,11 @@ def _ordered(poly, key, d: int = 1) -> list[tuple[tuple, int, int]]:
     return out
 
 
-def _parts(c: FracElement) -> tuple[list, list, list | None]:
+def _parts(c: _Frac) -> tuple[list, list, list | None]:
     """Names, numerator and denominator ``_ordered``; a ground denominator is
     distributed over the numerator as sympy does (``2*u/3 + 1/3``) and is None."""
     names, key = _by_name(c.field)
-    if c.denom.is_ground:
+    if len(c.denom) == 1 and c.field.ring.zero_monom in c.denom:
         return names, _ordered(c.numer, key, c.denom.LC), None
     return names, _ordered(c.numer, key), _ordered(c.denom, key)
 
@@ -432,7 +512,7 @@ def _sum_text(terms, names) -> str:
     return texts[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in texts[1:])
 
 
-def _coeff_text(c: FracElement) -> str:
+def _coeff_text(c: _Frac) -> str:
     """``str(c.as_expr())`` for a reduced ``c``, without building the expression.
 
     Over a polynomial denominator the quotient prints as sympy's ``Mul``, sums
@@ -452,7 +532,7 @@ def _coeff_text(c: FracElement) -> str:
     return f"{top}/({bottom})" if len(powers) + (d != 1) > 1 else f"{top}/{bottom}"
 
 
-def _lead_rational(c: FracElement) -> tuple[int, int]:
+def _lead_rational(c: _Frac) -> tuple[int, int]:
     """(p, q) of ``c.as_expr().as_ordered_terms()[0].as_coeff_Mul(rational=True)[0]``;
     a monomial numerator's and denominator's contents are coprime in a reduced ``c``."""
     _, num, den = _parts(c)
@@ -492,35 +572,26 @@ class Fields:
     def n(self) -> int:
         return len(self.names)
 
-    def jet(self, index: int, order: int = 0) -> sp.Symbol:
-        """Jet symbol of field ``index`` (1-based) at derivative ``order``."""
+    def jet(self, index: int, order: int = 0) -> Jet:
+        """Jet variable of field ``index`` (1-based) at derivative ``order``."""
         if not 1 <= index <= self.n:
             raise ValueError(f"field index {index} out of range 1..{self.n}")
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        return sp.Symbol(_jet_name(self.names[index - 1], order))
+        return _jet_name(self.names[index - 1], order)
 
-    def classify(self, sym: sp.Symbol) -> tuple[int, int] | None:
-        """Map a symbol back to ``(field_index, order)``, or None."""
-        name = sym.name
-        if "_" not in name:
-            if name in self.names:
-                return self.names.index(name) + 1, 0
+    def classify(self, name: Jet) -> tuple[int, int] | None:
+        """Map a jet name back to ``(field_index, order)``, or None."""
+        m = _JET_RE.fullmatch(name)
+        if m is None or m[1] not in self.names:
             return None
-        base, _, suffix = name.partition("_")
-        if base not in self.names:
-            return None
-        m = _SUFFIX_RE.match(suffix)
-        if not m:
-            return None
-        return self.names.index(base) + 1, int(m.group(1)) if m.group(1) else 1
+        return self.names.index(m[1]) + 1, 0 if m[2] is None else int(m[2] or 1)
 
-    def jet_symbols(self, coeff: FracElement) -> list[tuple[sp.Symbol, int, int]]:
-        """Jet symbols occurring in a coefficient as (symbol, field, order)."""
-        degrees = zip(coeff.numer.degrees(), coeff.denom.degrees())
+    def jet_symbols(self, coeff: Coeff) -> list[tuple[Jet, int, int]]:
+        """Jet variables occurring in a coefficient as (name, field, order)."""
         out = []
-        for sym, (dn, dd) in zip(coeff.field.symbols, degrees):
-            if dn <= 0 and dd <= 0:
+        for sym, exponents in zip(coeff.field.symbols, zip(*coeff.numer, *coeff.denom)):
+            if not any(exponents):
                 continue
             hit = self.classify(sym)
             if hit is None:
@@ -601,14 +672,14 @@ class SuperPoly:
 
     __slots__ = ("terms", "field", "_texts")
 
-    def __init__(self, terms: Mapping[Word, object] | None = None, field: FracField | None = None):
+    def __init__(self, terms: Mapping[Word, object] | None = None, field: _Field | None = None):
         """Coefficients in ``field``, or of any exact kind when it is None."""
         terms = terms or {}
         if field is None:
             field, coeffs = _into(None, terms.values())
             terms = dict(zip(terms, coeffs))
         self.field = field
-        self.terms: dict[Word, FracElement] = {w: c for w, c in terms.items() if c}
+        self.terms: dict[Word, _Frac] = {w: c for w, c in terms.items() if c}
         self._texts: list[tuple[Word, str]] | None = None
 
     # -- constructors -------------------------------------------------
@@ -635,7 +706,7 @@ class SuperPoly:
         words with repeated odd factors, merge coefficients, drop zeros."""
         raw = list(raw)
         field, coeffs = _into(None, (c for c, _ in raw))
-        acc: dict[Word, FracElement] = {}
+        acc: dict[Word, _Frac] = {}
         for (_, factors), c in zip(raw, coeffs):
             sign, word = normalize_word(tuple(factors))
             if word is None:
@@ -644,7 +715,7 @@ class SuperPoly:
             acc[word] = acc[word] + c if word in acc else c
         return SuperPoly(acc, field)
 
-    def set_field(self, field: FracField) -> "SuperPoly":
+    def set_field(self, field: _Field) -> "SuperPoly":
         """The same value over ``field``, whose generators include this field's."""
         if field is self.field:
             return self
@@ -680,7 +751,7 @@ class SuperPoly:
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
             a, b = self._aligned(other)
-            acc: dict[Word, FracElement] = {}
+            acc: dict[Word, _Frac] = {}
             for w1, c1 in a.terms.items():
                 for w2, c2 in b.terms.items():
                     sign, word = normalize_word(w1 + w2)
@@ -738,17 +809,16 @@ class SuperPoly:
 
     # -- derivatives ----------------------------------------------------
 
-    def partial_even(self, sym: sp.Symbol) -> "SuperPoly":
-        if sym not in self.field.symbols:
+    def partial_even(self, sym: Jet) -> "SuperPoly":
+        if sym not in self.field.ring.index:
             return SuperPoly.zero()
-        x = self.field.gens[self.field.symbols.index(sym)]
-        return SuperPoly({w: c.diff(x) for w, c in self.terms.items()}, self.field)
+        return SuperPoly({w: c.diff(sym) for w, c in self.terms.items()}, self.field)
 
     def partial_odd(self, f: OddFactor) -> "SuperPoly":
         """Left graded derivative: strike the factor, sign from its position."""
         if f.kind != "p":
             raise ValueError("use nonlocal EL rules")
-        out: dict[Word, FracElement] = {}
+        out: dict[Word, _Frac] = {}
         for word, coeff in self.terms.items():
             if f not in word:
                 continue
@@ -766,17 +836,6 @@ class SuperPoly:
             words = sorted(self.terms, key=_word_key)
             self._texts = [(w, _coeff_text(self.terms[w])) for w in words]
         return self._texts
-
-    def __repr__(self):
-        if not self.terms:
-            return "SuperPoly(0)"
-        bits = []
-        for word, coeff in self.sorted_texts():
-            fs = "*".join(
-                f"{f.kind}{f.index}" + (f"[{f.order}]" if f.order else "") for f in word
-            )
-            bits.append(f"({coeff})*{fs}" if fs else f"({coeff})")
-        return "SuperPoly(" + " + ".join(bits) + ")"
 
 
 def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None = None) -> str:

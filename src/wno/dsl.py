@@ -33,7 +33,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Coeff, Fields, Jet, _int_value, coeff_field
+from .algebra import Coeff, Fields, Jet, _int_value, _rational, coeff_field
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
 
@@ -79,13 +79,8 @@ def tokenize(source: str) -> list[Token]:
             col = pos - line_start + 1
             raise ParseError(f"unexpected character {source[pos]!r}", line, col)
         text = m.group(0)
-        col = pos - line_start + 1
-        if m.lastgroup == "ident":
-            tokens.append(Token("ident", text, line, col))
-        elif m.lastgroup == "int":
-            tokens.append(Token("int", text, line, col))
-        elif m.lastgroup == "punct":
-            tokens.append(Token("punct", text, line, col))
+        if m.lastgroup:  # whitespace and comments have no group
+            tokens.append(Token(m.lastgroup, text, line, pos - line_start + 1))
         newlines = text.count("\n")
         if newlines:
             line += newlines
@@ -290,7 +285,7 @@ class Parser:
         return entries
 
     def parse_diffterm(self, sign: int) -> tuple[Coeff, int]:
-        coeff = self.field(sign)
+        coeff = _rational(self.field, sign)
         while True:
             tok = self.peek()
             if tok.kind == "ident" and tok.text == "D":
@@ -333,7 +328,7 @@ class Parser:
             return self.nested(self.parse_rational)
         if tok.kind == "int":
             self.next()
-            value = self.field(self.integer(tok))
+            value = _rational(self.field, self.integer(tok))
             if self.peek().text == "/":
                 self.next()
                 qtok = self.expect("int")
@@ -396,7 +391,7 @@ class Parser:
                 neg = True
             exp = self.integer(self.expect("int"), "exponent")
             # dividing, not a negative power, keeps the denominator's sign canonical
-            return 1 / self.nonzero(tok, base) ** exp if neg else base**exp
+            return self.field.one / self.nonzero(tok, base) ** exp if neg else base**exp
         return base
 
     def parse_atom(self) -> Coeff:
@@ -407,7 +402,7 @@ class Parser:
             return self.nested(self.parse_sum)
         if tok.kind == "int":
             self.next()
-            return self.field(self.integer(tok))
+            return _rational(self.field, self.integer(tok))
         if tok.kind == "ident":
             self.next()
             return self.gens[self.jet_from_name(tok)]
@@ -424,11 +419,7 @@ class Parser:
             return self.fields.jet(self.fields.names.index(base) + 1, 0)
         m = re.fullmatch(r"(\d*)x", suffix)
         if not m:
-            raise ParseError(
-                f"bad derivative suffix in {name!r} (use _x, _2x, ...)",
-                tok.line,
-                tok.col,
-            )
+            self.fail(f"bad derivative suffix in {name!r} (use _x, _2x, ...)", tok)
         order = self.integer(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
         return self.fields.jet(self.fields.names.index(base) + 1, order)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import Fields, Jet, _coeff_text, _fsum, _into, _inverse, _lift, coeff_field
 from .schouten import Tail, WNOperator
@@ -80,7 +80,7 @@ class DerivedGeometry:
     are computed from the stored connection on first read.
     """
 
-    coords: list  # coords[k] = the generator u^k
+    coords: list  # coords[k] = the name of u^k
     g: list  # g[i][j] = g^ij
     W: list  # W[i][j] = W^i_j
     g_lo: list  # g_lo[i][j] = g_ij, the inverse of g^ij
@@ -91,7 +91,7 @@ class DerivedGeometry:
     def riemann_up(self) -> list:
         """riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh; antisymmetric in its
         last index pair by its formula, for any input, so only k < h is computed."""
-        x, g, gamma, F = self.coords, self.g, self.gamma, self.coords[0].field
+        x, g, gamma, F = self.coords, self.g, self.gamma, coeff_field(self.coords)
         n, r = len(x), range(len(x))
         riemann = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, l: _fsum([
             gamma[i][l][j].diff(x[k]), -gamma[i][k][j].diff(x[l]),
@@ -103,7 +103,7 @@ class DerivedGeometry:
     @cached_property
     def nabla_w(self) -> list:
         """nabla_w[i][j][k] = covariant derivative of W^j_k along u^i."""
-        x, W, gamma, F = self.coords, self.W, self.gamma, self.coords[0].field
+        x, W, gamma, F = self.coords, self.W, self.gamma, coeff_field(self.coords)
         r = range(len(x))
         return _tensor(len(x), 3, lambda i, j, k: _fsum([
             W[j][k].diff(x[i]), *(gamma[j][i][s] * W[s][k] for s in r),
@@ -128,8 +128,8 @@ def derive_geometry(m: MetricData) -> DerivedGeometry:
     """Exact inverse metric and Levi-Civita symbols, in the coefficient field
     QQ(u1..un) of the metric data, whose elements are reduced fractions."""
     n, r = m.n, range(m.n)
-    F = coeff_field(m.coords())
-    x = [F.gens[F.symbols.index(u)] for u in m.coords()]
+    x = m.coords()
+    F = coeff_field(x)
     g_up, W = m.g, m.W
     g_lo = _inverse(g_up, F)
     if g_lo is None:
@@ -155,87 +155,34 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
     Each condition is a field element tested against zero; a witness shows
     the first nonzero one as a reduced-fraction expression.
     """
-    n, geo = m.n, m.geometry
-    g, W, x, F = geo.g, geo.W, geo.coords, geo.coords[0].field
+    geo, r = m.geometry, range(m.n)
+    g, W, x, F, G = geo.g, geo.W, geo.coords, coeff_field(geo.coords), geo.gamma_up
+    upper = list(combinations(r, 2))  # index pairs i < j
+    conditions = {  # name -> (label, value) pairs, evaluated lazily up to the first nonzero
+        "metric_symmetry": ((f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i][j] - g[j][i])
+                            for i, j in upper),
+        "metric_compatibility": ((f"dg[{i + 1},{j + 1}]/du{k + 1}",
+                                  _fsum([g[i][j].diff(x[k]), -G[i][j][k], -G[j][i][k]], F))
+                                 for i, j, k in product(r, repeat=3)),
+        "gGamma_symmetry": ((f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
+                             _fsum([*(g[i][s] * G[j][k][s] for s in r),
+                                    *(-(g[j][s] * G[i][k][s]) for s in r)], F))
+                            for (i, j), k in product(upper, r)),
+        "gW_symmetry": ((f"(i,j)=({i + 1},{j + 1})",
+                         _fsum([*(g[i][s] * W[j][s] for s in r), *(-(g[j][s] * W[i][s]) for s in r)], F))
+                        for i, j in upper),
+        "nablaW_symmetry": ((f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
+                             geo.nabla_w[i][j][k] - geo.nabla_w[k][j][i])
+                            for i, j, k in product(r, repeat=3) if i < k),
+        "gauss_relation": ((f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
+                            _fsum([geo.riemann_up[i][j][k][h], -(W[i][k] * W[j][h]),
+                                   W[j][k] * W[i][h]], F))
+                           for i, j, k, h in product(r, repeat=4)),
+    }
     out = []
-
-    def verdict(name, pairs):
-        for label, value in pairs:
-            if value != 0:
-                out.append(ConditionCheck(name, False, f"{label}: {_coeff_text(value)}"))
-                return
-        out.append(ConditionCheck(name, True))
-
-    verdict(
-        "metric_symmetry",
-        (
-            (f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i][j] - g[j][i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        ),
-    )
-    verdict(
-        "metric_compatibility",
-        (
-            (
-                f"dg[{i + 1},{j + 1}]/du{k + 1}",
-                _fsum([g[i][j].diff(x[k]), -geo.gamma_up[i][j][k], -geo.gamma_up[j][i][k]], F),
-            )
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        ),
-    )
-    verdict(
-        "gGamma_symmetry",
-        (
-            (
-                f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                _fsum([*(g[i][s] * geo.gamma_up[j][k][s] for s in range(n)),
-                       *(-(g[j][s] * geo.gamma_up[i][k][s]) for s in range(n))], F),
-            )
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(n)
-        ),
-    )
-    verdict(
-        "gW_symmetry",
-        (
-            (
-                f"(i,j)=({i + 1},{j + 1})",
-                _fsum([*(g[i][s] * W[j][s] for s in range(n)),
-                       *(-(g[j][s] * W[i][s]) for s in range(n))], F),
-            )
-            for i in range(n)
-            for j in range(i + 1, n)
-        ),
-    )
-    verdict(
-        "nablaW_symmetry",
-        (
-            (
-                f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                geo.nabla_w[i][j][k] - geo.nabla_w[k][j][i],
-            )
-            for i in range(n)
-            for j in range(n)
-            for k in range(i + 1, n)
-        ),
-    )
-    verdict(
-        "gauss_relation",
-        (
-            (
-                f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
-                _fsum([geo.riemann_up[i][j][k][h], -(W[i][k] * W[j][h]), W[j][k] * W[i][h]], F),
-            )
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            for h in range(n)
-        ),
-    )
+    for name, pairs in conditions.items():
+        witness = next((f"{label}: {_coeff_text(value)}" for label, value in pairs if value != 0), None)
+        out.append(ConditionCheck(name, witness is None, witness))
     return out
 
 

@@ -6,8 +6,12 @@ import random
 
 import pytest
 import sympy as sp
+from sympy import ZZ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement
 
-from wno.algebra import Fields, SuperPoly, p
+from wno.algebra import Fields, SuperPoly, _Frac, _poly, p
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +24,39 @@ def F2() -> Fields:
     return Fields(("u1", "u2"))
 
 
+def jet_expr(fields: Fields, index: int, order: int = 0) -> sp.Symbol:
+    """The jet variable ``fields.jet(index, order)`` as a sympy symbol, to write
+    test coefficients as sympy expressions."""
+    return sp.Symbol(fields.jet(index, order))
+
+
+class Twin:
+    """Sympy's ``FracField`` over the generators of a coefficient field ``K``, in
+    the same order, and its ``PolyRing``: the oracle for the owned arithmetic."""
+
+    def __init__(self, K):
+        self.K = K
+        self.field = FracField([sp.Symbol(s) for s in K.symbols], ZZ, lex)
+        self.ring = self.field.ring
+
+    def theirs(self, x):
+        """An owned polynomial or field element of ``K`` as sympy's."""
+        if isinstance(x, dict):
+            return self.ring(dict(x))
+        return self.field.raw_new(self.theirs(x.numer), self.theirs(x.denom))
+
+    def ours(self, x):
+        """A sympy polynomial or reduced fraction over ``K``'s generators, in ``K``."""
+        if isinstance(x, PolyElement):
+            return _poly(self.K.ring, dict(x))
+        return _Frac(self.K, self.ours(x.numer), self.ours(x.denom))
+
+
+def as_expr(c) -> sp.Expr:
+    """A coefficient as a sympy expression."""
+    return Twin(c.field).theirs(c).as_expr()
+
+
 def random_rational(rng: random.Random) -> sp.Rational:
     num = rng.randint(-4, 4)
     if num == 0:
@@ -30,7 +67,7 @@ def random_rational(rng: random.Random) -> sp.Rational:
 def random_coeff(rng: random.Random, fields: Fields, max_order: int = 2) -> sp.Expr:
     expr = random_rational(rng)
     for _ in range(rng.randint(0, 2)):
-        expr = expr * fields.jet(rng.randint(1, fields.n), rng.randint(0, max_order))
+        expr = expr * jet_expr(fields, rng.randint(1, fields.n), rng.randint(0, max_order))
     return expr
 
 

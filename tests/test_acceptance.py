@@ -20,11 +20,11 @@ from wno.jetcalc import adjoint, euler_lagrange, linearize, total_x
 from wno.nonlocal_vars import NonlocalVarTable, el_nonlocal, integrate_density
 from wno.schouten import Tail, WNOperator, is_hamiltonian, schouten_bracket
 
-from conftest import random_coeff, random_local, random_local_mixed
+from conftest import jet_expr, random_coeff, random_local, random_local_mixed
 
 REPO = Path(__file__).resolve().parent.parent
 F = Fields(("u",))
-u, u_x = F.jet(1, 0), F.jet(1, 1)
+u, u_x = jet_expr(F, 1, 0), jet_expr(F, 1, 1)
 
 ZERO = sp.Integer(0)
 ONE = sp.Integer(1)
@@ -70,7 +70,7 @@ def test_criterion_2_mkdv():
         sp.Rational(16, 3) * u, [p(1, 0), p(1, 1), p(1, 3)]
     )
     # frozen reference values for the representative's EL tuple
-    u_2x, u_3x = F.jet(1, 2), F.jet(1, 3)
+    u_2x, u_3x = jet_expr(F, 1, 2), jet_expr(F, 1, 3)
     ref_du = SuperPoly.monomial(sp.Rational(16, 3), [p(1, 0), p(1, 1), p(1, 3)])
     ref_dp = SuperPoly.from_terms(
         [
@@ -178,7 +178,7 @@ def test_criterion_6_first_order_equivalence():
     start = time.monotonic()
     F2 = Fields(("u1", "u2"))
     F3 = Fields(("u1", "u2", "u3"))
-    u1, u2 = F2.jet(1, 0), F2.jet(2, 0)
+    u1, u2 = jet_expr(F2, 1, 0), jet_expr(F2, 2, 0)
     h = 1 + (u1**2 + u2**2) / 4
     eye2 = [[ONE, ZERO], [ZERO, ONE]]
 

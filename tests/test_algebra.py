@@ -14,11 +14,10 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sympy import ZZ
 from sympy.core import cache as sympy_cache
-from sympy.polys.fields import FracElement, FracField
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.fields import FracElement
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement
 
 import wno
 from wno.algebra import (
@@ -35,6 +34,7 @@ from wno.algebra import (
     _int_text,
     _int_value,
     _lead_rational,
+    _poly,
     coeff_field,
     nl,
     normalize_word,
@@ -44,11 +44,11 @@ from wno.jetcalc import total_x
 from wno.nonlocal_vars import scalar_content
 from wno.schouten import Tail, WNOperator
 
-from conftest import random_local, random_local_mixed
+from conftest import Twin, as_expr, jet_expr, random_local, random_local_mixed
 
 F = Fields(("u",))
-u = F.jet(1, 0)
-u_x = F.jet(1, 1)
+u = jet_expr(F, 1, 0)
+u_x = jet_expr(F, 1, 1)
 
 
 class TestNormalize:
@@ -144,7 +144,7 @@ class TestPartials:
     def test_even_partial(self):
         a = SuperPoly.monomial(u**2, [p(1, 1), p(1, 0)])
         expected = SuperPoly.monomial(2 * u, [p(1, 1), p(1, 0)])
-        assert a.partial_even(u) == expected
+        assert a.partial_even(F.jet(1, 0)) == expected
 
     def test_left_odd_partial_signs(self):
         a = SuperPoly.from_terms([(1, [p(1, 0), p(1, 1)])])  # p p_x
@@ -220,7 +220,7 @@ def test_zero_test_soundness(a):
 
 # Rational functions over jet symbols of two fields, built unexpanded so that
 # the normal form has to expand, cancel and fix the sign of the denominator.
-_SYMBOLS = [Fields(("u", "v")).jet(i, k) for i in (1, 2) for k in (0, 1, 2)]
+_SYMBOLS = [jet_expr(Fields(("u", "v")), i, k) for i in (1, 2) for k in (0, 1, 2)]
 _rationals = st.builds(sp.Rational, st.integers(-5, 5), st.integers(1, 4))
 _monomials = st.builds(
     lambda c, syms: c * sp.Mul(*syms), _rationals, st.lists(st.sampled_from(_SYMBOLS), max_size=3)
@@ -243,7 +243,7 @@ _fractions = st.one_of(
 
 def _dx(e):
     return sum(
-        (sp.diff(e, s) * _F2.jet(i, k + 1) for s in e.free_symbols for i, k in [_F2.classify(s)]),
+        (sp.diff(e, s) * jet_expr(_F2, i, k + 1) for s in e.free_symbols for i, k in [_F2.classify(s.name)]),
         sp.Integer(0),
     )
 
@@ -274,7 +274,7 @@ _PRINT_NAMES = ["u", "u2", "u10", "u_x", "u_10x", "u(y)", "u_x(y)"]
 @st.composite
 def _field_elements(draw):
     names = draw(st.lists(st.sampled_from(_PRINT_NAMES), min_size=1, max_size=4, unique=True))
-    K = coeff_field(sp.Symbol(n) for n in names)
+    K = coeff_field(names)
     powers = st.lists(st.tuples(st.sampled_from(K.gens), st.integers(1, 3)), max_size=3)
 
     def poly(min_terms, max_terms, coeffs=st.integers(-12, 12)):
@@ -283,7 +283,7 @@ def _field_elements(draw):
 
     kind = draw(st.sampled_from(["ground", "monomial", "sum"]))
     if kind == "ground":
-        den = K(draw(st.integers(1, 12)))
+        den = K.one * draw(st.integers(1, 12))
     elif kind == "monomial":
         den = poly(1, 1, st.integers(1, 12) | st.integers(-12, -1))
     else:
@@ -296,7 +296,7 @@ def _field_elements(draw):
 @given(_field_elements())
 def test_coeff_text_matches_sympy_printer(drawn):
     c, K = drawn
-    expr = c.as_expr()
+    expr = as_expr(c)
     assert _coeff_text(c) == str(expr)
     if c:
         lead, _ = expr.as_ordered_terms()[0].as_coeff_Mul(rational=True)
@@ -309,19 +309,19 @@ def test_coeff_text_matches_sympy_printer(drawn):
 
 
 def test_coeff_text_fixed_cases():
-    K = coeff_field(sp.symbols("u u2 u10"))
-    u, u2, u10 = (K.gens[K.symbols.index(sp.Symbol(n))] for n in ("u", "u2", "u10"))
-    cases = {
-        3 - 2 * u2**3: "3 - 2*u2**3",
-        (2 * u + 1) / 3: "2*u/3 + 1/3",
-        u2 + u10: "u10 + u2",
-        (u + 1) / (3 * u2): "(u + 1)/(3*u2)",
-        1 / u**2: "u**(-2)",
-        -1 / u**2: "-1/u**2",
-        1 / (u * u2): "1/(u*u2)",
-    }
-    for c, text in cases.items():
-        assert _coeff_text(c) == text == str(c.as_expr())
+    K = coeff_field(["u", "u2", "u10"])
+    u, u2, u10 = (K.gens[K.symbols.index(n)] for n in ("u", "u2", "u10"))
+    cases = [
+        (-2 * u2**3 + 3, "3 - 2*u2**3"),
+        ((2 * u + 1) / 3, "2*u/3 + 1/3"),
+        (u2 + u10, "u10 + u2"),
+        ((u + 1) / (3 * u2), "(u + 1)/(3*u2)"),
+        (K.one / u**2, "u**(-2)"),
+        (-K.one / u**2, "-1/u**2"),
+        (K.one / (u * u2), "1/(u*u2)"),
+    ]
+    for c, text in cases:
+        assert _coeff_text(c) == text == str(as_expr(c))
 
 
 def test_negative_power_converts_with_canonical_sign():
@@ -341,8 +341,9 @@ def test_integer_text_in_chunks():
 # sums meet shared denominator factors and derivatives meet repeated ones;
 # denominators are ground, monomial or polynomial, of either sign before
 # sympy makes them canonical.
-_ARITH = coeff_field(sp.symbols("u u_x v"))
-_SYMPY = FracField(_ARITH.symbols, ZZ, lex)
+_ARITH = coeff_field(["u", "u_x", "v"])
+_TWIN = Twin(_ARITH)
+_SYMPY = _TWIN.field
 
 
 @st.composite
@@ -373,12 +374,12 @@ def _operand_pairs(draw):
     return pairs
 
 
-def _ours(x):
-    return _ARITH.raw_new(_ARITH.ring(dict(x.numer)), _ARITH.ring(dict(x.denom)))
+_ours = _TWIN.ours
 
 
 def _same(ours, theirs):
-    assert type(ours) is type(_ARITH.one) and ours.field is _ARITH
+    assert type(ours) is _Frac and ours.field is _ARITH
+    assert _TWIN.theirs(ours) == theirs
     assert (dict(ours.numer), dict(ours.denom)) == (dict(theirs.numer), dict(theirs.denom))
 
 
@@ -392,8 +393,10 @@ def test_field_arithmetic_matches_sympy(pair, k):
     _same(a * b, x * y)
     if y:
         _same(a / b, x / y)
-    for ours, theirs in zip(_ARITH.gens, _SYMPY.gens):
-        _same(a.diff(ours), x.diff(theirs))
+    for name, theirs in zip(_ARITH.symbols, _SYMPY.gens):
+        _same(a.diff(name), x.diff(theirs))
+    if x or k:  # sympy refuses 0**0
+        _same(a ** abs(k), x ** abs(k))
     kk = _SYMPY(k)  # sympy's own returns a bare int for 0 + k
     _same(a + k, x + kk)
     _same(k + a, kk + x)
@@ -410,42 +413,60 @@ def test_total_x_matches_full_quotient_rule(pair):
     F2 = Fields(("u", "v"))
     c = _ours(pair[0] * pair[1])
     out = total_x(SuperPoly({(): c}, _ARITH), F2)
-    K = out.field
+    K = Twin(out.field)
     chain = [(sym, F2.jet(i, order + 1)) for sym, i, order in F2.jet_symbols(c)]
-    gen = dict(zip(K.symbols, K.ring.gens))
-    n, d = (q.set_ring(K.ring) for q in (c.numer, c.denom))
+    gen = dict(zip(out.field.symbols, K.ring.gens))
+    n, d = (_TWIN.theirs(q).set_ring(K.ring) for q in (c.numer, c.denom))
     dn, dd = (sum((q.diff(gen[s]) * gen[t] for s, t in chain), K.ring.zero) for q in (n, d))
-    assert out.terms.get((), K.zero) == K.new(dn * d - n * dd, d * d)
+    assert K.theirs(out.terms.get((), out.field.zero)) == K.field.new(dn * d - n * dd, d * d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_field_elements(), st.lists(st.sampled_from(_PRINT_NAMES), max_size=4))
 def test_lift_matches_set_ring(drawn, extra):
     c, K = drawn
-    L = coeff_field([*K.symbols, *(sp.Symbol(n) for n in extra)])
+    L = coeff_field([*K.symbols, *extra])
     lifted = _lift(c, L)
-    assert lifted.field is L and type(lifted) is type(L.one)
-    assert lifted.numer == c.numer.set_ring(L.ring)
-    assert lifted.denom == c.denom.set_ring(L.ring)
+    assert lifted.field is L and type(lifted) is _Frac
+    theirs = Twin(K).theirs(c)
+    assert Twin(L).theirs(lifted.numer) == theirs.numer.set_ring(Twin(L).ring)
+    assert Twin(L).theirs(lifted.denom) == theirs.denom.set_ring(Twin(L).ring)
 
 
-def test_sympy_field_classes_stay_unpatched():
-    assert wno.algebra.coeff_field is coeff_field
-    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "diff"):
-        method = vars(FracElement)[name]
-        assert method.__module__ == "sympy.polys.fields"
-        assert method.__qualname__ == f"FracElement.{name}"
-    for name in ("__eq__", "__ne__", "__hash__", "__neg__", "__add__", "__sub__", "__mul__",
-                 "_gcd_monom", "diff", "LC"):
-        method = vars(PolyElement)[name]
-        method = getattr(method, "fget", method)
-        assert method.__module__ == "sympy.polys.rings"
-        assert method.__qualname__ == f"PolyElement.{name}"
-    gens = sp.symbols("u v")
-    assert type(FracField(gens, ZZ, lex).one) is FracElement
-    assert type(PolyRing(gens, ZZ, lex).one) is PolyElement
-    assert type(coeff_field(gens).one) is not FracElement
-    assert type(coeff_field(gens).ring.one) is _Poly
+def test_owned_elements_are_not_sympy_subclasses():
+    """Coefficients, polynomials and their field and ring are the module's own
+    types, and sympy's element classes keep their own methods."""
+    K = coeff_field(["u", "v"])
+    assert _Poly.__mro__ == (_Poly, dict, object) and _Frac.__mro__ == (_Frac, object)
+    for obj in (K, K.ring, K.one, K.one.numer, K.gens[0] * K.gens[1] + K.gens[0]):
+        assert not any(cls.__module__.startswith("sympy") for cls in type(obj).__mro__)
+    assert type(K.gens[0] * K.gens[1] + K.gens[0]) is _Frac
+    for cls, module in ((FracElement, "sympy.polys.fields"), (PolyElement, "sympy.polys.rings")):
+        for name in ("__add__", "__sub__", "__mul__", "__eq__", "diff"):
+            assert vars(cls)[name].__module__ == module
+            assert vars(cls)[name].__qualname__ == f"{cls.__name__}.{name}"
+
+
+@pytest.mark.parametrize("names", [
+    ["u2", "u10", "u"],
+    ["u_2x", "u", "u_x", "u_10x", "u_3x"],
+    ["u", "u_x", "u(y)", "u_x(y)", "u_2x(y)"],
+    ["u1", "u2", "u1_x", "u2_2x", "u1(y)", "u2_x(y)"],
+    ["a", "x", "z3", "y", "p", "w", "o", "ab", "A", "u01", "u1"],
+    [],
+])
+def test_generator_order_is_sympys(names):
+    """The owned fields order their generators as sympy's ``_sort_gens``, whose
+    order fixes lex leading coefficients and so every printed sign."""
+    assert coeff_field(names).symbols == _sort_gens(sorted(names))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from(
+    [jet + y for base in ("u", "v", "u1", "u2", "u10", "w3", "x", "a") for jet in
+     (base, f"{base}_x", f"{base}_2x", f"{base}_11x") for y in ("", "(y)")]), max_size=8))
+def test_generator_order_is_sympys_on_field_sets(names):
+    assert coeff_field(names).symbols == _sort_gens(sorted(names))
 
 
 def test_only_algebra_knows_the_coefficient_representation():
@@ -465,12 +486,6 @@ def test_only_algebra_knows_the_coefficient_representation():
             if name in ("numer", "denom", "ring", "_quotient_rule"):
                 found.append(f"{path.name}:{node.lineno} uses {name}")
     assert not found
-
-
-def test_generator_attributes_are_field_elements():
-    K = coeff_field(sp.symbols("u v"))
-    assert K.u is K.gens[0] and K.v is K.gens[1]
-    assert type(K.u) is _Frac and type(K.u * K.v + K.u) is _Frac
 
 
 @st.composite
@@ -509,20 +524,18 @@ def test_fsum_of_no_terms_zeros_and_one_term():
 @settings(max_examples=150, deadline=None)
 @given(_any_poly | st.just(_SYMPY.ring.zero), _any_poly | st.just(_SYMPY.ring.zero))
 def test_cofactors_match_sympy(p, q):
-    p, q = (_ARITH.ring(dict(x)) for x in (p, q))
-    assert _cofactors(p, q) == p.cofactors(q)
+    assert tuple(map(_TWIN.theirs, _cofactors(_ours(p), _ours(q)))) == p.cofactors(q)
 
 
 # The rings' own element type against sympy's PolyRing over the same generators:
 # operands share a planted factor, so that gcds are nontrivial; monomial
 # operands take the one-pass monomial gcd.
-def _mine(x):
-    return _ARITH.ring(dict(x))
+_mine = _TWIN.ours
 
 
 def _same_poly(ours, theirs):
     assert type(ours) is _Poly and ours.ring is _ARITH.ring
-    assert dict(ours) == dict(theirs)
+    assert _TWIN.theirs(ours) == theirs and dict(ours) == dict(theirs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -544,26 +557,27 @@ def test_poly_arithmetic_matches_sympy(x, y, f, m, k):
     assert (a == b, a != b, a == k, a != k) == (x == y, x != y, x == k, x != k)
     const = x.get(x.ring.zero_monom, 0)
     assert (a == const, a != const) == (x == const, x != const)
-    assert a == _mine(x) and hash(a) == hash(_mine(x)) == hash(x)
+    assert a == _mine(x) and hash(a) == hash(_mine(x))  # equal polynomials hash equal
     assert hash(a * b) == hash(b * a) and hash(a + b - b) == hash(a)
-    for ours, theirs in zip(_ARITH.ring.gens, _SYMPY.ring.gens):
-        _same_poly(a.diff(ours), x.diff(theirs))
+    for i, theirs in enumerate(_SYMPY.ring.gens):
+        _same_poly(a.diff(i), x.diff(theirs))
     assert a.LC == x.LC
     for (p_, q_), (s_, t_) in (((a, b), (x, y)), ((a, c), (x, m)), ((c, a), (m, x))):
-        for ours, theirs in zip(p_.cofactors(q_), s_.cofactors(t_)):
+        for ours, theirs in zip(_cofactors(p_, q_), s_.cofactors(t_)):
             _same_poly(ours, theirs)
 
 
 @pytest.mark.skipif(sympy_cache.USE_CACHE != "yes", reason="sympy's cache is switched off")
 def test_cofactors_memo_lives_in_sympys_cache():
-    x, y, _ = _ARITH.ring.gens
-    p, q = (x + y) * (x - 2), (x + y) * (y + 3)
+    X, Y, _ = _ARITH.gens
+    x, y = X.numer, Y.numer
+    p, q = ((X + Y) * (X - 2)).numer, ((X + Y) * (Y + 3)).numer
     sympy_cache.clear_cache()
     info = _memo_cofactors.cache_info
     first = _cofactors(p, q)
     assert (info().hits, info().misses) == (0, 1)
     assert _cofactors(p, q) is first and info().hits == 1
-    _cofactors(x, p), _cofactors(p, 2 * y)  # monomial operands bypass the memo
+    _cofactors(x, p), _cofactors(p, y + y)  # monomial operands bypass the memo
     assert info().currsize == 1
     sympy_cache.clear_cache()
     assert info().currsize == 0

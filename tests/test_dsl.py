@@ -6,6 +6,8 @@ import sympy as sp
 from wno.dsl import MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
 
+from conftest import as_expr, jet_expr
+
 u = sp.Symbol("u")
 
 KN_SOURCE = "fields u; operator KN { nonlocal[1,1]: 1*[u_x|u_x]; }"
@@ -25,21 +27,21 @@ class TestParse:
         op = doc.operators["KN"]
         assert not op.merged_entry(1, 1)
         [tail] = op.tails
-        u_x = doc.fields.jet(1, 1)
-        assert tail.constant.as_expr() == 1
-        assert [c.as_expr() for c in (*tail.left, *tail.right)] == [u_x, u_x]
+        u_x = jet_expr(doc.fields, 1, 1)
+        assert as_expr(tail.constant) == 1
+        assert [as_expr(c) for c in (*tail.left, *tail.right)] == [u_x, u_x]
 
     def test_mkdv_entries(self):
         doc = parse(MKDV_SOURCE)
         op = doc.operators["mkdv2"]
-        u, u_x = doc.fields.jet(1, 0), doc.fields.jet(1, 1)
-        assert [(c.as_expr(), k) for c, k in op.merged_entry(1, 1)] == [
+        u, u_x = jet_expr(doc.fields, 1, 0), jet_expr(doc.fields, 1, 1)
+        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [
             (sp.Rational(2, 3) * u * u_x, 0),
             (sp.Rational(2, 3) * u**2, 1),
             (sp.Integer(1), 3),
         ]
         [tail] = op.tails
-        assert tail.constant.as_expr() == sp.Rational(-2, 3)
+        assert as_expr(tail.constant) == sp.Rational(-2, 3)
         assert skew_check(op).ok
 
     def test_firstorder_block(self):
@@ -47,14 +49,14 @@ class TestParse:
             "fields u1, u2; firstorder m { g[1,1]: 1; g[2,2]: 1 + u1^2; w[1,1]: u2; }"
         )
         m = doc.firstorder["m"]
-        assert m.g[1][1].as_expr() == 1 + doc.fields.jet(1, 0) ** 2
-        assert m.W[0][0].as_expr() == doc.fields.jet(2, 0)
+        assert as_expr(m.g[1][1]) == 1 + jet_expr(doc.fields, 1, 0) ** 2
+        assert as_expr(m.W[0][0]) == jet_expr(doc.fields, 2, 0)
 
     def test_derivative_spellings(self):
         doc = parse("fields u; operator A { local[1,1]: u_2x*D + u_x; }")
-        u_2x = doc.fields.jet(1, 2)
+        u_2x = jet_expr(doc.fields, 1, 2)
         coeff, order = doc.operators["A"].merged_entry(1, 1)[1]
-        assert (coeff.as_expr(), order) == (u_2x, 1)
+        assert (as_expr(coeff), order) == (u_2x, 1)
 
     def test_comments_and_whitespace(self):
         doc = parse("# heading\nfields u;\noperator A { local[1,1]: D; } # tail comment\n")
@@ -140,7 +142,12 @@ class TestDiagnostics:
     def test_sign_binds_looser_than_power(self, entry, value):
         op = parse(f"fields u; operator A {{ local[1,1]: {entry}; }}").operators["A"]
         (coeff, order), = op.local[0][0]
-        assert order == 1 and coeff.as_expr() == value
+        assert order == 1 and as_expr(coeff) == value
+
+    def test_zeroth_power_of_zero_is_one(self):
+        """``x^0`` is 1 for every coefficient x, the zero one included (it raised ValueError)."""
+        op = parse("fields u; operator A { local[1,1]: (u - u)^0*D + u^0; }").operators["A"]
+        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [(1, 0), (1, 1)]
 
     def test_d_outside_local(self):
         with pytest.raises(ParseError):

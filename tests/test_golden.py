@@ -105,6 +105,26 @@ def test_reports_stay_in_owned_arithmetic(monkeypatch):
     assert not bad
 
 
+def test_reports_build_no_sympy_field_element(monkeypatch):
+    """Coefficients are the module's own reduced pairs, not sympy's fractions:
+    with sympy's ``FracElement`` made impossible to build, every snapshot
+    still comes out byte for byte."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sympy field element was built")
+
+    monkeypatch.setattr(sympy.polys.fields.FracElement, "__init__", refuse)
+    bad = []
+    for case in sorted(CASES):
+        try:
+            ok = report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8")
+        except AssertionError:
+            ok = False
+        if not ok:
+            bad.append(case)
+    assert not bad
+
+
 def test_reports_repeat_with_warm_gcd_memo():
     """Two passes over every case in one process, sharing the gcds memoised in
     sympy's cache, both give the snapshots: no cached polynomial is changed in

@@ -16,10 +16,10 @@ from wno.jetcalc import (
 )
 from wno.nonlocal_vars import NonlocalVarTable
 
-from conftest import random_local, random_local_mixed
+from conftest import jet_expr, random_local, random_local_mixed
 
 F = Fields(("u",))
-u, u_x, u_2x = F.jet(1, 0), F.jet(1, 1), F.jet(1, 2)
+u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
 
 
 class TestTotalX:
@@ -93,7 +93,7 @@ class TestVarDeriv:
         T = SuperPoly.monomial(u, [p(1, 0), p(1, 1), p(1, 3)])
         el = euler_lagrange(T, F)
         assert el.du[0] == SuperPoly.from_terms([(1, [p(1, 0), p(1, 1), p(1, 3)])])
-        u_3x = F.jet(1, 3)
+        u_3x = jet_expr(F, 1, 3)
         expected_dp = SuperPoly.from_terms(
             [
                 (-3 * u_2x, [p(1, 0), p(1, 2)]),
@@ -158,7 +158,7 @@ class TestLinearize:
 class TestMultiComponent:
     def test_var_deriv_per_field(self):
         G = Fields(("u1", "u2"))
-        v = G.jet(2, 0)
+        v = jet_expr(G, 2, 0)
         a = SuperPoly.monomial(v, [p(1, 0), p(2, 1)])
         assert euler_lagrange(a, G).du[1] == SuperPoly.from_terms([(1, [p(1, 0), p(2, 1)])])
         el = euler_lagrange(a, G)

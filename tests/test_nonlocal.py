@@ -18,10 +18,10 @@ from wno.nonlocal_vars import (
     split_tails,
 )
 
-from conftest import random_local_mixed
+from conftest import jet_expr, random_local_mixed
 
 F = Fields(("u",))
-u, u_x, u_2x = F.jet(1, 0), F.jet(1, 1), F.jet(1, 2)
+u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
 
 
 def make_table():
@@ -136,7 +136,7 @@ class TestElNonlocal:
         assert res.el.du[0] == SuperPoly.from_terms(
             [(-1, [p(1, 0), p(1, 1), p(1, 3)])]
         )
-        u_3x = F.jet(1, 3)
+        u_3x = jet_expr(F, 1, 3)
         expected_dp = SuperPoly.from_terms(
             [
                 (3 * u_2x, [p(1, 0), p(1, 2)]),
@@ -267,7 +267,7 @@ class TestSplitAndReduce:
         import sympy as sp
         from wno.schouten import Tail, WNOperator, schouten_bracket
 
-        u = F.jet(1, 0)
+        u = jet_expr(F, 1, 0)
         P = WNOperator(F, [[[]]], [Tail(sp.Integer(1), (u_x,), (u_x,))])
         Q = WNOperator(F, [[[]]], [Tail(sp.Integer(1), (u**2,), (u**2,))])
         table = NonlocalVarTable()

@@ -22,10 +22,10 @@ from wno.schouten import (
     to_superfunction,
 )
 
-from conftest import random_coeff
+from conftest import jet_expr, random_coeff
 
 F = Fields(("u",))
-u, u_x = F.jet(1, 0), F.jet(1, 1)
+u, u_x = jet_expr(F, 1, 0), jet_expr(F, 1, 1)
 
 
 def op_local(rows):
@@ -92,8 +92,8 @@ class TestSkew:
 
     def test_first_order_metric_operator_is_skew(self):
         G = Fields(("u1", "u2"))
-        v1 = G.jet(1, 0)
-        rows = [[[(sp.Integer(1), 1)], []], [[], [(1 + v1**2, 1), (v1 * G.jet(1, 1), 0)]]]
+        v1 = jet_expr(G, 1, 0)
+        rows = [[[(sp.Integer(1), 1)], []], [[], [(1 + v1**2, 1), (v1 * jet_expr(G, 1, 1), 0)]]]
         P = WNOperator(G, rows)
         assert skew_check(P).ok
 
@@ -264,7 +264,7 @@ class TestRoundTrip:
 # e (w(x) z(y) - z(x) w(y)), every coefficient normalised with sp.cancel.
 # It shares no code with the field computation of skew_check.
 
-_JETS = [F.jet(1, k) for k in range(8)]
+_JETS = [jet_expr(F, 1, k) for k in range(8)]
 _constants = st.builds(sp.Rational, st.integers(-3, 3).filter(bool), st.integers(1, 3))
 _monomials = st.sampled_from([1, u, u_x, u**2, u * u_x])
 _numerators = st.builds(
