@@ -61,13 +61,13 @@ def _monomial_op(n: int, entry: str):
 
 
 class _Ring:
-    """ZZ[symbols] in lex order; monomials are exponent tuples, ``sympy`` its converter (``_sympy``)."""
+    """ZZ[symbols] in lex order; monomials are exponent tuples; ``converter`` is built by ``_sympy``."""
 
-    __slots__ = ("symbols", "index", "zero_monom", "one", "sympy", "monomial_mul", "monomial_gcd",
+    __slots__ = ("symbols", "index", "zero_monom", "one", "converter", "monomial_mul", "monomial_gcd",
                  "monomial_ldiv")
 
     def __init__(self, symbols: tuple[Jet, ...]):
-        self.symbols, self.index, self.sympy = symbols, {s: i for i, s in enumerate(symbols)}, None
+        self.symbols, self.index, self.converter = symbols, {s: i for i, s in enumerate(symbols)}, None
         self.zero_monom, n = (0,) * len(symbols), len(symbols)
         self.monomial_mul, self.monomial_gcd, self.monomial_ldiv = (
             _monomial_op(n, e) for e in ("a[{0}] + b[{0}]", "min(a[{0}], b[{0}])", "a[{0}] - b[{0}]"))
@@ -282,9 +282,9 @@ Coeff = _Frac  # a coefficient: an element of a ``coeff_field``
 
 def _sympy(ring: _Ring) -> FracField:
     """Sympy's field over ``ring``'s generators, built on first use: the converter."""
-    if ring.sympy is None:
-        ring.sympy = FracField([sp.Symbol(s) for s in ring.symbols], ZZ, lex)
-    return ring.sympy
+    if ring.converter is None:
+        ring.converter = FracField([sp.Symbol(s) for s in ring.symbols], ZZ, lex)
+    return ring.converter
 
 
 @cacheit  # in sympy's cache, which clear_cache empties
