@@ -14,10 +14,11 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sympy import ZZ, lex
 from sympy.core import cache as sympy_cache
-from sympy.polys.fields import FracElement
+from sympy.polys.fields import FracElement, FracField
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, PolyRing
 
 import wno
 from wno.algebra import (
@@ -433,18 +434,43 @@ def test_lift_matches_set_ring(drawn, extra):
     assert Twin(L).theirs(lifted.denom) == theirs.denom.set_ring(Twin(L).ring)
 
 
-def test_owned_elements_are_not_sympy_subclasses():
+def test_sympy_field_classes_stay_unpatched():
     """Coefficients, polynomials and their field and ring are the module's own
     types, and sympy's element classes keep their own methods."""
+    assert wno.algebra.coeff_field is coeff_field
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__truediv__", "diff"):
+        method = vars(FracElement)[name]
+        assert method.__module__ == "sympy.polys.fields"
+        assert method.__qualname__ == f"FracElement.{name}"
+    for name in ("__eq__", "__ne__", "__hash__", "__neg__", "__add__", "__sub__", "__mul__",
+                 "_gcd_monom", "diff", "LC"):
+        method = vars(PolyElement)[name]
+        method = getattr(method, "fget", method)
+        assert method.__module__ == "sympy.polys.rings"
+        assert method.__qualname__ == f"PolyElement.{name}"
+    gens = sp.symbols("u v")
+    assert type(FracField(gens, ZZ, lex).one) is FracElement
+    assert type(PolyRing(gens, ZZ, lex).one) is PolyElement
     K = coeff_field(["u", "v"])
     assert _Poly.__mro__ == (_Poly, dict, object) and _Frac.__mro__ == (_Frac, object)
     for obj in (K, K.ring, K.one, K.one.numer, K.gens[0] * K.gens[1] + K.gens[0]):
         assert not any(cls.__module__.startswith("sympy") for cls in type(obj).__mro__)
-    assert type(K.gens[0] * K.gens[1] + K.gens[0]) is _Frac
-    for cls, module in ((FracElement, "sympy.polys.fields"), (PolyElement, "sympy.polys.rings")):
-        for name in ("__add__", "__sub__", "__mul__", "__eq__", "diff"):
-            assert vars(cls)[name].__module__ == module
-            assert vars(cls)[name].__qualname__ == f"{cls.__name__}.{name}"
+    assert type(K.one) is _Frac and type(K.ring.one) is _Poly
+
+
+def test_generator_attributes_are_field_elements():
+    """Each generator of a field is the ``_Frac`` ``g/1`` of that field, and
+    arithmetic on generators stays in it."""
+    K = coeff_field(["u", "v"])
+    u, v = K.gens
+    assert K.symbols == ("u", "v")
+    for i, g in enumerate(K.gens):
+        assert type(g) is _Frac and g.field is K
+        assert g.denom == K.ring.one
+        assert dict(g.numer) == {tuple(int(k == i) for k in range(2)): 1}
+    for value in (u * v + u, u - v, u / v, (u * v).diff("v"), u ** 2):
+        assert type(value) is _Frac and value.field is K
+    assert u != v and u * v == v * u and (u * v).diff("v") == u
 
 
 @pytest.mark.parametrize("names", [
