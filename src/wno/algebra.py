@@ -810,6 +810,8 @@ class SuperPoly:
     # -- derivatives ----------------------------------------------------
 
     def partial_even(self, sym: Jet) -> "SuperPoly":
+        if sym.__class__ is not str:
+            raise TypeError(f"a jet variable is named by a str, not {sym!r}")
         if sym not in self.field.ring.index:
             return SuperPoly.zero()
         return SuperPoly({w: c.diff(sym) for w, c in self.terms.items()}, self.field)

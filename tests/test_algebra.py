@@ -147,6 +147,15 @@ class TestPartials:
         expected = SuperPoly.monomial(2 * u, [p(1, 1), p(1, 0)])
         assert a.partial_even(F.jet(1, 0)) == expected
 
+    def test_even_partial_names_a_jet_by_str(self):
+        """A jet variable the field lacks gives 0; a name that is not a ``str``
+        is refused, not read as a missing variable."""
+        a = SuperPoly.monomial(u**2, [p(1, 1), p(1, 0)])
+        assert a.partial_even(F.jet(1, 3)).is_zero()
+        for bad in (sp.Symbol(F.jet(1, 0)), u, 0):
+            with pytest.raises(TypeError):
+                a.partial_even(bad)
+
     def test_left_odd_partial_signs(self):
         a = SuperPoly.from_terms([(1, [p(1, 0), p(1, 1)])])  # p p_x
         assert a.partial_odd(p(1, 1)) == SuperPoly.monomial(-1, [p(1, 0)])
