@@ -9,13 +9,14 @@ when their term maps agree coefficient-wise.
 Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
 reduced pairs ``_Frac`` of ``_Poly`` term dicts (exponent tuple -> ``int``),
 the leading denominator coefficient positive in lex order, so equal values
-have equal terms.  Arithmetic takes gcds of factors only.  Values of two
-fields lift into the field over the union of their generators; fields are
-memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.
-Sympy is reached through private converters only (the gcd of two sums,
-memoised in sympy's cache; the metric inverse; ``ratint``; expressions given
-to ``_into``), and no other module imports it or reads a coefficient's terms.
-``_coeff_text`` writes a coefficient as ``sympy.cancel`` of it prints.
+have equal terms.  Arithmetic takes gcds of factors only; a gcd of two sums
+is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the next command.
+Values of two fields lift into the field over the union of their generators;
+fields are memoised per name set, in sympy's ``_sort_gens`` order, which
+fixes signs.  Sympy is reached through private converters only (the PRS gcd
+where ``_heu`` gives up, ``ratint``, expressions given to ``_into``), and no
+other module imports it or reads a coefficient's terms.  ``_coeff_text``
+writes a coefficient as ``sympy.cancel`` of it prints.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -29,13 +30,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Iterable, Mapping
 
 import sympy as sp
 from sympy import ZZ
-from sympy.core.cache import cacheit
 from sympy.integrals.rationaltools import ratint
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
@@ -287,18 +287,18 @@ def _sympy(ring: _Ring) -> FracField:
     return ring.converter
 
 
-@cacheit  # in sympy's cache, which clear_cache empties
-def _memo_cofactors(p, q):
-    """Sympy's ``cofactors`` (``heugcd``) of two polynomials, through the converter."""
-    to = _sympy(p.ring).ring
-    return tuple(_poly(p.ring, x) for x in PolyElement(to, p).cofactors(PolyElement(to, q)))
+_HEU_TRIES = 6  # evaluation points the heuristic gcd tries before it gives up
+_GCDS: dict = {}  # (p, q) -> ``_cofactors`` of two sums; ``cli.main`` empties it per command
 
 
 def _cofactors(p, q):
-    """``(h, p/h, q/h)`` for ``h = gcd(p, q)`` as sympy's ``cofactors`` normalises it; two
-    polynomials of two or more terms each take the memo, others one pass."""
+    """``(h, p/h, q/h)`` for ``h = gcd(p, q)``, its leading coefficient positive and its content
+    the gcd of the contents; two sums take the memo, others one pass."""
     if len(p) > 1 and len(q) > 1:
-        return _memo_cofactors(p, q)
+        hit = _GCDS.get((p, q))
+        if hit is None:
+            hit = _GCDS[p, q] = _heu(p, q) or _prs_gcd(p, q)
+        return hit
     if not p or not q:  # gcd(g, 0) = g up to sign; gcd(0, 0) = 0, cofactors 0
         g, zero = p or q, _poly(p.ring)
         h, u = (g, p.ring.one) if g.LC > 0 else (-g, -p.ring.one) if g else (g, g)
@@ -320,6 +320,93 @@ def _gcd_monom(f, g):
     div = ring.monomial_ldiv
     cofactor = _poly(ring, {div(mg, m): cg // c for mg, cg in g.items()})
     return _poly(ring, {m: c}), _poly(ring, {div(mf, m): cf // c}), cofactor
+
+
+def _heu(f, g, i: int = 0):
+    """The heuristic gcd (Char, Geddes and Gonnet 1989) of nonzero ``f`` and ``g`` in generators
+    ``i`` on as ``_cofactors``, or None if it gives up: their values at generator ``i`` ``= x``
+    (exponents over their gcd ``j``) give a gcd and cofactors in symmetric base-``x`` digits; as in
+    sympy's ``heugcd``, ``x`` starts and grows, and the first candidate dividing ``f`` and ``g`` is
+    kept (the gcd's primitive part, ``f`` or ``g`` over its cofactor)."""
+    ring, last = f.ring, i + 1 == len(f.ring.symbols)
+    j = gcd(*(m[i] for m in f), *(m[i] for m in g)) or 1
+    content = gcd(*f.values(), *g.values())
+    if content != 1:
+        f, g = (_poly(ring, {m: c // content for m, c in a.items()}) for a in (f, g))
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    b = 2 * min(f_norm, g_norm) + 29
+    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    for _ in range(_HEU_TRIES):
+        ff, gg = _evaluate(f, x, j, i, last), _evaluate(g, x, j, i, last)
+        if ff and gg:
+            images = (d := gcd(ff, gg), ff // d, gg // d) if last else _heu(ff, gg, i + 1)
+            if images is None:
+                return None
+            h, cff, cfg = (_interpolate(image, x, j, i, ring) for image in images)
+            k = gcd(*h.values())
+            found = (_divides(_poly(ring, {m: c // k for m, c in h.items()}), f, g)
+                     or _divides(_exquo(f, cff), f, g) or _divides(_exquo(g, cfg), f, g))
+            if found:
+                h, cff, cfg = found if found[0].LC > 0 else (-found[0], -found[1], -found[2])
+                return _poly(ring, {m: c * content for m, c in h.items()}), cff, cfg
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _divides(h, f, g):
+    """``(h, f/h, g/h)`` if ``h`` is a polynomial dividing ``f`` and ``g``, else None."""
+    cff = h and _exquo(f, h)
+    cfg = cff and _exquo(g, h)
+    return cfg and (h, cff, cfg)
+
+
+def _exquo(f, h):
+    """``f/h`` if nonzero ``h`` divides ``f``, else None: lex division by leading terms."""
+    ring, (mh, ch) = f.ring, max(h.items())
+    ldiv, mul, rest = ring.monomial_ldiv, ring.monomial_mul, [t for t in h.items() if t[0] != mh]
+    r, q = dict(f), _poly(ring)
+    while r:
+        m = max(r)
+        c, e = r.pop(m), ldiv(m, mh)
+        if c % ch or min(e) < 0:
+            return None
+        k = q[e] = c // ch
+        for m, c in rest:
+            m = mul(e, m)
+            c = r.pop(m, 0) - k * c
+            if c:
+                r[m] = c
+    return q
+
+
+def _evaluate(f, x: int, j: int, i: int, last: bool):
+    """``f`` at generator ``i`` ``= x``, exponents divided by ``j``: an integer if it is the
+    ``last``, else a polynomial whose generators up to ``i`` have exponent 0, as ``f``'s before it."""
+    values: dict = {}
+    for m, c in f.items():
+        key = (*m[:i], 0, *m[i + 1 :])
+        values[key] = values.get(key, 0) + c * x ** (m[i] // j)
+    return values[f.ring.zero_monom] if last else _poly(f.ring, {m: c for m, c in values.items() if c})
+
+
+def _interpolate(image, x: int, j: int, i: int, ring: _Ring) -> _Poly:
+    """The polynomial of ``ring`` with coefficients in (-x/2, x/2] whose value at generator
+    ``i`` ``= x``, exponents divided by ``j``, is ``image`` (an integer, or as ``_evaluate``'s)."""
+    terms, low = {}, x - x // 2 - 1  # digits in [-low, x // 2], as sympy's ``heugcd`` takes them
+    for m, c in image.items() if image.__class__ is _Poly else [(ring.zero_monom, image)]:
+        k = 0
+        while c:
+            digit = (c + low) % x - low
+            if digit:
+                terms[(*m[:i], k, *m[i + 1 :])] = digit
+            c, k = (c - digit) // x, k + j
+    return _poly(ring, terms)
+
+
+def _prs_gcd(p, q):
+    """``_cofactors`` by sympy's primitive PRS, through the converter: ``_heu``'s fallback."""
+    to = _sympy(p.ring).ring
+    return tuple(_poly(p.ring, x) for x in to.dmp_rr_prs_gcd(PolyElement(to, p), PolyElement(to, q)))
 
 
 def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:

@@ -22,7 +22,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import Fields, render_superpoly
+from .algebra import _GCDS, Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -222,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _GCDS.clear()  # every command starts with no memoised gcd, as a fresh process does
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

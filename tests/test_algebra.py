@@ -1,6 +1,8 @@
 """Graded-algebra kernel: normalization, products, partials, invariants."""
 
 import ast
+import contextlib
+import io
 import math
 import operator
 import random
@@ -8,6 +10,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 import sympy as sp
@@ -15,8 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sympy import ZZ, lex
-from sympy.core import cache as sympy_cache
 from sympy.polys.fields import FracElement, FracField
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, PolyRing
 
@@ -26,11 +29,12 @@ from wno.algebra import (
     OddFactor,
     SuperPoly,
     _Poly,
+    _GCDS,
     _cofactors,
     _coeff_text,
     _Frac,
     _fsum,
-    _memo_cofactors,
+    _heu,
     _lift,
     _int_text,
     _int_value,
@@ -41,6 +45,7 @@ from wno.algebra import (
     normalize_word,
     p,
 )
+from wno.cli import main
 from wno.jetcalc import total_x
 from wno.nonlocal_vars import scalar_content
 from wno.schouten import Tail, WNOperator
@@ -602,17 +607,73 @@ def test_poly_arithmetic_matches_sympy(x, y, f, m, k):
             _same_poly(ours, theirs)
 
 
-@pytest.mark.skipif(sympy_cache.USE_CACHE != "yes", reason="sympy's cache is switched off")
-def test_cofactors_memo_lives_in_sympys_cache():
+def test_cofactors_memo_is_emptied_per_command():
+    """A repeated gcd of two sums comes from the memo, monomial operands bypass it,
+    and each ``main`` call starts with it empty."""
     X, Y, _ = _ARITH.gens
     x, y = X.numer, Y.numer
     p, q = ((X + Y) * (X - 2)).numer, ((X + Y) * (Y + 3)).numer
-    sympy_cache.clear_cache()
-    info = _memo_cofactors.cache_info
+    _GCDS.clear()
     first = _cofactors(p, q)
-    assert (info().hits, info().misses) == (0, 1)
-    assert _cofactors(p, q) is first and info().hits == 1
+    assert list(_GCDS) == [(p, q)]
+    assert _cofactors(p, q) is first and _cofactors(_mine(_TWIN.theirs(p)), q) is first
     _cofactors(x, p), _cofactors(p, y + y)  # monomial operands bypass the memo
-    assert info().currsize == 1
-    sympy_cache.clear_cache()
-    assert info().currsize == 0
+    assert len(_GCDS) == 1
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--no-such-option"]) == 2
+    assert not _GCDS
+
+
+@st.composite
+def _planted_pairs(draw, max_gens=4, max_bits=70, max_terms=4):
+    """Two polynomials of sympy's ring over 1-``max_gens`` generators sharing a planted
+    factor whose leading coefficient is negative and a common integer content, each
+    times a cofactor of its own; coefficients reach ``2**max_bits`` and every
+    exponent of a generator is a multiple of 1, 2 or 4, so that sympy deflates."""
+    n = draw(st.integers(1, max_gens))
+    ring = Twin(coeff_field(["u", "u_x", "v", "v_x"][:n])).ring
+    steps = draw(st.tuples(*[st.sampled_from([1, 2, 4])] * n))
+    big = st.integers(-(2**max_bits), 2**max_bits).filter(bool)
+    coeff = st.integers(-9, 9).filter(bool) | big
+
+    def poly(min_size):
+        monom = st.tuples(*[st.integers(0, 2).map(lambda e, s=s: e * s) for s in steps])
+        return ring(draw(st.dictionaries(monom, coeff, min_size=min_size, max_size=max_terms)))
+
+    h, content = poly(1), draw(st.integers(1, 2**20) | big.map(abs))
+    h = -h if h.LC > 0 else h
+    return content * h * poly(1), content * h * poly(1)
+
+
+def _sympy_cofactors(f, g):
+    """Sympy's ``cofactors``, its primitive PRS gcd where its heuristic gcd gives up, with
+    the leading coefficient of the gcd made positive: where the interpolated gcd does not
+    divide, sympy's ``heugcd`` keeps ``f`` or ``g`` over an interpolated cofactor, whose sign
+    is that of ``f`` or ``g`` (``(-8192*u + 9, 1, 1)`` for ``f = g = -8192*u + 9``)."""
+    try:
+        h, cff, cfg = f.cofactors(g)
+    except HeuristicGCDFailed:
+        h, cff, cfg = f.ring.dmp_rr_prs_gcd(f, g)
+    return (h, cff, cfg) if h.LC > 0 else (-h, -cff, -cfg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_pairs())
+def test_cofactors_match_sympy_on_planted_factors(pair):
+    twin = Twin(coeff_field(map(str, pair[0].ring.symbols)))
+    f, g = pair
+    assert tuple(map(twin.theirs, _cofactors(twin.ours(f), twin.ours(g)))) == _sympy_cofactors(f, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_pairs(max_gens=3, max_bits=30, max_terms=3))
+def test_cofactors_fall_back_to_sympys_prs(pair):
+    """With no evaluation point left to the heuristic gcd, two sums take sympy's
+    primitive PRS, which normalises its result as ``cofactors`` does."""
+    twin = Twin(coeff_field(map(str, pair[0].ring.symbols)))
+    f, g = pair
+    assume(len(f) > 1 and len(g) > 1)
+    theirs = _sympy_cofactors(f, g)
+    with patch.object(wno.algebra, "_HEU_TRIES", 0), patch.dict(_GCDS, clear=True):
+        assert _heu(twin.ours(f), twin.ours(g)) is None
+        assert tuple(map(twin.theirs, _cofactors(twin.ours(f), twin.ours(g)))) == theirs

@@ -21,6 +21,8 @@ from pathlib import Path
 import pytest
 import sympy
 import sympy.polys.fields
+import sympy.polys.heuristicgcd
+import sympy.polys.rings
 import sympy.printing.str
 
 from wno.cli import main
@@ -125,23 +127,39 @@ def test_reports_build_no_sympy_field_element(monkeypatch):
     assert not bad
 
 
+def test_reports_take_no_sympy_gcd(monkeypatch):
+    """Every gcd of two sums on the CLI path is the owned heuristic gcd: with
+    sympy's ``heugcd`` and ``PolyElement.cofactors`` made to raise, every
+    snapshot still comes out byte for byte."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's gcd was called")
+
+    for owner in (sympy.polys.heuristicgcd, sympy.polys.rings):
+        monkeypatch.setattr(owner, "heugcd", refuse)
+    monkeypatch.setattr(sympy.polys.rings.PolyElement, "cofactors", refuse)
+    for case in sorted(CASES):
+        assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
+
+
 def test_reports_repeat_with_warm_gcd_memo():
-    """Two passes over every case in one process, sharing the gcds memoised in
-    sympy's cache, both give the snapshots: no cached polynomial is changed in
-    place and no result of one command leaks into the next."""
+    """Two passes over every case in one process, sharing the field table and
+    its converters while each command starts with an empty gcd memo, both give
+    the snapshots: no memoised polynomial is changed in place and no result of
+    one command leaks into the next."""
     for _ in range(2):
         for case in sorted(CASES):
             assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
 
 
 def test_reports_without_sympy_cache():
-    """With sympy's cache switched off, so that no gcd is memoised, every
-    snapshot still comes out byte for byte."""
+    """With sympy's cache switched off, every snapshot still comes out byte
+    for byte."""
     script = (
         "import sys\n"
-        "from wno.algebra import _memo_cofactors\n"
+        "from sympy.core.cache import USE_CACHE\n"
         "from test_golden import CASES, GOLDEN, report\n"
-        "assert not hasattr(_memo_cofactors, 'cache_info')\n"
+        "assert USE_CACHE == 'no'\n"
         "bad = [c for c in sorted(CASES) if report(CASES[c]) != (GOLDEN / c).read_text(encoding='utf-8')]\n"
         "sys.exit(f'changed: {bad}' if bad else 0)\n"
     )
