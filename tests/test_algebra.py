@@ -669,7 +669,7 @@ def test_cofactors_match_sympy_on_planted_factors(pair):
 @given(_planted_pairs(max_gens=3, max_bits=30, max_terms=3))
 def test_cofactors_fall_back_to_sympys_prs(pair):
     """With no evaluation point left to the heuristic gcd, two sums take sympy's
-    primitive PRS, which normalises its result as ``cofactors`` does."""
+    primitive PRS, whose result is normalised as the heuristic's is."""
     twin = Twin(coeff_field(map(str, pair[0].ring.symbols)))
     f, g = pair
     assume(len(f) > 1 and len(g) > 1)
