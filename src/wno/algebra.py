@@ -347,7 +347,7 @@ def _heu(f, g, i: int = 0):
             found = (_divides(_poly(ring, {m: c // k for m, c in h.items()}), f, g)
                      or _divides(_exquo(f, cff), f, g) or _divides(_exquo(g, cfg), f, g))
             if found:
-                h, cff, cfg = found if found[0].LC > 0 else (-found[0], -found[1], -found[2])
+                h, cff, cfg = found if found[0].LC > 0 else tuple(-a for a in found)
                 return _poly(ring, {m: c * content for m, c in h.items()}), cff, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
