@@ -245,6 +245,21 @@ class TestInProcess:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_constant_curvature_ladder_passes(tmp_path, capsys, n):
+    """The stereographic metric of constant curvature 4 in ``n`` fields with the
+    affinor ``2 I`` satisfies all six conditions, and the bracket route agrees."""
+    us = [f"u{i}" for i in range(1, n + 1)]
+    square = " + ".join(f"{u}^2" for u in us)
+    block = [f"g[{i},{i}]: (1 + ({square}))^2; w[{i},{i}]: 2;" for i in range(1, n + 1)]
+    f = tmp_path / "ladder.wno"
+    f.write_text(f"fields {', '.join(us)}; firstorder M {{ {' '.join(block)} }}")
+    assert main(["geom", str(f), "M", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["ok"] for c in report["conditions"]] == [True] * 6
+    assert report["cross_check_hamiltonian"] and report["cross_check_agrees"]
+
+
 class TestOnceByConstruction:
     """One geometry derivation per command, one skew test per distinct operand."""
 
