@@ -7,7 +7,7 @@ factors sorted by registration id), so that two values are equal exactly
 when their term maps agree coefficient-wise.
 
 Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
-reduced pairs ``_Frac`` of ``_Poly`` term dicts (exponent tuple -> ``int``),
+reduced pairs ``_Frac`` of ``_Poly`` term dicts (packed exponents ``int`` -> ``int``),
 the leading denominator coefficient positive in lex order, so equal values
 have equal terms.  Arithmetic takes gcds of factors only; a gcd of two sums
 is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the next command.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Mapping
 
 import sympy as sp
@@ -55,28 +55,54 @@ def _gen_key(name: Jet) -> tuple:
     return _RANK.get(base, 1000), base, int(digits or 0), name
 
 
-def _monomial_op(n: int, entry: str):
-    """``entry`` at each of ``n`` positions of two monomials, unrolled as in sympy's ``MonomialOps``."""
-    return eval(f"lambda a, b: ({''.join(entry.format(i) + ', ' for i in range(n))})")
+_WIDTH = 16  # bits of one generator's field in a packed monomial, the top one a guard bit
+_MAX = (1 << _WIDTH - 1) - 1  # the largest exponent a field holds, and the mask of one field
+
+
+class ExponentOverflow(OverflowError):
+    """An exponent would not fit the field of its generator in a packed monomial."""
+
+    def __init__(self):
+        super().__init__(f"an exponent of a jet variable would pass {_MAX}")
 
 
 class _Ring:
-    """ZZ[symbols] in lex order; monomials are exponent tuples; ``converter`` is built by ``_sympy``."""
+    """ZZ[symbols] in lex order; ``converter`` is built by ``_sympy``.  A monomial is one ``int``,
+    generator ``i``'s exponent at bit ``shifts[i]``, the first generator's most significant: ``max``
+    is the lex leader, a product a sum (Bachmann and Schönemann 1998).  The top bit of each field,
+    in ``guard``, is clear in a monomial; a sum sets it in a field that overflows, never carrying
+    on, and ``(a | guard) - b`` clears it in each field where ``a``'s exponent is below ``b``'s."""
 
-    __slots__ = ("symbols", "index", "zero_monom", "one", "converter", "monomial_mul", "monomial_gcd",
-                 "monomial_ldiv")
+    __slots__ = ("symbols", "index", "shifts", "guard", "one", "converter")
 
     def __init__(self, symbols: tuple[Jet, ...]):
         self.symbols, self.index, self.converter = symbols, {s: i for i, s in enumerate(symbols)}, None
-        self.zero_monom, n = (0,) * len(symbols), len(symbols)
-        self.monomial_mul, self.monomial_gcd, self.monomial_ldiv = (
-            _monomial_op(n, e) for e in ("a[{0}] + b[{0}]", "min(a[{0}], b[{0}])", "a[{0}] - b[{0}]"))
-        self.one = _poly(self, {self.zero_monom: 1})
+        self.shifts = tuple(_WIDTH * i for i in reversed(range(len(symbols))))
+        self.guard = sum(1 << s + _WIDTH - 1 for s in self.shifts)
+        self.one = _poly(self, {0: 1})
+
+    def monomial_gcd(self, a: int, b: int) -> int:
+        """The exponent-wise minimum of monomials ``a`` and ``b``."""
+        below = self.guard & ~((a | self.guard) - b)  # the guard bits of the fields where a < b
+        below -= below >> _WIDTH - 1  # ... spread over those fields' exponent bits
+        return b ^ (a ^ b) & below
+
+    def packed(self, terms: Mapping[tuple, int]) -> "_Poly":
+        """The polynomial with the (exponent tuple, coefficient) ``terms``, as sympy's rings hold them."""
+        if any(e > _MAX for m in terms for e in m):
+            raise ExponentOverflow()
+        return _poly(self, {sum(e << s for e, s in zip(m, self.shifts)): c for m, c in terms.items()})
+
+    def unpacked(self, p: "_Poly") -> dict[tuple, int]:
+        """The terms of ``p`` with exponent tuples for monomials."""
+        return {tuple(m >> s & _MAX for s in self.shifts): c for m, c in p.items()}
 
 
 class _Poly(dict):
     """A ``_Ring`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
-    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts."""
+    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts.  A
+    product refuses operands whose monomials' bitwise ORs, below twice their largest exponents,
+    add up to a guard bit."""
 
     __slots__ = ("ring",)
 
@@ -84,7 +110,7 @@ class _Poly(dict):
         if p2.__class__ is _Poly:
             return p2.ring is p1.ring and dict.__eq__(p1, p2)
         if p2.__class__ is int:
-            return not p1 if not p2 else len(p1) == 1 and p1.get(p1.ring.zero_monom) == p2
+            return not p1 if not p2 else len(p1) == 1 and p1.get(0) == p2
         return NotImplemented
 
     def __ne__(p1, p2):
@@ -111,15 +137,18 @@ class _Poly(dict):
             return NotImplemented
         if len(p1) < len(p2):
             p1, p2 = p2, p1
-        mul, p = p1.ring.monomial_mul, _poly(p1.ring)
-        if len(p2) == 1:  # no two products share a monomial, and over ZZ none is zero
-            (m2, c2), = p2.items()
-            p.update((mul(m1, m2), c1 * c2) for m1, c1 in p1.items())
-            return p
+        ring = p1.ring
+        if reduce(or_, p1, 0) + reduce(or_, p2, 0) & ring.guard:
+            raise ExponentOverflow()
+        if not p2:
+            return _poly(ring)
+        terms, rows = p1.items(), iter(p2.items())
+        m2, c2 = next(rows)  # no two products of one row share a monomial, and over ZZ none is zero
+        p = _poly(ring, {m1 + m2: c1 * c2 for m1, c1 in terms})
         get = p.get
-        for m2, c2 in p2.items():
-            for m1, c1 in p1.items():
-                m = mul(m1, m2)
+        for m2, c2 in rows:
+            for m1, c1 in terms:
+                m = m1 + m2
                 c = get(m, 0) + c1 * c2
                 if c:
                     p[m] = c
@@ -129,7 +158,8 @@ class _Poly(dict):
 
     def diff(f, i: int):
         """The derivative by the generator at position ``i``."""
-        return _poly(f.ring, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * m[i] for m, c in f.items() if m[i]})
+        s = f.ring.shifts[i]
+        return _poly(f.ring, {m - (1 << s): c * e for m, c in f.items() if (e := m >> s & _MAX)})
 
     @property
     def LC(self):
@@ -156,9 +186,14 @@ def _collect(ring, start, terms, sign: int = 1) -> _Poly:
     return p
 
 
+def _unit(p) -> bool:
+    """``p == 1`` for a polynomial, without the dispatch of ``_Poly.__eq__``."""
+    return len(p) == 1 and p.get(0) == 1
+
+
 def _times(p, q):
-    """``p * q`` for polynomials, skipping the pass over terms when either is 1."""
-    return q if p == 1 else p if q == 1 else p * q
+    """``p * q`` for polynomials, skipping the pass over terms when either is 1 (``_unit`` inline)."""
+    return q if len(p) == 1 and p.get(0) == 1 else p if len(q) == 1 and q.get(0) == 1 else p * q
 
 
 class _Field:
@@ -168,18 +203,16 @@ class _Field:
 
     def __init__(self, symbols: tuple[Jet, ...]):
         ring = self.ring = _Ring(symbols)
-        self.symbols, one, n = symbols, ring.one, len(symbols)
+        self.symbols, one = symbols, ring.one
         self.zero, self.one = _Frac(self, _poly(ring), one), _Frac(self, one, one)
-        self.gens = tuple(_Frac(self, _poly(ring, {tuple(int(k == i) for k in range(n)): 1}), one)
-                          for i in range(n))
+        self.gens = tuple(_Frac(self, _poly(ring, {1 << s: 1}), one) for s in ring.shifts)
 
 
 def _rational(field: _Field, q) -> "_Frac":
     """The rational number ``q``, an ``int`` or a ``Fraction``, in ``field``."""
     if not q:
         return field.zero
-    ring, zero = field.ring, field.ring.zero_monom
-    return _Frac(field, _poly(ring, {zero: q.numerator}), _poly(ring, {zero: q.denominator}))
+    return _Frac(field, _poly(field.ring, {0: q.numerator}), _poly(field.ring, {0: q.denominator}))
 
 
 class _Frac:
@@ -222,9 +255,9 @@ class _Frac:
             return g or self
         # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
         a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.ring.one
-        h, b, d = (b, one, one) if b == d else (one, b, d) if b == 1 or d == 1 else _cofactors(b, d)
+        h, b, d = (b, one, one) if b == d else (one, b, d) if _unit(b) or _unit(d) else _cofactors(b, d)
         t, b = _times(a, d) + _times(c, b), _times(b, d)
-        if h != 1:
+        if not _unit(h):
             _, t, h = _cofactors(t, h)
         return self._signed(t, _times(b, h))
 
@@ -242,9 +275,9 @@ class _Frac:
             return self.field.zero
         # (a/b)(c/d): cross-cancel a with d and c with b
         a, b, c, d = self.numer, self.denom, g.numer, g.denom
-        if d != 1:
+        if not _unit(d):
             _, a, d = _cofactors(a, d)
-        if b != 1:
+        if not _unit(b):
             _, c, b = _cofactors(c, b)
         return self._signed(_times(a, c), _times(b, d))
 
@@ -268,11 +301,11 @@ class _Frac:
         """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
         irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
         ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
-        if self.denom == 1:
+        if _unit(self.denom):
             return self._signed(dn, self.denom)
         h, d, dd = _cofactors(self.denom, dd)
         num = _times(dn, d) - _times(self.numer, dd)
-        if h != 1:
+        if not _unit(h):
             _, num, h = _cofactors(num, h)
         return self._signed(num, _times(_times(d, d), h))
 
@@ -312,14 +345,13 @@ def _cofactors(p, q):
 def _gcd_monom(f, g):
     """``_cofactors`` of a monomial ``f`` and a nonzero ``g``, in one pass that stops at a gcd of 1."""
     ring, ((mf, cf),) = f.ring, f.items()
-    m, c = mf, cf
+    m, c, monomial_gcd = mf, cf, ring.monomial_gcd
     for mg, cg in g.items():
-        m, c = ring.monomial_gcd(m, mg), gcd(c, cg)
-        if c == 1 and m == ring.zero_monom:
+        m, c = monomial_gcd(m, mg), gcd(c, cg)
+        if c == 1 and not m:
             return ring.one, f, g
-    div = ring.monomial_ldiv
-    cofactor = _poly(ring, {div(mg, m): cg // c for mg, cg in g.items()})
-    return _poly(ring, {m: c}), _poly(ring, {div(mf, m): cf // c}), cofactor
+    cofactor = _poly(ring, {mg - m: cg // c for mg, cg in g.items()})
+    return _poly(ring, {m: c}), _poly(ring, {mf - m: cf // c}), cofactor
 
 
 def _heu(f, g, i: int = 0):
@@ -328,8 +360,8 @@ def _heu(f, g, i: int = 0):
     (exponents over their gcd ``j``) give a gcd and cofactors in symmetric base-``x`` digits; as in
     sympy's ``heugcd``, ``x`` starts and grows, and the first candidate dividing ``f`` and ``g`` is
     kept (the gcd's primitive part, ``f`` or ``g`` over its cofactor)."""
-    ring, last = f.ring, i + 1 == len(f.ring.symbols)
-    j = gcd(*(m[i] for m in f), *(m[i] for m in g)) or 1
+    ring, last, s = f.ring, i + 1 == len(f.ring.symbols), f.ring.shifts[i]
+    j = gcd(*(m >> s & _MAX for m in f), *(m >> s & _MAX for m in g)) or 1
     content = gcd(*f.values(), *g.values())
     if content != 1:
         f, g = (_poly(ring, {m: c // content for m, c in a.items()}) for a in (f, g))
@@ -342,10 +374,10 @@ def _heu(f, g, i: int = 0):
             images = (d := gcd(ff, gg), ff // d, gg // d) if last else _heu(ff, gg, i + 1)
             if images is None:
                 return None
-            h, cff, cfg = (_interpolate(image, x, j, i, ring) for image in images)
-            k = gcd(*h.values())
-            found = (_divides(_poly(ring, {m: c // k for m, c in h.items()}), f, g)
-                     or _divides(_exquo(f, cff), f, g) or _divides(_exquo(g, cfg), f, g))
+            h, cff, cfg = candidates = [_interpolate(image, x, j, i, ring) for image in images]
+            k = None not in candidates and gcd(*h.values())  # h is not 0: its value is a gcd
+            found = k and (_divides(_poly(ring, {m: c // k for m, c in h.items()}), f, g)
+                           or _divides(_exquo(f, cff), f, g) or _divides(_exquo(g, cfg), f, g))
             if found:
                 h, cff, cfg = found if found[0].LC > 0 else tuple(-a for a in found)
                 return _poly(ring, {m: c * content for m, c in h.items()}), cff, cfg
@@ -361,18 +393,22 @@ def _divides(h, f, g):
 
 
 def _exquo(f, h):
-    """``f/h`` if nonzero ``h`` divides ``f``, else None: lex division by leading terms."""
-    ring, (mh, ch) = f.ring, max(h.items())
-    ldiv, mul, rest = ring.monomial_ldiv, ring.monomial_mul, [t for t in h.items() if t[0] != mh]
-    r, q = dict(f), _poly(ring)
+    """``f/h`` if nonzero ``h`` divides ``f``, else None: lex division by leading terms.  Where
+    ``h`` divides ``f``, no exponent of a product passes ``f``'s, so an overflow means it does not."""
+    guard, (mh, ch) = f.ring.guard, max(h.items())
+    rest = [t for t in h.items() if t[0] != mh]
+    r, q = dict(f), _poly(f.ring)
     while r:
         m = max(r)
-        c, e = r.pop(m), ldiv(m, mh)
-        if c % ch or min(e) < 0:
+        c, e = r.pop(m), (m | guard) - mh
+        if c % ch or e & guard != guard:  # a field of m below mh's cleared its guard bit
             return None
+        e ^= guard
         k = q[e] = c // ch
         for m, c in rest:
-            m = mul(e, m)
+            m += e
+            if m & guard:
+                return None
             c = r.pop(m, 0) - k * c
             if c:
                 r[m] = c
@@ -382,31 +418,37 @@ def _exquo(f, h):
 def _evaluate(f, x: int, j: int, i: int, last: bool):
     """``f`` at generator ``i`` ``= x``, exponents divided by ``j``: an integer if it is the
     ``last``, else a polynomial whose generators up to ``i`` have exponent 0, as ``f``'s before it."""
-    values: dict = {}
+    values, s = {}, f.ring.shifts[i]
+    keep = ~(_MAX << s)
     for m, c in f.items():
-        key = (*m[:i], 0, *m[i + 1 :])
-        values[key] = values.get(key, 0) + c * x ** (m[i] // j)
-    return values[f.ring.zero_monom] if last else _poly(f.ring, {m: c for m, c in values.items() if c})
+        key = m & keep
+        values[key] = values.get(key, 0) + c * x ** ((m >> s & _MAX) // j)
+    return values[0] if last else _poly(f.ring, {m: c for m, c in values.items() if c})
 
 
-def _interpolate(image, x: int, j: int, i: int, ring: _Ring) -> _Poly:
+def _interpolate(image, x: int, j: int, i: int, ring: _Ring) -> _Poly | None:
     """The polynomial of ``ring`` with coefficients in (-x/2, x/2] whose value at generator
-    ``i`` ``= x``, exponents divided by ``j``, is ``image`` (an integer, or as ``_evaluate``'s)."""
-    terms, low = {}, x - x // 2 - 1  # digits in [-low, x // 2], as sympy's ``heugcd`` takes them
-    for m, c in image.items() if image.__class__ is _Poly else [(ring.zero_monom, image)]:
+    ``i`` ``= x``, exponents divided by ``j``, is ``image`` (an integer, or as ``_evaluate``'s);
+    None if an exponent of it passes ``_MAX``, so that it divides no polynomial of ``ring``."""
+    terms, low, s = {}, x - x // 2 - 1, ring.shifts[i]  # digits in [-low, x // 2], as sympy's ``heugcd``
+    for m, c in image.items() if image.__class__ is _Poly else [(0, image)]:
         k = 0
         while c:
             digit = (c + low) % x - low
             if digit:
-                terms[(*m[:i], k, *m[i + 1 :])] = digit
+                terms[m | k << s] = digit
             c, k = (c - digit) // x, k + j
+        if k - j > _MAX:
+            return None
     return _poly(ring, terms)
 
 
 def _prs_gcd(p, q):
     """``_cofactors`` by sympy's primitive PRS, through the converter: ``_heu``'s fallback."""
-    to = _sympy(p.ring).ring
-    return tuple(_poly(p.ring, x) for x in to.dmp_rr_prs_gcd(PolyElement(to, p), PolyElement(to, q)))
+    ring = p.ring
+    to = _sympy(ring).ring
+    f, g = (PolyElement(to, ring.unpacked(a)) for a in (p, q))
+    return tuple(ring.packed(x) for x in to.dmp_rr_prs_gcd(f, g))
 
 
 def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
@@ -418,9 +460,9 @@ def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
         if b == den:
             num += a
         else:
-            den_b, b = (den, b) if den == 1 or b == 1 else _cofactors(den, b)[1:]
+            den_b, b = (den, b) if _unit(den) or _unit(b) else _cofactors(den, b)[1:]
             num, den = _times(num, b) + _times(a, den_b), _times(den, b)
-    if num and den != 1:
+    if num and not _unit(den):
         _, num, den = _cofactors(num, den)
     return field.zero._signed(num, den)
 
@@ -447,10 +489,13 @@ def coeff_field(symbols: Iterable[Jet]) -> _Field:
 
 @cache
 def _mover(src: _Field, dst: _Field, names: tuple | None = None):
-    """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``)."""
-    at, n = {sym: i for i, sym in enumerate(names or src.symbols)}, len(src.symbols)
-    pick = itemgetter(*[at.get(sym, n) for sym in dst.symbols], n)
-    return lambda m: pick(m + (0,))[:-1]
+    """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``): the fields
+    that move by the same number of bits move together."""
+    masks: dict[int, int] = {}
+    for sym, s in zip(names or src.symbols, src.ring.shifts):
+        d = dst.ring.shifts[dst.ring.index[sym]] - s
+        masks[d] = masks.get(d, 0) | _MAX << s
+    return lambda m: sum((m & k) << d if d >= 0 else (m & k) >> -d for d, k in masks.items())
 
 
 def _lift(c: _Frac, field: _Field, names: tuple | None = None) -> _Frac:
@@ -488,19 +533,23 @@ def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
 
 def _from_sympy(x, field: _Field) -> _Frac:
     """A reduced element ``x`` of the converter of ``field``, in ``field`` with the canonical sign."""
-    return field.zero._signed(_poly(field.ring, x.numer), _poly(field.ring, x.denom))
+    return field.zero._signed(field.ring.packed(x.numer), field.ring.packed(x.denom))
 
 
 def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
     """``D_x`` on ``field``, which holds each jet present and, as ``raised[jet]``, its
     next-order jet.  Each numerator and denominator takes one pass (the chain rule: an
-    exponent ``e = m[i] > 0`` gives ``e`` times ``m`` shifted by ``d``), then ``_quotient_rule``."""
+    exponent ``e > 0`` of ``s`` at bit ``i`` gives ``e`` times ``m`` with one ``s`` moved to
+    ``raised[s]``, ``m + d``), then ``_quotient_rule``."""
     ring = field.ring
-    at, n, mul = ring.index, len(field.symbols), ring.monomial_mul
-    step = [(at[s], tuple((k == at[t]) - (k == at[s]) for k in range(n))) for s, t in raised.items()]
+    at = {x: 1 << s for x, s in zip(ring.symbols, ring.shifts)}
+    step = [(ring.shifts[ring.index[s]], at[t] - at[s]) for s, t in raised.items()]
 
     def chain(q):
-        return _collect(ring, (), ((mul(m, d), c * m[i]) for m, c in q.items() for i, d in step if m[i]))
+        p = _collect(ring, (), ((m + d, c * e) for m, c in q.items() for i, d in step if (e := m >> i & _MAX)))
+        if reduce(or_, p, 0) & ring.guard:  # a raised jet's exponent passed _MAX
+            raise ExponentOverflow()
+        return p
 
     return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
 
@@ -525,8 +574,9 @@ def _inverse(rows: list[list[_Frac]], field: _Field) -> list[list[_Frac]] | None
 def _ratint(c: _Frac, x: Jet) -> _Frac | None:
     """An antiderivative of ``c`` in ``x``, or None when it is not a rational function:
     ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
-    to = _sympy(c.field.ring).ring
-    expr = PolyElement(to, c.numer).as_expr() / PolyElement(to, c.denom).as_expr()
+    ring = c.field.ring
+    numer, denom = (PolyElement(_sympy(ring).ring, ring.unpacked(q)).as_expr() for q in (c.numer, c.denom))
+    expr = numer / denom
     try:
         return _into(None, [ratint(expr, sp.Symbol(x), real=False)])[1][0]
     except ValueError:  # log, atan, RootSum, ...
@@ -567,9 +617,9 @@ def _by_name(field: _Field) -> tuple[list[tuple[int, str]], object]:
 
 
 def _ordered(poly, key, d: int = 1) -> list[tuple[tuple, int, int]]:
-    """The terms of ``poly / d`` as (monomial, p, q) in lowest terms, ordered as by
+    """The terms of ``poly / d`` as (exponent tuple, p, q) in lowest terms, ordered as by
     ``as_ordered_terms``: a constant before a lone negative power (``3 - 2*u**3``)."""
-    terms = sorted(poly.items(), key=lambda t: key(t[0]), reverse=True)
+    terms = sorted(poly.ring.unpacked(poly).items(), key=lambda t: key(t[0]), reverse=True)
     out = [(m, k // g, d // g) for m, k in terms for g in (gcd(k, d),)]
     if len(out) == 2 and out[0][1] < 0 < out[1][1] and not any(out[1][0]):
         if sum(1 for e in out[0][0] if e) == 1:
@@ -581,7 +631,7 @@ def _parts(c: _Frac) -> tuple[list, list, list | None]:
     """Names, numerator and denominator ``_ordered``; a ground denominator is
     distributed over the numerator as sympy does (``2*u/3 + 1/3``) and is None."""
     names, key = _by_name(c.field)
-    if len(c.denom) == 1 and c.field.ring.zero_monom in c.denom:
+    if len(c.denom) == 1 and 0 in c.denom:
         return names, _ordered(c.numer, key, c.denom.LC), None
     return names, _ordered(c.numer, key), _ordered(c.denom, key)
 
@@ -626,6 +676,13 @@ def _lead_rational(c: _Frac) -> tuple[int, int]:
     if den is None:
         return num[0][1:]
     return num[0][1] if len(num) == 1 else 1, den[0][1] if len(den) == 1 else 1
+
+
+def _exponent_bits(c: _Frac) -> int:
+    """The bit length of the largest exponent of a generator in ``c``, that of its field in the
+    bitwise OR of the monomials."""
+    used = reduce(or_, c.numer, 0) | reduce(or_, c.denom, 0)
+    return max((used >> s & _MAX).bit_length() for s in c.field.ring.shifts) if used else 0
 
 
 def _jet_name(base: str, order: int) -> str:
@@ -677,8 +734,9 @@ class Fields:
     def jet_symbols(self, coeff: Coeff) -> list[tuple[Jet, int, int]]:
         """Jet variables occurring in a coefficient as (name, field, order)."""
         out = []
-        for sym, exponents in zip(coeff.field.symbols, zip(*coeff.numer, *coeff.denom)):
-            if not any(exponents):
+        used = reduce(or_, coeff.numer, 0) | reduce(or_, coeff.denom, 0)
+        for sym, s in zip(coeff.field.symbols, coeff.field.ring.shifts):
+            if not used >> s & _MAX:
                 continue
             hit = self.classify(sym)
             if hit is None:

@@ -8,9 +8,9 @@ Commands:
 
 Exit codes: 0 success (check: Poisson; geom: all conditions pass and the
 cross-check agrees), 1 negative verdict, 2 usage or parse error, 3
-unsupported structure or singular metric.  Reports are deterministic;
-wall-clock timing goes to stderr only, so the machine-readable output is
-byte-stable across runs.
+unsupported structure, singular metric or an exponent too large for a
+packed monomial.  Reports are deterministic; wall-clock timing goes to
+stderr only, so the machine-readable output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import _GCDS, Fields, render_superpoly
+from .algebra import _GCDS, ExponentOverflow, Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExitWith as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         code = exc.code
-    except (UnsupportedStructureError, SingularMetricError) as exc:
+    except (UnsupportedStructureError, SingularMetricError, ExponentOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNSUPPORTED
     print(f"# time: {time.monotonic() - start:.3f}s", file=sys.stderr)

@@ -19,8 +19,11 @@ Numbers are integers of at most ``MAX_DIGITS`` digits; rationals are
 written as quotients (``2/3``).  Floats are rejected.  Derivative orders
 (``D^k``, ``u_kx``) and exponents are at most ``MAX_POWER``: the cost of a
 check grows steeply with them, and an unbounded one would let a short input
-run without end.  Parentheses and unary signs nest at most ``MAX_DEPTH``
-deep, so the recursive descent stays within Python's stack.  Each
+run without end.  Each power, product, quotient and sum an expression builds
+has exponents of at most ``MAX_DEGREE`` in its reduced numerator and
+denominator, far below the largest exponent a packed monomial holds (see
+``wno.algebra._Ring``).  Parentheses and unary signs nest at most
+``MAX_DEPTH`` deep, so the recursive descent stays within Python's stack.  Each
 ``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
 vectors are supported in slots i and j.  Entries are parsed into one
 coefficient field per block (``Parser.enter_block``).
@@ -33,12 +36,13 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Coeff, Fields, Jet, _int_value, _rational, coeff_field
+from .algebra import Coeff, Fields, Jet, _exponent_bits, _int_value, _rational, coeff_field
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
 
 
 MAX_POWER = 16
+MAX_DEGREE = 2**10 - 1  # one less than a power of two: a bound on the bit length of exponents
 MAX_DEPTH = 100  # nesting of parentheses and unary signs
 MAX_DIGITS = 4300  # digits of an integer literal
 
@@ -300,9 +304,9 @@ class Parser:
                 return coeff, order
             factor = self.parse_power()
             while self.peek().text == "/":
-                self.next()
-                factor = factor / self.nonzero(self.peek(), self.parse_power())
-            coeff = coeff * factor
+                slash = self.next()
+                factor = self.bounded(slash, factor / self.nonzero(self.peek(), self.parse_power()))
+            coeff = self.bounded(tok, coeff * factor)
             if self.peek().text == "*":
                 self.next()
                 continue
@@ -349,19 +353,26 @@ class Parser:
     def parse_sum(self) -> Coeff:
         left = self.parse_product()
         while self.peek().text in ("+", "-"):
-            op = self.next().text
+            tok = self.next()
             right = self.parse_product()
-            left = left + right if op == "+" else left - right
+            left = self.bounded(tok, left + right if tok.text == "+" else left - right)
         return left
 
     def parse_product(self) -> Coeff:
         left = self.parse_power()
         while self.peek().text in ("*", "/"):
-            if self.next().text == "*":
-                left = left * self.parse_power()
+            tok = self.next()
+            if tok.text == "*":
+                left = self.bounded(tok, left * self.parse_power())
             else:
-                left = left / self.nonzero(self.peek(), self.parse_power())
+                left = self.bounded(tok, left / self.nonzero(self.peek(), self.parse_power()))
         return left
+
+    def bounded(self, tok: Token, value: Coeff) -> Coeff:
+        """``value``, if no exponent of it passes MAX_DEGREE."""
+        if _exponent_bits(value) > MAX_DEGREE.bit_length():
+            raise ParseError(f"degree exceeds the bound {MAX_DEGREE}", tok.line, tok.col)
+        return value
 
     def nonzero(self, tok: Token, divisor: Coeff) -> Coeff:
         """Refuse a divisor that is identically zero: the coefficient would be nan or zoo."""
@@ -391,7 +402,7 @@ class Parser:
                 neg = True
             exp = self.integer(self.expect("int"), "exponent")
             # dividing, not a negative power, keeps the denominator's sign canonical
-            return self.field.one / self.nonzero(tok, base) ** exp if neg else base**exp
+            return self.bounded(tok, self.field.one / self.nonzero(tok, base) ** exp if neg else base**exp)
         return base
 
     def parse_atom(self) -> Coeff:

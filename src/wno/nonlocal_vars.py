@@ -225,12 +225,6 @@ class TailTerm:
     prefactor: SuperPoly
     suffix: tuple[int, ...]
 
-    def as_superpoly(self, table: NonlocalVarTable) -> SuperPoly:
-        out = self.prefactor
-        for ident in self.suffix:
-            out = out * SuperPoly.factor(table.factor(ident))
-        return out
-
 
 def split_tails(a: SuperPoly, table: NonlocalVarTable) -> tuple[SuperPoly, list[TailTerm]]:
     """Separate the local part from tail terms grouped by nonlocal suffix.

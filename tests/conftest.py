@@ -11,7 +11,7 @@ from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement
 
-from wno.algebra import Fields, SuperPoly, _Frac, _poly, p
+from wno.algebra import Fields, SuperPoly, _Frac, p
 
 
 @pytest.fixture(scope="session")
@@ -42,14 +42,19 @@ class Twin:
     def theirs(self, x):
         """An owned polynomial or field element of ``K`` as sympy's."""
         if isinstance(x, dict):
-            return self.ring(dict(x))
+            return self.ring(self.terms(x))
         return self.field.raw_new(self.theirs(x.numer), self.theirs(x.denom))
 
     def ours(self, x):
         """A sympy polynomial or reduced fraction over ``K``'s generators, in ``K``."""
         if isinstance(x, PolyElement):
-            return _poly(self.K.ring, dict(x))
+            return self.K.ring.packed(x)
         return _Frac(self.K, self.ours(x.numer), self.ours(x.denom))
+
+    def terms(self, x) -> dict:
+        """The terms of an owned polynomial of ``K`` with exponent tuples for its packed
+        monomials, as sympy's ``dict(x)`` has them."""
+        return self.K.ring.unpacked(x)
 
 
 def as_expr(c) -> sp.Expr:

@@ -32,6 +32,7 @@ from wno.algebra import (
     _GCDS,
     _cofactors,
     _coeff_text,
+    _exquo,
     _Frac,
     _fsum,
     _heu,
@@ -395,7 +396,8 @@ _ours = _TWIN.ours
 def _same(ours, theirs):
     assert type(ours) is _Frac and ours.field is _ARITH
     assert _TWIN.theirs(ours) == theirs
-    assert (dict(ours.numer), dict(ours.denom)) == (dict(theirs.numer), dict(theirs.denom))
+    terms = _TWIN.terms
+    assert (terms(ours.numer), terms(ours.denom)) == (dict(theirs.numer), dict(theirs.denom))
 
 
 @settings(max_examples=150, deadline=None)
@@ -481,7 +483,7 @@ def test_generator_attributes_are_field_elements():
     for i, g in enumerate(K.gens):
         assert type(g) is _Frac and g.field is K
         assert g.denom == K.ring.one
-        assert dict(g.numer) == {tuple(int(k == i) for k in range(2)): 1}
+        assert Twin(K).terms(g.numer) == {tuple(int(k == i) for k in range(2)): 1}
     for value in (u * v + u, u - v, u / v, (u * v).diff("v"), u ** 2):
         assert type(value) is _Frac and value.field is K
     assert u != v and u * v == v * u and (u * v).diff("v") == u
@@ -575,7 +577,7 @@ _mine = _TWIN.ours
 
 def _same_poly(ours, theirs):
     assert type(ours) is _Poly and ours.ring is _ARITH.ring
-    assert _TWIN.theirs(ours) == theirs and dict(ours) == dict(theirs)
+    assert _TWIN.theirs(ours) == theirs and _TWIN.terms(ours) == dict(theirs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -677,3 +679,51 @@ def test_cofactors_fall_back_to_sympys_prs(pair):
     with patch.object(wno.algebra, "_HEU_TRIES", 0), patch.dict(_GCDS, clear=True):
         assert _heu(twin.ours(f), twin.ours(g)) is None
         assert tuple(map(twin.theirs, _cofactors(twin.ours(f), twin.ours(g)))) == theirs
+
+
+# Packed monomials at the edge of their fields: exponents up to ``_MAX``, one below the
+# guard bit, against the exponent-wise minimum and sympy's division and gcd.
+_TOP = wno.algebra._MAX
+_STEP = _TOP // 7  # seven steps reach _TOP exactly
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(0, _TOP), st.integers(0, _TOP)), min_size=n, max_size=n)))
+def test_monomial_gcd_is_the_exponentwise_minimum(pairs):
+    ring = coeff_field(["u", "u_x", "v", "v_x"][:len(pairs)]).ring
+    a, b, low = (next(iter(ring.packed({tuple(e): 1}))) for e in (*zip(*pairs), map(min, pairs)))
+    assert ring.monomial_gcd(a, b) == ring.monomial_gcd(b, a) == low
+
+
+@st.composite
+def _polys_at_the_guard(draw):
+    """``h``, ``f`` and ``g`` of sympy's ring over 1-3 generators, exponents multiples of
+    ``_STEP``: up to 3 steps in ``h`` and 4 in ``f`` and ``g``, so that ``h*f`` reaches ``_TOP``."""
+    n = draw(st.integers(1, 3))
+    ring = Twin(coeff_field(["u", "u_x", "v"][:n])).ring
+    coeff = st.integers(-9, 9).filter(bool)
+
+    def poly(steps):
+        monom = st.tuples(*[st.integers(0, steps).map(lambda e: e * _STEP)] * n)
+        return ring(draw(st.dictionaries(monom, coeff, min_size=1, max_size=3)))
+
+    return poly(3), poly(4), poly(4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_at_the_guard())
+def test_exquo_and_heu_at_the_guard(polys):
+    """Exact division and the gcd of packed polynomials whose exponents reach ``_TOP``: a
+    division whose remainder would pass it fails, as sympy's leaves a remainder."""
+    h, f, g = polys
+    twin = Twin(coeff_field(map(str, h.ring.symbols)))
+    hf, hg = h * f, h * g
+    assert twin.terms(_exquo(twin.ours(hf), twin.ours(h))) == dict(f)
+    for x, y in ((hg, hf), (hf, h * h + 1), (f, g)):
+        q, r = x.div(y)
+        ours = _exquo(twin.ours(x), twin.ours(y))
+        assert (None if r else dict(q)) == (ours if ours is None else twin.terms(ours))
+    with patch.dict(_GCDS, clear=True):
+        ours = _cofactors(twin.ours(hf), twin.ours(hg))
+    assert tuple(map(twin.theirs, ours)) == _sympy_cofactors(hf, hg)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wno.dsl
 import wno.geometry
 import wno.schouten
 from wno.cli import main
@@ -142,6 +143,36 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "big.wno:3:19: exponent exceeds the bound 16" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_degree_bound(self, tmp_path):
+        f = tmp_path / "big.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: ((((u^16)^16)^16)^16)*D + u_x;\n}\n")
+        proc = run_cli("check", str(f), "P", "--el")
+        assert proc.returncode == 2
+        assert "big.wno:3:17: degree exceeds the bound 1023" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_degree_just_below_the_bound(self, tmp_path):
+        f = tmp_path / "top.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: ((u^16)^16)^3*((u^5)^3)^16*u^15*D;\n}\n")
+        proc = run_cli("check", str(f), "P", "--el")
+        assert proc.returncode == 1
+        witness = "local[1,1]: -1023*u**1022*u_x * D^0"
+        assert proc.stdout == (
+            f"operator: P\nskew-adjoint: no\nskew witness: {witness}\nself-bracket trivial: yes\n"
+            f"independence assumption used: no\nwarning: operator is not skew-adjoint ({witness}); "
+            "only its skew part enters the bracket\nEL tuple of the self-bracket:\n"
+            "  du[1] = 0\n  dp[1] = 0\nHAMILTONIAN: no\n"
+        )
+
+    def test_exponent_overflow_is_unsupported(self, tmp_path, monkeypatch, capsys):
+        """With the parse bound lifted, a product of two coefficients whose exponents
+        do not fit a packed monomial's field exits 3."""
+        monkeypatch.setattr(wno.dsl, "MAX_DEGREE", 2**15 - 1)
+        f = tmp_path / "huge.wno"
+        f.write_text("fields u;\noperator P {\n  local[1,1]: (((u^16)^16)^16)^7*D^3;\n}\n")
+        assert main(["check", str(f), "P"]) == 3
+        assert "error: an exponent of a jet variable would pass 32767" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry, col",

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from wno.dsl import MAX_DEPTH, ParseError, parse
+from wno.dsl import MAX_DEGREE, MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
 
 from conftest import as_expr, jet_expr
@@ -125,6 +125,24 @@ class TestDiagnostics:
             parse(f"fields u; operator A {{ local[1,1]: {entry}; }}")
         assert (err.value.line, err.value.col) == (1, col)
         parse("fields u; operator A { local[1,1]: u_16x*u^16*D^16; }")
+
+    @pytest.mark.parametrize(
+        "entry, col",
+        [
+            ("((u^16)^16)^4*D", 36),  # a power
+            ("((u^16)^16)^2*((u^16)^16)^2*D", 50),  # a product in a term, at its last factor
+            ("(((u^16)^16)^2*((u^16)^16)^2)*D", 50),  # a product in an expression
+            ("((u^16)^16)^2/((u^16)^16)^-2*D", 49),  # a quotient
+            ("(1/(((u^16)^16)^2 + 1) + 1/((u^16)^16)^2)*D", 59),  # a sum's denominator
+        ],
+    )
+    def test_degree_bound(self, entry, col):
+        with pytest.raises(ParseError, match=f"degree exceeds the bound {MAX_DEGREE}") as err:
+            parse(f"fields u; operator A {{ local[1,1]: {entry}; }}")
+        assert (err.value.line, err.value.col) == (1, col)
+        assert MAX_DEGREE == 1023
+        top = "((u^16)^16)^3*((u^5)^3)^16*u^15"  # u^1023
+        parse(f"fields u, v; operator A {{ local[1,1]: {top}/(1 + {top.replace('u', 'v')})*D; }}")
 
     def test_integer_literal_digits(self):
         parse(f"fields u; operator A {{ local[1,1]: {'0' * 9}{'7' * 4300}*D; }}")
