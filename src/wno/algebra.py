@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, isqrt
 from operator import itemgetter, or_
+from struct import Struct
 from typing import Iterable, Mapping
 
 import sympy as sp
@@ -55,11 +56,11 @@ def _gen_key(name: Jet) -> tuple:
     return _RANK.get(base, 1000), base, int(digits or 0), name
 
 
-_WIDTH = 16  # bits of one generator's field in a packed monomial, the top one a guard bit
+_WIDTH = 16  # bits of one generator's field in a packed monomial (a struct "H"), the top one a guard bit
 _MAX = (1 << _WIDTH - 1) - 1  # the largest exponent a field holds, and the mask of one field
 
 
-class ExponentOverflow(OverflowError):
+class ExponentOverflowError(OverflowError):
     """An exponent would not fit the field of its generator in a packed monomial."""
 
     def __init__(self):
@@ -73,10 +74,11 @@ class _Ring:
     in ``guard``, is clear in a monomial; a sum sets it in a field that overflows, never carrying
     on, and ``(a | guard) - b`` clears it in each field where ``a``'s exponent is below ``b``'s."""
 
-    __slots__ = ("symbols", "index", "shifts", "guard", "one", "converter")
+    __slots__ = ("symbols", "index", "shifts", "guard", "layout", "one", "converter")
 
     def __init__(self, symbols: tuple[Jet, ...]):
         self.symbols, self.index, self.converter = symbols, {s: i for i, s in enumerate(symbols)}, None
+        self.layout = Struct(f">{len(symbols)}H")  # a monomial's bytes, big-endian, one field each
         self.shifts = tuple(_WIDTH * i for i in reversed(range(len(symbols))))
         self.guard = sum(1 << s + _WIDTH - 1 for s in self.shifts)
         self.one = _poly(self, {0: 1})
@@ -90,19 +92,26 @@ class _Ring:
     def packed(self, terms: Mapping[tuple, int]) -> "_Poly":
         """The polynomial with the (exponent tuple, coefficient) ``terms``, as sympy's rings hold them."""
         if any(e > _MAX for m in terms for e in m):
-            raise ExponentOverflow()
-        return _poly(self, {sum(e << s for e, s in zip(m, self.shifts)): c for m, c in terms.items()})
+            raise ExponentOverflowError()
+        pack = self.layout.pack
+        return _poly(self, {int.from_bytes(pack(*m), "big"): c for m, c in terms.items()})
+
+    def checked(self, p: "_Poly") -> "_Poly":
+        """``p``, whose monomials are sums of two monomials, if none set a guard bit: each sum is
+        exact, so one that cancelled was no overflow."""
+        if reduce(or_, p, 0) & self.guard:
+            raise ExponentOverflowError()
+        return p
 
     def unpacked(self, p: "_Poly") -> dict[tuple, int]:
         """The terms of ``p`` with exponent tuples for monomials."""
-        return {tuple(m >> s & _MAX for s in self.shifts): c for m, c in p.items()}
+        unpack, size = self.layout.unpack, self.layout.size
+        return {unpack(m.to_bytes(size, "big")): c for m, c in p.items()}
 
 
 class _Poly(dict):
     """A ``_Ring`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
-    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts.  A
-    product refuses operands whose monomials' bitwise ORs, below twice their largest exponents,
-    add up to a guard bit."""
+    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts."""
 
     __slots__ = ("ring",)
 
@@ -138,8 +147,6 @@ class _Poly(dict):
         if len(p1) < len(p2):
             p1, p2 = p2, p1
         ring = p1.ring
-        if reduce(or_, p1, 0) + reduce(or_, p2, 0) & ring.guard:
-            raise ExponentOverflow()
         if not p2:
             return _poly(ring)
         terms, rows = p1.items(), iter(p2.items())
@@ -154,7 +161,7 @@ class _Poly(dict):
                     p[m] = c
                 else:
                     del p[m]
-        return p
+        return ring.checked(p)
 
     def diff(f, i: int):
         """The derivative by the generator at position ``i``."""
@@ -495,7 +502,11 @@ def _mover(src: _Field, dst: _Field, names: tuple | None = None):
     for sym, s in zip(names or src.symbols, src.ring.shifts):
         d = dst.ring.shifts[dst.ring.index[sym]] - s
         masks[d] = masks.get(d, 0) | _MAX << s
-    return lambda m: sum((m & k) << d if d >= 0 else (m & k) >> -d for d, k in masks.items())
+    moves = [(k, max(d, 0), max(-d, 0)) for d, k in masks.items()]
+    if len(moves) == 1:  # all fields move alike
+        (_, left, right), = moves
+        return lambda m: m << left >> right
+    return lambda m: sum([(m & k) << left >> right for k, left, right in moves])
 
 
 def _lift(c: _Frac, field: _Field, names: tuple | None = None) -> _Frac:
@@ -542,14 +553,12 @@ def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
     exponent ``e > 0`` of ``s`` at bit ``i`` gives ``e`` times ``m`` with one ``s`` moved to
     ``raised[s]``, ``m + d``), then ``_quotient_rule``."""
     ring = field.ring
-    at = {x: 1 << s for x, s in zip(ring.symbols, ring.shifts)}
-    step = [(ring.shifts[ring.index[s]], at[t] - at[s]) for s, t in raised.items()]
+    unit = {x: 1 << s for x, s in zip(ring.symbols, ring.shifts)}
+    step = [(ring.shifts[ring.index[s]], unit[t] - unit[s]) for s, t in raised.items()]
 
     def chain(q):
-        p = _collect(ring, (), ((m + d, c * e) for m, c in q.items() for i, d in step if (e := m >> i & _MAX)))
-        if reduce(or_, p, 0) & ring.guard:  # a raised jet's exponent passed _MAX
-            raise ExponentOverflow()
-        return p
+        return ring.checked(_collect(ring, (), ((m + d, c * e) for m, c in q.items() for i, d in step
+                                                if (e := m >> i & _MAX))))
 
     return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
 
@@ -576,9 +585,8 @@ def _ratint(c: _Frac, x: Jet) -> _Frac | None:
     ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
     ring = c.field.ring
     numer, denom = (PolyElement(_sympy(ring).ring, ring.unpacked(q)).as_expr() for q in (c.numer, c.denom))
-    expr = numer / denom
     try:
-        return _into(None, [ratint(expr, sp.Symbol(x), real=False)])[1][0]
+        return _into(None, [ratint(numer / denom, sp.Symbol(x), real=False)])[1][0]
     except ValueError:  # log, atan, RootSum, ...
         return None
 
@@ -678,11 +686,11 @@ def _lead_rational(c: _Frac) -> tuple[int, int]:
     return num[0][1] if len(num) == 1 else 1, den[0][1] if len(den) == 1 else 1
 
 
-def _exponent_bits(c: _Frac) -> int:
-    """The bit length of the largest exponent of a generator in ``c``, that of its field in the
-    bitwise OR of the monomials."""
+def _exponents_below(c: _Frac, bits: int) -> bool:
+    """Whether every exponent in ``c`` is below ``2**bits``: no field of the bitwise OR of its
+    monomials has a higher bit."""
     used = reduce(or_, c.numer, 0) | reduce(or_, c.denom, 0)
-    return max((used >> s & _MAX).bit_length() for s in c.field.ring.shifts) if used else 0
+    return not used & (c.field.ring.guard >> _WIDTH - 1) * (_MAX >> bits << bits)
 
 
 def _jet_name(base: str, order: int) -> str:

@@ -22,7 +22,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import _GCDS, ExponentOverflow, Fields, render_superpoly
+from .algebra import _GCDS, ExponentOverflowError, Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -235,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExitWith as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         code = exc.code
-    except (UnsupportedStructureError, SingularMetricError, ExponentOverflow) as exc:
+    except (UnsupportedStructureError, SingularMetricError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNSUPPORTED
     print(f"# time: {time.monotonic() - start:.3f}s", file=sys.stderr)

@@ -36,7 +36,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Coeff, Fields, Jet, _exponent_bits, _int_value, _rational, coeff_field
+from .algebra import Coeff, Fields, Jet, _exponents_below, _int_value, _rational, coeff_field
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
 
@@ -370,7 +370,7 @@ class Parser:
 
     def bounded(self, tok: Token, value: Coeff) -> Coeff:
         """``value``, if no exponent of it passes MAX_DEGREE."""
-        if _exponent_bits(value) > MAX_DEGREE.bit_length():
+        if not _exponents_below(value, MAX_DEGREE.bit_length()):
             raise ParseError(f"degree exceeds the bound {MAX_DEGREE}", tok.line, tok.col)
         return value
 

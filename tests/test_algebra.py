@@ -14,7 +14,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sympy import ZZ, lex
@@ -25,6 +25,7 @@ from sympy.polys.rings import PolyElement, PolyRing
 
 import wno
 from wno.algebra import (
+    ExponentOverflowError,
     Fields,
     OddFactor,
     SuperPoly,
@@ -711,8 +712,17 @@ def _polys_at_the_guard(draw):
     return poly(3), poly(4), poly(4)
 
 
+def _candidate_past_the_guard():
+    """``(h, f, g)`` for which ``_heu`` interpolates a candidate with an exponent past ``_TOP``
+    (``u_x**(2 * 18724)`` at ``x = 229``), no divisor of ``f``: it takes the next point."""
+    ring = Twin(coeff_field(["u", "u_x"])).ring
+    u, u_x = (x**_STEP for x in ring.gens)
+    return ring.one, -2 * u**3 * u_x**4 + u**2 * u_x**2 - 2 * u * u_x**4, 3 * u + 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(_polys_at_the_guard())
+@example(polys=_candidate_past_the_guard())
 def test_exquo_and_heu_at_the_guard(polys):
     """Exact division and the gcd of packed polynomials whose exponents reach ``_TOP``: a
     division whose remainder would pass it fails, as sympy's leaves a remainder."""
@@ -727,3 +737,21 @@ def test_exquo_and_heu_at_the_guard(polys):
     with patch.dict(_GCDS, clear=True):
         ours = _cofactors(twin.ours(hf), twin.ours(hg))
     assert tuple(map(twin.theirs, ours)) == _sympy_cofactors(hf, hg)
+
+
+def test_exponent_overflow_is_refused():
+    """A product, a total derivative or a converted sympy polynomial with an exponent past
+    ``_TOP`` raises, where the sum would carry into the next generator's field."""
+    F2 = Fields(("u",))
+    K = coeff_field(["u", "u_x"])
+    ring = K.ring
+    half, top, u_ux = (ring.packed({e: 1}) for e in ((0, _TOP // 2), (0, _TOP), (1, 1)))
+    u = u_ux.diff(1)
+    assert ring.unpacked(half * half) == {(0, _TOP - 1): 1}
+    assert ring.unpacked(top * u) == {(1, _TOP): 1}
+    with pytest.raises(ExponentOverflowError, match=f"would pass {_TOP}"):
+        top * u_ux
+    with pytest.raises(ExponentOverflowError):  # D_x(u * u_x**_TOP) has u_x**(_TOP + 1)
+        total_x(SuperPoly({(): _Frac(K, top * u, ring.one)}, K), F2)
+    with pytest.raises(ExponentOverflowError):
+        ring.packed({(0, _TOP + 1): 1})
