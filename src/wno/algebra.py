@@ -7,16 +7,15 @@ factors sorted by registration id), so that two values are equal exactly
 when their term maps agree coefficient-wise.
 
 Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
-reduced pairs ``_Frac`` of ``_Poly`` term dicts (packed exponents ``int`` -> ``int``),
-the leading denominator coefficient positive in lex order, so equal values
-have equal terms.  Arithmetic takes gcds of factors only; a gcd of two sums
-is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the next command.
-Values of two fields lift into the field over the union of their generators;
-fields are memoised per name set, in sympy's ``_sort_gens`` order, which
-fixes signs.  Sympy is reached through private converters only (the PRS gcd
-where ``_heu`` gives up, ``ratint``, expressions given to ``_into``), and no
-other module imports it or reads a coefficient's terms.  ``_coeff_text``
-writes a coefficient as ``sympy.cancel`` of it prints.
+reduced pairs ``_Frac`` of polynomials, plain dicts from packed monomials (``int``) to nonzero
+``int``, the leading denominator coefficient positive in lex order, so equal values have equal
+terms.  One ``_Field`` per generator set holds the monomial layout.  Arithmetic takes gcds of
+factors only; a gcd of two sums is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the
+next command.  Values of two fields lift into the field over the union of their generators;
+fields are memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.  Sympy is
+imported by private converters only (the PRS gcd where ``_heu`` gives up, ``ratint``, expressions
+given to ``_into``), which no report reaches, and no other module imports it or reads a
+coefficient's terms.  ``_coeff_text`` writes a coefficient as ``sympy.cancel`` of it prints.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -26,21 +25,15 @@ may repeat inside a word; odd factors anticommute and square to zero.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from math import gcd, isqrt
 from operator import itemgetter, or_
 from struct import Struct
 from typing import Iterable, Mapping
-
-import sympy as sp
-from sympy import ZZ
-from sympy.integrals.rationaltools import ratint
-from sympy.polys.fields import FracField
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement
 
 Jet = str  # a jet variable, as ``Fields.jet`` names it
 
@@ -58,6 +51,7 @@ def _gen_key(name: Jet) -> tuple:
 
 _WIDTH = 16  # bits of one generator's field in a packed monomial (a struct "H"), the top one a guard bit
 _MAX = (1 << _WIDTH - 1) - 1  # the largest exponent a field holds, and the mask of one field
+_ONE = {0: 1}  # the polynomial 1 of every field; no polynomial is changed once built
 
 
 class ExponentOverflowError(OverflowError):
@@ -67,21 +61,24 @@ class ExponentOverflowError(OverflowError):
         super().__init__(f"an exponent of a jet variable would pass {_MAX}")
 
 
-class _Ring:
-    """ZZ[symbols] in lex order; ``converter`` is built by ``_sympy``.  A monomial is one ``int``,
-    generator ``i``'s exponent at bit ``shifts[i]``, the first generator's most significant: ``max``
-    is the lex leader, a product a sum (Bachmann and Schönemann 1998).  The top bit of each field,
-    in ``guard``, is clear in a monomial; a sum sets it in a field that overflows, never carrying
-    on, and ``(a | guard) - b`` clears it in each field where ``a``'s exponent is below ``b``'s."""
+class _Field:
+    """QQ(symbols), one instance per generator set: ``_Frac`` over ZZ[symbols] in lex order, whose
+    polynomials are dicts from monomials to nonzero ``int``; ``converter`` is built by ``_sympy``.
+    A monomial is one ``int``, generator ``i``'s exponent at bit ``shifts[i]``, the first
+    generator's most significant: ``max`` is the lex leader, a product a sum (Bachmann and
+    Schönemann 1998).  The top bit of each field, in ``guard``, is clear in a monomial; a sum sets
+    it in a field that overflows, never carrying on, and ``(a | guard) - b`` clears it in each field
+    where ``a``'s exponent is below ``b``'s."""
 
-    __slots__ = ("symbols", "index", "shifts", "guard", "layout", "one", "converter")
+    __slots__ = ("symbols", "index", "shifts", "guard", "layout", "converter", "zero", "one", "gens")
 
     def __init__(self, symbols: tuple[Jet, ...]):
         self.symbols, self.index, self.converter = symbols, {s: i for i, s in enumerate(symbols)}, None
         self.layout = Struct(f">{len(symbols)}H")  # a monomial's bytes, big-endian, one field each
         self.shifts = tuple(_WIDTH * i for i in reversed(range(len(symbols))))
         self.guard = sum(1 << s + _WIDTH - 1 for s in self.shifts)
-        self.one = _poly(self, {0: 1})
+        self.zero, self.one = _Frac(self, {}, _ONE), _Frac(self, _ONE, _ONE)
+        self.gens = tuple(_Frac(self, {1 << s: 1}, _ONE) for s in self.shifts)
 
     def monomial_gcd(self, a: int, b: int) -> int:
         """The exponent-wise minimum of monomials ``a`` and ``b``."""
@@ -89,100 +86,29 @@ class _Ring:
         below -= below >> _WIDTH - 1  # ... spread over those fields' exponent bits
         return b ^ (a ^ b) & below
 
-    def packed(self, terms: Mapping[tuple, int]) -> "_Poly":
+    def packed(self, terms: Mapping[tuple, int]) -> dict:
         """The polynomial with the (exponent tuple, coefficient) ``terms``, as sympy's rings hold them."""
         if any(e > _MAX for m in terms for e in m):
             raise ExponentOverflowError()
         pack = self.layout.pack
-        return _poly(self, {int.from_bytes(pack(*m), "big"): c for m, c in terms.items()})
+        return {int.from_bytes(pack(*m), "big"): c for m, c in terms.items()}
 
-    def checked(self, p: "_Poly") -> "_Poly":
+    def checked(self, p: dict) -> dict:
         """``p``, whose monomials are sums of two monomials, if none set a guard bit: each sum is
         exact, so one that cancelled was no overflow."""
         if reduce(or_, p, 0) & self.guard:
             raise ExponentOverflowError()
         return p
 
-    def unpacked(self, p: "_Poly") -> dict[tuple, int]:
+    def unpacked(self, p: dict) -> dict[tuple, int]:
         """The terms of ``p`` with exponent tuples for monomials."""
         unpack, size = self.layout.unpack, self.layout.size
         return {unpack(m.to_bytes(size, "big")): c for m, c in p.items()}
 
 
-class _Poly(dict):
-    """A ``_Ring`` polynomial: ``==``, ``!=``, ``+``, ``-``, ``*`` with one of its own ring
-    (``==`` also with an ``int``), ``diff`` and ``LC`` take one pass over the term dicts."""
-
-    __slots__ = ("ring",)
-
-    def __eq__(p1, p2):
-        if p2.__class__ is _Poly:
-            return p2.ring is p1.ring and dict.__eq__(p1, p2)
-        if p2.__class__ is int:
-            return not p1 if not p2 else len(p1) == 1 and p1.get(0) == p2
-        return NotImplemented
-
-    def __ne__(p1, p2):
-        return not p1.__eq__(p2)
-
-    def __hash__(self):  # for the gcd memo; a polynomial is not changed once built
-        return hash(frozenset(self.items()))
-
-    def __neg__(self):
-        return _poly(self.ring, {m: -c for m, c in self.items()})
-
-    def __add__(p1, p2):
-        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return NotImplemented
-        return _collect(p1.ring, p1, p2.items())
-
-    def __sub__(p1, p2):
-        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return NotImplemented
-        return _collect(p1.ring, p1, p2.items(), -1)
-
-    def __mul__(p1, p2):
-        if p2.__class__ is not _Poly or p2.ring is not p1.ring:
-            return NotImplemented
-        if len(p1) < len(p2):
-            p1, p2 = p2, p1
-        ring = p1.ring
-        if not p2:
-            return _poly(ring)
-        terms, rows = p1.items(), iter(p2.items())
-        m2, c2 = next(rows)  # no two products of one row share a monomial, and over ZZ none is zero
-        p = _poly(ring, {m1 + m2: c1 * c2 for m1, c1 in terms})
-        get = p.get
-        for m2, c2 in rows:
-            for m1, c1 in terms:
-                m = m1 + m2
-                c = get(m, 0) + c1 * c2
-                if c:
-                    p[m] = c
-                else:
-                    del p[m]
-        return ring.checked(p)
-
-    def diff(f, i: int):
-        """The derivative by the generator at position ``i``."""
-        s = f.ring.shifts[i]
-        return _poly(f.ring, {m - (1 << s): c * e for m, c in f.items() if (e := m >> s & _MAX)})
-
-    @property
-    def LC(self):
-        return self[max(self)] if self else 0  # the leading coefficient in lex order
-
-
-def _poly(ring: _Ring, terms=()) -> _Poly:
-    """The polynomial of ``ring`` with the (monomial, nonzero coefficient) ``terms``."""
-    p = _Poly(terms)
-    p.ring = ring
-    return p
-
-
-def _collect(ring, start, terms, sign: int = 1) -> _Poly:
+def _collect(start, terms, sign: int = 1) -> dict:
     """``start`` plus ``sign`` times the (monomial, coefficient) ``terms``, zeros dropped as they arise."""
-    p = _poly(ring, start)
+    p = dict(start)
     get = p.get
     for m, c in terms:
         c = get(m, 0) + sign * c
@@ -193,33 +119,43 @@ def _collect(ring, start, terms, sign: int = 1) -> _Poly:
     return p
 
 
-def _unit(p) -> bool:
-    """``p == 1`` for a polynomial, without the dispatch of ``_Poly.__eq__``."""
-    return len(p) == 1 and p.get(0) == 1
+def _neg(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
 
 
-def _times(p, q):
-    """``p * q`` for polynomials, skipping the pass over terms when either is 1 (``_unit`` inline)."""
-    return q if len(p) == 1 and p.get(0) == 1 else p if len(q) == 1 and q.get(0) == 1 else p * q
+def _mul(field: _Field, p: dict, q: dict) -> dict:
+    """``p * q`` for polynomials of ``field``: an operand itself when the other is 1."""
+    if q == _ONE or not p:
+        return p
+    if p == _ONE or not q:
+        return q
+    if len(p) < len(q):
+        p, q = q, p
+    terms, rows = p.items(), iter(q.items())
+    m2, c2 = next(rows)  # no two products of one row share a monomial, and over ZZ none is zero
+    out = {m1 + m2: c1 * c2 for m1, c1 in terms}
+    get = out.get
+    for m2, c2 in rows:
+        for m1, c1 in terms:
+            m = m1 + m2
+            c = get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return field.checked(out)
 
 
-class _Field:
-    """QQ(symbols): ``_Frac`` over ``_Ring(symbols)``, one instance per generator set."""
-
-    __slots__ = ("ring", "symbols", "zero", "one", "gens")
-
-    def __init__(self, symbols: tuple[Jet, ...]):
-        ring = self.ring = _Ring(symbols)
-        self.symbols, one = symbols, ring.one
-        self.zero, self.one = _Frac(self, _poly(ring), one), _Frac(self, one, one)
-        self.gens = tuple(_Frac(self, _poly(ring, {1 << s: 1}), one) for s in ring.shifts)
+def _diff(p: dict, s: int) -> dict:
+    """The derivative of ``p`` by the generator whose exponent is at bit ``s``."""
+    return {m - (1 << s): c * e for m, c in p.items() if (e := m >> s & _MAX)}
 
 
 def _rational(field: _Field, q) -> "_Frac":
     """The rational number ``q``, an ``int`` or a ``Fraction``, in ``field``."""
     if not q:
         return field.zero
-    return _Frac(field, _poly(field.ring, {0: q.numerator}), _poly(field.ring, {0: q.denominator}))
+    return _Frac(field, {0: q.numerator}, {0: q.denominator})
 
 
 class _Frac:
@@ -229,7 +165,7 @@ class _Frac:
 
     __slots__ = ("field", "numer", "denom")
 
-    def __init__(self, field: _Field, numer: _Poly, denom: _Poly):
+    def __init__(self, field: _Field, numer: dict, denom: dict):
         self.field, self.numer, self.denom = field, numer, denom
 
     def _own(self, g) -> "_Frac | None":
@@ -242,7 +178,7 @@ class _Frac:
         """``num/den`` for coprime ``num`` and ``den``, with the canonical sign."""
         if not num:
             return self.field.zero
-        return _Frac(self.field, -num, -den) if den.LC < 0 else _Frac(self.field, num, den)
+        return _Frac(self.field, _neg(num), _neg(den)) if den[max(den)] < 0 else _Frac(self.field, num, den)
 
     def __bool__(self):
         return bool(self.numer)
@@ -252,7 +188,7 @@ class _Frac:
         return g is not None and self.numer == g.numer and self.denom == g.denom
 
     def __neg__(self):
-        return _Frac(self.field, -self.numer, self.denom)
+        return _Frac(self.field, _neg(self.numer), self.denom)
 
     def __add__(self, other):
         g = self._own(other)
@@ -261,12 +197,12 @@ class _Frac:
         if not g or not self:
             return g or self
         # a/b + c/d with h = gcd(b, d): only factors of h can divide the sum's numerator
-        a, b, c, d, one = self.numer, self.denom, g.numer, g.denom, self.field.ring.one
-        h, b, d = (b, one, one) if b == d else (one, b, d) if _unit(b) or _unit(d) else _cofactors(b, d)
-        t, b = _times(a, d) + _times(c, b), _times(b, d)
-        if not _unit(h):
-            _, t, h = _cofactors(t, h)
-        return self._signed(t, _times(b, h))
+        a, b, c, d, field = self.numer, self.denom, g.numer, g.denom, self.field
+        h, b, d = (b, _ONE, _ONE) if b == d else (_ONE, b, d) if _ONE in (b, d) else _cofactors(field, b, d)
+        t, b = _collect(_mul(field, a, d), _mul(field, c, b).items()), _mul(field, b, d)
+        if h != _ONE:
+            _, t, h = _cofactors(field, t, h)
+        return self._signed(t, _mul(field, b, h))
 
     __radd__ = __add__
 
@@ -281,130 +217,142 @@ class _Frac:
         if not self or not g:
             return self.field.zero
         # (a/b)(c/d): cross-cancel a with d and c with b
-        a, b, c, d = self.numer, self.denom, g.numer, g.denom
-        if not _unit(d):
-            _, a, d = _cofactors(a, d)
-        if not _unit(b):
-            _, c, b = _cofactors(c, b)
-        return self._signed(_times(a, c), _times(b, d))
+        a, b, c, d, field = self.numer, self.denom, g.numer, g.denom, self.field
+        if d != _ONE:
+            _, a, d = _cofactors(field, a, d)
+        if b != _ONE:
+            _, c, b = _cofactors(field, c, b)
+        return self._signed(_mul(field, a, c), _mul(field, b, d))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         g = self._own(other)
-        return NotImplemented if g is None else self * _Frac(g.field, g.denom, g.numer)
+        if g is None:
+            return NotImplemented
+        if not g:
+            raise ZeroDivisionError("division by zero in a coefficient field")
+        return self * _Frac(g.field, g.denom, g.numer)
 
     def __pow__(self, n: int) -> "_Frac":
-        """``self**n`` for ``n >= 0``: powers of coprime polynomials are coprime."""
-        one = self.field.ring.one
-        return _Frac(self.field, *(reduce(_times, [q] * n, one) for q in (self.numer, self.denom)))
+        """``self**n``, for ``n < 0`` the power ``-n`` of ``1/self``: powers of coprime
+        polynomials are coprime."""
+        if n < 0:
+            return (self.field.one / self) ** -n
+        field = self.field
+        return _Frac(field, *(reduce(partial(_mul, field), [q] * n, _ONE) for q in (self.numer, self.denom)))
 
     def diff(self, x: Jet) -> "_Frac":
         """The partial derivative by the generator named ``x``."""
-        i = self.field.ring.index[x]
-        return self._quotient_rule(self.numer.diff(i), self.denom.diff(i))
+        s = self.field.shifts[self.field.index[x]]
+        return self._quotient_rule(_diff(self.numer, s), _diff(self.denom, s))
 
     def _quotient_rule(self, dn, dd) -> "_Frac":
         """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
         irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
         ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
-        if _unit(self.denom):
+        if self.denom == _ONE:
             return self._signed(dn, self.denom)
-        h, d, dd = _cofactors(self.denom, dd)
-        num = _times(dn, d) - _times(self.numer, dd)
-        if not _unit(h):
-            _, num, h = _cofactors(num, h)
-        return self._signed(num, _times(_times(d, d), h))
+        field = self.field
+        h, d, dd = _cofactors(field, self.denom, dd)
+        num = _collect(_mul(field, dn, d), _mul(field, self.numer, dd).items(), -1)
+        if h != _ONE:
+            _, num, h = _cofactors(field, num, h)
+        return self._signed(num, _mul(field, _mul(field, d, d), h))
 
 
 Coeff = _Frac  # a coefficient: an element of a ``coeff_field``
 
 
-def _sympy(ring: _Ring) -> FracField:
-    """Sympy's field over ``ring``'s generators, built on first use: the converter."""
-    if ring.converter is None:
-        ring.converter = FracField([sp.Symbol(s) for s in ring.symbols], ZZ, lex)
-    return ring.converter
+def _sympy(field: _Field):
+    """Sympy's ``FracField`` over ``field``'s generators, built on first use: the converter."""
+    if field.converter is None:
+        import sympy as sp
+        from sympy.polys.fields import FracField
+
+        field.converter = FracField([sp.Symbol(s) for s in field.symbols], sp.ZZ, sp.lex)
+    return field.converter
 
 
 _HEU_TRIES = 6  # evaluation points the heuristic gcd tries before it gives up
-_GCDS: dict = {}  # (p, q) -> ``_cofactors`` of two sums; ``cli.main`` empties it per command
+_GCDS: dict = {}  # (field, p's terms, q's terms) -> ``_cofactors`` of two sums; ``cli.main`` empties it
 
 
-def _cofactors(p, q):
+def _cofactors(field: _Field, p: dict, q: dict):
     """``(h, p/h, q/h)`` for ``h = gcd(p, q)``, its leading coefficient positive and its content
     the gcd of the contents; two sums take the memo, others one pass."""
     if len(p) > 1 and len(q) > 1:
-        hit = _GCDS.get((p, q))
+        key = field, frozenset(p.items()), frozenset(q.items())
+        hit = _GCDS.get(key)
         if hit is None:
-            hit = _GCDS[p, q] = _heu(p, q) or _prs_gcd(p, q)
+            hit = _GCDS[key] = _heu(field, p, q) or _prs_gcd(field, p, q)
         return hit
     if not p or not q:  # gcd(g, 0) = g up to sign; gcd(0, 0) = 0, cofactors 0
-        g, zero = p or q, _poly(p.ring)
-        h, u = (g, p.ring.one) if g.LC > 0 else (-g, -p.ring.one) if g else (g, g)
-        return (h, zero, u) if not p else (h, u, zero)
+        g = p or q
+        h, u = (g, _ONE) if g and g[max(g)] > 0 else (_neg(g), {0: -1}) if g else (g, g)
+        return (h, {}, u) if not p else (h, u, {})
     if len(p) == 1:
-        return _gcd_monom(p, q)
-    h, cq, cp = _gcd_monom(q, p)
+        return _gcd_monom(field, p, q)
+    h, cq, cp = _gcd_monom(field, q, p)
     return h, cp, cq
 
 
-def _gcd_monom(f, g):
+def _gcd_monom(field: _Field, f: dict, g: dict):
     """``_cofactors`` of a monomial ``f`` and a nonzero ``g``, in one pass that stops at a gcd of 1."""
-    ring, ((mf, cf),) = f.ring, f.items()
-    m, c, monomial_gcd = mf, cf, ring.monomial_gcd
+    ((mf, cf),) = f.items()
+    m, c, monomial_gcd = mf, cf, field.monomial_gcd
     for mg, cg in g.items():
         m, c = monomial_gcd(m, mg), gcd(c, cg)
         if c == 1 and not m:
-            return ring.one, f, g
-    cofactor = _poly(ring, {mg - m: cg // c for mg, cg in g.items()})
-    return _poly(ring, {m: c}), _poly(ring, {mf - m: cf // c}), cofactor
+            return _ONE, f, g
+    return {m: c}, {mf - m: cf // c}, {mg - m: cg // c for mg, cg in g.items()}
 
 
-def _heu(f, g, i: int = 0):
+def _heu(field: _Field, f: dict, g: dict, i: int = 0):
     """The heuristic gcd (Char, Geddes and Gonnet 1989) of nonzero ``f`` and ``g`` in generators
     ``i`` on as ``_cofactors``, or None if it gives up: their values at generator ``i`` ``= x``
     (exponents over their gcd ``j``) give a gcd and cofactors in symmetric base-``x`` digits; as in
     sympy's ``heugcd``, ``x`` starts and grows, and the first candidate dividing ``f`` and ``g`` is
     kept (the gcd's primitive part, ``f`` or ``g`` over its cofactor)."""
-    ring, last, s = f.ring, i + 1 == len(f.ring.symbols), f.ring.shifts[i]
+    last, s = i + 1 == len(field.symbols), field.shifts[i]
     j = gcd(*(m >> s & _MAX for m in f), *(m >> s & _MAX for m in g)) or 1
     content = gcd(*f.values(), *g.values())
     if content != 1:
-        f, g = (_poly(ring, {m: c // content for m, c in a.items()}) for a in (f, g))
+        f, g = ({m: c // content for m, c in a.items()} for a in (f, g))
     f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
     b = 2 * min(f_norm, g_norm) + 29
-    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
     for _ in range(_HEU_TRIES):
-        ff, gg = _evaluate(f, x, j, i, last), _evaluate(g, x, j, i, last)
+        ff, gg = _evaluate(field, f, x, j, i, last), _evaluate(field, g, x, j, i, last)
         if ff and gg:
-            images = (d := gcd(ff, gg), ff // d, gg // d) if last else _heu(ff, gg, i + 1)
+            images = (d := gcd(ff, gg), ff // d, gg // d) if last else _heu(field, ff, gg, i + 1)
             if images is None:
                 return None
-            h, cff, cfg = candidates = [_interpolate(image, x, j, i, ring) for image in images]
+            h, cff, cfg = candidates = [_interpolate(field, image, x, j, i) for image in images]
             k = None not in candidates and gcd(*h.values())  # h is not 0: its value is a gcd
-            found = k and (_divides(_poly(ring, {m: c // k for m, c in h.items()}), f, g)
-                           or _divides(_exquo(f, cff), f, g) or _divides(_exquo(g, cfg), f, g))
+            found = k and (_divides(field, {m: c // k for m, c in h.items()}, f, g)
+                           or _divides(field, _exquo(field, f, cff), f, g)
+                           or _divides(field, _exquo(field, g, cfg), f, g))
             if found:
-                h, cff, cfg = found if found[0].LC > 0 else tuple(-a for a in found)
-                return _poly(ring, {m: c * content for m, c in h.items()}), cff, cfg
+                h, cff, cfg = found if found[0][max(found[0])] > 0 else tuple(map(_neg, found))
+                return {m: c * content for m, c in h.items()}, cff, cfg
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
 
 
-def _divides(h, f, g):
+def _divides(field: _Field, h, f: dict, g: dict):
     """``(h, f/h, g/h)`` if ``h`` is a polynomial dividing ``f`` and ``g``, else None."""
-    cff = h and _exquo(f, h)
-    cfg = cff and _exquo(g, h)
+    cff = h and _exquo(field, f, h)
+    cfg = cff and _exquo(field, g, h)
     return cfg and (h, cff, cfg)
 
 
-def _exquo(f, h):
+def _exquo(field: _Field, f: dict, h: dict) -> dict | None:
     """``f/h`` if nonzero ``h`` divides ``f``, else None: lex division by leading terms.  Where
     ``h`` divides ``f``, no exponent of a product passes ``f``'s, so an overflow means it does not."""
-    guard, (mh, ch) = f.ring.guard, max(h.items())
+    guard, (mh, ch) = field.guard, max(h.items())
     rest = [t for t in h.items() if t[0] != mh]
-    r, q = dict(f), _poly(f.ring)
+    r, q = dict(f), {}
     while r:
         m = max(r)
         c, e = r.pop(m), (m | guard) - mh
@@ -422,23 +370,23 @@ def _exquo(f, h):
     return q
 
 
-def _evaluate(f, x: int, j: int, i: int, last: bool):
+def _evaluate(field: _Field, f: dict, x: int, j: int, i: int, last: bool):
     """``f`` at generator ``i`` ``= x``, exponents divided by ``j``: an integer if it is the
     ``last``, else a polynomial whose generators up to ``i`` have exponent 0, as ``f``'s before it."""
-    values, s = {}, f.ring.shifts[i]
+    values, s = {}, field.shifts[i]
     keep = ~(_MAX << s)
     for m, c in f.items():
         key = m & keep
         values[key] = values.get(key, 0) + c * x ** ((m >> s & _MAX) // j)
-    return values[0] if last else _poly(f.ring, {m: c for m, c in values.items() if c})
+    return values[0] if last else {m: c for m, c in values.items() if c}
 
 
-def _interpolate(image, x: int, j: int, i: int, ring: _Ring) -> _Poly | None:
-    """The polynomial of ``ring`` with coefficients in (-x/2, x/2] whose value at generator
+def _interpolate(field: _Field, image, x: int, j: int, i: int) -> dict | None:
+    """The polynomial of ``field`` with coefficients in (-x/2, x/2] whose value at generator
     ``i`` ``= x``, exponents divided by ``j``, is ``image`` (an integer, or as ``_evaluate``'s);
-    None if an exponent of it passes ``_MAX``, so that it divides no polynomial of ``ring``."""
-    terms, low, s = {}, x - x // 2 - 1, ring.shifts[i]  # digits in [-low, x // 2], as sympy's ``heugcd``
-    for m, c in image.items() if image.__class__ is _Poly else [(0, image)]:
+    None if an exponent of it passes ``_MAX``, so that it divides no polynomial of ``field``."""
+    terms, low, s = {}, x - x // 2 - 1, field.shifts[i]  # digits in [-low, x // 2], as sympy's ``heugcd``
+    for m, c in image.items() if image.__class__ is dict else [(0, image)]:
         k = 0
         while c:
             digit = (c + low) % x - low
@@ -447,30 +395,30 @@ def _interpolate(image, x: int, j: int, i: int, ring: _Ring) -> _Poly | None:
             c, k = (c - digit) // x, k + j
         if k - j > _MAX:
             return None
-    return _poly(ring, terms)
+    return terms
 
 
-def _prs_gcd(p, q):
+def _prs_gcd(field: _Field, p: dict, q: dict):
     """``_cofactors`` by sympy's primitive PRS, through the converter: ``_heu``'s fallback."""
-    ring = p.ring
-    to = _sympy(ring).ring
-    f, g = (PolyElement(to, ring.unpacked(a)) for a in (p, q))
-    return tuple(ring.packed(x) for x in to.dmp_rr_prs_gcd(f, g))
+    to = _sympy(field).ring
+    f, g = (to.from_dict(field.unpacked(a)) for a in (p, q))
+    found = [field.packed(x) for x in to.dmp_rr_prs_gcd(f, g)]  # the gcd's sign as it falls
+    return tuple(found if found[0][max(found[0])] > 0 else map(_neg, found))
 
 
 def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
     """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up
     over the running lcm of the denominators, with no gcd while a denominator equals it."""
-    num, den = _poly(field.ring), field.ring.one
+    num, den = {}, _ONE
     for v in filter(None, values):
         a, b = v.numer, v.denom
         if b == den:
-            num += a
+            num = _collect(num, a.items())
         else:
-            den_b, b = (den, b) if _unit(den) or _unit(b) else _cofactors(den, b)[1:]
-            num, den = _times(num, b) + _times(a, den_b), _times(den, b)
-    if num and not _unit(den):
-        _, num, den = _cofactors(num, den)
+            den_b, b = (den, b) if den == _ONE or b == _ONE else _cofactors(field, den, b)[1:]
+            num, den = _collect(_mul(field, num, b), _mul(field, a, den_b).items()), _mul(field, den, b)
+    if num and den != _ONE:
+        _, num, den = _cofactors(field, num, den)
     return field.zero._signed(num, den)
 
 
@@ -499,8 +447,8 @@ def _mover(src: _Field, dst: _Field, names: tuple | None = None):
     """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``): the fields
     that move by the same number of bits move together."""
     masks: dict[int, int] = {}
-    for sym, s in zip(names or src.symbols, src.ring.shifts):
-        d = dst.ring.shifts[dst.ring.index[sym]] - s
+    for sym, s in zip(names or src.symbols, src.shifts):
+        d = dst.shifts[dst.index[sym]] - s
         masks[d] = masks.get(d, 0) | _MAX << s
     moves = [(k, max(d, 0), max(-d, 0)) for d, k in masks.items()]
     if len(moves) == 1:  # all fields move alike
@@ -514,8 +462,8 @@ def _lift(c: _Frac, field: _Field, names: tuple | None = None) -> _Frac:
     generator order is global, so the reduced form carries over unchanged."""
     if c.field is field:
         return c
-    move, ring = _mover(c.field, field, names), field.ring
-    return _Frac(field, *(_poly(ring, {move(m): k for m, k in q.items()}) for q in (c.numer, c.denom)))
+    move = _mover(c.field, field, names)
+    return _Frac(field, *({move(m): k for m, k in q.items()} for q in (c.numer, c.denom)))
 
 
 def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
@@ -525,10 +473,11 @@ def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
     function of its symbols (``log``, ``atan``, ``RootSum``)."""
     values = list(values)
     symbols = set()
+    sympy = sys.modules.get("sympy")  # a sympy expression exists only once sympy is imported
     for v in values:
         if isinstance(v, _Frac):
             symbols.update(v.field.symbols)
-        elif isinstance(v, sp.Expr):
+        elif sympy and isinstance(v, sympy.Expr):
             symbols.update(s.name for s in v.free_symbols)
         elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise TypeError(f"cannot use {v!r} as a coefficient; use integers or rationals")
@@ -536,15 +485,15 @@ def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
         field = coeff_field(symbols.union(field.symbols) if field else symbols)
     return field, [
         _lift(v, field) if isinstance(v, _Frac)
-        else _from_sympy(_sympy(field.ring).from_expr(v), field) if isinstance(v, sp.Expr)
-        else _rational(field, v)
+        else _rational(field, v) if isinstance(v, (int, Fraction))
+        else _from_sympy(_sympy(field).from_expr(v), field)
         for v in values
     ]
 
 
 def _from_sympy(x, field: _Field) -> _Frac:
     """A reduced element ``x`` of the converter of ``field``, in ``field`` with the canonical sign."""
-    return field.zero._signed(field.ring.packed(x.numer), field.ring.packed(x.denom))
+    return field.zero._signed(field.packed(x.numer), field.packed(x.denom))
 
 
 def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
@@ -552,13 +501,12 @@ def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
     next-order jet.  Each numerator and denominator takes one pass (the chain rule: an
     exponent ``e > 0`` of ``s`` at bit ``i`` gives ``e`` times ``m`` with one ``s`` moved to
     ``raised[s]``, ``m + d``), then ``_quotient_rule``."""
-    ring = field.ring
-    unit = {x: 1 << s for x, s in zip(ring.symbols, ring.shifts)}
-    step = [(ring.shifts[ring.index[s]], unit[t] - unit[s]) for s, t in raised.items()]
+    unit = {x: 1 << s for x, s in zip(field.symbols, field.shifts)}
+    step = [(field.shifts[field.index[s]], unit[t] - unit[s]) for s, t in raised.items()]
 
     def chain(q):
-        return ring.checked(_collect(ring, (), ((m + d, c * e) for m, c in q.items() for i, d in step
-                                                if (e := m >> i & _MAX))))
+        return field.checked(_collect((), ((m + d, c * e) for m, c in q.items() for i, d in step
+                                           if (e := m >> i & _MAX))))
 
     return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
 
@@ -583,8 +531,11 @@ def _inverse(rows: list[list[_Frac]], field: _Field) -> list[list[_Frac]] | None
 def _ratint(c: _Frac, x: Jet) -> _Frac | None:
     """An antiderivative of ``c`` in ``x``, or None when it is not a rational function:
     ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
-    ring = c.field.ring
-    numer, denom = (PolyElement(_sympy(ring).ring, ring.unpacked(q)).as_expr() for q in (c.numer, c.denom))
+    import sympy as sp
+    from sympy.integrals.rationaltools import ratint
+
+    to = _sympy(c.field).ring
+    numer, denom = (to.from_dict(c.field.unpacked(q)).as_expr() for q in (c.numer, c.denom))
     try:
         return _into(None, [ratint(numer / denom, sp.Symbol(x), real=False)])[1][0]
     except ValueError:  # log, atan, RootSum, ...
@@ -624,10 +575,10 @@ def _by_name(field: _Field) -> tuple[list[tuple[int, str]], object]:
     return [(i, field.symbols[i]) for i in order], key
 
 
-def _ordered(poly, key, d: int = 1) -> list[tuple[tuple, int, int]]:
+def _ordered(field: _Field, poly: dict, key, d: int = 1) -> list[tuple[tuple, int, int]]:
     """The terms of ``poly / d`` as (exponent tuple, p, q) in lowest terms, ordered as by
     ``as_ordered_terms``: a constant before a lone negative power (``3 - 2*u**3``)."""
-    terms = sorted(poly.ring.unpacked(poly).items(), key=lambda t: key(t[0]), reverse=True)
+    terms = sorted(field.unpacked(poly).items(), key=lambda t: key(t[0]), reverse=True)
     out = [(m, k // g, d // g) for m, k in terms for g in (gcd(k, d),)]
     if len(out) == 2 and out[0][1] < 0 < out[1][1] and not any(out[1][0]):
         if sum(1 for e in out[0][0] if e) == 1:
@@ -640,8 +591,8 @@ def _parts(c: _Frac) -> tuple[list, list, list | None]:
     distributed over the numerator as sympy does (``2*u/3 + 1/3``) and is None."""
     names, key = _by_name(c.field)
     if len(c.denom) == 1 and 0 in c.denom:
-        return names, _ordered(c.numer, key, c.denom.LC), None
-    return names, _ordered(c.numer, key), _ordered(c.denom, key)
+        return names, _ordered(c.field, c.numer, key, c.denom[0]), None
+    return names, _ordered(c.field, c.numer, key), _ordered(c.field, c.denom, key)
 
 
 def _term_text(monom: tuple, p: int, q: int, names) -> str:
@@ -690,7 +641,7 @@ def _exponents_below(c: _Frac, bits: int) -> bool:
     """Whether every exponent in ``c`` is below ``2**bits``: no field of the bitwise OR of its
     monomials has a higher bit."""
     used = reduce(or_, c.numer, 0) | reduce(or_, c.denom, 0)
-    return not used & (c.field.ring.guard >> _WIDTH - 1) * (_MAX >> bits << bits)
+    return not used & (c.field.guard >> _WIDTH - 1) * (_MAX >> bits << bits)
 
 
 def _jet_name(base: str, order: int) -> str:
@@ -743,7 +694,7 @@ class Fields:
         """Jet variables occurring in a coefficient as (name, field, order)."""
         out = []
         used = reduce(or_, coeff.numer, 0) | reduce(or_, coeff.denom, 0)
-        for sym, s in zip(coeff.field.symbols, coeff.field.ring.shifts):
+        for sym, s in zip(coeff.field.symbols, coeff.field.shifts):
             if not used >> s & _MAX:
                 continue
             hit = self.classify(sym)
@@ -965,7 +916,7 @@ class SuperPoly:
     def partial_even(self, sym: Jet) -> "SuperPoly":
         if sym.__class__ is not str:
             raise TypeError(f"a jet variable is named by a str, not {sym!r}")
-        if sym not in self.field.ring.index:
+        if sym not in self.field.index:
             return SuperPoly.zero()
         return SuperPoly({w: c.diff(sym) for w, c in self.terms.items()}, self.field)
 

@@ -22,7 +22,7 @@ check grows steeply with them, and an unbounded one would let a short input
 run without end.  Each power, product, quotient and sum an expression builds
 has exponents of at most ``MAX_DEGREE`` in its reduced numerator and
 denominator, far below the largest exponent a packed monomial holds (see
-``wno.algebra._Ring``).  Parentheses and unary signs nest at most
+``wno.algebra._Field``).  Parentheses and unary signs nest at most
 ``MAX_DEPTH`` deep, so the recursive descent stays within Python's stack.  Each
 ``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
 vectors are supported in slots i and j.  Entries are parsed into one

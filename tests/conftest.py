@@ -48,13 +48,13 @@ class Twin:
     def ours(self, x):
         """A sympy polynomial or reduced fraction over ``K``'s generators, in ``K``."""
         if isinstance(x, PolyElement):
-            return self.K.ring.packed(x)
+            return self.K.packed(x)
         return _Frac(self.K, self.ours(x.numer), self.ours(x.denom))
 
     def terms(self, x) -> dict:
         """The terms of an owned polynomial of ``K`` with exponent tuples for its packed
         monomials, as sympy's ``dict(x)`` has them."""
-        return self.K.ring.unpacked(x)
+        return self.K.unpacked(x)
 
 
 def as_expr(c) -> sp.Expr:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ import sympy.polys.heuristicgcd
 import sympy.polys.rings
 import sympy.printing.str
 
+import wno.algebra
 from wno.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -45,11 +47,14 @@ for _fmt, _ext in (("text", "txt"), ("json", "json")):
     ]
 
 
+def _args(argv: list[str]) -> list[str]:
+    return [argv[0], str(REPO / "cases" / argv[1]), *argv[2:]]
+
+
 def report(argv: list[str]) -> str:
-    args = [argv[0], str(REPO / "cases" / argv[1]), *argv[2:]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        main(args)
+        main(_args(argv))
     return out.getvalue()
 
 
@@ -147,10 +152,40 @@ def test_reports_repeat_with_warm_gcd_memo():
     """Two passes over every case in one process, sharing the field table and
     its converters while each command starts with an empty gcd memo, both give
     the snapshots: no memoised polynomial is changed in place and no result of
-    one command leaks into the next."""
+    one command leaks into the next.  The polynomial 1 that every field shares
+    is intact after them."""
     for _ in range(2):
         for case in sorted(CASES):
             assert report(CASES[case]) == (GOLDEN / case).read_text(encoding="utf-8"), case
+    assert wno.algebra._ONE == {0: 1}
+
+
+def test_reports_import_no_sympy():
+    """In a process where sympy cannot be imported, every snapshot command
+    prints its snapshot byte for byte: no worked example reaches a sympy
+    converter, ``ratint`` or the PRS gcd."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['sympy'] = None  # every import of sympy now raises\n"
+        "from wno.cli import main\n"
+        "out = {}\n"
+        "for case, args in json.loads(sys.stdin.read()).items():\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        main(args)\n"
+        "    out[case] = buf.getvalue()\n"
+        "print(json.dumps(out))\n"
+    )
+    path = os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])
+    cases = json.dumps({case: _args(argv) for case, argv in CASES.items()})
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=cases, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout)
+    for case in sorted(CASES):
+        assert out[case] == (GOLDEN / case).read_text(encoding="utf-8"), case
 
 
 def test_reports_without_sympy_cache():
