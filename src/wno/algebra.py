@@ -33,7 +33,7 @@ from functools import cache, partial, reduce
 from math import gcd, isqrt
 from operator import itemgetter, or_
 from struct import Struct
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Jet = str  # a jet variable, as ``Fields.jet`` names it
 
@@ -210,6 +210,10 @@ class _Frac:
         g = self._own(other)
         return NotImplemented if g is None else self + -g
 
+    def __rsub__(self, other):
+        g = self._own(other)
+        return NotImplemented if g is None else g + -self
+
     def __mul__(self, other):
         g = self._own(other)
         if g is None:
@@ -233,6 +237,10 @@ class _Frac:
         if not g:
             raise ZeroDivisionError("division by zero in a coefficient field")
         return self * _Frac(g.field, g.denom, g.numer)
+
+    def __rtruediv__(self, other):
+        g = self._own(other)
+        return NotImplemented if g is None else g / self
 
     def __pow__(self, n: int) -> "_Frac":
         """``self**n``, for ``n < 0`` the power ``-n`` of ``1/self``: powers of coprime
@@ -705,13 +713,14 @@ class Fields:
         return out
 
 
-class OddFactor(namedtuple("_Factor", "kind index order parity")):
+class OddFactor(namedtuple("_Factor", "rank index order kind parity")):
     """One anticommuting (or even nonlocal) factor of a word.
 
     kind ``"p"``: dual jet factor of field ``index`` at derivative ``order``.
     kind ``"nl"``: nonlocal variable with registration id ``index``; its
-    parity equals the parity of its defining density.  A tuple, so that
-    words hash and compare in C.
+    parity equals the parity of its defining density.  A tuple in the global
+    order (``rank`` 0 for a jet, 1 for an odd and 2 for an even nonlocal
+    factor; then index and order), so words hash, compare and sort in C.
     """
 
     __slots__ = ()
@@ -723,12 +732,8 @@ class OddFactor(namedtuple("_Factor", "kind index order parity")):
             raise ValueError("jet factors are always odd")
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        return tuple.__new__(cls, (kind, index, order, parity))
-
-    def sort_key(self) -> tuple[int, int, int]:
-        if self.kind == "p":
-            return (0, self.index, self.order)
-        return (1 if self.parity else 2, self.index, 0)
+        rank = 0 if kind == "p" else 1 if parity else 2
+        return tuple.__new__(cls, (rank, index, order, kind, parity))
 
 
 def p(index: int, order: int = 0) -> OddFactor:
@@ -746,29 +751,32 @@ Word = tuple[OddFactor, ...]
 
 def _word_key(word: Word) -> tuple:
     """The report order of words: by length, then factor by factor."""
-    return len(word), [f.sort_key() for f in word]
+    return len(word), word
 
 
-def normalize_word(factors: Iterable[OddFactor]) -> tuple[int, Word | None]:
+def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
     """Sort a factor sequence into the global order with its Koszul sign.
 
     Returns ``(sign, word)``; a repeated odd factor makes the word vanish,
-    signalled by ``(0, None)``.  Even factors commute freely and are kept
-    with multiplicity.
+    signalled by ``(0, None)``.  Even factors commute freely, sort last and
+    are kept with multiplicity.  The sign is the parity of the number of
+    out-of-order pairs of odd factors.
     """
     odds = [f for f in factors if f.parity]
-    evens = sorted((f for f in factors if not f.parity), key=OddFactor.sort_key)
-    sign = 1
-    n = len(odds)
-    for i in range(n):
-        for j in range(n - 1 - i):
-            if odds[j].sort_key() > odds[j + 1].sort_key():
-                odds[j], odds[j + 1] = odds[j + 1], odds[j]
-                sign = -sign
-    for a, b in zip(odds, odds[1:]):
-        if a == b:
-            return 0, None
-    return sign, tuple(odds) + tuple(evens)
+    if len(set(odds)) < len(odds):
+        return 0, None
+    swaps = sum(a > b for i, a in enumerate(odds) for b in odds[i + 1 :])
+    return -1 if swaps & 1 else 1, tuple(sorted(factors))
+
+
+def _accumulate(acc: dict, pairs: Iterable[tuple[Sequence[OddFactor], object]]) -> dict:
+    """Add ``(factors, coefficient)`` pairs into ``acc``, each word normalized with its sign."""
+    for factors, c in pairs:
+        sign, word = normalize_word(factors)
+        if word is not None:
+            c = c if sign > 0 else -c
+            acc[word] = acc[word] + c if word in acc else c
+    return acc
 
 
 class SuperPoly:
@@ -810,14 +818,7 @@ class SuperPoly:
         words with repeated odd factors, merge coefficients, drop zeros."""
         raw = list(raw)
         field, coeffs = _into(None, (c for c, _ in raw))
-        acc: dict[Word, _Frac] = {}
-        for (_, factors), c in zip(raw, coeffs):
-            sign, word = normalize_word(tuple(factors))
-            if word is None:
-                continue
-            c = c if sign > 0 else -c
-            acc[word] = acc[word] + c if word in acc else c
-        return SuperPoly(acc, field)
+        return SuperPoly(_accumulate({}, zip((tuple(f) for _, f in raw), coeffs)), field)
 
     def set_field(self, field: _Field) -> "SuperPoly":
         """The same value over ``field``, whose generators include this field's."""

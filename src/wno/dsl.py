@@ -65,31 +65,25 @@ class Token:
 
 _PUNCT = ("{", "}", "[", "]", ":", ";", ",", "|", "*", "+", "-", "/", "^", "(", ")")
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]+|#[^\n]*"
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<int>\d+)"
     r"|(?P<punct>" + "|".join(re.escape(c) for c in _PUNCT) + ")"
+    r"|(?P<bad>.)"
 )
 
 
 def tokenize(source: str) -> list[Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup:  # whitespace and comments have no group
-            tokens.append(Token(m.lastgroup, text, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(source):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", line, col)
+        elif kind:  # whitespace and comments have no group
+            tokens.append(Token(kind, m[0], line, col))
     tokens.append(Token("end", "", line, len(source) - line_start + 1))
     return tokens
 
@@ -402,7 +396,7 @@ class Parser:
                 neg = True
             exp = self.integer(self.expect("int"), "exponent")
             # dividing, not a negative power, keeps the denominator's sign canonical
-            return self.bounded(tok, self.field.one / self.nonzero(tok, base) ** exp if neg else base**exp)
+            return self.bounded(tok, 1 / self.nonzero(tok, base) ** exp if neg else base**exp)
         return base
 
     def parse_atom(self) -> Coeff:

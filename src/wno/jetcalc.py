@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, _by_order, _d_x, coeff_field, normalize_word, p
+from .algebra import Fields, SuperPoly, _accumulate, _by_order, _d_x, coeff_field, p
 
 
 class NonlocalInputError(ValueError):
@@ -44,32 +44,18 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
     dx = _d_x(K, raised)
 
-    acc: dict[Word, object] = {}
+    def unfolded():  # each factor of each word raised in place
+        for word, coeff in a.terms.items():
+            for pos, f in enumerate(word):
+                head, tail = word[:pos], word[pos + 1 :]
+                if f.kind == "p":
+                    yield head + (p(f.index, f.order + 1),) + tail, coeff
+                else:
+                    for dw, dc in densities[f.index].items():
+                        yield head + dw + tail, coeff * dc
 
-    def put(word, coeff):
-        if not coeff or word is None:
-            return
-        acc[word] = acc[word] + coeff if word in acc else coeff
-
-    for word, coeff in a.terms.items():
-        put(word, dx(coeff))
-        for pos, f in enumerate(word):
-            if f.kind == "p":
-                repl = word[:pos] + (p(f.index, f.order + 1),) + word[pos + 1 :]
-                sign, nw = normalize_word(repl)
-                put(nw, coeff if sign > 0 else -coeff)
-            else:
-                for dw, dc in densities[f.index].items():
-                    sign, nw = normalize_word(word[:pos] + dw + word[pos + 1 :])
-                    put(nw, coeff * dc if sign > 0 else -(coeff * dc))
-    return SuperPoly(acc, K)
-
-
-def total_x_pow(a: SuperPoly, order: int, fields: Fields, table=None) -> SuperPoly:
-    out = a
-    for _ in range(order):
-        out = total_x(out, fields, table)
-    return out
+    # the coefficients' derivatives keep their words, which are normal already
+    return SuperPoly(_accumulate({w: dx(c) for w, c in a.terms.items()}, unfolded()), K)
 
 
 def _require_local(a: SuperPoly, what: str) -> None:
@@ -87,15 +73,22 @@ def el_sum(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None) ->
 
     ``fixed`` None stands for 1: the variational-derivative tuple of A.
     """
-    du = [SuperPoly.zero() for _ in range(fields.n)]
-    dp = [SuperPoly.zero() for _ in range(fields.n)]
-    jets = {(i, o) for c in A.terms.values() for _, i, o in fields.jet_symbols(c)}
-    slots = [(du, i, o, A.partial_even(fields.jet(i, o))) for i, o in jets]
-    slots += [(dp, f.index, f.order, A.partial_odd(f)) for f in A.jet_factors()]
-    for out, i, order, part in slots:
-        term = total_x_pow(part if fixed is None else part * fixed, order, fields, table)
-        out[i - 1] = out[i - 1] + (term if order % 2 == 0 else -term)
-    return ELResult(tuple(du), tuple(dp))
+    out = {slot: [SuperPoly.zero() for _ in range(fields.n)] for slot in "up"}
+    for slot, i, order, part in _slots(A, fields):
+        term = part if fixed is None else part * fixed
+        for _ in range(order):
+            term = total_x(term, fields, table)
+        out[slot][i - 1] = out[slot][i - 1] + (term if order % 2 == 0 else -term)
+    return ELResult(tuple(out["u"]), tuple(out["p"]))
+
+
+def _slots(A: SuperPoly, fields: Fields):
+    """``(slot, field, order, partial)`` over the even slots ``"u"`` (jet variables) and the
+    odd slots ``"p"`` (dual factors) of A, the partial of A by each."""
+    for i, o in {(i, o) for c in A.terms.values() for _, i, o in fields.jet_symbols(c)}:
+        yield "u", i, o, A.partial_even(fields.jet(i, o))
+    for f in A.jet_factors():
+        yield "p", f.index, f.order, A.partial_odd(f)
 
 
 @dataclass
@@ -164,34 +157,15 @@ def linearize(a: SuperPoly, fields: Fields) -> LinearizationOp:
     """Linearization of a local density.
 
     Even rows carry the raw partials with respect to the jet variables;
-    odd rows carry the graded partials with the parity sign of the density
-    folded in, split per homogeneous part when the input is mixed.
+    odd rows carry the odd partials with the parity sign (-1)^(parity+1)
+    of each homogeneous part of the density folded in.
     """
     _require_local(a, "linearize")
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
-
-    def add_row(slot, i, coeff, order):
-        if coeff.is_zero():
-            return
-        rows.setdefault((slot, i), []).append((coeff, order))
-
-    for i in range(1, fields.n + 1):
-        orders = {
-            o
-            for coeff in a.terms.values()
-            for _, j, o in fields.jet_symbols(coeff)
-            if j == i
-        }
-        for order in orders:
-            add_row("u", i, a.partial_even(fields.jet(i, order)), order)
-
-    for parity in (0, 1):
-        part = a.parity_part(parity)
-        if part.is_zero():
-            continue
-        sign = 1 if parity == 1 else -1  # (-1)^(parity+1)
-        for f in sorted(part.jet_factors(), key=OddFactor.sort_key):
-            add_row("p", f.index, part.partial_odd(f).scale(sign), f.order)
+    for A, want in ((a, "u"), (a.parity_part(1) - a.parity_part(0), "p")):
+        for slot, i, order, part in _slots(A, fields):
+            if slot == want:
+                rows.setdefault((slot, i), []).append((part, order))
     return LinearizationOp(fields, rows).merged()
 
 
@@ -206,16 +180,18 @@ def adjoint(op: LinearizationOp) -> LinearizationOp:
     """
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
     for key, entries in op.rows.items():
-        slot_parity = 1 if key[0] == "p" else 0
         for coeff, order in entries:
-            for parity in (0, 1):
-                part = coeff.parity_part(parity)
-                if part.is_zero():
-                    continue
-                sign = (-1) ** order * (-1) ** (parity * slot_parity)
-                for m in range(order + 1):
-                    lowered = total_x_pow(part, order - m, op.fields)
-                    rows.setdefault(key, []).append(
-                        (lowered.scale(sign * comb(order, m)), m)
-                    )
+            if key[0] == "p":  # the pairing's sign (-1)^(parity) on c's parts, which D_x keeps
+                coeff = coeff.parity_part(0) - coeff.parity_part(1)
+            terms = _adjoint_terms(coeff, order, op.fields)
+            rows.setdefault(key, []).extend((d.scale(factor), m) for factor, d, m in terms)
     return LinearizationOp(op.fields, rows).merged()
+
+
+def _adjoint_terms(c: SuperPoly, k: int, fields: Fields) -> list[tuple[int, SuperPoly, int]]:
+    """The Leibniz rule (c d^k)* = (-1)^k sum_m C(k, m) D^(k-m)(c) d^m, as
+    ``((-1)^k C(k, m), D^(k-m)(c), m)`` for m = 0..k: k total derivatives."""
+    derivs = [c]
+    for _ in range(k):
+        derivs.append(total_x(derivs[-1], fields))
+    return [((-1) ** k * comb(k, m), derivs[k - m], m) for m in range(k + 1)]

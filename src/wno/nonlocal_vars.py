@@ -312,8 +312,6 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
             el = el + el_sum(Z, anti.value, fields, table).scale(sign)
 
     for term in tails:
-        if term.suffix and not term.prefactor.is_local():
-            raise UnsupportedStructureError("tail prefactor must be local")
         if len(term.suffix) == 1:
             single_tail(term.prefactor, term.suffix[0])
             continue

@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, product
-from math import comb
 
 from .algebra import (
     Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _two_point, p, render_factor
 )
-from .jetcalc import ELResult, total_x
+from .jetcalc import ELResult, _adjoint_terms
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
 DiffRow = list[tuple[Coeff, int]]  # sum of coefficient * d^order
@@ -105,12 +104,8 @@ def operator_adjoint(P: WNOperator) -> WNOperator:
     for i in range(n):
         for j in range(n):
             for coeff, order in P.local[j][i]:
-                derivs = [SuperPoly({(): coeff}, P.field)]  # coeff and its x-derivatives
-                for _ in range(order):
-                    derivs.append(total_x(derivs[-1], P.fields))
-                for m, d in enumerate(reversed(derivs)):
-                    c = d.terms.get((), d.field.zero)
-                    local[i][j].append(((-1) ** order * comb(order, m) * c, m))
+                for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields):
+                    local[i][j].append((factor * d.terms.get((), d.field.zero), m))
     tails = [Tail(-t.constant, t.right, t.left) for t in P.tails]
     return WNOperator(P.fields, local, tails)
 

@@ -110,6 +110,39 @@ class TestNormalize:
         assert word == (p(1, 1), p(1, 3), nl(1))
 
 
+_FACTORS = st.one_of(
+    st.builds(p, st.integers(1, 2), st.integers(0, 3)),
+    st.builds(nl, st.integers(1, 3)),
+    st.builds(nl, st.integers(1, 2), st.just(0)),
+)
+
+
+def _documented_key(f):
+    """The global order as documented: jet factors by field, then by order; then odd
+    nonlocal factors by id; then even ones by id."""
+    return (0, f.index, f.order) if f.kind == "p" else (1 if f.parity else 2, f.index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FACTORS, max_size=7))
+def test_normalize_word_matches_a_permutation_oracle(factors):
+    odds = [f for f in factors if f.parity]
+    sign, word = normalize_word(tuple(factors))
+    if any(odds.count(f) > 1 for f in odds):
+        assert (sign, word) == (0, None)
+        return
+    target = sorted(range(len(odds)), key=lambda i: _documented_key(odds[i]))
+    cycles, seen = 0, set()
+    for start in range(len(target)):
+        cycles += start not in seen
+        while start not in seen:
+            seen.add(start)
+            start = target[start]
+    evens = sorted((f for f in factors if not f.parity), key=_documented_key)
+    assert sign == (-1) ** (len(target) - cycles)
+    assert word == tuple(odds[i] for i in target) + tuple(evens)
+
+
 class TestArithmetic:
     def test_nilpotency_simple(self):
         a = SuperPoly.monomial(u_x, [p(1)])
@@ -449,6 +482,14 @@ def test_field_arithmetic_matches_sympy(pair, k):
     same(k * a, kk * x)
     if k:
         same(a / k, x / kk)
+    for left in (k, Fraction(k, 3)):  # a rational on the left takes the reflected operation
+        theirs = _SYMPY(left)
+        same(left - a, theirs - x)
+        if x:
+            same(left / a, theirs / x)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                left / a
 
 
 @settings(max_examples=80, deadline=None)

@@ -69,6 +69,10 @@ class TestDiagnostics:
             parse("fields u; operator A { local[1,1] D; }")
         assert err.value.line == 1 and err.value.col > 0
 
+    def test_bad_character_position_after_crlf_comment_and_tab(self):
+        with pytest.raises(ParseError, match=r"^4:2: unexpected character '\$'$"):
+            parse("fields u;\r\n\r\n# a comment\n\t$")
+
     def test_undeclared_field(self):
         with pytest.raises(ParseError, match="undeclared field 'v'"):
             parse("fields u; operator A { local[1,1]: v_x*D; }")
