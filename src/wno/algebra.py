@@ -504,19 +504,30 @@ def _from_sympy(x, field: _Field) -> _Frac:
     return field.zero._signed(field.packed(x.numer), field.packed(x.denom))
 
 
-def _d_x(field: _Field, raised: Mapping[Jet, Jet]):
-    """``D_x`` on ``field``, which holds each jet present and, as ``raised[jet]``, its
-    next-order jet.  Each numerator and denominator takes one pass (the chain rule: an
-    exponent ``e > 0`` of ``s`` at bit ``i`` gives ``e`` times ``m`` with one ``s`` moved to
-    ``raised[s]``, ``m + d``), then ``_quotient_rule``."""
-    unit = {x: 1 << s for x, s in zip(field.symbols, field.shifts)}
-    step = [(field.shifts[field.index[s]], unit[t] - unit[s]) for s, t in raised.items()]
+_DX: dict = {}  # (field, fields, jets present, density fields) -> ``_d_x``'s plan
+_JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes; ``cli.main`` empties both
 
-    def chain(q):
-        return field.checked(_collect((), ((m + d, c * e) for m, c in q.items() for i, d in step
-                                           if (e := m >> i & _MAX))))
 
-    return lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
+def _d_x(a: "SuperPoly", fields: "Fields", densities: tuple[_Field, ...]) -> tuple[_Field, object]:
+    """``(K, D_x)`` for ``a``: K holds ``a``'s field, the next-order jet of each jet present and the
+    generators of ``densities``.  The chain rule is one pass per numerator and denominator (exponent
+    ``e > 0`` of a jet in ``m`` gives ``e (m + d)``, one unit moved up an order), then ``_quotient_rule``."""
+    used = reduce(or_, (m for c in a.terms.values() for q in (c.numer, c.denom) for m in q), 0)
+    jets = tuple(fields._jets_in(a.field, used))
+    key = a.field, fields, jets, densities
+    plan = _DX.get(key)
+    if plan is None:
+        raised = {s: fields.jet(i, o + 1) for s, i, o in jets}
+        field = coeff_field([*a.field.symbols, *raised.values(), *(s for d in densities for s in d.symbols)])
+        unit = {x: 1 << s for x, s in zip(field.symbols, field.shifts)}
+        step = [(field.shifts[field.index[s]], unit[t] - unit[s]) for s, t in raised.items()]
+
+        def chain(q):
+            return field.checked(_collect((), ((m + d, c * e) for m, c in q.items() for i, d in step
+                                               if (e := m >> i & _MAX))))
+
+        plan = _DX[key] = field, lambda c: c._quotient_rule(chain(c.numer), chain(c.denom))
+    return plan
 
 
 def _inverse(rows: list[list[_Frac]], field: _Field) -> list[list[_Frac]] | None:
@@ -700,16 +711,18 @@ class Fields:
 
     def jet_symbols(self, coeff: Coeff) -> list[tuple[Jet, int, int]]:
         """Jet variables occurring in a coefficient as (name, field, order)."""
-        out = []
-        used = reduce(or_, coeff.numer, 0) | reduce(or_, coeff.denom, 0)
-        for sym, s in zip(coeff.field.symbols, coeff.field.shifts):
-            if not used >> s & _MAX:
-                continue
-            hit = self.classify(sym)
-            if hit is None:
-                raise ValueError(f"symbol {sym} is not a jet variable of {self.names}")
-            out.append((sym, hit[0], hit[1]))
-        out.sort(key=lambda t: (t[1], t[2]))
+        return self._jets_in(coeff.field, reduce(or_, coeff.numer, 0) | reduce(or_, coeff.denom, 0))
+
+    def _jets_in(self, field: _Field, used: int) -> list[tuple[Jet, int, int]]:
+        """``jet_symbols`` of the generators of ``field`` occurring in ``used``, an OR of monomials.
+        Each is classified once per field, as (field index, order, position, name), a non-jet first."""
+        classes = _JETS.get((self, field))
+        if classes is None:
+            classes = _JETS[self, field] = sorted(
+                (*(self.classify(x) or (0, 0)), k, x) for k, x in enumerate(field.symbols))
+        out = [(x, i, o) for i, o, k, x in classes if used >> field.shifts[k] & _MAX]
+        if out and not out[0][1]:
+            raise ValueError(f"symbol {out[0][0]} is not a jet variable of {self.names}")
         return out
 
 
@@ -908,9 +921,6 @@ class SuperPoly:
 
     def nonlocal_ids(self) -> set[int]:
         return {f.index for w in self.terms for f in w if f.kind == "nl"}
-
-    def jet_factors(self) -> set[OddFactor]:
-        return {f for w in self.terms for f in w if f.kind == "p"}
 
     # -- derivatives ----------------------------------------------------
 

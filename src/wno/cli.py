@@ -22,7 +22,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import _GCDS, ExponentOverflowError, Fields, render_superpoly
+from .algebra import _DX, _GCDS, _JETS, ExponentOverflowError, Fields, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _GCDS.clear()  # every command starts with no memoised gcd, as a fresh process does
+    for memo in (_GCDS, _DX, _JETS):  # every command starts with no memo, as a fresh process does
+        memo.clear()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -165,13 +165,15 @@ class Parser:
 
     def parse_fields(self) -> None:
         self.expect("ident", "fields")
-        names = [self.expect("ident").text]
+        toks = [self.expect("ident")]
         while self.peek().text == ",":
             self.next()
-            names.append(self.expect("ident").text)
+            toks.append(self.expect("ident"))
         self.expect("punct", ";")
+        for tok in (t for t in toks if t.text == "D"):  # its order-0 jet could be written nowhere
+            self.fail("D is the x-derivative and cannot name a field", tok)
         try:
-            self.fields = Fields(tuple(names))
+            self.fields = Fields(tuple(tok.text for tok in toks))
         except ValueError as exc:
             self.fail(str(exc))
 

@@ -177,7 +177,7 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
         "gauss_relation": ((f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
                             _fsum([geo.riemann_up[i][j][k][h], -(W[i][k] * W[j][h]),
                                    W[j][k] * W[i][h]], F))
-                           for i, j, k, h in product(r, repeat=4)),
+                           for i, j, k, h in product(r, repeat=4) if k < h),
     }
     out = []
     for name, pairs in conditions.items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, SuperPoly, _accumulate, _by_order, _d_x, coeff_field, p
+from .algebra import Fields, SuperPoly, _accumulate, _by_order, _d_x, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -31,18 +31,15 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     density in place (same position, so no extra sign).  The result lives
     in a field that also holds the next-order jet of every jet present.
     """
-    jets = [t for c in a.terms.values() for t in fields.jet_symbols(c)]
-    raised = {s: fields.jet(i, o + 1) for s, i, o in jets}
-    densities = {}
-    for ident in a.nonlocal_ids():
-        if table is None:
-            raise UnregisteredNonlocalError(f"nonlocal factor {ident} needs a variable table")
-        densities[ident] = table.density(ident)
-    symbols = [*a.field.symbols, *raised.values()]
-    K = coeff_field(symbols + [s for d in densities.values() for s in d.field.symbols])
+    if not a.terms:
+        return a
+    ids = sorted(a.nonlocal_ids())
+    if ids and table is None:
+        raise UnregisteredNonlocalError(f"nonlocal factor {ids[0]} needs a variable table")
+    densities = {ident: table.density(ident) for ident in ids}
+    K, dx = _d_x(a, fields, tuple(d.field for d in densities.values()))
     a = a.set_field(K)
     densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
-    dx = _d_x(K, raised)
 
     def unfolded():  # each factor of each word raised in place
         for word, coeff in a.terms.items():
@@ -50,9 +47,11 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
                 head, tail = word[:pos], word[pos + 1 :]
                 if f.kind == "p":
                     yield head + (p(f.index, f.order + 1),) + tail, coeff
-                else:
+                else:  # a product only for a word that survives
                     for dw, dc in densities[f.index].items():
-                        yield head + dw + tail, coeff * dc
+                        sign, w = normalize_word(head + dw + tail)
+                        if w is not None:
+                            yield w, coeff * dc if sign > 0 else -(coeff * dc)
 
     # the coefficients' derivatives keep their words, which are normal already
     return SuperPoly(_accumulate({w: dx(c) for w, c in a.terms.items()}, unfolded()), K)
@@ -73,22 +72,40 @@ def el_sum(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None) ->
 
     ``fixed`` None stands for 1: the variational-derivative tuple of A.
     """
-    out = {slot: [SuperPoly.zero() for _ in range(fields.n)] for slot in "up"}
-    for slot, i, order, part in _slots(A, fields):
-        term = part if fixed is None else part * fixed
-        for _ in range(order):
-            term = total_x(term, fields, table)
-        out[slot][i - 1] = out[slot][i - 1] + (term if order % 2 == 0 else -term)
-    return ELResult(tuple(out["u"]), tuple(out["p"]))
+    values, zero = dict(_variations(A, fixed, fields, table)), SuperPoly.zero()
+    return ELResult(*(tuple(values.get((slot, i), zero) for i in range(1, fields.n + 1)) for slot in "up"))
 
 
-def _slots(A: SuperPoly, fields: Fields):
-    """``(slot, field, order, partial)`` over the even slots ``"u"`` (jet variables) and the
-    odd slots ``"p"`` (dual factors) of A, the partial of A by each."""
+def _exact(a: SuperPoly, fields: Fields) -> bool:
+    """Whether every variational derivative of the local value ``a`` vanishes, as
+    ``euler_lagrange(a, fields).is_zero()``, stopping at the first slot group that does not."""
+    return all(value.is_zero() for _, value in _variations(a, None, fields))
+
+
+def _variations(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None):
+    """``((slot, field), value)`` per slot group of A, cheapest first (by top order k): value is
+    ``sum_m (-1)^m d_x^m(a_m)`` for ``a_m = dA/dslot_m * fixed`` by Horner's rule,
+    ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives, not k(k+1)/2."""
+    for key, parts in sorted(_slots(A, fields).items(), key=lambda g: max(g[1])):
+        value = SuperPoly.zero()  # (-1)^m times the inner sum from order m on
+        for m in range(max(parts), -1, -1):
+            if value:  # a zero needs no derivative
+                value = total_x(value, fields, table)
+            if m in parts:
+                term = parts[m] if fixed is None else parts[m] * fixed
+                value = value + (term if m % 2 == 0 else -term)
+        yield key, value
+
+
+def _slots(A: SuperPoly, fields: Fields) -> dict[tuple[str, int], dict[int, SuperPoly]]:
+    """``{(slot, field): {order: partial}}`` over the even slots ``"u"`` (jet variables) and
+    the odd slots ``"p"`` (dual factors) of A, the partial of A by each."""
+    groups: dict[tuple[str, int], dict[int, SuperPoly]] = {}
     for i, o in {(i, o) for c in A.terms.values() for _, i, o in fields.jet_symbols(c)}:
-        yield "u", i, o, A.partial_even(fields.jet(i, o))
-    for f in A.jet_factors():
-        yield "p", f.index, f.order, A.partial_odd(f)
+        groups.setdefault(("u", i), {})[o] = A.partial_even(fields.jet(i, o))
+    for f in {f for w in A.terms for f in w if f.kind == "p"}:
+        groups.setdefault(("p", f.index), {})[f.order] = A.partial_odd(f)
+    return groups
 
 
 @dataclass
@@ -163,9 +180,9 @@ def linearize(a: SuperPoly, fields: Fields) -> LinearizationOp:
     _require_local(a, "linearize")
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
     for A, want in ((a, "u"), (a.parity_part(1) - a.parity_part(0), "p")):
-        for slot, i, order, part in _slots(A, fields):
+        for (slot, i), parts in _slots(A, fields).items():
             if slot == want:
-                rows.setdefault((slot, i), []).append((part, order))
+                rows[slot, i] = [(part, order) for order, part in parts.items()]
     return LinearizationOp(fields, rows).merged()
 
 

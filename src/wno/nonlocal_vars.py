@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _ratint, _word_key, nl
-from .jetcalc import ELResult, el_sum, euler_lagrange, total_x
+from .jetcalc import ELResult, _exact, el_sum, euler_lagrange, total_x
 
 
 class UnsupportedStructureError(ValueError):
@@ -156,18 +156,18 @@ def _top_variable(a: SuperPoly, fields: Fields):
 def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
     """Find a local antiderivative of a density, or report failure.
 
-    Exactness is pre-checked cheaply: every local variational derivative of
-    an exact density vanishes.  Construction then absorbs the highest-order
-    variable into a total derivative and recurses; the result is verified
-    by back-substitution.  Densities containing nonlocal factors are not
-    integrated explicitly (use depth reduction for those).
+    Exactness is pre-checked with an early exit: the variational derivatives of an exact
+    density vanish, and the check stops at the first slot that does not, cheapest first
+    (``w(u) p`` fails at its odd slot, with no total derivative).  Construction then absorbs
+    the highest-order variable into a total derivative and recurses; the result is verified by
+    back-substitution.  Densities with nonlocal factors are not integrated here (use depth reduction).
     """
     if not Y.is_local():
         return IntegrationResult(None, Y)
     if Y.is_zero():
         return IntegrationResult(SuperPoly.zero(), None)
 
-    if not euler_lagrange(Y, fields).is_zero():
+    if not _exact(Y, fields):
         return IntegrationResult(None, Y)
 
     eta = SuperPoly.zero()

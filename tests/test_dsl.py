@@ -3,6 +3,7 @@
 import pytest
 import sympy as sp
 
+from wno.cli import main
 from wno.dsl import MAX_DEGREE, MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
 
@@ -174,6 +175,16 @@ class TestDiagnostics:
     def test_d_outside_local(self):
         with pytest.raises(ParseError):
             parse("fields u; firstorder m { g[1,1]: D; }")
+
+    def test_d_cannot_name_a_field(self, tmp_path, capsys):
+        """``D`` always reads as the x-derivative, so a field named ``D`` could
+        never be written: its declaration exits 2, with a message naming D."""
+        with pytest.raises(ParseError, match=r"^1:11: D is the x-derivative and cannot name a field$"):
+            parse("fields u, D; operator A { local[1,1]: D; }")
+        path = tmp_path / "d.wno"
+        path.write_text("fields D;\noperator A { local[1,1]: 2*D*D + D_x; }\n")
+        assert main(["check", str(path), "A"]) == 2
+        assert "D is the x-derivative" in capsys.readouterr().err
 
 
     # the parser recurses once per open parenthesis or unary sign; pytest runs

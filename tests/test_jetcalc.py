@@ -4,12 +4,17 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wno.jetcalc
 from wno.algebra import Fields, SuperPoly, p
 from wno.jetcalc import (
     LinearizationOp,
     NonlocalInputError,
+    _exact,
     adjoint,
+    el_sum,
     euler_lagrange,
     linearize,
     total_x,
@@ -107,6 +112,59 @@ class TestVarDeriv:
     def test_euler_lagrange_of_zero(self):
         el = euler_lagrange(SuperPoly.zero(), F)
         assert el.is_zero()
+
+
+def _naive_el_sum(A, fixed, fields, top=3):
+    """sum_k (-1)^k d_x^k(dA/dslot_k * fixed) slot by slot, with d_x applied k times to each
+    partial: the definition, for jets and jet factors of order at most ``top``."""
+    out = {"u": [SuperPoly.zero()] * fields.n, "p": [SuperPoly.zero()] * fields.n}
+    for i in range(1, fields.n + 1):
+        for k in range(top + 1):
+            for slot, part in (("u", A.partial_even(fields.jet(i, k))), ("p", A.partial_odd(p(i, k)))):
+                term = part if fixed is None else part * fixed
+                for _ in range(k):
+                    term = total_x(term, fields)
+                out[slot][i - 1] = out[slot][i - 1] + (term if k % 2 == 0 else -term)
+    return out["u"], out["p"]
+
+
+_G = Fields(("u1", "u2"))
+
+
+class TestVariationalKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), st.booleans())
+    def test_el_sum_matches_the_definition(self, rng, fields, with_fixed):
+        A = random_local_mixed(rng, fields, max_degree=2, max_order=3)
+        fixed = random_local_mixed(rng, fields, max_degree=1, max_order=3) if with_fixed else None
+        got = el_sum(A, fixed, fields)
+        du, dp = _naive_el_sum(A, fixed, fields)
+        assert all(a == b for a, b in zip(got.du, du)) and all(a == b for a, b in zip(got.dp, dp))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), st.booleans())
+    def test_exactness_matches_euler_lagrange(self, rng, fields, planted):
+        Y = random_local_mixed(rng, fields, max_degree=2, max_order=3)
+        if planted:
+            Y = total_x(Y, fields)
+        assert _exact(Y, fields) == euler_lagrange(Y, fields).is_zero()
+        assert _exact(Y, fields) or not planted
+
+    def test_total_derivatives_per_slot(self, monkeypatch):
+        """A slot of top order k takes k total derivatives, not k(k+1)/2, and the exactness
+        test stops at the cheapest nonzero slot: u_x*p fails at the odd slot, with none."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return total_x(*args)
+
+        monkeypatch.setattr(wno.jetcalc, "total_x", counted)
+        u_3x, u_4x = jet_expr(F, 1, 3), jet_expr(F, 1, 4)
+        el_sum(SuperPoly.monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None, F)
+        assert len(calls) == 4
+        calls.clear()
+        assert not _exact(SuperPoly.monomial(u_x, [p(1)]), F) and not calls
 
 
 class TestLinearize:
