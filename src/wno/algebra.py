@@ -119,6 +119,22 @@ def _collect(start, terms, sign: int = 1) -> dict:
     return p
 
 
+def _muladd(acc: dict, k: int, p: dict, q: dict) -> dict:
+    """``acc += k*p*q`` in place, zeros dropped, for a dict ``acc`` the caller owns.  Its monomials
+    may set guard bits: the caller checks them (``_Field.checked``) before it keeps or multiplies it."""
+    get = acc.get
+    for m2, c2 in q.items():
+        c2 *= k
+        for m1, c1 in p.items():
+            m = m1 + m2
+            c = get(m, 0) + c1 * c2
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+    return acc
+
+
 def _neg(p: dict) -> dict:
     return {m: -c for m, c in p.items()}
 
@@ -415,13 +431,13 @@ def _prs_gcd(field: _Field, p: dict, q: dict):
 
 
 def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
-    """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up
-    over the running lcm of the denominators, with no gcd while a denominator equals it."""
-    num, den = {}, _ONE
+    """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up over the
+    running lcm of the denominators, in place into one numerator while a denominator equals it."""
+    num, den = {}, _ONE  # num is a fresh dict of this sum's own, never a value's numerator
     for v in filter(None, values):
         a, b = v.numer, v.denom
         if b == den:
-            num = _collect(num, a.items())
+            _muladd(num, 1, a, _ONE)
         else:
             den_b, b = (den, b) if den == _ONE or b == _ONE else _cofactors(field, den, b)[1:]
             num, den = _collect(_mul(field, num, b), _mul(field, a, den_b).items()), _mul(field, den, b)
@@ -953,6 +969,37 @@ class SuperPoly:
             words = sorted(self.terms, key=_word_key)
             self._texts = [(w, _coeff_text(self.terms[w])) for w in words]
         return self._texts
+
+
+def _product_sum(pairs: Iterable[tuple[SuperPoly, SuperPoly]], weight: int = 1) -> SuperPoly:
+    """``weight * sum(A * B for A, B in pairs)`` in one pass over the word pairs: each word's numerator
+    adds up in place over the running lcm of its products' denominators, reduced once as in ``_fsum``."""
+    pairs = [(A, B) for A, B in pairs if A.terms and B.terms]
+    field = coeff_field({s for A, B in pairs for s in A.field.symbols + B.field.symbols})
+    acc: dict[Word, list] = {}  # word -> [numerator, denominator]; the numerator is acc's own
+    for A, B in pairs:
+        A, B = A.set_field(field), B.set_field(field)
+        for w1, c1 in A.terms.items():
+            for w2, c2 in B.terms.items():
+                sign, word = normalize_word(w1 + w2)
+                if word is None:
+                    continue
+                k, a, b, d = sign * weight, c1.numer, c2.numer, _mul(field, c1.denom, c2.denom)
+                entry = acc.get(word)
+                if entry is None:
+                    acc[word] = [_muladd({}, k, a, b), d]
+                elif d == entry[1]:
+                    _muladd(entry[0], k, a, b)
+                else:  # num/den + kab/d over lcm(den, d) = den (d/h), h = gcd(den, d)
+                    _, den_h, d_h = _cofactors(field, entry[1], d)
+                    num = _muladd({}, 1, field.checked(entry[0]), d_h)
+                    entry[:] = _muladd(num, k, a, _mul(field, b, den_h)), _mul(field, entry[1], d_h)
+    terms = {}
+    for word, (num, den) in acc.items():
+        if field.checked(num) and den != _ONE:
+            _, num, den = _cofactors(field, num, den)
+        terms[word] = field.zero._signed(num, den)  # SuperPoly drops the zeros
+    return SuperPoly(terms, field)
 
 
 def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None = None) -> str:

@@ -37,7 +37,7 @@ EXIT_UNSUPPORTED = 3
 
 def _load(path: str) -> OperatorFile:
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except OSError as exc:
         raise SystemExitWith(EXIT_USAGE, f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:

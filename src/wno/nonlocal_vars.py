@@ -264,6 +264,7 @@ class Antiderivative:
 
     value: SuperPoly
     formal: bool
+    ident: int | None = None  # the variable's registered id when value is a rational multiple of one
 
 
 def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note: str) -> Antiderivative:
@@ -278,6 +279,7 @@ def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note:
     return Antiderivative(
         SuperPoly.factor(table.factor(ident)).scale(content),
         table.entries[ident].formal,
+        ident,
     )
 
 
@@ -308,8 +310,10 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
             anti = _antiderivative(A, fields, table, note="tail antiderivative")
             formal_used = formal_used or anti.formal
             sign = 1 if (degree + 1) % 2 == 0 else -1
-            el = el + el_sum(A, v, fields, table)
-            el = el + el_sum(Z, anti.value, fields, table).scale(sign)
+            if anti.ident == ident:  # A = c Z and anti = c v: el_sum(Z, anti) is el_sum(A, v)
+                el = el + el_sum(A, v, fields, table).scale(1 + sign)
+            else:
+                el = el + el_sum(A, v, fields, table) + el_sum(Z, anti.value, fields, table).scale(sign)
 
     for term in tails:
         if len(term.suffix) == 1:

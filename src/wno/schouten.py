@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .algebra import (
-    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _two_point, p, render_factor
+    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _product_sum, _two_point, p, render_factor
 )
 from .jetcalc import ELResult, _adjoint_terms
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
@@ -274,10 +274,9 @@ def schouten_bracket(P: WNOperator, Q: WNOperator,
         SQ = to_superfunction(Q, table)
         elQ = el_nonlocal(SQ, fields, table)
 
-    three = SuperPoly.zero()
-    for i in range(fields.n):  # [P, P] = 2 sum_i dP/du_i dP/dp_i computes one product
-        pq = elP.el.du[i] * elQ.el.dp[i]
-        three = three + (pq.scale(2) if Q is P else pq + elQ.el.du[i] * elP.el.dp[i])
+    sides = [(elP, elQ)] if Q is P else [(elP, elQ), (elQ, elP)]
+    pairs = [(a.el.du[i], b.el.dp[i]) for i in range(fields.n) for a, b in sides]
+    three = _product_sum(pairs, 2 if Q is P else 1)  # [P, P] = 2 sum_i dP/du_i dP/dp_i
 
     elT = el_nonlocal(three, fields, table)
     trivial = elT.el.is_zero()

@@ -45,6 +45,7 @@ from wno.algebra import (
     _lead_rational,
     _mul,
     _neg,
+    _product_sum,
     coeff_field,
     nl,
     normalize_word,
@@ -830,3 +831,77 @@ def test_exponent_overflow_is_refused():
         total_x(SuperPoly({(): _Frac(K, _mul(K, top, u), {0: 1})}, K), F2)
     with pytest.raises(ExponentOverflowError):
         K.packed({(0, _TOP + 1): 1})
+
+
+# Sums of products of graded values, as the bracket forms them: words that vanish or meet
+# again, coefficients over denominators 1 + u^2, u_x and 3, in fields of different generators.
+_u2x, _v = sp.Symbol("u_2x"), sp.Symbol("v")
+_sum_coeffs = st.builds(
+    lambda k, top, bottom: sp.Integer(k) * top / bottom,
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([1, u, u_x, u * u_x, 1 + u, _u2x, u * _v]),
+    st.sampled_from([1, 1 + u**2, u_x, 3]),
+)
+_sum_values = st.builds(
+    SuperPoly.from_terms,
+    st.lists(st.tuples(_sum_coeffs, st.lists(_FACTORS, max_size=2)), max_size=3),
+)
+_sum_pairs = st.lists(st.tuples(_sum_values, _sum_values), max_size=3)
+
+
+def _naive_sum(pairs):
+    return reduce(operator.add, (A * B for A, B in pairs), SuperPoly.zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_pairs, st.sampled_from([1, 2]))
+@example(pairs=[], weight=2)
+def test_product_sum_matches_the_naive_sum(pairs, weight):
+    """The fused sum of products equals sum(A * B) scaled by its weight, term by term, in the
+    field over every operand's generators, which holds the naive sum's."""
+    fused, naive = _product_sum(pairs, weight), _naive_sum(pairs)
+    assert fused.sorted_texts() == naive.scale(weight).sorted_texts()
+    symbols = {s for A, B in pairs if A and B for s in A.field.symbols + B.field.symbols}
+    assert set(naive.field.symbols) <= set(fused.field.symbols) == symbols
+
+
+def test_product_sum_fixed_cases():
+    a = SuperPoly.from_terms([(u / (1 + u**2), [p(1)]), (u_x / 3, [p(1, 1)])])
+    b = SuperPoly.from_terms([(1 / u_x, [p(1, 1)]), (sp.Symbol("v"), [p(1)])])
+    fused = _product_sum([(a, b), (b, a)], 2)
+    assert fused.sorted_texts() == _naive_sum([(a, b), (b, a)]).scale(2).sorted_texts()
+    assert _product_sum([(a, a)]).is_zero()  # p p and p_x p_x vanish; p p_x cancels p_x p
+    empty = _product_sum([])
+    assert empty.is_zero() and empty.field is SuperPoly.zero().field
+
+
+def test_product_sum_refuses_an_exponent_overflow():
+    """Both the naive sum and the fused one raise when a product has an exponent past _TOP,
+    the fused one also when a numerator past it would be brought to a new denominator."""
+    K = coeff_field(["u", "u_x"])
+    half = _Frac(K, K.packed({(_TOP // 2 + 1, 0): 1}), _ONE)
+    a, b = (SuperPoly({(p(1, o),): half}, K) for o in (0, 1))
+    c = SuperPoly({(p(1),): _Frac(K, _ONE, K.packed({(0, 1): 1}))}, K)  # 1/u_x p
+    for pairs in ([(a, b)], [(a, b), (c, SuperPoly.factor(p(1, 1)))]):
+        for path in (_naive_sum, _product_sum):
+            with pytest.raises(ExponentOverflowError):
+                path(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fraction_lists(), _sum_pairs)
+def test_no_operation_changes_a_built_polynomial(xs, pairs):
+    """No polynomial is changed once built, as the module says, and ``_ONE`` stays 1: sums
+    that accumulate in place own their numerators."""
+    values = [_ours(x) for x in xs]
+    everything = values + [c for A, B in pairs for c in (*A.terms.values(), *B.terms.values())]
+    before = _snapshot(*everything)
+    _fsum(values, _ARITH)
+    _product_sum(pairs, 2)
+    for a in values:
+        for b in values:
+            a + b, a - b, a * b, b and a / b
+        for name in _ARITH.symbols:
+            a.diff(name)
+    assert _snapshot(*everything) == before
+    assert _ONE == {0: 1}

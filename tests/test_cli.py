@@ -107,6 +107,23 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"error: cannot read {f}: ")
         assert "Traceback" not in proc.stderr
 
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        """A file saved with a UTF-8 byte-order mark reads as the plain file."""
+        plain = (CASES / "mkdv.wno").read_bytes()
+        f = tmp_path / "bom.wno"
+        f.write_bytes(b"\xef\xbb\xbf" + plain)
+        outputs = []
+        for path in (CASES / "mkdv.wno", f):
+            assert main(["check", str(path), "mkdv2", "--el"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "HAMILTONIAN: yes" in outputs[0]
+
+    def test_byte_order_mark_inside_is_refused(self, tmp_path, capsys):
+        f = tmp_path / "bom.wno"
+        f.write_bytes(b"fields u;\n\xef\xbb\xbfoperator A { local[1,1]: D; }\n")
+        assert main(["check", str(f), "A"]) == 2
+        assert "bom.wno:2:1: unexpected character '\\ufeff'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "coeff, col",
         [("(" * 260 + "u" + ")" * 260, 115), ("-" * 2000 + "u", 115)],

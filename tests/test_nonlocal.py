@@ -6,17 +6,22 @@ import pytest
 import sympy as sp
 from sympy.integrals.rationaltools import ratint
 
+import wno.nonlocal_vars
 from wno.algebra import Fields, SuperPoly, p
-from wno.jetcalc import euler_lagrange, total_x
+from wno.cli import main
+from wno.dsl import parse
+from wno.jetcalc import el_sum, euler_lagrange, total_x
 from wno.nonlocal_vars import (
     NonlocalVarTable,
     TailTerm,
     UnsupportedStructureError,
+    _antiderivative,
     el_nonlocal,
     integrate_density,
     reduce_depth,
     split_tails,
 )
+from wno.schouten import to_superfunction
 
 from conftest import jet_expr, random_local_mixed
 
@@ -184,6 +189,71 @@ class TestElNonlocal:
         T = SuperPoly.monomial(u, [p(1, 0), p(1, 1), r])
         res = el_nonlocal(T, F, table)
         assert res.formal_used
+
+
+def _tail_operator(w: str, z: str):
+    return parse(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}").operators["P"]
+
+
+def _two_sum_el(S: SuperPoly, table: NonlocalVarTable):
+    """The one-tail rule written out for a value S with one tail term: per odd degree d of its
+    prefactor part A, el_sum(A, v) + (-1)^(d+1) el_sum(Z, a), a the antiderivative of A."""
+    local, (term,) = split_tails(S, table)
+    (ident,) = term.suffix
+    v, Z = SuperPoly.factor(table.factor(ident)), table.density(ident)
+    el, formal = euler_lagrange(local, F), False
+    for degree in sorted(term.prefactor.odd_degrees()):
+        A = term.prefactor.degree_part(degree)
+        anti = _antiderivative(A, F, table, note="tail antiderivative")
+        formal = formal or anti.formal
+        el = el + el_sum(A, v, F, table) + el_sum(Z, anti.value, F, table).scale((-1) ** (degree + 1))
+    return el, formal
+
+
+def _tail_sums(w: str, z: str, monkeypatch):
+    """el_nonlocal of the encoding of the tail [w|z], its table and its number of el_sum calls,
+    and the two-sum formula's EL tuple, table and formal flag."""
+    P = _tail_operator(w, z)
+    expected_table = NonlocalVarTable()
+    expected, formal = _two_sum_el(to_superfunction(P, expected_table), expected_table)
+    calls = []
+    monkeypatch.setattr(wno.nonlocal_vars, "el_sum", lambda *args: calls.append(args) or el_sum(*args))
+    table = NonlocalVarTable()
+    comp = el_nonlocal(to_superfunction(P, table), F, table)
+    texts = [[x.sorted_texts() for x in (*el.du, *el.dp)] for el in (comp.el, expected)]
+    assert texts[0] == texts[1]
+    assert table.names() == expected_table.names()
+    assert comp.formal_used == formal
+    return table, len(calls)
+
+
+@pytest.mark.parametrize("c", ["1", "2", "(-1/3)"])
+@pytest.mark.parametrize("w", ["u_x", "(1+u^2)*u_x"])
+def test_symmetric_tail_is_summed_once(w, c, monkeypatch):
+    """For a tail [w|c w] the prefactor's antiderivative is c v, and el_sum(Z, c v) equals
+    el_sum(A, v): one call gives the two-sum formula's EL tuple, names and formal flag."""
+    table, calls = _tail_sums(w, f"{c}*{w}", monkeypatch)
+    assert calls == 1
+    assert table.names() == {1: "r1"}
+
+
+def test_asymmetric_tail_takes_both_sums(monkeypatch):
+    table, calls = _tail_sums("u_x", "u^2*u_x", monkeypatch)
+    assert calls == 2
+    assert table.names() == {1: "r1", 2: "y1"}
+
+
+def test_tail_whose_content_is_not_split_takes_both_sums(monkeypatch, tmp_path, capsys):
+    """scalar_content reads 1 for u_x/(2u^2+2) p, so its antiderivative is a second variable,
+    not r1/2: the one-sum rule does not apply, and the verdict stands."""
+    w, z = "u_x/(2*u^2+2)", "u_x/(u^2+1)"
+    table, calls = _tail_sums(w, z, monkeypatch)
+    assert calls == 2
+    assert table.names() == {1: "r1", 2: "y1"}
+    f = tmp_path / "tail.wno"
+    f.write_text(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}")
+    assert main(["check", str(f), "P"]) == 0
+    assert "HAMILTONIAN: yes" in capsys.readouterr().out
 
 
 def substitute_nonlocals(a: SuperPoly, mapping: dict) -> SuperPoly:
