@@ -867,7 +867,7 @@ def test_product_sum_matches_the_naive_sum(pairs, weight):
 
 def test_product_sum_fixed_cases():
     a = SuperPoly.from_terms([(u / (1 + u**2), [p(1)]), (u_x / 3, [p(1, 1)])])
-    b = SuperPoly.from_terms([(1 / u_x, [p(1, 1)]), (sp.Symbol("v"), [p(1)])])
+    b = SuperPoly.from_terms([(1 / u_x, [p(1, 1)]), (_v, [p(1)])])
     fused = _product_sum([(a, b), (b, a)], 2)
     assert fused.sorted_texts() == _naive_sum([(a, b), (b, a)]).scale(2).sorted_texts()
     assert _product_sum([(a, a)]).is_zero()  # p p and p_x p_x vanish; p p_x cancels p_x p

@@ -191,10 +191,6 @@ class TestElNonlocal:
         assert res.formal_used
 
 
-def _tail_operator(w: str, z: str):
-    return parse(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}").operators["P"]
-
-
 def _two_sum_el(S: SuperPoly, table: NonlocalVarTable):
     """The one-tail rule written out for a value S with one tail term: per odd degree d of its
     prefactor part A, el_sum(A, v) + (-1)^(d+1) el_sum(Z, a), a the antiderivative of A."""
@@ -213,7 +209,7 @@ def _two_sum_el(S: SuperPoly, table: NonlocalVarTable):
 def _tail_sums(w: str, z: str, monkeypatch):
     """el_nonlocal of the encoding of the tail [w|z], its table and its number of el_sum calls,
     and the two-sum formula's EL tuple, table and formal flag."""
-    P = _tail_operator(w, z)
+    P = parse(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}").operators["P"]
     expected_table = NonlocalVarTable()
     expected, formal = _two_sum_el(to_superfunction(P, expected_table), expected_table)
     calls = []
