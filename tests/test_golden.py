@@ -41,6 +41,8 @@ for _name in ("sphere", "flatbad"):
     for _fmt, _ext in (("text", "txt"), ("json", "json")):
         CASES[f"geom_{_name}.{_ext}"] = ["geom", "firstorder.wno", _name, "--format", _fmt]
 CASES["check_perturbed.txt"] = ["check", "curvature.wno", "perturbed", "--el", "--format", "text"]
+CASES["geom_perturbed.txt"] = ["geom", "curvature.wno", "perturbed", "--format", "text"]
+CASES["geom_skewed.txt"] = ["geom", "firstorder.wno", "skewed", "--format", "text"]  # asymmetric g
 for _name in ("tail8", "local7"):  # variational sums of order up to 16
     CASES[f"check_{_name}.txt"] = ["check", "highorder.wno", _name, "--el", "--format", "text"]
 for _fmt, _ext in (("text", "txt"), ("json", "json")):
