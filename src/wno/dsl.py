@@ -36,7 +36,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Coeff, Fields, Jet, _exponents_below, _int_value, _rational, coeff_field
+from .algebra import Coeff, Fields, Jet, _DIGITS, _exponents_below, _int_value, _rational, coeff_field
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
 
@@ -182,7 +182,7 @@ class Parser:
         names among its tokens.  Never raises; the parse reports bad names."""
         symbols = set()
         for tok in itertools.takewhile(lambda t: t.text != "}", self.tokens[self.pos :]):
-            if tok.kind == "ident":
+            if tok.kind == "ident" and tok.text.partition("_")[0] in self.fields.names:
                 with contextlib.suppress(ParseError):
                     symbols.add(self.jet_from_name(tok))
         self.field = coeff_field(symbols)
@@ -384,7 +384,7 @@ class Parser:
             raise ParseError(f"{bounded} exceeds the bound {MAX_POWER}", tok.line, tok.col)
         if len(digits) > MAX_DIGITS:
             raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", tok.line, tok.col)
-        return _int_value(digits)
+        return int(digits) if len(digits) < _DIGITS else _int_value(digits)
 
     def parse_power(self) -> Coeff:
         tok = self.peek()

@@ -6,7 +6,10 @@ fixes the Levi-Civita connection of the inverse metric and the contravariant
 Christoffel symbols; it is derived once per ``MetricData``, on the first read
 of ``MetricData.geometry``, which the condition checks and the operator
 assembly share.  The curvature with both upper indices and the covariant
-derivative of W are computed from the connection on first read.  The module
+derivative of W are computed from the connection on first read.  For a
+symmetric g the curvature is taken in the contravariant form of Dubrovin and
+Novikov, on its C(n,2)^2 independent entries; an asymmetric g, for which that
+form is not the contraction g^{js} R^i_skh, keeps the mixed tensor.  The module
 checks the classical system of conditions equivalent to the Poisson property of
 
     P = g d + Gamma u_x + (W u_x) d^(-1) (W u_x)
@@ -89,10 +92,21 @@ class DerivedGeometry:
 
     @cached_property
     def riemann_up(self) -> list:
-        """riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh; antisymmetric in its
-        last index pair by its formula, for any input, so only k < h is computed."""
-        x, g, gamma, F = self.coords, self.g, self.gamma, coeff_field(self.coords)
+        """riemann_up[i][j][k][h] = R^{ij}_kh = g^{js} R^i_skh; antisymmetric in k, h by
+        its formula, for any input, so only k < h is computed.  For a symmetric g it is
+        antisymmetric in i, j too, and for i < j it is (Dubrovin and Novikov, 1983)
+            d_h G^{ji}_k - d_k G^{ji}_h + sum_s (G^{sj}_h Gamma^i_sk - G^{sj}_k Gamma^i_sh),
+        G = gamma_up, by Gamma^i_sk = Gamma^i_ks and d_k g^{js} = G^{js}_k + G^{sj}_k.
+        Both fail for an asymmetric g, which keeps R^i_skh and its contraction."""
+        x, g, gamma, G, F = self.coords, self.g, self.gamma, self.gamma_up, coeff_field(self.coords)
         n, r = len(x), range(len(x))
+        if all(g[i][j] == g[j][i] for i, j in combinations(r, 2)):
+            up = {(i, j): _skew(n, F.zero, lambda k, h: _fsum([
+                G[j][i][k].diff(x[h]), -G[j][i][h].diff(x[k]),
+                *(G[s][j][h] * gamma[i][s][k] for s in r),
+                *(-(G[s][j][k] * gamma[i][s][h]) for s in r)], F)) for i, j in combinations(r, 2)}
+            return _tensor(n, 4, lambda i, j, k, h: up[i, j][k][h] if i < j else
+                           -up[j, i][k][h] if i > j else F.zero)
         riemann = _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, l: _fsum([
             gamma[i][l][j].diff(x[k]), -gamma[i][k][j].diff(x[l]),
             *(gamma[i][k][s] * gamma[s][l][j] for s in r),
@@ -206,7 +220,5 @@ def build_operator(m: MetricData) -> WNOperator:
             if zeroth != 0:
                 local[i][j].append((zeroth, 0))
     wvec = tuple(contract(geo.W[i]) for i in range(n))
-    tails = []
-    if any(w != 0 for w in wvec):
-        tails.append(Tail(1, wvec, wvec))
+    tails = [Tail(1, wvec, wvec)] if any(w != 0 for w in wvec) else []
     return WNOperator(m.fields, local, tails)

@@ -151,6 +151,8 @@ class TestDiagnostics:
 
     def test_integer_literal_digits(self):
         parse(f"fields u; operator A {{ local[1,1]: {'0' * 9}{'7' * 4300}*D; }}")
+        op = parse(f"fields u; operator A {{ local[1,1]: {'9' * 600}*D; }}").operators["A"]
+        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [(10**600 - 1, 1)]
         with pytest.raises(ParseError, match="integer literal exceeds 4300 digits") as err:
             parse(f"fields u; operator A {{ local[1,1]: {'7' * 4301}*D; }}")
         assert (err.value.line, err.value.col) == (1, 36)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 import sympy as sp
 
+import wno.geometry
 from wno.algebra import Fields
 from wno.geometry import (
     MetricData,
@@ -179,19 +180,27 @@ class TestDerive:
                 cyc = lowered(i, j, k, h) + lowered(i, k, h, j) + lowered(i, h, j, k)
                 assert sp.cancel(cyc) == 0
 
-    @pytest.mark.parametrize("case", ["sphere", "non-symmetric g"])
+    @pytest.mark.parametrize(
+        "case", ["sphere", "non-symmetric g", "non-diagonal symmetric g", "three fields"]
+    )
     def test_curvature_against_full_formula(self, case):
-        # derive_geometry computes the entries with k < l and fills the rest
-        # by antisymmetry; here every one of the n^4 entries comes from the
-        # formula, on the connection the derivation returned
+        # riemann_up computes the entries with k < l (and, for a symmetric g,
+        # i < j, by the contravariant formula) and fills the rest by
+        # antisymmetry; here every one of the n^4 entries comes from the mixed
+        # formula contracted with g, on the connection the derivation returned
         u1, u2 = jet_expr(F2, 1, 0), jet_expr(F2, 2, 0)
         if case == "sphere":
             m = sphere_metric()
-        else:
+        elif case == "non-symmetric g":
             m = MetricData(F2, [[ONE, u2], [ZERO, 1 + u1]], zeros(2))
+        elif case == "non-diagonal symmetric g":
+            m = MetricData(F2, [[1 + u2**2, u1], [u1, sp.Integer(2)]], zeros(2))
+        else:  # the metric of test_first_bianchi_on_rational_metrics
+            g = [[1 + u2**2, u1 / 2, ZERO], [u1 / 2, sp.Integer(2), ZERO], [ZERO, ZERO, 3 + u1**2]]
+            m = MetricData(F3, g, zeros(3))
         geo = derive_geometry(m)
         x, gamma, g = sp.symbols(m.coords()), as_expr(geo.gamma), sp.Matrix(as_expr(m.g))
-        r = range(2)
+        r = range(m.n)
 
         def riemann(i, j, k, l):
             return (
@@ -223,6 +232,33 @@ class TestLazyCurvature:
         assert "riemann_up" in vars(geo) and "nabla_w" in vars(geo)
         first = geo.riemann_up, geo.nabla_w
         assert geo.riemann_up is first[0] and geo.nabla_w is first[1]
+
+
+class TestCurvatureWork:
+    """One sum per independent curvature entry when g is symmetric."""
+
+    @pytest.mark.parametrize("symmetric, sums", [(True, 9), (False, 54)])
+    def test_sums_on_first_read(self, monkeypatch, symmetric, sums):
+        """The first read of riemann_up takes C(3,2)^2 = 9 sums on the n = 3
+        constant-curvature metric, and 27 mixed entries plus 27 contractions
+        on an asymmetric n = 3 metric; the second read takes none."""
+        u1, u2, u3 = (jet_expr(F3, k, 0) for k in (1, 2, 3))
+        if symmetric:
+            h = (1 + u1**2 + u2**2 + u3**2) ** 2
+            g = [[h if i == j else ZERO for j in range(3)] for i in range(3)]
+        else:
+            g = [[1 + u2**2, u1, ZERO], [ZERO, sp.Integer(2), u3], [ZERO, ZERO, 3 + u1**2]]
+        geo = MetricData(F3, g, identity(3)).geometry
+        calls, original = [], wno.geometry._fsum
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wno.geometry, "_fsum", counting)
+        first = geo.riemann_up
+        assert len(calls) == sums
+        assert geo.riemann_up is first and len(calls) == sums
 
 
 class TestConditions:
