@@ -6,10 +6,10 @@ fixes the Levi-Civita connection of the inverse metric and the contravariant
 Christoffel symbols; it is derived once per ``MetricData``, on the first read
 of ``MetricData.geometry``, which the condition checks and the operator
 assembly share.  The curvature with both upper indices and the covariant
-derivative of W are computed from the connection on first read.  For a
-symmetric g the curvature is taken in the contravariant form of Dubrovin and
-Novikov, on its C(n,2)^2 independent entries; an asymmetric g, for which that
-form is not the contraction g^{js} R^i_skh, keeps the mixed tensor.  The module
+derivative of W are computed from the connection on first read, the curvature
+of a symmetric g by the contravariant formula of Dubrovin and Novikov on its
+C(n,2)^2 independent entries (``riemann_up``).  That formula is not g^{js} R^i_skh
+for an asymmetric g, whose curvature keeps the mixed tensor.  The module
 checks the classical system of conditions equivalent to the Poisson property of
 
     P = g d + Gamma u_x + (W u_x) d^(-1) (W u_x)
@@ -97,7 +97,7 @@ class DerivedGeometry:
         antisymmetric in i, j too, and for i < j it is (Dubrovin and Novikov, 1983)
             d_h G^{ji}_k - d_k G^{ji}_h + sum_s (G^{sj}_h Gamma^i_sk - G^{sj}_k Gamma^i_sh),
         G = gamma_up, by Gamma^i_sk = Gamma^i_ks and d_k g^{js} = G^{js}_k + G^{sj}_k.
-        Both fail for an asymmetric g, which keeps R^i_skh and its contraction."""
+        Neither holds in general for an asymmetric g, which keeps R^i_skh and g^{js}."""
         x, g, gamma, G, F = self.coords, self.g, self.gamma, self.gamma_up, coeff_field(self.coords)
         n, r = len(x), range(len(x))
         if all(g[i][j] == g[j][i] for i, j in combinations(r, 2)):
