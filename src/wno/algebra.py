@@ -9,13 +9,21 @@ when their term maps agree coefficient-wise.
 Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
 reduced pairs ``_Frac`` of polynomials, plain dicts from packed monomials (``int``) to nonzero
 ``int``, the leading denominator coefficient positive in lex order, so equal values have equal
-terms.  One ``_Field`` per generator set holds the monomial layout.  Arithmetic takes gcds of
+terms.  One ``_Field`` per generator set holds the monomial layout.  ``_Frac`` takes gcds of
 factors only; a gcd of two sums is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the
 next command.  Values of two fields lift into the field over the union of their generators;
 fields are memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.  Sympy is
 imported by private converters only (the PRS gcd where ``_heu`` gives up, ``ratint``, expressions
 given to ``_into``), which no report reaches, and no other module imports it or reads a
 coefficient's terms.  ``_coeff_text`` writes a coefficient as ``sympy.cancel`` of it prints.
+
+Each job of the arithmetic has one kernel.  ``_muladd`` is the one polynomial product loop.  A
+sum of many coefficients (``_fsum``) and each word of a sum of graded products (``_product_sum``,
+which ``SuperPoly.__mul__`` calls with one pair) is a running sum: ``_add_into`` adds numerators
+in place over the running lcm of the denominators, and ``_reduced`` reduces it once.  The sum of
+two coefficients stays Henrici's ``_Frac.__add__``, whose ``gcd(b, d)`` spares coprime
+denominators a second gcd.  A word-keyed sum of values is ``_merge``.  ``_start_command`` empties
+the memos that last one command.
 
 Nonlocal factors may carry even parity (antiderivatives of densities with
 an even number of odd factors).  Even factors commute with everything and
@@ -145,21 +153,7 @@ def _mul(field: _Field, p: dict, q: dict) -> dict:
         return p
     if p == _ONE or not q:
         return q
-    if len(p) < len(q):
-        p, q = q, p
-    terms, rows = p.items(), iter(q.items())
-    m2, c2 = next(rows)  # no two products of one row share a monomial, and over ZZ none is zero
-    out = {m1 + m2: c1 * c2 for m1, c1 in terms}
-    get = out.get
-    for m2, c2 in rows:
-        for m1, c1 in terms:
-            m = m1 + m2
-            c = get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-    return field.checked(out)
+    return field.checked(_muladd({}, 1, p, q) if len(p) >= len(q) else _muladd({}, 1, q, p))
 
 
 def _diff(p: dict, s: int) -> dict:
@@ -299,7 +293,7 @@ def _sympy(field: _Field):
 
 
 _HEU_TRIES = 6  # evaluation points the heuristic gcd tries before it gives up
-_GCDS: dict = {}  # (field, p's terms, q's terms) -> ``_cofactors`` of two sums; ``cli.main`` empties it
+_GCDS: dict = {}  # (field, p's terms, q's terms) -> ``_cofactors`` of two sums, for one command
 
 
 def _cofactors(field: _Field, p: dict, q: dict):
@@ -430,27 +424,44 @@ def _prs_gcd(field: _Field, p: dict, q: dict):
     return tuple(found if found[0][max(found[0])] > 0 else map(_neg, found))
 
 
-def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
-    """The sum of reduced ``values`` of ``field`` with one reduction: numerators add up over the
-    running lcm of the denominators, in place into one numerator while a denominator equals it."""
-    num, den = {}, _ONE  # num is a fresh dict of this sum's own, never a value's numerator
-    for v in filter(None, values):
-        a, b = v.numer, v.denom
-        if b == den:
-            _muladd(num, 1, a, _ONE)
-        else:
-            den_b, b = (den, b) if den == _ONE or b == _ONE else _cofactors(field, den, b)[1:]
-            num, den = _collect(_mul(field, num, b), _mul(field, a, den_b).items()), _mul(field, den, b)
-    if num and den != _ONE:
+def _add_into(field: _Field, entry: list, k: int, a: dict, b: dict, d: dict) -> None:
+    """``entry += k*a*b/d`` for a running sum ``entry = [num, den]`` whose ``num`` is its own dict,
+    never an operand's: ``k*a*b`` adds into ``num`` in place while ``d`` equals ``den`` (or ``num`` is
+    0), else both go over the lcm of ``den`` and ``d``.  ``num`` is checked before it is multiplied."""
+    num, den = entry
+    if num and d != den:  # num/den + kab/d over lcm(den, d) = den (d/h), h = gcd(den, d)
+        _, den_h, d_h = _cofactors(field, den, d)
+        num, b, d = _muladd({}, 1, field.checked(num), d_h), _mul(field, b, den_h), _mul(field, den, d_h)
+    entry[:] = num, d
+    _muladd(num, k, a, b)
+
+
+def _reduced(field: _Field, entry: list) -> _Frac:
+    """The running sum ``entry`` of ``_add_into`` as a reduced coefficient: its one reduction."""
+    num, den = entry
+    if field.checked(num) and den != _ONE:
         _, num, den = _cofactors(field, num, den)
     return field.zero._signed(num, den)
 
 
+def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
+    """The sum of reduced ``values`` of ``field`` with one reduction (``_add_into``)."""
+    entry = [{}, _ONE]
+    for v in filter(None, values):
+        _add_into(field, entry, 1, v.numer, _ONE, v.denom)
+    return _reduced(field, entry)
+
+
+def _merge(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add ``(key, value)`` pairs into ``acc``: a value sums into the one of its key."""
+    for key, value in pairs:
+        acc[key] = acc[key] + value if key in acc else value
+    return acc
+
+
 def _by_order(entries: Iterable[tuple]) -> list[tuple]:
     """``(coefficient, order)`` pairs summed per order, by increasing order, zeros dropped."""
-    acc: dict[int, object] = {}
-    for coeff, order in entries:
-        acc[order] = acc[order] + coeff if order in acc else coeff
+    acc = _merge({}, ((order, coeff) for coeff, order in entries))
     return [(acc[k], k) for k in sorted(acc) if acc[k]]
 
 
@@ -521,7 +532,16 @@ def _from_sympy(x, field: _Field) -> _Frac:
 
 
 _DX: dict = {}  # (field, fields, jets present, density fields) -> ``_d_x``'s plan
-_JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes; ``cli.main`` empties both
+_JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes
+
+
+def _start_command() -> None:
+    """Empty the memos that last one command (``_GCDS``, ``_DX``, ``_JETS``), so that a command
+    run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and ``_by_name``
+    persist on purpose: a value built before a command must still combine with one built after
+    it, which takes the same field instance."""
+    for memo in (_GCDS, _DX, _JETS):
+        memo.clear()
 
 
 def _d_x(a: "SuperPoly", fields: "Fields", densities: tuple[_Field, ...]) -> tuple[_Field, object]:
@@ -800,12 +820,9 @@ def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
 
 def _accumulate(acc: dict, pairs: Iterable[tuple[Sequence[OddFactor], object]]) -> dict:
     """Add ``(factors, coefficient)`` pairs into ``acc``, each word normalized with its sign."""
-    for factors, c in pairs:
-        sign, word = normalize_word(factors)
-        if word is not None:
-            c = c if sign > 0 else -c
-            acc[word] = acc[word] + c if word in acc else c
-    return acc
+    signed = ((word, c if sign > 0 else -c) for factors, c in pairs
+              for sign, word in (normalize_word(factors),) if word is not None)
+    return _merge(acc, signed)
 
 
 class SuperPoly:
@@ -871,10 +888,7 @@ class SuperPoly:
         if not self.terms:
             return other
         a, b = self._aligned(other)
-        out = dict(a.terms)
-        for word, coeff in b.terms.items():
-            out[word] = out[word] + coeff if word in out else coeff
-        return SuperPoly(out, a.field)
+        return SuperPoly(_merge(dict(a.terms), b.terms.items()), a.field)
 
     def __neg__(self) -> "SuperPoly":
         return SuperPoly({w: -c for w, c in self.terms.items()}, self.field)
@@ -884,19 +898,13 @@ class SuperPoly:
 
     def __mul__(self, other):
         if isinstance(other, SuperPoly):
-            a, b = self._aligned(other)
-            acc: dict[Word, _Frac] = {}
-            for w1, c1 in a.terms.items():
-                for w2, c2 in b.terms.items():
-                    sign, word = normalize_word(w1 + w2)
-                    if word is None:
-                        continue
-                    c = c1 * c2 if sign > 0 else -(c1 * c2)
-                    acc[word] = acc[word] + c if word in acc else c
-            return SuperPoly(acc, a.field)
+            return _product_sum([(self, other)])
         return self.scale(other)
 
     def scale(self, value) -> "SuperPoly":
+        """``value`` times this, for an exact scalar or coefficient; by a rational 1, this itself."""
+        if value.__class__ in (int, Fraction) and value == 1:
+            return self
         field, (c,) = _into(self.field, [value])
         return SuperPoly({w: _lift(k, field) * c for w, k in self.terms.items()}, field)
 
@@ -951,15 +959,9 @@ class SuperPoly:
         """Left graded derivative: strike the factor, sign from its position."""
         if f.kind != "p":
             raise ValueError("use nonlocal EL rules")
-        out: dict[Word, _Frac] = {}
-        for word, coeff in self.terms.items():
-            if f not in word:
-                continue
-            pos = word.index(f)
-            c = -coeff if sum(1 for g in word[:pos] if g.parity) % 2 else coeff
-            rest = word[:pos] + word[pos + 1 :]
-            out[rest] = out[rest] + c if rest in out else c
-        return SuperPoly(out, self.field)
+        struck = ((word[:pos] + word[pos + 1 :], -c if sum(1 for g in word[:pos] if g.parity) % 2 else c)
+                  for word, c in self.terms.items() if f in word for pos in (word.index(f),))
+        return SuperPoly(_merge({}, struck), self.field)
 
     # -- inspection -------------------------------------------------------
 
@@ -972,34 +974,20 @@ class SuperPoly:
 
 
 def _product_sum(pairs: Iterable[tuple[SuperPoly, SuperPoly]], weight: int = 1) -> SuperPoly:
-    """``weight * sum(A * B for A, B in pairs)`` in one pass over the word pairs: each word's numerator
-    adds up in place over the running lcm of its products' denominators, reduced once as in ``_fsum``."""
+    """``weight * sum(A * B for A, B in pairs)`` in one pass over the word pairs: each word is a
+    running sum of ``_add_into``, reduced once.  ``A * B`` is this sum of one pair."""
     pairs = [(A, B) for A, B in pairs if A.terms and B.terms]
     field = coeff_field({s for A, B in pairs for s in A.field.symbols + B.field.symbols})
-    acc: dict[Word, list] = {}  # word -> [numerator, denominator]; the numerator is acc's own
+    acc: dict[Word, list] = {}  # word -> its running sum [numerator, denominator]
     for A, B in pairs:
         A, B = A.set_field(field), B.set_field(field)
         for w1, c1 in A.terms.items():
             for w2, c2 in B.terms.items():
                 sign, word = normalize_word(w1 + w2)
-                if word is None:
-                    continue
-                k, a, b, d = sign * weight, c1.numer, c2.numer, _mul(field, c1.denom, c2.denom)
-                entry = acc.get(word)
-                if entry is None:
-                    acc[word] = [_muladd({}, k, a, b), d]
-                elif d == entry[1]:
-                    _muladd(entry[0], k, a, b)
-                else:  # num/den + kab/d over lcm(den, d) = den (d/h), h = gcd(den, d)
-                    _, den_h, d_h = _cofactors(field, entry[1], d)
-                    num = _muladd({}, 1, field.checked(entry[0]), d_h)
-                    entry[:] = _muladd(num, k, a, _mul(field, b, den_h)), _mul(field, entry[1], d_h)
-    terms = {}
-    for word, (num, den) in acc.items():
-        if field.checked(num) and den != _ONE:
-            _, num, den = _cofactors(field, num, den)
-        terms[word] = field.zero._signed(num, den)  # SuperPoly drops the zeros
-    return SuperPoly(terms, field)
+                if word is not None:
+                    d = _mul(field, c1.denom, c2.denom)
+                    _add_into(field, acc.setdefault(word, [{}, _ONE]), sign * weight, c1.numer, c2.numer, d)
+    return SuperPoly({word: _reduced(field, entry) for word, entry in acc.items()}, field)  # zeros dropped
 
 
 def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None = None) -> str:

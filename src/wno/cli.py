@@ -22,7 +22,7 @@ import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import _DX, _GCDS, _JETS, ExponentOverflowError, Fields, render_superpoly
+from .algebra import ExponentOverflowError, Fields, _start_command, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -222,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    for memo in (_GCDS, _DX, _JETS):  # every command starts with no memo, as a fresh process does
-        memo.clear()
+    _start_command()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -57,7 +57,7 @@ def scalar_content(a: SuperPoly) -> tuple[Fraction, SuperPoly]:
     if not a.terms:
         return Fraction(1), a
     content = Fraction(*_lead_rational(a.terms[min(a.terms, key=_word_key)]))
-    return content, a if content == 1 else a.scale(1 / content)
+    return content, a.scale(1 / content)
 
 
 class NonlocalVarTable:

@@ -849,8 +849,22 @@ _sum_values = st.builds(
 _sum_pairs = st.lists(st.tuples(_sum_values, _sum_values), max_size=3)
 
 
+def _naive_product(A, B):
+    """``A * B`` word by word from pairwise coefficient products and sums, an oracle that shares
+    no code with ``_product_sum`` (which ``SuperPoly.__mul__`` calls)."""
+    field = coeff_field(A.field.symbols + B.field.symbols)
+    acc = {}
+    for w1, c1 in A.set_field(field).terms.items():
+        for w2, c2 in B.set_field(field).terms.items():
+            sign, word = normalize_word(w1 + w2)
+            if word is not None:
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                acc[word] = acc[word] + c if word in acc else c
+    return SuperPoly(acc, field)
+
+
 def _naive_sum(pairs):
-    return reduce(operator.add, (A * B for A, B in pairs), SuperPoly.zero())
+    return reduce(operator.add, (_naive_product(A, B) for A, B in pairs), SuperPoly.zero())
 
 
 @settings(max_examples=150, deadline=None)
@@ -876,16 +890,22 @@ def test_product_sum_fixed_cases():
 
 
 def test_product_sum_refuses_an_exponent_overflow():
-    """Both the naive sum and the fused one raise when a product has an exponent past _TOP,
-    the fused one also when a numerator past it would be brought to a new denominator."""
+    """The naive sum, the fused one and ``A * B`` raise when a product has an exponent past _TOP,
+    the fused one also when a numerator past it would be brought to a new denominator; ``_fsum``
+    raises when a numerator brought to a new denominator passes it."""
     K = coeff_field(["u", "u_x"])
     half = _Frac(K, K.packed({(_TOP // 2 + 1, 0): 1}), _ONE)
     a, b = (SuperPoly({(p(1, o),): half}, K) for o in (0, 1))
     c = SuperPoly({(p(1),): _Frac(K, _ONE, K.packed({(0, 1): 1}))}, K)  # 1/u_x p
     for pairs in ([(a, b)], [(a, b), (c, SuperPoly.factor(p(1, 1)))]):
-        for path in (_naive_sum, _product_sum):
+        for path in (_naive_sum, _product_sum, lambda pairs: reduce(operator.add, (A * B for A, B in pairs))):
             with pytest.raises(ExponentOverflowError):
                 path(pairs)
+    top = _Frac(K, K.packed({(_TOP, 0): 1}), _ONE)
+    over_u = _Frac(K, _ONE, K.packed({(1, 0): 1}))
+    assert _fsum([top, top], K) == top * 2
+    with pytest.raises(ExponentOverflowError):  # u**_TOP + 1/u is (u**(_TOP + 1) + 1)/u
+        _fsum([top, over_u], K)
 
 
 @settings(max_examples=60, deadline=None)
@@ -898,6 +918,9 @@ def test_no_operation_changes_a_built_polynomial(xs, pairs):
     before = _snapshot(*everything)
     _fsum(values, _ARITH)
     _product_sum(pairs, 2)
+    for A, B in pairs:
+        A * B, A + B, A.partial_odd(p(1)), B.partial_odd(p(2, 1))
+        SuperPoly.from_terms([(c, w) for X in (A, B, A) for w, c in X.terms.items()])
     for a in values:
         for b in values:
             a + b, a - b, a * b, b and a / b
