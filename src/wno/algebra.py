@@ -10,8 +10,9 @@ Coefficients are elements of QQ(x1..xm) of jet variables named by ``str``:
 reduced pairs ``_Frac`` of polynomials, plain dicts from packed monomials (``int``) to nonzero
 ``int``, the leading denominator coefficient positive in lex order, so equal values have equal
 terms.  One ``_Field`` per generator set holds the monomial layout.  ``_Frac`` takes gcds of
-factors only; a gcd of two sums is the heuristic gcd ``_heu``, memoised in ``_GCDS`` until the
-next command.  Values of two fields lift into the field over the union of their generators;
+factors only; a gcd of two sums is exact division where one divides the other (``_dividing``),
+else the heuristic gcd ``_heu``, else the PRS gcd, memoised in ``_GCDS`` until the next command.
+Values of two fields lift into the field over the union of their generators;
 fields are memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.  Sympy is
 imported by private converters only (the PRS gcd where ``_heu`` gives up, ``ratint``, expressions
 given to ``_into``), which no report reaches, and no other module imports it or reads a
@@ -303,7 +304,7 @@ def _cofactors(field: _Field, p: dict, q: dict):
         key = field, frozenset(p.items()), frozenset(q.items())
         hit = _GCDS.get(key)
         if hit is None:
-            hit = _GCDS[key] = _heu(field, p, q) or _prs_gcd(field, p, q)
+            hit = _GCDS[key] = _dividing(field, p, q) or _heu(field, p, q) or _prs_gcd(field, p, q)
         return hit
     if not p or not q:  # gcd(g, 0) = g up to sign; gcd(0, 0) = 0, cofactors 0
         g = p or q
@@ -324,6 +325,17 @@ def _gcd_monom(field: _Field, f: dict, g: dict):
         if c == 1 and not m:
             return _ONE, f, g
     return {m: c}, {mf - m: cf // c}, {mg - m: cg // c for mg, cg in g.items()}
+
+
+def _dividing(field: _Field, p: dict, q: dict):
+    """``_cofactors`` of sums ``p`` and ``q`` if one divides the other, else None: the divisor, its
+    leading coefficient made positive, is the gcd, whose content is by Gauss's lemma the gcd of the
+    contents.  ``_exquo`` stops at once where the divisor's leading monomial does not divide."""
+    for f, h in (p, q), (q, p):
+        if (cf := _exquo(field, f, h)) is not None:
+            h, cf, ch = (h, cf, _ONE) if h[max(h)] > 0 else (_neg(h), _neg(cf), {0: -1})
+            return (h, cf, ch) if f is p else (h, ch, cf)
+    return None
 
 
 def _heu(field: _Field, f: dict, g: dict, i: int = 0):
@@ -445,9 +457,13 @@ def _reduced(field: _Field, entry: list) -> _Frac:
 
 
 def _fsum(values: Iterable[_Frac], field: _Field) -> _Frac:
-    """The sum of reduced ``values`` of ``field`` with one reduction (``_add_into``)."""
+    """The sum of reduced ``values`` of ``field`` with one reduction (``_add_into``); a lone
+    nonzero value is that value itself, reduced already."""
+    values = [v for v in values if v]
+    if len(values) == 1:
+        return values[0]
     entry = [{}, _ONE]
-    for v in filter(None, values):
+    for v in values:
         _add_into(field, entry, 1, v.numer, _ONE, v.denom)
     return _reduced(field, entry)
 
@@ -818,13 +834,6 @@ def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
     return -1 if swaps & 1 else 1, tuple(sorted(factors))
 
 
-def _accumulate(acc: dict, pairs: Iterable[tuple[Sequence[OddFactor], object]]) -> dict:
-    """Add ``(factors, coefficient)`` pairs into ``acc``, each word normalized with its sign."""
-    signed = ((word, c if sign > 0 else -c) for factors, c in pairs
-              for sign, word in (normalize_word(factors),) if word is not None)
-    return _merge(acc, signed)
-
-
 class SuperPoly:
     """Sparse graded polynomial: word of factors -> coefficient in ``field``."""
 
@@ -864,7 +873,9 @@ class SuperPoly:
         words with repeated odd factors, merge coefficients, drop zeros."""
         raw = list(raw)
         field, coeffs = _into(None, (c for c, _ in raw))
-        return SuperPoly(_accumulate({}, zip((tuple(f) for _, f in raw), coeffs)), field)
+        signed = ((word, c if sign > 0 else -c) for (_, f), c in zip(raw, coeffs)
+                  for sign, word in (normalize_word(tuple(f)),) if word is not None)
+        return SuperPoly(_merge({}, signed), field)
 
     def set_field(self, field: _Field) -> "SuperPoly":
         """The same value over ``field``, whose generators include this field's."""

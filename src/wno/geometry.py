@@ -5,7 +5,10 @@ order-0 variables only) together with an affinor W.  The derived geometry
 fixes the Levi-Civita connection of the inverse metric and the contravariant
 Christoffel symbols; it is derived once per ``MetricData``, on the first read
 of ``MetricData.geometry``, which the condition checks and the operator
-assembly share.  The curvature with both upper indices and the covariant
+assembly share.  Whether g is symmetric is tested once per derivation; for a
+symmetric g the derivation computes the derivatives of the inverse and the
+Christoffel symbols of both kinds on their independent entries only, and
+mirrors the rest.  The curvature with both upper indices and the covariant
 derivative of W are computed from the connection on first read, the curvature
 of a symmetric g by the contravariant formula of Dubrovin and Novikov on its
 C(n,2)^2 independent entries (``riemann_up``).  That formula is not g^{js} R^i_skh
@@ -20,7 +23,7 @@ independently of the bracket computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 
 from .algebra import Fields, Jet, _coeff_text, _fsum, _into, _inverse, _lift, coeff_field
@@ -89,6 +92,7 @@ class DerivedGeometry:
     g_lo: list  # g_lo[i][j] = g_ij, the inverse of g^ij
     gamma: list  # gamma[i][j][k] = Gamma^i_jk of the lower metric
     gamma_up: list  # gamma_up[i][j][k] = Gamma^{ij}_k = -g^{is} Gamma^j_sk
+    symmetric: bool  # whether g^ij = g^ji, tested once per derivation
 
     @cached_property
     def riemann_up(self) -> list:
@@ -100,7 +104,7 @@ class DerivedGeometry:
         Neither holds in general for an asymmetric g, which keeps R^i_skh and g^{js}."""
         x, g, gamma, G, F = self.coords, self.g, self.gamma, self.gamma_up, coeff_field(self.coords)
         n, r = len(x), range(len(x))
-        if all(g[i][j] == g[j][i] for i, j in combinations(r, 2)):
+        if self.symmetric:
             up = {(i, j): _skew(n, F.zero, lambda k, h: _fsum([
                 G[j][i][k].diff(x[h]), -G[j][i][h].diff(x[k]),
                 *(G[s][j][h] * gamma[i][s][k] for s in r),
@@ -138,22 +142,34 @@ def _skew(n: int, zero, entry):
             for k in range(n)]
 
 
+def _mirrored(symmetric: bool, a: int, entry):
+    """``entry`` of three indices; if ``symmetric``, one symmetric in the indices at positions
+    ``a`` and ``a + 1``, computed once per pair of them, at their sorted positions."""
+    once = cache(entry)
+    return (lambda *i: once(*i[:a], *sorted(i[a : a + 2]), *i[a + 2 :])) if symmetric else entry
+
+
 def derive_geometry(m: MetricData) -> DerivedGeometry:
     """Exact inverse metric and Levi-Civita symbols, in the coefficient field
-    QQ(u1..un) of the metric data, whose elements are reduced fractions."""
+    QQ(u1..un) of the metric data, whose elements are reduced fractions.  For a
+    symmetric g, whose inverse is symmetric too, the derivatives dg of the inverse
+    and the symbols of both kinds are computed on their independent entries only."""
     n, r = m.n, range(m.n)
     x = m.coords()
     F = coeff_field(x)
     g_up, W = m.g, m.W
+    symmetric = all(g_up[i][j] == g_up[j][i] for i, j in combinations(r, 2))
     g_lo = _inverse(g_up, F)
     if g_lo is None:
         raise SingularMetricError("metric is singular: det(g) == 0")
-    dg = _tensor(n, 3, lambda s, j, k: g_lo[s][j].diff(x[k]))
+    dg = _tensor(n, 3, _mirrored(symmetric, 0, lambda s, j, k: g_lo[s][j].diff(x[k])))
     # first[s][j][k] = 2 Gamma_sjk, the Christoffel symbols of the first kind
-    first = _tensor(n, 3, lambda s, j, k: _fsum([dg[s][j][k], dg[s][k][j], -dg[j][k][s]], F))
-    gamma = _tensor(n, 3, lambda i, j, k: _fsum((g_up[i][s] * first[s][j][k] for s in r), F) / 2)
+    first = _tensor(n, 3, _mirrored(symmetric, 1, lambda s, j, k: _fsum(
+        [dg[s][j][k], dg[s][k][j], -dg[j][k][s]], F)))
+    gamma = _tensor(n, 3, _mirrored(symmetric, 1, lambda i, j, k: _fsum(
+        (g_up[i][s] * first[s][j][k] for s in r), F) / 2))
     gamma_up = _tensor(n, 3, lambda i, j, k: -_fsum((g_up[i][s] * gamma[j][s][k] for s in r), F))
-    return DerivedGeometry(x, g_up, W, g_lo, gamma, gamma_up)
+    return DerivedGeometry(x, g_up, W, g_lo, gamma, gamma_up, symmetric)
 
 
 @dataclass

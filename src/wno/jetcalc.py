@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .algebra import Fields, SuperPoly, _accumulate, _by_order, _d_x, normalize_word, p
+from .algebra import Fields, SuperPoly, _by_order, _d_x, _merge, normalize_word, p
 
 
 class NonlocalInputError(ValueError):
@@ -41,12 +41,14 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
     a = a.set_field(K)
     densities = {ident: d.set_field(K).terms for ident, d in densities.items()}
 
-    def unfolded():  # each factor of each word raised in place
+    def unfolded():  # each factor of each word raised in place, as a normal word
         for word, coeff in a.terms.items():
             for pos, f in enumerate(word):
                 head, tail = word[:pos], word[pos + 1 :]
-                if f.kind == "p":
-                    yield head + (p(f.index, f.order + 1),) + tail, coeff
+                if f.kind == "p":  # p_i^(k) -> p_i^(k+1) keeps the order, or meets its copy next
+                    up = p(f.index, f.order + 1)
+                    if tail[:1] != (up,):
+                        yield head + (up,) + tail, coeff
                 else:  # a product only for a word that survives
                     for dw, dc in densities[f.index].items():
                         sign, w = normalize_word(head + dw + tail)
@@ -54,7 +56,7 @@ def total_x(a: SuperPoly, fields: Fields, table=None) -> SuperPoly:
                             yield w, coeff * dc if sign > 0 else -(coeff * dc)
 
     # the coefficients' derivatives keep their words, which are normal already
-    return SuperPoly(_accumulate({w: dx(c) for w, c in a.terms.items()}, unfolded()), K)
+    return SuperPoly(_merge({w: dx(c) for w, c in a.terms.items()}, unfolded()), K)
 
 
 def _require_local(a: SuperPoly, what: str) -> None:

@@ -185,15 +185,8 @@ def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
         if top[1][0] == "odd":
             f = top[1][1]
             lowered = OddFactor("p", f.index, f.order - 1)
-            piece: dict[Word, object] = {}
-            for word, coeff in remaining.terms.items():
-                if f not in word:
-                    continue
-                pos = word.index(f)
-                piece[word[:pos] + (lowered,) + word[pos + 1 :]] = coeff
-            step = SuperPoly.from_terms(
-                [(c, w) for w, c in piece.items()]
-            )
+            step = SuperPoly.from_terms((c, [lowered if g == f else g for g in w])
+                                        for w, c in remaining.terms.items() if f in w)
         else:
             _, sym, idx, order = top[1]
             slope = remaining.partial_even(sym)

@@ -633,6 +633,14 @@ def test_fsum_of_no_terms_zeros_and_one_term():
         assert (dict(total.numer), dict(total.denom)) == (dict(expected.numer), dict(expected.denom))
 
 
+def test_fsum_returns_a_lone_nonzero_value_itself():
+    """A lone nonzero summand is reduced already: no gcd, no new value."""
+    K = _ARITH
+    x = (K.gens[0] + 1) / (2 * K.gens[2] - 6)
+    with patch.object(wno.algebra, "_cofactors", _refused):
+        assert _fsum([K.zero, x, K.zero], K) is x and _fsum(iter([x]), K) is x
+
+
 @settings(max_examples=150, deadline=None)
 @given(_any_poly | st.just(_SYMPY.ring.zero), _any_poly | st.just(_SYMPY.ring.zero))
 def test_cofactors_match_sympy(p, q):
@@ -757,6 +765,55 @@ def test_cofactors_fall_back_to_sympys_prs(pair):
     with patch.object(wno.algebra, "_HEU_TRIES", 0), patch.dict(_GCDS, clear=True):
         assert _heu(twin.K, twin.ours(f), twin.ours(g)) is None
         assert tuple(map(twin.theirs, _cofactors(twin.K, twin.ours(f), twin.ours(g)))) == theirs
+
+
+def _dividing_sums():
+    """Sums of which one divides the other, as sympy's: a planted multiple each way, equal
+    operands, a divisor with a negative leading coefficient and the content 6, a divisor with more
+    terms than the dividend, and ``(2p, p)`` and ``(p, 2p)``, whose quotient is integral one way."""
+    ring = Twin(coeff_field(["u", "u_x", "v"])).ring
+    u, u_x, v = ring.gens
+    h, f, p = -6 * u * v + 12 * u_x - 18, u**2 - 3 * v + 1, u * u_x + 3 * v
+    return [(h, h * f), (h * f, h), (h, h), (f, ring(dict(f))), (h * f, 2 * h * f * v),
+            (u**3 - 1, u**2 + u + 1), (u**2 + u + 1, u**3 - 1), (2 * p, p), (p, 2 * p)]
+
+
+def _refused(*args):
+    raise AssertionError("a call that the fast path should have spared")
+
+
+def _divided_without_heu(f, g):
+    """``_cofactors`` of sums ``f`` and ``g`` against sympy's, with ``_heu`` made to raise."""
+    twin = Twin(coeff_field(map(str, f.ring.symbols)))
+    with patch.object(wno.algebra, "_heu", _refused), patch.dict(_GCDS, clear=True):
+        ours = _cofactors(twin.K, twin.ours(f), twin.ours(g))
+    assert tuple(map(twin.theirs, ours)) == _sympy_cofactors(f, g)
+
+
+@pytest.mark.parametrize("pair", _dividing_sums())
+def test_cofactors_of_dividing_sums_match_sympy(pair):
+    """A pair of sums of which one divides the other is settled by exact division: the
+    divisor, its leading coefficient made positive, is the gcd."""
+    _divided_without_heu(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted_pairs(max_bits=30), st.booleans())
+def test_cofactors_of_planted_multiples_match_sympy(pair, swap):
+    """``(d, d*e)`` and ``(d*e, d)`` for the planted ``d`` and ``e`` of a pair, when both are sums."""
+    d, e = pair
+    f, g = (d * e, d) if swap else (d, d * e)
+    assume(len(f) > 1 and len(g) > 1)
+    _divided_without_heu(f, g)
+
+
+def test_cofactors_of_the_same_sum_skip_the_heuristic_gcd():
+    """One polynomial given as both operands is its own gcd, its sign made positive."""
+    K = coeff_field(["u", "v"])
+    U, V = K.gens
+    h = (-3 * U * V + 6 * U - 9).numer
+    with patch.object(wno.algebra, "_heu", _refused), patch.dict(_GCDS, clear=True):
+        assert _cofactors(K, h, h) == (_neg(h), {0: -1}, {0: -1})
 
 
 # Packed monomials at the edge of their fields: exponents up to ``_MAX``, one below the

@@ -5,8 +5,10 @@ import itertools
 import pytest
 import sympy as sp
 
+import wno.algebra
 import wno.geometry
-from wno.algebra import Fields
+from wno.algebra import Fields, _Frac
+from wno.cli import main
 from wno.geometry import (
     MetricData,
     SingularMetricError,
@@ -259,6 +261,78 @@ class TestCurvatureWork:
         first = geo.riemann_up
         assert len(calls) == sums
         assert geo.riemann_up is first and len(calls) == sums
+
+
+def _constant_curvature_metric(symmetric):
+    """The n = 3 metric of constant curvature 4 (diagonal, symmetric), or an asymmetric n = 3 metric."""
+    u1, u2, u3 = (jet_expr(F3, k, 0) for k in (1, 2, 3))
+    if symmetric:
+        h = (1 + u1**2 + u2**2 + u3**2) ** 2
+        return [[h if i == j else ZERO for j in range(3)] for i in range(3)]
+    return [[1 + u2**2, u1, ZERO], [ZERO, sp.Integer(2), u3], [ZERO, ZERO, 3 + u1**2]]
+
+
+class TestDerivationWork:
+    """The derivation of a symmetric g computes its independent entries only, and its
+    gcds of two sums mostly settle by exact division."""
+
+    def test_symmetric_g_against_the_textbook_formulas(self):
+        """Every entry of g_lo, gamma and gamma_up of a non-diagonal symmetric 3-field metric,
+        mirrored ones included, is that of the straight formulas in sympy."""
+        u1, u2, u3 = (jet_expr(F3, k, 0) for k in (1, 2, 3))
+        lower = sp.Matrix([[1, 0, 0], [u2, 1, 0], [u3, u1 / 2, 1]])
+        g_up = lower * lower.T / (1 + u1**2)  # its inverse is a polynomial matrix
+        m = MetricData(F3, g_up.tolist(), zeros(3))
+        geo = derive_geometry(m)
+        assert geo.symmetric
+        x, r = sp.symbols(m.coords()), range(3)
+        g_lo = (lower.T.inv() * lower.inv() * (1 + u1**2)).expand()
+
+        def d(i, j, k):
+            return sp.diff(g_lo[i, j], x[k])
+
+        gamma = [[[sum(g_up[i, s] * (d(s, j, k) + d(s, k, j) - d(j, k, s)) for s in r) / 2
+                   for k in r] for j in r] for i in r]
+        ours = as_expr(geo.g_lo), as_expr(geo.gamma), as_expr(geo.gamma_up)
+        for i, j in itertools.product(r, repeat=2):
+            assert sp.cancel(ours[0][i][j] - g_lo[i, j]) == 0
+        for i, j, k in itertools.product(r, repeat=3):
+            assert sp.cancel(ours[1][i][j][k] - gamma[i][j][k]) == 0
+            assert sp.cancel(ours[2][i][j][k] + sum(g_up[i, s] * gamma[j][s][k] for s in r)) == 0
+
+    @pytest.mark.parametrize("symmetric, diffs", [(True, 18), (False, 27)])
+    def test_derivatives_of_the_inverse(self, monkeypatch, symmetric, diffs):
+        """The derivation differentiates the n(n+1)/2 entries of a symmetric inverse by
+        each of the n = 3 fields, and all n^2 entries of an asymmetric one."""
+        m = MetricData(F3, _constant_curvature_metric(symmetric), identity(3))
+        calls, original = [], _Frac.diff
+
+        def counting(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(_Frac, "diff", counting)
+        geo = derive_geometry(m)
+        assert geo.symmetric is symmetric and len(calls) == diffs
+
+    def test_heuristic_gcds_of_geom(self, monkeypatch, tmp_path, capsys):
+        """``geom`` on the n = 3 constant-curvature metric enters the heuristic gcd 9 times:
+        3 gcds of the quotient rule, each once per generator; every other gcd of two sums
+        is an exact division or a memo hit (33 entries before exact division came first)."""
+        entries, original = [], wno.algebra._heu
+
+        def counting(*args):
+            entries.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(wno.algebra, "_heu", counting)
+        square = "u1^2 + u2^2 + u3^2"
+        block = " ".join(f"g[{i},{i}]: (1 + ({square}))^2; w[{i},{i}]: 2;" for i in (1, 2, 3))
+        f = tmp_path / "cc3.wno"
+        f.write_text(f"fields u1, u2, u3; firstorder M {{ {block} }}")
+        assert main(["geom", str(f), "M"]) == 0
+        capsys.readouterr()
+        assert len(entries) == 9
 
 
 class TestConditions:
