@@ -47,6 +47,7 @@ from typing import Iterable, Mapping, Sequence
 Jet = str  # a jet variable, as ``Fields.jet`` names it
 
 _IDENT_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+_RESERVED_RE = re.compile(r"p\d*|[ry]\d+")  # the report names of dual factors and nonlocal variables
 _JET_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:_(\d*)x)?")  # a field name, a derivative suffix
 _RANK = dict(zip("xyzpqrstuvwabcdefghijklmno", [*range(124, 127), *range(216, 224), *range(301, 316)]))
 
@@ -720,13 +721,21 @@ def _jet_name(base: str, order: int) -> str:
     return base if order == 0 else f"{base}_x" if order == 1 else f"{base}_{order}x"
 
 
+def _check_field_name(name: str) -> None:
+    if not _IDENT_RE.match(name):
+        raise ValueError(f"bad field name {name!r}: use letters/digits, no underscores")
+    if _RESERVED_RE.fullmatch(name):
+        raise ValueError(f"reports write {name} for a dual or nonlocal factor, so it cannot name a field")
+
+
 @dataclass(frozen=True)
 class Fields:
     """Declared dependent variables; owns the jet-symbol naming scheme.
 
     Order-0 symbols use the field name itself; derivatives append ``_x``,
     ``_2x``, ``_3x``, ...  Field names must be plain identifiers without
-    underscores so the scheme stays unambiguous.
+    underscores so the scheme stays unambiguous, and none of ``p``, ``p<k>``,
+    ``r<k>``, ``y<k>``, which reports give the dual and nonlocal factors.
     """
 
     names: tuple[str, ...]
@@ -737,10 +746,7 @@ class Fields:
         if len(set(self.names)) != len(self.names):
             raise ValueError("field names must be unique")
         for name in self.names:
-            if not _IDENT_RE.match(name):
-                raise ValueError(
-                    f"bad field name {name!r}: use letters/digits, no underscores"
-                )
+            _check_field_name(name)
 
     @property
     def n(self) -> int:

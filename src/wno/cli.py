@@ -7,22 +7,26 @@ Commands:
     wno geom FILE NAME [--format text|json]
 
 Exit codes: 0 success (check: Poisson; geom: all conditions pass and the
-cross-check agrees), 1 negative verdict, 2 usage or parse error, 3
-unsupported structure, singular metric or an exponent too large for a
-packed monomial.  Reports are deterministic; wall-clock timing goes to
-stderr only, so the machine-readable output is byte-stable across runs.
+cross-check agrees), 1 negative verdict, 2 usage or parse error, or stdout
+closed before the report was written, 3 unsupported structure, singular
+metric or an exponent too large for a packed monomial.  Each command builds
+one payload from the values the math layers return, and ``_emit`` writes it
+as JSON or text; no other module assembles a report.  Reports are
+deterministic; wall-clock timing goes to stderr only, so the machine-readable
+output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
 from pathlib import Path
 
-from .algebra import ExponentOverflowError, Fields, _start_command, render_superpoly
+from .algebra import ExponentOverflowError, Fields, _start_command, render_factor, render_superpoly
 from .dsl import OperatorFile, ParseError, parse
 from .geometry import MetricData, SingularMetricError, check_conditions
 from .jetcalc import ELResult
@@ -71,60 +75,94 @@ def _el_payload(el: ELResult, fields: Fields, table: NonlocalVarTable) -> dict:
     }
 
 
-def _el_lines(el: dict) -> list[str]:
-    return [f"  {slot}[{i}] = {s}" for slot in ("du", "dp") for i, s in enumerate(el[slot], 1)]
+def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -> list[dict]:
+    """One row per nonzero term of an EL tuple, from the texts ``render_superpoly`` reads."""
+    names = table.names()
+    return [
+        {
+            "component": f"{slot}[{i}]",
+            "monomial": "*".join(render_factor(f, fields, names) for f in word) or "1",
+            "coefficient": coeff,
+        }
+        for slot, parts in (("du", el.du), ("dp", el.dp))
+        for i, part in enumerate(parts, start=1)
+        for word, coeff in part.sorted_texts()
+    ]
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _text(payload: dict) -> list[str]:
+    """The text form of a command's payload."""
+    yn = {True: "yes", False: "no"}
+    el = payload.get("el", {})
+    el_lines = [f"  {slot}[{i}] = {s}" for slot in el for i, s in enumerate(el[slot], 1)]
+    warnings = [f"warning: {w}" for w in payload.get("warnings", ())]
+    if payload["command"] == "check":
+        return [
+            f"operator: {payload['operator']}",
+            f"skew-adjoint: {yn[payload['skew_adjoint']]}",
+            *([f"skew witness: {payload['skew_witness']}"] if payload["skew_witness"] else []),
+            f"self-bracket trivial: {yn[payload['bracket_trivial']]}",
+            f"independence assumption used: {yn[payload['independence_assumed']]}",
+            *warnings,
+            *(f"nonzero {row['component']} coefficient of {row['monomial']}: {row['coefficient']}"
+              for row in payload["coefficient_report"]),
+            *(["EL tuple of the self-bracket:", *el_lines] if el else []),
+            f"HAMILTONIAN: {yn[payload['hamiltonian']]}",
+        ]
+    if payload["command"] == "bracket":
+        return [
+            f"bracket [{', '.join(payload['operators'])}]",
+            f"representative: {payload['three_vector']}",
+            *warnings,
+            "EL tuple:",
+            *el_lines,
+            f"trivial (total derivative): {yn[payload['trivial']]}",
+            f"independence assumption used: {yn[payload['independence_assumed']]}",
+        ]
+    return [
+        f"firstorder block: {payload['name']}",
+        *(f"  {c['name']}: " + ("pass" if c["ok"] else f"FAIL ({c['witness']})")
+          for c in payload["conditions"]),
+        f"all conditions: {'pass' if payload['all_conditions_pass'] else 'fail'}",
+        f"cross-check (bracket verdict): {yn[payload['cross_check_hamiltonian']]}",
+        f"cross-check agrees: {yn[payload['cross_check_agrees']]}",
+    ]
+
+
+def _emit(payload: dict, fmt: str) -> int:
+    """Write a command's payload as JSON or text; returns its exit code."""
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else "\n".join(_text(payload)))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; the interpreter's last flush goes to /dev/null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return payload["exit_code"]
 
 
 def cmd_check(doc: OperatorFile, args) -> int:
     op = _get_operator(doc, args.name)
     table = NonlocalVarTable()
     result = is_hamiltonian(op, table)
-    verdict = result.ok
+    bracket = result.bracket
     payload = {
         "command": "check",
         "operator": args.name,
         "schema_version": 1,
         "skew_adjoint": result.skew.ok,
         "skew_witness": result.skew.witness,
-        "bracket_trivial": result.bracket.trivial,
-        "independence_assumed": result.bracket.independence_assumed,
-        "coefficient_report": result.bracket.coefficient_report,
-        "warnings": result.bracket.warnings,
-        "hamiltonian": verdict,
-        "exit_code": EXIT_OK if verdict else EXIT_NEGATIVE,
+        "bracket_trivial": bracket.trivial,
+        "independence_assumed": bracket.independence_assumed,
+        "coefficient_report": _coefficient_report(bracket.el, op.fields, table),
+        "warnings": bracket.warnings,
+        "hamiltonian": result.ok,
+        "exit_code": EXIT_OK if result.ok else EXIT_NEGATIVE,
     }
-    lines = [
-        f"operator: {args.name}",
-        f"skew-adjoint: {'yes' if result.skew.ok else 'no'}",
-    ]
-    if result.skew.witness:
-        lines.append(f"skew witness: {result.skew.witness}")
-    lines.append(f"self-bracket trivial: {'yes' if result.bracket.trivial else 'no'}")
-    lines.append(
-        f"independence assumption used: "
-        f"{'yes' if result.bracket.independence_assumed else 'no'}"
-    )
-    for warning in result.bracket.warnings:
-        lines.append(f"warning: {warning}")
-    for row in result.bracket.coefficient_report:
-        lines.append(
-            f"nonzero {row['component']} coefficient of {row['monomial']}: "
-            f"{row['coefficient']}"
-        )
     if args.el:
-        payload["el"] = _el_payload(result.bracket.el, op.fields, table)
-        lines += ["EL tuple of the self-bracket:", *_el_lines(payload["el"])]
-    lines.append(f"HAMILTONIAN: {'yes' if verdict else 'no'}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+        payload["el"] = _el_payload(bracket.el, op.fields, table)
+    return _emit(payload, args.format)
 
 
 def cmd_bracket(doc: OperatorFile, args) -> int:
@@ -132,30 +170,18 @@ def cmd_bracket(doc: OperatorFile, args) -> int:
     Q = _get_operator(doc, args.q)
     table = NonlocalVarTable()
     outcome = schouten_bracket(P, Q, table)
-    three = render_superpoly(outcome.three_vector, P.fields, table.names())
-    payload = {
+    return _emit({
         "command": "bracket",
         "operators": [args.p, args.q],
         "schema_version": 1,
-        "three_vector": three,
+        "three_vector": render_superpoly(outcome.three_vector, P.fields, table.names()),
         "el": _el_payload(outcome.el, P.fields, table),
         "trivial": outcome.trivial,
         "independence_assumed": outcome.independence_assumed,
-        "coefficient_report": outcome.coefficient_report,
+        "coefficient_report": _coefficient_report(outcome.el, P.fields, table),
         "warnings": outcome.warnings,
         "exit_code": EXIT_OK,
-    }
-    lines = [f"bracket [{args.p}, {args.q}]", f"representative: {three}"]
-    for warning in outcome.warnings:
-        lines.append(f"warning: {warning}")
-    lines += ["EL tuple:", *_el_lines(payload["el"])]
-    lines.append(f"trivial (total derivative): {'yes' if outcome.trivial else 'no'}")
-    lines.append(
-        f"independence assumption used: "
-        f"{'yes' if outcome.independence_assumed else 'no'}"
-    )
-    _emit(payload, args.format, lines)
-    return EXIT_OK
+    }, args.format)
 
 
 def cmd_geom(doc: OperatorFile, args) -> int:
@@ -165,9 +191,7 @@ def cmd_geom(doc: OperatorFile, args) -> int:
     checks = check_conditions(metric)
     all_pass = all(c.ok for c in checks)
     cross = is_hamiltonian(metric.operator)
-    agrees = all_pass == cross.ok
-    verdict = all_pass and cross.ok
-    payload = {
+    return _emit({
         "command": "geom",
         "name": args.name,
         "schema_version": 1,
@@ -176,19 +200,10 @@ def cmd_geom(doc: OperatorFile, args) -> int:
         ],
         "all_conditions_pass": all_pass,
         "cross_check_hamiltonian": cross.ok,
-        "cross_check_agrees": agrees,
+        "cross_check_agrees": all_pass == cross.ok,
         "independence_assumed": cross.bracket.independence_assumed,
-        "exit_code": EXIT_OK if verdict else EXIT_NEGATIVE,
-    }
-    lines = [f"firstorder block: {args.name}"]
-    for c in checks:
-        mark = "pass" if c.ok else f"FAIL ({c.witness})"
-        lines.append(f"  {c.name}: {mark}")
-    lines.append(f"all conditions: {'pass' if all_pass else 'fail'}")
-    lines.append(f"cross-check (bracket verdict): {'yes' if cross.ok else 'no'}")
-    lines.append(f"cross-check agrees: {'yes' if agrees else 'no'}")
-    _emit(payload, args.format, lines)
-    return EXIT_OK if verdict else EXIT_NEGATIVE
+        "exit_code": EXIT_OK if all_pass and cross.ok else EXIT_NEGATIVE,
+    }, args.format)
 
 
 @cache  # built once per process; argparse reads sys.stderr when it reports
@@ -198,26 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Poisson-property checks for weakly nonlocal differential operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pc = sub.add_parser("check", help="skew-adjointness and self-bracket verdict")
-    pc.add_argument("file")
-    pc.add_argument("name")
-    pc.add_argument("--el", action="store_true", help="print the full EL tuple")
-    pc.add_argument("--format", choices=("text", "json"), default="text")
-    pc.set_defaults(func=cmd_check)
-
-    pb = sub.add_parser("bracket", help="bracket of two named operators")
-    pb.add_argument("file")
-    pb.add_argument("p")
-    pb.add_argument("q")
-    pb.add_argument("--format", choices=("text", "json"), default="text")
-    pb.set_defaults(func=cmd_bracket)
-
-    pg = sub.add_parser("geom", help="first-order condition checks plus cross-check")
-    pg.add_argument("file")
-    pg.add_argument("name")
-    pg.add_argument("--format", choices=("text", "json"), default="text")
-    pg.set_defaults(func=cmd_geom)
+    for command, func, names, help_text in (
+        ("check", cmd_check, ("name",), "skew-adjointness and self-bracket verdict"),
+        ("bracket", cmd_bracket, ("p", "q"), "bracket of two named operators"),
+        ("geom", cmd_geom, ("name",), "first-order condition checks plus cross-check"),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        for name in ("file", *names):
+            sp.add_argument(name)
+        if command == "check":
+            sp.add_argument("--el", action="store_true", help="print the full EL tuple")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -15,6 +15,8 @@ Grammar (EBNF):
     expr       := sum | product | power | "(" expr ")" | rational | jetname
     jetname    := field | field "_x" | field "_<k>x"
 
+A field cannot be named ``D``, the x-derivative, nor ``p``, ``p<k>``,
+``r<k>`` or ``y<k>``, which reports give the dual and nonlocal factors.
 Numbers are integers of at most ``MAX_DIGITS`` digits; rationals are
 written as quotients (``2/3``).  Floats are rejected.  Derivative orders
 (``D^k``, ``u_kx``) and exponents are at most ``MAX_POWER``: the cost of a
@@ -36,7 +38,9 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .algebra import Coeff, Fields, Jet, _DIGITS, _exponents_below, _int_value, _rational, coeff_field
+from .algebra import (
+    Coeff, Fields, Jet, _DIGITS, _check_field_name, _exponents_below, _int_value, _rational, coeff_field
+)
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
 
@@ -170,8 +174,13 @@ class Parser:
             self.next()
             toks.append(self.expect("ident"))
         self.expect("punct", ";")
-        for tok in (t for t in toks if t.text == "D"):  # its order-0 jet could be written nowhere
-            self.fail("D is the x-derivative and cannot name a field", tok)
+        for tok in toks:
+            if tok.text == "D":  # its order-0 jet could be written nowhere
+                self.fail("D is the x-derivative and cannot name a field", tok)
+            try:
+                _check_field_name(tok.text)
+            except ValueError as exc:
+                self.fail(str(exc), tok)
         try:
             self.fields = Fields(tuple(tok.text for tok in toks))
         except ValueError as exc:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .algebra import (
-    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _product_sum, _two_point, p, render_factor
+    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _product_sum, _two_point, p
 )
 from .jetcalc import ELResult, _adjoint_terms
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
@@ -222,28 +222,8 @@ class BracketOutcome:
     el: ELResult
     trivial: bool
     independence_assumed: bool
-    coefficient_report: list[dict]
     skew: list[SkewResult]  # the skew test of each distinct operand
     warnings: list[str] = field(default_factory=list)
-
-
-def _coefficient_report(el: ELResult, fields: Fields, table: NonlocalVarTable) -> list[dict]:
-    names = table.names()
-    report = []
-    for slot, parts in (("du", el.du), ("dp", el.dp)):
-        for i, part in enumerate(parts, start=1):
-            for word, coeff in part.sorted_texts():
-                monomial = "*".join(
-                    render_factor(f, fields, names) for f in word
-                ) or "1"
-                report.append(
-                    {
-                        "component": f"{slot}[{i}]",
-                        "monomial": monomial,
-                        "coefficient": coeff,
-                    }
-                )
-    return report
 
 
 def schouten_bracket(P: WNOperator, Q: WNOperator,
@@ -279,14 +259,11 @@ def schouten_bracket(P: WNOperator, Q: WNOperator,
     three = _product_sum(pairs, 2 if Q is P else 1)  # [P, P] = 2 sum_i dP/du_i dP/dp_i
 
     elT = el_nonlocal(three, fields, table)
-    trivial = elT.el.is_zero()
-    report = [] if trivial else _coefficient_report(elT.el, fields, table)
     return BracketOutcome(
         three_vector=three,
         el=elT.el,
-        trivial=trivial,
+        trivial=elT.el.is_zero(),
         independence_assumed=elP.formal_used or elQ.formal_used or elT.formal_used,
-        coefficient_report=report,
         skew=skew,
         warnings=warnings,
     )

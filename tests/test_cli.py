@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wno.algebra
 import wno.dsl
 import wno.geometry
 import wno.schouten
@@ -242,6 +243,30 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert "trivial (total derivative): yes" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("bracket", "mkdv.wno", "mkdv2", "mkdv2", "--format", "json"),
+            ("check", "curvature.wno", "perturbed", "--el"),  # 49 KB, past the stdout buffer
+        ],
+    )
+    def test_closed_pipe(self, args):
+        """A reader that is gone before the report is written, as in
+        ``wno ... | head`` after ``head`` exits, ends the command with exit 2
+        and no traceback, neither from the write nor from the interpreter's
+        last flush."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wno.cli", args[0], str(CASES / args[1]), *args[2:]],
+                stdout=write, stderr=subprocess.PIPE, text=True, cwd=REPO,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert re.fullmatch(r"# time: \d+\.\d{3}s\n", proc.stderr), proc.stderr
+
 
 class TestFormats:
     def test_json_fields(self):
@@ -347,6 +372,25 @@ class TestOnceByConstruction:
         assert main([command, str(CASES / name), *rest]) in (0, 1)
         capsys.readouterr()
         assert len(calls) == operands
+
+    @pytest.mark.parametrize("command, renders", [("geom", False), ("check", True)])
+    def test_geom_renders_no_term(self, monkeypatch, capsys, command, renders):
+        """``geom`` prints no EL term, so its failing cross-check renders no
+        factor; ``check`` on the same block renders its coefficient rows."""
+        original = wno.algebra.render_factor
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "wno"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        assert main([command, str(CASES / "curvature.wno"), "perturbed"]) == 1
+        capsys.readouterr()
+        assert bool(calls) == renders
 
     def test_firstorder_self_bracket_builds_one_operator(self, monkeypatch, capsys, tmp_path):
         built = self.counted(monkeypatch, wno.geometry, "build_operator")

@@ -3,6 +3,7 @@
 import pytest
 import sympy as sp
 
+from wno.algebra import Fields
 from wno.cli import main
 from wno.dsl import MAX_DEGREE, MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
@@ -187,6 +188,25 @@ class TestDiagnostics:
         path.write_text("fields D;\noperator A { local[1,1]: 2*D*D + D_x; }\n")
         assert main(["check", str(path), "A"]) == 2
         assert "D is the x-derivative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["p", "p2", "r1", "y12"])
+    def test_report_names_cannot_name_a_field(self, tmp_path, capsys, name):
+        """Reports write ``p``, ``p<k>`` for dual factors and ``r<k>``, ``y<k>``
+        for nonlocal variables: a field of such a name would print two
+        different factors alike, so the parser and ``Fields`` refuse it."""
+        message = f"reports write {name} for a dual or nonlocal factor, so it cannot name a field"
+        with pytest.raises(ParseError, match=rf"^2:3: {message}$"):
+            parse(f"fields u,\n  {name};")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Fields(("u", name))
+        path = tmp_path / "f.wno"
+        path.write_text(f"fields {name};\noperator A {{ local[1,1]: {name}*D^3 + 2*{name}*D + {name}_x; }}\n")
+        assert main(["check", str(path), "A", "--el"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1:8: {message}\n")
+
+    @pytest.mark.parametrize("name", ["r", "y", "q1", "pu", "P"])
+    def test_names_near_the_report_names_are_fields(self, name):
+        assert parse(f"fields {name};").fields.names == (name,)
 
 
     # the parser recurses once per open parenthesis or unary sign; pytest runs

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wno.algebra import Fields, SuperPoly, p
+from wno.cli import _coefficient_report
 from wno.nonlocal_vars import NonlocalVarTable
 from wno.schouten import (
     Tail,
@@ -216,9 +217,11 @@ class TestVerdicts:
         assert is_hamiltonian(kdv).ok
 
     def test_local_truncation_no_with_named_coefficient(self):
-        res = is_hamiltonian(mkdv_operator(with_tail=False))
+        table = NonlocalVarTable()
+        res = is_hamiltonian(mkdv_operator(with_tail=False), table)
         assert not res.ok and res.skew.ok
-        du_rows = [r for r in res.bracket.coefficient_report if r["component"] == "du[1]"]
+        rows = _coefficient_report(res.bracket.el, F, table)
+        du_rows = [r for r in rows if r["component"] == "du[1]"]
         assert {"component": "du[1]", "monomial": "p*p_x*p_3x", "coefficient": "16/3"} in du_rows
 
 

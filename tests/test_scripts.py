@@ -5,13 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+SCRIPTS = REPO / "scripts"
 
 
-def run_script(name: str) -> str:
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name)], capture_output=True, text=True, timeout=300
-    )
+def run_script(name: str, block_sympy: bool = False) -> str:
+    argv = [sys.executable, str(SCRIPTS / name)]
+    if block_sympy:  # run it as __main__ in a process where every import of sympy raises
+        argv[1:] = ["-c", f"import runpy, sys; sys.modules['sympy'] = None; sys.path.insert(0, {str(SCRIPTS)!r}); "
+                    f"runpy.run_path({argv[1]!r}, run_name='__main__')"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -40,3 +45,13 @@ def test_first_order_sweep_agrees_on_every_row():
     assert len(rows) == 7
     for row in rows:  # ... bracket, agree, [timing]
         assert re.search(r" (yes|no) +yes +\[\d+\.\d+s\]$", row), row
+
+
+@pytest.mark.parametrize("name", ["worked_examples.py", "first_order_sweep.py"])
+def test_scripts_run_without_sympy(name):
+    """With sympy impossible to import, each script prints what it prints with
+    it, timings aside: the scripts reach the library through ``wno.cli`` only."""
+    untimed = [re.sub(r"\[\d+\.\d+s\]$", "", line) for line in run_script(name).splitlines()]
+    blocked = run_script(name, block_sympy=True).splitlines()
+    assert [re.sub(r"\[\d+\.\d+s\]$", "", line) for line in blocked] == untimed
+    assert len(untimed) >= 8
