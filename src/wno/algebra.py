@@ -270,13 +270,20 @@ class _Frac:
     def _quotient_rule(self, dn, dd) -> "_Frac":
         """``(n/d)'`` from ``n' = dn``, ``d' = dd`` under a derivation for which no
         irreducible ``q`` with ``q' != 0`` divides ``q'`` (``d/du``, ``D_x``): with
-        ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h."""
+        ``h = gcd(d, d')``, ``n'(d/h) - n(d'/h)`` over ``d (d/h)`` shares only factors of h.
+        For a sum ``d = r^e`` (``_power_form``), ``h = r^(e-1) gcd(r, e r')`` with ``e r' =
+        d'/r^(e-1)`` by Leibniz: the gcd of smaller polynomials, for a conformal factor a monomial's;
+        where ``gcd(r, e r') = 1``, the numerator is prime to h, which needs no second gcd."""
         if self.denom == _ONE:
             return self._signed(dn, self.denom)
         field = self.field
-        h, d, dd = _cofactors(field, self.denom, dd)
+        form = len(self.denom) > 1 and len(dd) > 1 and _power_form(field, self.denom)
+        r, below = form or (self.denom, _ONE)
+        h, d, dd = _cofactors(field, r, dd if below is _ONE else _exquo(field, dd, below))
+        coprime = below is not _ONE and h == _ONE  # no factor of r divides n or e r', so none divides num
+        h = _mul(field, below, h)
         num = _collect(_mul(field, dn, d), _mul(field, self.numer, dd).items(), -1)
-        if h != _ONE:
+        if h != _ONE and not coprime:
             _, num, h = _cofactors(field, num, h)
         return self._signed(num, _mul(field, _mul(field, d, d), h))
 
@@ -315,6 +322,42 @@ def _cofactors(field: _Field, p: dict, q: dict):
         return _gcd_monom(field, p, q)
     h, cq, cp = _gcd_monom(field, q, p)
     return h, cp, cq
+
+
+_POWERS: dict = {}  # (field, a sum's terms) -> its ``_power_form``, for one command
+
+
+def _power_form(field: _Field, d: dict):
+    """``(r, r^(e-1))`` for the largest ``e > 1`` with ``d = r^e`` and ``lc(r) > 0``, else None;
+    memoised in ``_POWERS``.  ``e`` divides each degree of ``d`` and each exponent of its lex-leading
+    and lex-trailing monomials, and ``lc(r)`` is the integer root of ``lc(d)`` (Newton's method from
+    above).  Each next term of ``r`` is the leading term of ``d - r^e`` over ``e lt(r)^(e-1)``, below
+    the last and at most ``deg d / e`` in each generator (``cap``), so no power overflows."""
+    key = field, frozenset(d.items())
+    if key in _POWERS:
+        return _POWERS[key]
+    top, low, guard, shifts = max(d), min(d), field.guard, field.shifts
+    degrees = [max(m >> s & _MAX for m in d) for s in shifts]
+    k = gcd(*degrees, *(m >> s & _MAX for m in (top, low) for s in shifts))
+    for e in (e for e in range(k, 1, -1) if not k % e):
+        c = 1 << -(-d[top].bit_length() // e)
+        while d[top] > 0 and (j := ((e - 1) * c + d[top] // c ** (e - 1)) // e) < c:
+            c = j
+        r, lead, scale = {top // e: c}, top // e * (e - 1), e * c ** (e - 1)
+        cap = sum(t // e << s for t, s in zip(degrees, shifts))
+        for _ in range(len(d) if c**e == d[top] else 0):  # r has at most len(d) terms
+            below = reduce(partial(_mul, field), [r] * (e - 1), _ONE)
+            rest = _collect(d, _mul(field, below, r).items(), -1)
+            if not rest:
+                _POWERS[key] = r, below
+                return r, below
+            m = max(rest)
+            t = ((m | guard) - lead) ^ guard  # m / lead(r^(e-1)), a guard bit set if it does not divide
+            if rest[m] % scale or t & guard or ((cap | guard) - t) & guard != guard or t >= min(r):
+                break
+            r[t] = rest[m] // scale
+    _POWERS[key] = None
+    return None
 
 
 def _gcd_monom(field: _Field, f: dict, g: dict):
@@ -553,11 +596,11 @@ _JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes
 
 
 def _start_command() -> None:
-    """Empty the memos that last one command (``_GCDS``, ``_DX``, ``_JETS``), so that a command
-    run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and ``_by_name``
-    persist on purpose: a value built before a command must still combine with one built after
-    it, which takes the same field instance."""
-    for memo in (_GCDS, _DX, _JETS):
+    """Empty the memos that last one command (``_GCDS``, ``_POWERS``, ``_DX``, ``_JETS``), so that
+    a command run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and
+    ``_by_name`` persist on purpose: a value built before a command must still combine with one
+    built after it, which takes the same field instance."""
+    for memo in (_GCDS, _POWERS, _DX, _JETS):
         memo.clear()
 
 
@@ -862,16 +905,8 @@ class SuperPoly:
         return SuperPoly()
 
     @staticmethod
-    def scalar(value) -> "SuperPoly":
-        return SuperPoly({(): value})
-
-    @staticmethod
     def factor(f: OddFactor) -> "SuperPoly":
         return SuperPoly({(f,): 1})
-
-    @staticmethod
-    def monomial(coeff, factors: Iterable[OddFactor]) -> "SuperPoly":
-        return SuperPoly.from_terms([(coeff, factors)])
 
     @staticmethod
     def from_terms(raw: Iterable[tuple[object, Iterable[OddFactor]]]) -> "SuperPoly":

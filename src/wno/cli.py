@@ -9,9 +9,10 @@ Commands:
 Exit codes: 0 success (check: Poisson; geom: all conditions pass and the
 cross-check agrees), 1 negative verdict, 2 usage or parse error, or stdout
 closed before the report was written, 3 unsupported structure, singular
-metric or an exponent too large for a packed monomial.  Each command builds
-one payload from the values the math layers return, and ``_emit`` writes it
-as JSON or text; no other module assembles a report.  Reports are
+metric or an exponent too large for a packed monomial; a closed stderr
+changes no exit code.  Each command builds one payload from the values the
+math layers return, and ``_emit`` writes it as JSON or text; no other
+module assembles a report.  Reports are
 deterministic; wall-clock timing goes to stderr only, so the machine-readable
 output is byte-stable across runs.
 """
@@ -129,17 +130,23 @@ def _text(payload: dict) -> list[str]:
     ]
 
 
-def _emit(payload: dict, fmt: str) -> int:
-    """Write a command's payload as JSON or text; returns its exit code."""
+def _write(stream, text: str) -> bool:
+    """Print ``text`` to ``stream``; False if its reader is gone, and then the stream goes to
+    /dev/null, so that the interpreter's last flush is silent."""
     try:
-        print(json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else "\n".join(_text(payload)))
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader is gone; the interpreter's last flush goes to /dev/null
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
-        return EXIT_USAGE
-    return payload["exit_code"]
+        return False
+    return True
+
+
+def _emit(payload: dict, fmt: str) -> int:
+    """Write a command's payload as JSON or text; returns its exit code, 2 if stdout is closed."""
+    text = json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else "\n".join(_text(payload))
+    return payload["exit_code"] if _write(sys.stdout, text) else EXIT_USAGE
 
 
 def cmd_check(doc: OperatorFile, args) -> int:
@@ -240,12 +247,12 @@ def main(argv: list[str] | None = None) -> int:
         doc = _load(args.file)
         code = args.func(doc, args)
     except SystemExitWith as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc.message}")
         code = exc.code
     except (UnsupportedStructureError, SingularMetricError, ExponentOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}")
         code = EXIT_UNSUPPORTED
-    print(f"# time: {time.monotonic() - start:.3f}s", file=sys.stderr)
+    _write(sys.stderr, f"# time: {time.monotonic() - start:.3f}s")  # a closed stderr keeps the code
     return code
 
 

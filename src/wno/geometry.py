@@ -8,16 +8,17 @@ of ``MetricData.geometry``, which the condition checks and the operator
 assembly share.  Whether g is symmetric is tested once per derivation; for a
 symmetric g the derivation computes the derivatives of the inverse and the
 Christoffel symbols of both kinds on their independent entries only, and
-mirrors the rest.  The curvature with both upper indices and the covariant
-derivative of W are computed from the connection on first read, the curvature
-of a symmetric g by the contravariant formula of Dubrovin and Novikov on its
-C(n,2)^2 independent entries (``riemann_up``).  That formula is not g^{js} R^i_skh
-for an asymmetric g, whose curvature keeps the mixed tensor.  The module
-checks the classical system of conditions equivalent to the Poisson property of
+mirrors the rest.  The curvature with both upper indices is computed from the
+connection on first read, that of a symmetric g by the contravariant formula of
+Dubrovin and Novikov on its C(n,2)^2 independent entries (``riemann_up``).  That
+formula is not g^{js} R^i_skh for an asymmetric g, whose curvature keeps the
+mixed tensor.  The module checks the classical system of conditions equivalent
+to the Poisson property of
 
     P = g d + Gamma u_x + (W u_x) d^(-1) (W u_x)
 
-independently of the bracket computation.
+independently of the bracket computation, for a symmetric g on independent
+entries only (``check_conditions``).
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class MetricData:
 class DerivedGeometry:
     """Metric data and its geometry as elements of the field QQ(u1..un).
 
-    Tensors are nested lists of field elements.  The curvature and nabla W
-    are computed from the stored connection on first read.
+    Tensors are nested lists of field elements.  The curvature is computed
+    from the stored connection on first read.
     """
 
     coords: list  # coords[k] = the name of u^k
@@ -117,15 +118,6 @@ class DerivedGeometry:
             *(-(gamma[i][l][s] * gamma[s][k][j]) for s in r)], F)))
         return _tensor(n, 2, lambda i, j: _skew(n, F.zero, lambda k, h: _fsum(
             (g[j][s] * riemann[i][s][k][h] for s in r), F)))
-
-    @cached_property
-    def nabla_w(self) -> list:
-        """nabla_w[i][j][k] = covariant derivative of W^j_k along u^i."""
-        x, W, gamma, F = self.coords, self.W, self.gamma, coeff_field(self.coords)
-        r = range(len(x))
-        return _tensor(len(x), 3, lambda i, j, k: _fsum([
-            W[j][k].diff(x[i]), *(gamma[j][i][s] * W[s][k] for s in r),
-            *(-(gamma[s][i][k] * W[j][s]) for s in r)], F))
 
 
 def _tensor(n: int, rank: int, entry, *index):
@@ -183,17 +175,20 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
     """The six-condition system; each verdict carries a witness on failure.
 
     Each condition is a field element tested against zero; a witness shows
-    the first nonzero one as a reduced-fraction expression.
+    the first nonzero one as a reduced-fraction expression.  For a symmetric g,
+    metric_compatibility (symmetric in i, j) runs on i <= j and gauss_relation (antisymmetric)
+    on i < j; a skipped entry is 0 or plus or minus one met before, so the witness is the same.
+    nablaW_symmetry is one sum per i < k, the torsion term only for an asymmetric g.
     """
     geo, r = m.geometry, range(m.n)
-    g, W, x, F, G = geo.g, geo.W, geo.coords, coeff_field(geo.coords), geo.gamma_up
+    g, W, x, F, G, gamma = geo.g, geo.W, geo.coords, coeff_field(geo.coords), geo.gamma_up, geo.gamma
     upper = list(combinations(r, 2))  # index pairs i < j
     conditions = {  # name -> (label, value) pairs, evaluated lazily up to the first nonzero
         "metric_symmetry": ((f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i][j] - g[j][i])
                             for i, j in upper),
         "metric_compatibility": ((f"dg[{i + 1},{j + 1}]/du{k + 1}",
                                   _fsum([g[i][j].diff(x[k]), -G[i][j][k], -G[j][i][k]], F))
-                                 for i, j, k in product(r, repeat=3)),
+                                 for i, j, k in product(r, repeat=3) if i <= j or not geo.symmetric),
         "gGamma_symmetry": ((f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
                              _fsum([*(g[i][s] * G[j][k][s] for s in r),
                                     *(-(g[j][s] * G[i][k][s]) for s in r)], F))
@@ -202,12 +197,16 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
                          _fsum([*(g[i][s] * W[j][s] for s in r), *(-(g[j][s] * W[i][s]) for s in r)], F))
                         for i, j in upper),
         "nablaW_symmetry": ((f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
-                             geo.nabla_w[i][j][k] - geo.nabla_w[k][j][i])
+                             _fsum([W[j][k].diff(x[i]), -W[j][i].diff(x[k]),
+                                    *(gamma[j][i][s] * W[s][k] for s in r),
+                                    *(-(gamma[j][k][s] * W[s][i]) for s in r),
+                                    *((gamma[s][k][i] - gamma[s][i][k]) * W[j][s]
+                                      for s in r if not geo.symmetric)], F))
                             for i, j, k in product(r, repeat=3) if i < k),
         "gauss_relation": ((f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
                             _fsum([geo.riemann_up[i][j][k][h], -(W[i][k] * W[j][h]),
                                    W[j][k] * W[i][h]], F))
-                           for i, j, k, h in product(r, repeat=4) if k < h),
+                           for i, j, k, h in product(r, repeat=4) if k < h and (i < j or not geo.symmetric)),
     }
     out = []
     for name, pairs in conditions.items():

@@ -24,6 +24,16 @@ def F2() -> Fields:
     return Fields(("u1", "u2"))
 
 
+def scalar(value) -> SuperPoly:
+    """The empty word with the coefficient ``value``."""
+    return SuperPoly({(): value})
+
+
+def monomial(coeff, factors) -> SuperPoly:
+    """One term, ``coeff`` times the word of ``factors``, normalized."""
+    return SuperPoly.from_terms([(coeff, factors)])
+
+
 def jet_expr(fields: Fields, index: int, order: int = 0) -> sp.Symbol:
     """The jet variable ``fields.jet(index, order)`` as a sympy symbol, to write
     test coefficients as sympy expressions."""

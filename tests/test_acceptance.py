@@ -20,7 +20,7 @@ from wno.jetcalc import adjoint, euler_lagrange, linearize, total_x
 from wno.nonlocal_vars import NonlocalVarTable, el_nonlocal, integrate_density
 from wno.schouten import Tail, WNOperator, is_hamiltonian, schouten_bracket
 
-from conftest import jet_expr, random_coeff, random_local, random_local_mixed
+from conftest import jet_expr, monomial, random_coeff, random_local, random_local_mixed
 
 REPO = Path(__file__).resolve().parent.parent
 F = Fields(("u",))
@@ -40,12 +40,12 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
 def test_criterion_1_pure_tail_operator():
     start = time.monotonic()
     table = NonlocalVarTable()
-    rid = table.register(SuperPoly.monomial(u_x, [p(1)]), note="tail")
+    rid = table.register(monomial(u_x, [p(1)]), note="tail")
     r = table.factor(rid)
-    N = SuperPoly.monomial(u_x, [p(1), r])
+    N = monomial(u_x, [p(1), r])
     comp = el_nonlocal(N, F, table)
-    ok_du = comp.el.du[0] == SuperPoly.monomial(-2, [p(1, 1), r])
-    ok_dp = comp.el.dp[0] == SuperPoly.monomial(2 * u_x, [r])
+    ok_du = comp.el.du[0] == monomial(-2, [p(1, 1), r])
+    ok_dp = comp.el.dp[0] == monomial(2 * u_x, [r])
 
     KN = WNOperator(F, [[[]]], [Tail(ONE, (u_x,), (u_x,))])
     res = is_hamiltonian(KN)
@@ -66,12 +66,12 @@ def test_criterion_2_mkdv():
     P = WNOperator(F, [[list(rows)]], [Tail(sp.Rational(-2, 3), (u_x,), (u_x,))])
 
     out_local = schouten_bracket(L, L)
-    representative = SuperPoly.monomial(
+    representative = monomial(
         sp.Rational(16, 3) * u, [p(1, 0), p(1, 1), p(1, 3)]
     )
     # frozen reference values for the representative's EL tuple
     u_2x, u_3x = jet_expr(F, 1, 2), jet_expr(F, 1, 3)
-    ref_du = SuperPoly.monomial(sp.Rational(16, 3), [p(1, 0), p(1, 1), p(1, 3)])
+    ref_du = monomial(sp.Rational(16, 3), [p(1, 0), p(1, 1), p(1, 3)])
     ref_dp = SuperPoly.from_terms(
         [
             (-3 * u_2x, [p(1, 0), p(1, 2)]),
@@ -86,8 +86,8 @@ def test_criterion_2_mkdv():
         and out_local.el.dp[0] == ref_dp
     )
 
-    anti = integrate_density(SuperPoly.monomial(-1, [p(1, 1), p(1, 3)]), F)
-    ok_anti = anti.ok and anti.antiderivative == SuperPoly.monomial(
+    anti = integrate_density(monomial(-1, [p(1, 1), p(1, 3)]), F)
+    ok_anti = anti.ok and anti.antiderivative == monomial(
         -1, [p(1, 1), p(1, 2)]
     )
 
@@ -220,7 +220,7 @@ def test_criterion_6_first_order_equivalence():
 def test_criterion_7_kdv_regression():
     kdv = WNOperator(F, [[[(ONE, 3), (2 * u, 1), (u_x, 0)]]])
     out = schouten_bracket(kdv, kdv)
-    hand_expansion = SuperPoly.monomial(8, [p(1, 0), p(1, 1), p(1, 3)])
+    hand_expansion = monomial(8, [p(1, 0), p(1, 1), p(1, 3)])
     res = is_hamiltonian(kdv)
     report(
         7,

@@ -56,7 +56,7 @@ from wno.jetcalc import total_x
 from wno.nonlocal_vars import scalar_content
 from wno.schouten import Tail, WNOperator
 
-from conftest import Twin, as_expr, jet_expr, random_local, random_local_mixed
+from conftest import Twin, as_expr, jet_expr, monomial, random_local, random_local_mixed, scalar
 
 F = Fields(("u",))
 u = jet_expr(F, 1, 0)
@@ -146,7 +146,7 @@ def test_normalize_word_matches_a_permutation_oracle(factors):
 
 class TestArithmetic:
     def test_nilpotency_simple(self):
-        a = SuperPoly.monomial(u_x, [p(1)])
+        a = monomial(u_x, [p(1)])
         assert (a * a).is_zero()
 
     def test_anticommutation(self):
@@ -155,10 +155,10 @@ class TestArithmetic:
         assert (a * b) == -(b * a)
 
     def test_product_with_reordering(self):
-        lhs = SuperPoly.monomial(sp.Rational(-4, 3), [p(1, 1), nl(1)]) * SuperPoly.monomial(
+        lhs = monomial(sp.Rational(-4, 3), [p(1, 1), nl(1)]) * monomial(
             -2, [p(1, 3)]
         )
-        rhs = SuperPoly.monomial(sp.Rational(-8, 3), [p(1, 1), p(1, 3), nl(1)])
+        rhs = monomial(sp.Rational(-8, 3), [p(1, 1), p(1, 3), nl(1)])
         assert lhs == rhs
 
     def test_additive_inverse(self):
@@ -178,7 +178,7 @@ class TestArithmetic:
             assert scaled[0].sorted_texts() == [((p(1, 1),), str(sp.Rational(kinds[0])))]
         for bad in (0.5, 2.0, True, Decimal("0.5"), "1/2"):
             with pytest.raises(TypeError):
-                SuperPoly.scalar(bad)
+                scalar(bad)
             with pytest.raises(TypeError):
                 SuperPoly.factor(p(1)).scale(bad)
         with pytest.raises(ValueError, match="tail constants must be rational"):
@@ -187,14 +187,14 @@ class TestArithmetic:
 
 class TestPartials:
     def test_even_partial(self):
-        a = SuperPoly.monomial(u**2, [p(1, 1), p(1, 0)])
-        expected = SuperPoly.monomial(2 * u, [p(1, 1), p(1, 0)])
+        a = monomial(u**2, [p(1, 1), p(1, 0)])
+        expected = monomial(2 * u, [p(1, 1), p(1, 0)])
         assert a.partial_even(F.jet(1, 0)) == expected
 
     def test_even_partial_names_a_jet_by_str(self):
         """A jet variable the field lacks gives 0; a name that is not a ``str``
         is refused, not read as a missing variable."""
-        a = SuperPoly.monomial(u**2, [p(1, 1), p(1, 0)])
+        a = monomial(u**2, [p(1, 1), p(1, 0)])
         assert a.partial_even(F.jet(1, 3)).is_zero()
         for bad in (sp.Symbol(F.jet(1, 0)), u, 0):
             with pytest.raises(TypeError):
@@ -202,11 +202,11 @@ class TestPartials:
 
     def test_left_odd_partial_signs(self):
         a = SuperPoly.from_terms([(1, [p(1, 0), p(1, 1)])])  # p p_x
-        assert a.partial_odd(p(1, 1)) == SuperPoly.monomial(-1, [p(1, 0)])
+        assert a.partial_odd(p(1, 1)) == monomial(-1, [p(1, 0)])
         assert a.partial_odd(p(1, 0)) == SuperPoly.factor(p(1, 1))
 
     def test_nonlocal_partial_rejected(self):
-        a = SuperPoly.monomial(1, [p(1), nl(1)])
+        a = monomial(1, [p(1), nl(1)])
         with pytest.raises(ValueError, match="nonlocal EL rules"):
             a.partial_odd(nl(1))
 
@@ -305,7 +305,7 @@ def _dx(e):
 @settings(max_examples=60, deadline=None)
 @given(_fractions, _fractions, _fractions)
 def test_mixed_fields_render_like_cancel(e1, e2, e3):
-    a, b, c = (SuperPoly.scalar(e) for e in (e1, e2, e3))
+    a, b, c = (scalar(e) for e in (e1, e2, e3))
     cases = [
         (a + b, e1 + e2),
         (a * b - c, e1 * e2 - e3),
@@ -379,9 +379,9 @@ def test_coeff_text_fixed_cases():
 
 
 def test_negative_power_converts_with_canonical_sign():
-    a = SuperPoly.scalar(1 / (1 - u))
+    a = scalar(1 / (1 - u))
     assert a.sorted_texts() == [((), "-1/(u - 1)")]
-    assert a.terms[()] == (-SuperPoly.scalar(1 / (u - 1))).terms[()]
+    assert a.terms[()] == (-scalar(1 / (u - 1))).terms[()]
 
 
 def test_integer_text_in_chunks():
@@ -814,6 +814,109 @@ def test_cofactors_of_the_same_sum_skip_the_heuristic_gcd():
     h = (-3 * U * V + 6 * U - 9).numer
     with patch.object(wno.algebra, "_heu", _refused), patch.dict(_GCDS, clear=True):
         assert _cofactors(K, h, h) == (_neg(h), {0: -1}, {0: -1})
+
+
+# Denominators that are powers r^e: the quotient rule takes gcd(d, d') from the power form
+# (``_power_form``), checked against sympy's derivative of the same function.
+_PF = Fields(("u", "v"))
+_PU, _PU_X, _PU_2X, _PV, _PV_X = (sp.Symbol(_PF.jet(i, k))
+                                  for i, k in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1)))
+_PK = coeff_field([_PU.name, _PU_X.name, _PV.name])
+_PLANTED_ROOTS = {
+    "content": 6 * _PU**2 + 4 * _PV + 2,
+    "negative leading coefficient": -_PU * _PV + 3,
+    "factor free of u": (_PV + 1) * (_PU + _PV),
+    "square factor": (_PU + 1) ** 2 * (_PV - 2),
+}
+
+
+def _power_form_of(expr):
+    """``_power_form`` of the denominator of ``expr``, read as a coefficient, and the coefficient."""
+    c = _lift(scalar(expr).terms[()], _PK)
+    return wno.algebra._power_form(_PK, c.denom), c
+
+
+def _derivatives_match_sympy(c, expr):
+    """``c.diff`` by ``u`` and ``v`` and ``D_x c`` equal sympy's derivatives of ``expr``, cancelled."""
+    step = {_PU: _PU_X, _PU_X: _PU_2X, _PV: _PV_X}
+    for ours, theirs in ((c.diff(_PU.name), sp.diff(expr, _PU)), (c.diff(_PV.name), sp.diff(expr, _PV)),
+                         (total_x(SuperPoly({(): c}, c.field), _PF).terms.get(()),
+                          sum(sp.diff(expr, s) * t for s, t in step.items()))):
+        twin = Twin(ours.field)
+        assert twin.theirs(ours) == twin.field.from_expr(sp.cancel(theirs))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+@pytest.mark.parametrize("root", list(_PLANTED_ROOTS))
+def test_derivatives_over_planted_powers(root, e):
+    """A denominator ``r^e`` is found as a power of a root whose leading coefficient is positive
+    (``-r`` for the negative one), and the derivatives it takes match sympy's."""
+    r = _PLANTED_ROOTS[root]
+    expr = (_PU_X + 3 * _PV) / r**e
+    form, c = _power_form_of(expr)
+    assert form is not None
+    found, below = form
+    assert _mul(c.field, below, found) == c.denom and found[max(found)] > 0
+    assert Twin(c.field).theirs(found).as_expr() in (r.expand(), (-r).expand())
+    _derivatives_match_sympy(c, expr)
+
+
+@st.composite
+def _planted_power(draw):
+    """``(r, e)``: a root of 2-3 terms in u, u_x, v with small coefficients and an exponent 2-5."""
+    monomial = st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda m: _PU ** m[0] * _PU_X ** m[1] * _PV ** m[2])
+    terms = draw(st.lists(st.tuples(st.integers(-6, 6).filter(bool), monomial), min_size=2, max_size=3,
+                          unique_by=lambda t: t[1]))
+    r = sum(k * m for k, m in terms)
+    assume(len(sp.Add.make_args(r)) > 1)
+    return r, draw(st.integers(2, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_planted_power())
+def test_derivatives_over_random_powers(planted):
+    """The power form of ``r^e`` has an exponent that ``e`` divides, and the
+    derivatives of ``1/r^e`` and of ``v/r^e`` match sympy's."""
+    r, e = planted
+    for numerator in (1, _PV):
+        form, c = _power_form_of(numerator / r**e)
+        if sp.gcd(numerator, r) == 1:
+            found, below = form
+            degree = max(sum(m) for m in c.field.unpacked(found))
+            power = max(sum(m) for m in c.field.unpacked(c.denom)) // degree
+            assert power % e == 0 and found[max(found)] > 0
+            assert below == reduce(lambda a, b: _mul(c.field, a, b), [found] * (power - 1), _ONE)
+            assert _mul(c.field, below, found) == c.denom
+        _derivatives_match_sympy(c, numerator / r**e)
+
+
+def test_no_power_form_and_its_memo():
+    """A denominator that is not a proper power has no power form, and keeps the general gcd;
+    ``main`` empties the memo of power forms."""
+    for expr in (1 / (_PU**2 + 1), 1 / ((_PU + 1) ** 2 * (_PU + 2)), 1 / (4 * _PU**2 + 2)):
+        form, c = _power_form_of(expr)
+        assert form is None
+        _derivatives_match_sympy(c, expr)
+    assert wno.algebra._POWERS
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--no-such-option"]) == 2
+    assert not wno.algebra._POWERS
+
+
+def test_constant_curvature_derivatives_skip_the_heuristic_gcd():
+    """Every derivative by a field of the entries of the n = 3 constant-curvature metric ``h^2 I``,
+    of its inverse and of quotients over powers of h matches sympy's with ``_heu`` made to raise:
+    each denominator is a power of the conformal factor h, whose derivative is a monomial."""
+    F3 = Fields(("u1", "u2", "u3"))
+    u = [sp.Symbol(F3.jet(k, 0)) for k in (1, 2, 3)]
+    h = 1 + u[0] ** 2 + u[1] ** 2 + u[2] ** 2
+    with patch.object(wno.algebra, "_heu", _refused), patch.dict(wno.algebra._POWERS, clear=True):
+        for expr in (h**2, 1 / h**2, u[0] / h**2, u[0] * u[1] / h**3, 1 / h**4):
+            c = scalar(expr).terms[()]
+            for s in u:
+                twin = Twin(c.field)
+                assert twin.theirs(c.diff(s.name)) == twin.field.from_expr(sp.cancel(sp.diff(expr, s)))
 
 
 # Packed monomials at the edge of their fields: exponents up to ``_MAX``, one below the

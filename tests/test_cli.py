@@ -267,6 +267,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert re.fullmatch(r"# time: \d+\.\d{3}s\n", proc.stderr), proc.stderr
 
+    @pytest.mark.parametrize("stdout_closed, code", [(False, 0), (True, 2)])
+    def test_closed_stderr(self, stdout_closed, code):
+        """A closed stderr, whose reader left before the ``# time`` line, keeps the verdict's exit
+        code (0 for KN, not 1, which would read as "not Hamiltonian"); with stdout closed too, the
+        exit is 2, as for a closed stdout alone."""
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wno.cli", "check", str(CASES / "kn.wno"), "KN"],
+                stdout=write if stdout_closed else subprocess.PIPE, stderr=write, text=True, cwd=REPO,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        if not stdout_closed:
+            assert "HAMILTONIAN: yes" in proc.stdout
+
 
 class TestFormats:
     def test_json_fields(self):

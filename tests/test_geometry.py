@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wno.algebra
 import wno.geometry
@@ -224,16 +226,16 @@ class TestDerive:
 
 
 class TestLazyCurvature:
-    def test_curvature_and_nabla_w_computed_on_first_read(self):
+    def test_curvature_computed_on_first_read(self):
         m = sphere_metric()
         build_operator(m)
         geo = m.geometry
-        assert "riemann_up" not in vars(geo) and "nabla_w" not in vars(geo)
+        assert "riemann_up" not in vars(geo)
         check_conditions(m)
         assert m.geometry is geo
-        assert "riemann_up" in vars(geo) and "nabla_w" in vars(geo)
-        first = geo.riemann_up, geo.nabla_w
-        assert geo.riemann_up is first[0] and geo.nabla_w is first[1]
+        assert "riemann_up" in vars(geo)
+        first = geo.riemann_up
+        assert geo.riemann_up is first
 
 
 class TestCurvatureWork:
@@ -274,7 +276,7 @@ def _constant_curvature_metric(symmetric):
 
 class TestDerivationWork:
     """The derivation of a symmetric g computes its independent entries only, and its
-    gcds of two sums mostly settle by exact division."""
+    gcds of two sums settle by power forms and exact division."""
 
     def test_symmetric_g_against_the_textbook_formulas(self):
         """Every entry of g_lo, gamma and gamma_up of a non-diagonal symmetric 3-field metric,
@@ -316,9 +318,10 @@ class TestDerivationWork:
         assert geo.symmetric is symmetric and len(calls) == diffs
 
     def test_heuristic_gcds_of_geom(self, monkeypatch, tmp_path, capsys):
-        """``geom`` on the n = 3 constant-curvature metric enters the heuristic gcd 9 times:
-        3 gcds of the quotient rule, each once per generator; every other gcd of two sums
-        is an exact division or a memo hit (33 entries before exact division came first)."""
+        """``geom`` on the n = 3 constant-curvature metric never enters the heuristic gcd: every
+        denominator of the quotient rule is a power of the conformal factor, whose gcd with its
+        derivative comes from the power form, and every other gcd of two sums is an exact
+        division or a memo hit (9 entries before the power form, 33 before exact division)."""
         entries, original = [], wno.algebra._heu
 
         def counting(*args):
@@ -332,7 +335,106 @@ class TestDerivationWork:
         f.write_text(f"fields u1, u2, u3; firstorder M {{ {block} }}")
         assert main(["geom", str(f), "M"]) == 0
         capsys.readouterr()
-        assert len(entries) == 9
+        assert len(entries) == 0
+
+
+class TestConditionWork:
+    """check_conditions evaluates a symmetric g's conditions on independent entries only."""
+
+    def test_work_after_the_derivation(self, monkeypatch):
+        """On the derived n = 3 constant-curvature metric with W = 2 I, where every condition
+        passes and so runs to its last entry: 57 sums (18 metric_compatibility entries on i <= j,
+        9 gGamma_symmetry, 3 gW_symmetry, 9 fused nablaW_symmetry, the 9 of riemann_up and 9
+        gauss_relation entries on i < j), 54 derivatives (18 + 18 + 18) and 198 products
+        (54 + 18 + 54 + 54 + 18).  Over every entry, with nabla W as a tensor, it took 102 sums,
+        72 derivatives and 342 products."""
+        W = [[2 * c for c in row] for row in identity(3)]
+        m = MetricData(F3, _constant_curvature_metric(True), W)
+        m.geometry
+        counts = dict.fromkeys(("sums", "diffs", "products"), 0)
+        sums, diff, mul = wno.geometry._fsum, _Frac.diff, _Frac.__mul__
+
+        def counting(key, original):
+            def counted(*args):
+                counts[key] += 1
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(wno.geometry, "_fsum", counting("sums", sums))
+        monkeypatch.setattr(_Frac, "diff", counting("diffs", diff))
+        monkeypatch.setattr(_Frac, "__mul__", counting("products", mul))
+        assert all(c.ok for c in check_conditions(m))
+        assert counts == {"sums": 57, "diffs": 54, "products": 198}
+
+
+def _every_entry(m):
+    """``(name, witness)`` of the six conditions over every entry, for any g: nabla W as the full
+    tensor, no entry skipped, the first nonzero entry in the order (i, j, k, h) the witness.
+    Written apart from check_conditions, from the derived connection and curvature only."""
+    geo, r = m.geometry, range(m.n)
+    x, g, W, G, gamma, R = geo.coords, geo.g, geo.W, geo.gamma_up, geo.gamma, geo.riemann_up
+    three, four = list(itertools.product(r, repeat=3)), list(itertools.product(r, repeat=4))
+
+    def nabla(i, j, k):  # the covariant derivative of W^j_k along u^i
+        return W[j][k].diff(x[i]) + sum(gamma[j][i][s] * W[s][k] - gamma[s][i][k] * W[j][s] for s in r)
+
+    entries = {
+        "metric_symmetry": [(f"g[{i + 1},{j + 1}] - g[{j + 1},{i + 1}]", g[i][j] - g[j][i])
+                            for i, j in itertools.product(r, r) if i < j],
+        "metric_compatibility": [(f"dg[{i + 1},{j + 1}]/du{k + 1}",
+                                  g[i][j].diff(x[k]) - G[i][j][k] - G[j][i][k]) for i, j, k in three],
+        "gGamma_symmetry": [(f"(i,j,k)=({i + 1},{j + 1},{k + 1})",
+                             sum(g[i][s] * G[j][k][s] - g[j][s] * G[i][k][s] for s in r))
+                            for i, j, k in three if i < j],
+        "gW_symmetry": [(f"(i,j)=({i + 1},{j + 1})",
+                         sum(g[i][s] * W[j][s] - g[j][s] * W[i][s] for s in r))
+                        for i, j in itertools.product(r, r) if i < j],
+        "nablaW_symmetry": [(f"(i,j,k)=({i + 1},{j + 1},{k + 1})", nabla(i, j, k) - nabla(k, j, i))
+                            for i, j, k in three if i < k],
+        "gauss_relation": [(f"(i,j,k,h)=({i + 1},{j + 1},{k + 1},{h + 1})",
+                            R[i][j][k][h] - W[i][k] * W[j][h] + W[j][k] * W[i][h])
+                           for i, j, k, h in four if k < h],
+    }
+    text = wno.algebra._coeff_text
+    return [(name, next((f"{label}: {text(v)}" for label, v in values if v != 0), None))
+            for name, values in entries.items()]
+
+
+@st.composite
+def _metric_data(draw):
+    """Metric data on 1-3 fields: a g with rational entries, symmetric but in about half the
+    draws on 2 fields, where g^12 - g^21 is shifted by u1, and a W with polynomial
+    entries, both of low degree."""
+    n = draw(st.integers(1, 3))
+    fields = (F1, F2, F3)[n - 1]
+    u = [jet_expr(fields, k, 0) for k in range(1, n + 1)]
+    small, var = st.integers(-3, 3), st.sampled_from(u)
+    rational = st.one_of(
+        st.builds(lambda a: sp.Integer(a), small),
+        st.builds(lambda a, b, v: a + b * v, small, small, var),
+        st.builds(lambda a, v, w: (a + v) / (1 + w**2), small, var, var),
+        st.builds(lambda a, v: (1 + a * v**2) ** 2, st.integers(1, 2), var))
+    polynomial = st.one_of(st.just(ZERO), st.builds(sp.Integer, small),
+                           st.builds(lambda a, v: a * v, small, var), st.builds(lambda v, w: v * w, var, var))
+    g = [[draw(rational) if i == j or draw(st.booleans()) else ZERO for j in range(n)] for i in range(n)]
+    if n == 2 and draw(st.booleans()):  # asymmetric; at n = 3 its rational curvature is slow
+        g[0][1] = g[1][0] + u[0]
+    else:
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return MetricData(fields, g, [[draw(polynomial) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_metric_data())
+def test_conditions_match_every_entry(m):
+    """check_conditions, which skips the mirror entries of a symmetric g and fuses nabla W,
+    gives the verdicts and witnesses of the loop over every entry."""
+    try:
+        m.geometry
+    except SingularMetricError:
+        assume(False)
+    assert [(c.name, c.witness) for c in check_conditions(m)] == _every_entry(m)
+    assert all(c.ok == (c.witness is None) for c in check_conditions(m))
 
 
 class TestConditions:

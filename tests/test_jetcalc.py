@@ -21,7 +21,7 @@ from wno.jetcalc import (
 )
 from wno.nonlocal_vars import NonlocalVarTable
 
-from conftest import jet_expr, random_local, random_local_mixed
+from conftest import jet_expr, monomial, random_local, random_local_mixed, scalar
 
 F = Fields(("u",))
 u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
@@ -29,17 +29,17 @@ u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
 
 class TestTotalX:
     def test_even_scalar(self):
-        assert total_x(SuperPoly.scalar(u), F) == SuperPoly.scalar(u_x)
+        assert total_x(scalar(u), F) == scalar(u_x)
 
     def test_unfolds_nonlocal_via_table(self):
         table = NonlocalVarTable()
-        rid = table.register(SuperPoly.monomial(u_x, [p(1)]))
+        rid = table.register(monomial(u_x, [p(1)]))
         r = SuperPoly.factor(table.factor(rid))
-        assert total_x(r, F, table) == SuperPoly.monomial(u_x, [p(1)])
+        assert total_x(r, F, table) == monomial(u_x, [p(1)])
 
     def test_unregistered_nonlocal_raises(self):
         table = NonlocalVarTable()
-        rid = table.register(SuperPoly.monomial(u_x, [p(1)]))
+        rid = table.register(monomial(u_x, [p(1)]))
         r = SuperPoly.factor(table.factor(rid))
         with pytest.raises(KeyError):
             total_x(r, F, None)
@@ -61,8 +61,8 @@ class TestTotalX:
 
 class TestVarDeriv:
     def test_classical_density(self):
-        a = SuperPoly.scalar(u_x**2 / 2)
-        assert euler_lagrange(a, F).du[0] == SuperPoly.scalar(-u_2x)
+        a = scalar(u_x**2 / 2)
+        assert euler_lagrange(a, F).du[0] == scalar(-u_2x)
 
     def test_annihilates_divergences(self):
         rng = random.Random(13)
@@ -88,14 +88,14 @@ class TestVarDeriv:
 
     def test_rejects_nonlocal_input(self):
         table = NonlocalVarTable()
-        rid = table.register(SuperPoly.monomial(u_x, [p(1)]))
-        bad = SuperPoly.monomial(u_x, [p(1), table.factor(rid)])
+        rid = table.register(monomial(u_x, [p(1)]))
+        bad = monomial(u_x, [p(1), table.factor(rid)])
         with pytest.raises(NonlocalInputError):
             euler_lagrange(bad, F)
 
     def test_euler_lagrange_of_quartic_word(self):
         # u p p_x p_3x: the odd-slot component is a frozen hand value
-        T = SuperPoly.monomial(u, [p(1, 0), p(1, 1), p(1, 3)])
+        T = monomial(u, [p(1, 0), p(1, 1), p(1, 3)])
         el = euler_lagrange(T, F)
         assert el.du[0] == SuperPoly.from_terms([(1, [p(1, 0), p(1, 1), p(1, 3)])])
         u_3x = jet_expr(F, 1, 3)
@@ -161,31 +161,31 @@ class TestVariationalKernel:
 
         monkeypatch.setattr(wno.jetcalc, "total_x", counted)
         u_3x, u_4x = jet_expr(F, 1, 3), jet_expr(F, 1, 4)
-        el_sum(SuperPoly.monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None, F)
+        el_sum(monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None, F)
         assert len(calls) == 4
         calls.clear()
-        assert not _exact(SuperPoly.monomial(u_x, [p(1)]), F) and not calls
+        assert not _exact(monomial(u_x, [p(1)]), F) and not calls
 
 
 class TestLinearize:
     def test_linearize_u_x_is_shift(self):
-        op = linearize(SuperPoly.scalar(u_x), F)
+        op = linearize(scalar(u_x), F)
         assert set(op.rows) == {("u", 1)}
         [(coeff, order)] = op.rows[("u", 1)]
-        assert order == 1 and coeff == SuperPoly.scalar(1)
+        assert order == 1 and coeff == scalar(1)
 
     def test_linearize_square_is_multiplication(self):
-        op = linearize(SuperPoly.scalar(u**2), F)
+        op = linearize(scalar(u**2), F)
         [(coeff, order)] = op.rows[("u", 1)]
-        assert order == 0 and coeff == SuperPoly.scalar(2 * u)
+        assert order == 0 and coeff == scalar(2 * u)
 
     def test_adjoint_of_shift(self):
-        op = linearize(SuperPoly.scalar(u_x), F)
+        op = linearize(scalar(u_x), F)
         [(coeff, order)] = adjoint(op).rows[("u", 1)]
-        assert order == 1 and coeff == SuperPoly.scalar(-1)
+        assert order == 1 and coeff == scalar(-1)
 
     def test_adjoint_of_multiplication(self):
-        op = linearize(SuperPoly.scalar(u**2 / (1 + u)), F)
+        op = linearize(scalar(u**2 / (1 + u)), F)
         adj = adjoint(op)
         assert adj.equals(op)
 
@@ -196,10 +196,10 @@ class TestLinearize:
             op = linearize(a, F)
             assert adjoint(adjoint(op)).equals(op)
         for k in range(4):
-            row = {("u", 1): [(SuperPoly.scalar(1), k)]}
+            row = {("u", 1): [(scalar(1), k)]}
             op = LinearizationOp(F, row)
             expected = LinearizationOp(
-                F, {("u", 1): [(SuperPoly.scalar((-1) ** k), k)]}
+                F, {("u", 1): [(scalar((-1) ** k), k)]}
             )
             assert adjoint(op).equals(expected)
 
@@ -217,7 +217,7 @@ class TestMultiComponent:
     def test_var_deriv_per_field(self):
         G = Fields(("u1", "u2"))
         v = jet_expr(G, 2, 0)
-        a = SuperPoly.monomial(v, [p(1, 0), p(2, 1)])
+        a = monomial(v, [p(1, 0), p(2, 1)])
         assert euler_lagrange(a, G).du[1] == SuperPoly.from_terms([(1, [p(1, 0), p(2, 1)])])
         el = euler_lagrange(a, G)
         assert len(el.du) == 2 and len(el.dp) == 2

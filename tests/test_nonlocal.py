@@ -23,7 +23,7 @@ from wno.nonlocal_vars import (
 )
 from wno.schouten import to_superfunction
 
-from conftest import jet_expr, random_local_mixed
+from conftest import jet_expr, monomial, random_local_mixed, scalar
 
 F = Fields(("u",))
 u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
@@ -39,26 +39,26 @@ def as_superpoly(term: TailTerm, table: NonlocalVarTable) -> SuperPoly:
 
 def make_table():
     table = NonlocalVarTable()
-    rid = table.register(SuperPoly.monomial(u_x, [p(1)]), note="tail")
+    rid = table.register(monomial(u_x, [p(1)]), note="tail")
     return table, rid
 
 
 class TestRegistry:
     def test_deduplication(self):
         table, rid = make_table()
-        again = table.register(SuperPoly.monomial(u_x, [p(1)]))
+        again = table.register(monomial(u_x, [p(1)]))
         assert again == rid
 
     def test_distinct_densities_get_distinct_ids(self):
         table, rid = make_table()
-        other = table.register(SuperPoly.monomial(u**2, [p(1)]))
+        other = table.register(monomial(u**2, [p(1)]))
         assert other != rid
         assert table.entries[other].level == 1
 
     def test_level_two_registration(self):
         table, rid = make_table()
         r = SuperPoly.factor(table.factor(rid))
-        deg2 = (SuperPoly.monomial(u, [p(1, 1)]) * r).canonical()
+        deg2 = (monomial(u, [p(1, 1)]) * r).canonical()
         ident = table.register(deg2, formal=True)
         assert table.entries[ident].level == 2
         assert table.entries[ident].parity == 0  # two odd factors
@@ -66,19 +66,19 @@ class TestRegistry:
     def test_even_degree_zero_density_rejected(self):
         table = NonlocalVarTable()
         with pytest.raises(ValueError):
-            table.register(SuperPoly.scalar(u_x))
+            table.register(scalar(u_x))
 
 
 class TestIntegrateDensity:
     def test_odd_pair(self):
-        Y = SuperPoly.monomial(-1, [p(1, 1), p(1, 3)])
+        Y = monomial(-1, [p(1, 1), p(1, 3)])
         res = integrate_density(Y, F)
         assert res.ok
-        assert res.antiderivative == SuperPoly.monomial(-1, [p(1, 1), p(1, 2)])
+        assert res.antiderivative == monomial(-1, [p(1, 1), p(1, 2)])
 
     def test_plain_even(self):
-        res = integrate_density(SuperPoly.scalar(u_x), F)
-        assert res.ok and res.antiderivative == SuperPoly.scalar(u)
+        res = integrate_density(scalar(u_x), F)
+        assert res.ok and res.antiderivative == scalar(u)
 
     def test_nonexact_fails_with_residual(self):
         Y = SuperPoly.from_terms([(1, [p(1, 0), p(1, 1)])])
@@ -86,7 +86,7 @@ class TestIntegrateDensity:
         assert not res.ok
         assert res.residual == Y
         # the failure is forced: the odd-slot variational derivative is 2 p_x
-        assert euler_lagrange(Y, F).dp[0] == SuperPoly.monomial(2, [p(1, 1)])
+        assert euler_lagrange(Y, F).dp[0] == monomial(2, [p(1, 1)])
 
     @pytest.mark.parametrize(
         "piece", [sp.log(u), sp.atan(u), ratint(1 / (u**3 + u + 1), u, real=False)]
@@ -94,25 +94,25 @@ class TestIntegrateDensity:
     def test_non_rational_piece_refused(self, piece):
         # an antiderivative piece must convert into the coefficient field
         with pytest.raises(ValueError):
-            SuperPoly.scalar(piece)
+            scalar(piece)
 
     def test_rational_piece_accepted(self):
         piece = ratint(1 / (u + 1) ** 2, u, real=False)
-        assert SuperPoly.scalar(piece) == SuperPoly.scalar(-1 / (u + 1))
+        assert scalar(piece) == scalar(-1 / (u + 1))
 
     @pytest.mark.parametrize("density", [u_x / u, u_x / (1 + u**2), u_x / (u**3 + u + 1)])
     def test_exact_density_with_non_rational_antiderivative_fails(self, density):
         # the variational test passes, but log and RootSum pieces are refused
-        res = integrate_density(SuperPoly.scalar(density), F)
+        res = integrate_density(scalar(density), F)
         assert not res.ok
 
     def test_rational_antiderivative_found(self):
-        res = integrate_density(SuperPoly.scalar(u_x / (1 + u) ** 2), F)
-        assert res.ok and res.antiderivative == SuperPoly.scalar(-1 / (1 + u))
+        res = integrate_density(scalar(u_x / (1 + u) ** 2), F)
+        assert res.ok and res.antiderivative == scalar(-1 / (1 + u))
 
     def test_nonlocal_input_fails(self):
         table, rid = make_table()
-        Y = SuperPoly.monomial(1, [p(1, 1), table.factor(rid)])
+        Y = monomial(1, [p(1, 1), table.factor(rid)])
         assert not integrate_density(Y, F).ok
 
     def test_back_substitution_on_random_divergences(self):
@@ -132,18 +132,18 @@ class TestElNonlocal:
     def test_degree_two_tail(self):
         # N = u_x p r with r_x = u_x p: the self-dual tail doubles both slots
         table, rid = make_table()
-        N = SuperPoly.monomial(u_x, [p(1), table.factor(rid)])
+        N = monomial(u_x, [p(1), table.factor(rid)])
         res = el_nonlocal(N, F, table)
         r = table.factor(rid)
-        assert res.el.du[0] == SuperPoly.monomial(-2, [p(1, 1), r])
-        assert res.el.dp[0] == SuperPoly.monomial(2 * u_x, [r])
+        assert res.el.du[0] == monomial(-2, [p(1, 1), r])
+        assert res.el.dp[0] == monomial(2 * u_x, [r])
         assert not res.formal_used
 
     def test_degree_three_single_tail(self):
         # T = -p_x p_3x r: the prefactor integrates, no formal variables
         table, rid = make_table()
         r = table.factor(rid)
-        T = SuperPoly.monomial(-1, [p(1, 1), p(1, 3), r])
+        T = monomial(-1, [p(1, 1), p(1, 3), r])
         res = el_nonlocal(T, F, table)
         assert not res.formal_used
         assert res.el.du[0] == SuperPoly.from_terms(
@@ -177,16 +177,16 @@ class TestElNonlocal:
     def test_three_nonlocal_factors_unsupported(self):
         table, rid = make_table()
         r = table.factor(rid)
-        s = table.factor(table.register(SuperPoly.monomial(u**2, [p(1)])))
-        t = table.factor(table.register(SuperPoly.monomial(u_2x, [p(1)])))
-        bad = SuperPoly.monomial(1, [r, s, t])
+        s = table.factor(table.register(monomial(u**2, [p(1)])))
+        t = table.factor(table.register(monomial(u_2x, [p(1)])))
+        bad = monomial(1, [r, s, t])
         with pytest.raises(UnsupportedStructureError):
             el_nonlocal(bad, F, table)
 
     def test_nonexact_prefactor_flags_formal_use(self):
         table, rid = make_table()
         r = table.factor(rid)
-        T = SuperPoly.monomial(u, [p(1, 0), p(1, 1), r])
+        T = monomial(u, [p(1, 0), p(1, 1), r])
         res = el_nonlocal(T, F, table)
         assert res.formal_used
 
@@ -266,32 +266,32 @@ def substitute_nonlocals(a: SuperPoly, mapping: dict) -> SuperPoly:
 class TestSplitAndReduce:
     def test_split_groups_by_suffix(self):
         table, rid = make_table()
-        sid = table.register(SuperPoly.monomial(u**2, [p(1)]))
+        sid = table.register(monomial(u**2, [p(1)]))
         r, s = table.factor(rid), table.factor(sid)
         T = (
-            SuperPoly.monomial(u, [p(1, 0), p(1, 1)])
-            + SuperPoly.monomial(u_x, [p(1, 1), r])
-            + SuperPoly.monomial(2, [p(1, 0), r, s])
+            monomial(u, [p(1, 0), p(1, 1)])
+            + monomial(u_x, [p(1, 1), r])
+            + monomial(2, [p(1, 0), r, s])
         )
         local, tails = split_tails(T, table)
-        assert local == SuperPoly.monomial(u, [p(1, 0), p(1, 1)])
+        assert local == monomial(u, [p(1, 0), p(1, 1)])
         suffixes = {t.suffix for t in tails}
         assert suffixes == {(rid,), (rid, sid)}
 
     def test_reduce_depth_identity(self):
         # B = d_x(u p), so  B*r*s == d_x(u p r s) - (u p) Z_r s - (u p) r Z_s
         table = NonlocalVarTable()
-        rid = table.register(SuperPoly.monomial(u, [p(1, 1)]))
+        rid = table.register(monomial(u, [p(1, 1)]))
         sid = table.register(
-            SuperPoly.monomial(u_x, [p(1, 1)]) + SuperPoly.monomial(u, [p(1, 2)])
+            monomial(u_x, [p(1, 1)]) + monomial(u, [p(1, 2)])
         )
         r, s = table.factor(rid), table.factor(sid)
-        B = SuperPoly.monomial(u_x, [p(1, 0)]) + SuperPoly.monomial(u, [p(1, 1)])
+        B = monomial(u_x, [p(1, 0)]) + monomial(u, [p(1, 1)])
         term = TailTerm(B, (rid, sid))
         reduced, flagged = reduce_depth(term, table, F)
         assert not flagged
         assert all(len(t.suffix) <= 1 for t in reduced)
-        y = SuperPoly.monomial(u, [p(1, 0)])
+        y = monomial(u, [p(1, 0)])
         lhs = as_superpoly(term, table)
         rhs = SuperPoly.zero()
         for t in reduced:
@@ -301,8 +301,8 @@ class TestSplitAndReduce:
 
     def test_reduce_depth_nonexact_flags(self):
         table, rid = make_table()
-        sid = table.register(SuperPoly.monomial(u**2, [p(1)]))
-        term = TailTerm(SuperPoly.monomial(u_x, [p(1)]), (rid, sid))
+        sid = table.register(monomial(u**2, [p(1)]))
+        term = TailTerm(monomial(u_x, [p(1)]), (rid, sid))
         reduced, flagged = reduce_depth(term, table, F)
         assert flagged and reduced == [term]
         # the fallback registered a level-2 variable for prefactor * first factor
@@ -310,7 +310,7 @@ class TestSplitAndReduce:
 
     def test_reduce_depth_zero_prefactor(self):
         table, rid = make_table()
-        sid = table.register(SuperPoly.monomial(u**2, [p(1)]))
+        sid = table.register(monomial(u**2, [p(1)]))
         term = TailTerm(SuperPoly.zero(), (rid, sid))
         reduced, flagged = reduce_depth(term, table, F)
         assert reduced == [] and not flagged
@@ -366,11 +366,11 @@ class TestSplitAndReduce:
         # Substituting the honest local values into its output must
         # reproduce the EL tuple of the honest local density.
         table = NonlocalVarTable()
-        eta_r = SuperPoly.monomial(u, [p(1, 0)])
-        eta_s = SuperPoly.monomial(u**2, [p(1, 1)])
+        eta_r = monomial(u, [p(1, 0)])
+        eta_s = monomial(u**2, [p(1, 1)])
         rid = table.register(total_x(eta_r, F))
         sid = table.register(total_x(eta_s, F))
-        B = SuperPoly.monomial(u, [p(1, 2)])
+        B = monomial(u, [p(1, 2)])
         T = B * SuperPoly.factor(table.factor(rid)) * SuperPoly.factor(table.factor(sid))
         comp = el_nonlocal(T, F, table)
         assert comp.formal_used
@@ -386,13 +386,13 @@ class TestSplitAndReduce:
         # must agree exactly.
         table = NonlocalVarTable()
         rid = table.register(
-            SuperPoly.monomial(u_x, [p(1, 0)]) + SuperPoly.monomial(u, [p(1, 1)])
+            monomial(u_x, [p(1, 0)]) + monomial(u, [p(1, 1)])
         )
         sid = table.register(
-            SuperPoly.monomial(2 * u * u_x, [p(1, 0)])
-            + SuperPoly.monomial(u**2, [p(1, 1)])
+            monomial(2 * u * u_x, [p(1, 0)])
+            + monomial(u**2, [p(1, 1)])
         )
-        B = SuperPoly.monomial(u_2x, [p(1, 0)]) + SuperPoly.monomial(u_x, [p(1, 1)])
+        B = monomial(u_2x, [p(1, 0)]) + monomial(u_x, [p(1, 1)])
         term = TailTerm(B, (rid, sid))
         direct = el_nonlocal(as_superpoly(term, table), F, table)
         reduced, flagged = reduce_depth(term, table, F)
