@@ -888,12 +888,8 @@ class SuperPoly:
 
     __slots__ = ("terms", "field", "_texts")
 
-    def __init__(self, terms: Mapping[Word, object] | None = None, field: _Field | None = None):
-        """Coefficients in ``field``, or of any exact kind when it is None."""
-        terms = terms or {}
-        if field is None:
-            field, coeffs = _into(None, terms.values())
-            terms = dict(zip(terms, coeffs))
+    def __init__(self, terms: Mapping[Word, _Frac], field: _Field):
+        """Coefficients in ``field`` (``_into`` brings other kinds there); zeros are dropped."""
         self.field = field
         self.terms: dict[Word, _Frac] = {w: c for w, c in terms.items() if c}
         self._texts: list[tuple[Word, str]] | None = None
@@ -902,11 +898,12 @@ class SuperPoly:
 
     @staticmethod
     def zero() -> "SuperPoly":
-        return SuperPoly()
+        return SuperPoly({}, coeff_field(()))
 
     @staticmethod
     def factor(f: OddFactor) -> "SuperPoly":
-        return SuperPoly({(f,): 1})
+        K = coeff_field(())
+        return SuperPoly({(f,): K.one}, K)
 
     @staticmethod
     def from_terms(raw: Iterable[tuple[object, Iterable[OddFactor]]]) -> "SuperPoly":

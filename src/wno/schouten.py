@@ -6,7 +6,9 @@ entries plus tail summands ``e * w d^(-1) z`` with rational constants e and
 vectors w, z of rational-function coefficients.  The encoding sends a local
 entry ``c d^k`` in slot (i, j) to ``c * p_i p_j[k]`` and each tail to
 ``e * (sum_i w_i p_i) * v`` for a nonlocal variable v whose density is
-``sum_j z_j p_j``.
+``sum_j z_j p_j``.  The encoding and the skew test stay in the operator's
+coefficient field and build no other operator; a tail ``e * w d^(-1) w`` is
+minus its own adjoint, so only the other tails need the two-point kernel.
 
 The bracket of two operator encodings is computed slot-wise from their
 variational-derivative tuples,
@@ -26,7 +28,8 @@ from fractions import Fraction
 from itertools import islice, product
 
 from .algebra import (
-    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _product_sum, _two_point, p
+    Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _merge, _product_sum, _two_point,
+    normalize_word, p
 )
 from .jetcalc import ELResult, _adjoint_terms
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
@@ -75,9 +78,6 @@ class WNOperator:
     def entry(self, i: int, j: int) -> DiffRow:
         return self.local[i - 1][j - 1]
 
-    def merged_entry(self, i: int, j: int) -> DiffRow:
-        return _by_order(self.entry(i, j))
-
     def __add__(self, other: "WNOperator") -> "WNOperator":
         if self.fields != other.fields:
             raise ValueError("operators live over different field sets")
@@ -96,55 +96,54 @@ class WNOperator:
         return WNOperator(self.fields, local, tails)
 
 
+def _adjoint(P: WNOperator, tails: list[Tail]) -> tuple[list[list[DiffRow]], list[Tail]]:
+    """The entries of P*, entry (i, j) the Leibniz terms (c d^k)* = (-1)^k d^k c of P's entry
+    (j, i) in the fields their derivatives reach, and the adjoints -z d^(-1) w of ``tails``."""
+    r = range(P.n)
+    rows = [[[(factor * d.terms.get((), d.field.zero), m) for coeff, order in P.local[j][i]
+              for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields)]
+             for j in r] for i in r]
+    return rows, [Tail(-t.constant, t.right, t.left) for t in tails]
+
+
 def operator_adjoint(P: WNOperator) -> WNOperator:
     """Formal adjoint: entries transposed through (c d^k)* = (-1)^k d^k c,
     tails through (w d^(-1) z)* = -z d^(-1) w."""
-    n = P.n
-    local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for coeff, order in P.local[j][i]:
-                for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields):
-                    local[i][j].append((factor * d.terms.get((), d.field.zero), m))
-    tails = [Tail(-t.constant, t.right, t.left) for t in P.tails]
-    return WNOperator(P.fields, local, tails)
+    return WNOperator(P.fields, *_adjoint(P, P.tails))
 
 
 def skew_part(P: WNOperator) -> WNOperator:
     return (P + operator_adjoint(P).scale(-1)).scale(Fraction(1, 2))
 
 
-def tail_kernel(P: WNOperator) -> list[list[Coeff]]:
-    """Integral-kernel matrix of the tail sum of P, with independent copies
-    u(y), u_x(y), ... of the jet variables in the second slot; two tail lists
-    act identically exactly when their kernels agree entry-wise."""
-    n, (K, ys) = P.n, _two_point(P.field)
-    out = [[K.zero for _ in range(n)] for _ in range(n)]
-    for t in P.tails:
-        left = [_lift(t.constant * w, K) for w in t.left]
-        right = [_lift(z, K, ys) for z in t.right]  # the same exponents on the copies
-        for i, j in product(range(n), repeat=2):
-            out[i][j] = out[i][j] + left[i] * right[j]
-    return out
-
-
-def _first_nonzero(P: WNOperator) -> str | None:
-    """The first nonzero local entry or tail-kernel entry of P, as text."""
-    pairs = list(product(range(1, P.n + 1), repeat=2))
+def _first_nonzero(rows: list[list[DiffRow]], tails: list[Tail], field) -> str | None:
+    """The first nonzero entry, as text, of the local ``rows`` (coefficients of any fields)
+    summed per order, then of the kernel of the ``tails`` (coefficients in ``field``), with
+    copies u(y), u_x(y), ... of the jets in its second slot: equal kernels, equal actions."""
+    n = len(rows)
+    pairs = list(product(range(n), repeat=2))
+    it = iter(_into(None, (c for rs in rows for row in rs for c, _ in row))[1])
     for i, j in pairs:
-        row = P.merged_entry(i, j)
+        row = _by_order([(next(it), order) for _, order in rows[i][j]])
         if row:
             coeff, order = row[0]
-            return f"local[{i},{j}]: {_coeff_text(coeff)} * D^{order}"
-    K = tail_kernel(P)
-    for i, j in pairs:
-        if K[i - 1][j - 1] != 0:
-            return f"tail kernel [{i},{j}]: {_coeff_text(K[i - 1][j - 1])}"
-    return None
+            return f"local[{i + 1},{j + 1}]: {_coeff_text(coeff)} * D^{order}"
+    if not tails:  # the two-point field is built for a tail only
+        return None
+    K, ys = _two_point(field)
+    kernel = [[K.zero] * n for _ in range(n)]
+    for t in tails:
+        left = [_lift(t.constant * w, K) for w in t.left]
+        right = [_lift(z, K, ys) for z in t.right]  # the same exponents on the copies
+        for i, j in pairs:
+            kernel[i][j] = kernel[i][j] + left[i] * right[j]
+    return next((f"tail kernel [{i + 1},{j + 1}]: {_coeff_text(kernel[i][j])}"
+                 for i, j in pairs if kernel[i][j]), None)
 
 
 def operators_equal(P: WNOperator, Q: WNOperator) -> bool:
-    return _first_nonzero(P + Q.scale(-1)) is None
+    D = P + Q.scale(-1)
+    return _first_nonzero(D.local, D.tails, D.field) is None
 
 
 @dataclass
@@ -154,30 +153,33 @@ class SkewResult:
 
 
 def skew_check(P: WNOperator) -> SkewResult:
-    """Test P + P* == 0; the witness is the first nonzero entry found."""
-    witness = _first_nonzero(P + operator_adjoint(P))
+    """Test P + P* == 0 on P's entries with their adjoint terms, and on the kernel of the tails
+    other than e w d^(-1) w; the witness is the first nonzero entry found."""
+    tails = [t for t in P.tails if t.left != t.right]
+    (rows, adjoints), r = _adjoint(P, tails), range(P.n)
+    rows = [[P.local[i][j] + rows[i][j] for j in r] for i in r]
+    witness = _first_nonzero(rows, tails + adjoints, P.field)
     return SkewResult(witness is None, witness)
 
 
 def to_superfunction(P: WNOperator, table: NonlocalVarTable) -> SuperPoly:
-    """Encode an operator as a degree-2 value, registering tail variables."""
+    """Encode an operator as a degree-2 value, registering tail variables.  The terms are summed in
+    one dict over ``P.field``, in the order and field that a sum of the pieces would give."""
     n = P.n
-    out = SuperPoly.from_terms(
-        (coeff, [p(i, 0), p(j, order)])
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for coeff, order in P.entry(i, j)
-    )
+    local = [(normalize_word((p(i, 0), p(j, order))), c)
+             for i, j in product(range(1, n + 1), repeat=2) for c, order in P.entry(i, j)]
+    terms, used = _merge({}, ((w, c if s > 0 else -c) for (s, w), c in local if w)), bool(local)
     for tail in P.tails:
         density = SuperPoly.from_terms([(tail.right[j - 1], [p(j, 0)]) for j in range(1, n + 1)])
         if density.is_zero():
             continue
         content, reduced = scalar_content(density)
-        ident = table.register(reduced, note="operator tail")
-        v = SuperPoly.factor(table.factor(ident))
-        W = SuperPoly.from_terms([(tail.left[i - 1], [p(i, 0)]) for i in range(1, n + 1)])
-        out = out + (W * v).scale(tail.constant * content)
-    return out
+        v = table.factor(table.register(reduced, note="operator tail"))
+        pieces = [((p(i, 0), v), c) for i, w in enumerate(tail.left, 1)  # a normal word: p_i sorts first
+                  for c in (tail.constant * content * w,) if c]
+        used = used or bool(pieces)
+        terms = _merge({w: c for w, c in terms.items() if c}, pieces)  # zeros leave, as from a sum
+    return SuperPoly(terms, P.field) if used else SuperPoly.zero()
 
 
 def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) -> WNOperator:

@@ -11,7 +11,7 @@ from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement
 
-from wno.algebra import Fields, SuperPoly, _Frac, p
+from wno.algebra import Fields, SuperPoly, _Frac, _into, p
 
 
 @pytest.fixture(scope="session")
@@ -25,8 +25,9 @@ def F2() -> Fields:
 
 
 def scalar(value) -> SuperPoly:
-    """The empty word with the coefficient ``value``."""
-    return SuperPoly({(): value})
+    """The empty word with the coefficient ``value``, of any exact kind ``_into`` takes."""
+    field, (c,) = _into(None, [value])
+    return SuperPoly({(): c}, field)
 
 
 def monomial(coeff, factors) -> SuperPoly:

@@ -3,7 +3,7 @@
 import pytest
 import sympy as sp
 
-from wno.algebra import Fields
+from wno.algebra import Fields, _by_order
 from wno.cli import main
 from wno.dsl import MAX_DEGREE, MAX_DEPTH, ParseError, parse
 from wno.schouten import skew_check
@@ -27,7 +27,7 @@ class TestParse:
     def test_pure_tail_operator(self):
         doc = parse(KN_SOURCE)
         op = doc.operators["KN"]
-        assert not op.merged_entry(1, 1)
+        assert not _by_order(op.entry(1, 1))
         [tail] = op.tails
         u_x = jet_expr(doc.fields, 1, 1)
         assert as_expr(tail.constant) == 1
@@ -37,7 +37,7 @@ class TestParse:
         doc = parse(MKDV_SOURCE)
         op = doc.operators["mkdv2"]
         u, u_x = jet_expr(doc.fields, 1, 0), jet_expr(doc.fields, 1, 1)
-        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [
+        assert [(as_expr(c), k) for c, k in _by_order(op.entry(1, 1))] == [
             (sp.Rational(2, 3) * u * u_x, 0),
             (sp.Rational(2, 3) * u**2, 1),
             (sp.Integer(1), 3),
@@ -57,7 +57,7 @@ class TestParse:
     def test_derivative_spellings(self):
         doc = parse("fields u; operator A { local[1,1]: u_2x*D + u_x; }")
         u_2x = jet_expr(doc.fields, 1, 2)
-        coeff, order = doc.operators["A"].merged_entry(1, 1)[1]
+        coeff, order = _by_order(doc.operators["A"].entry(1, 1))[1]
         assert (as_expr(coeff), order) == (u_2x, 1)
 
     def test_comments_and_whitespace(self):
@@ -153,7 +153,7 @@ class TestDiagnostics:
     def test_integer_literal_digits(self):
         parse(f"fields u; operator A {{ local[1,1]: {'0' * 9}{'7' * 4300}*D; }}")
         op = parse(f"fields u; operator A {{ local[1,1]: {'9' * 600}*D; }}").operators["A"]
-        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [(10**600 - 1, 1)]
+        assert [(as_expr(c), k) for c, k in _by_order(op.entry(1, 1))] == [(10**600 - 1, 1)]
         with pytest.raises(ParseError, match="integer literal exceeds 4300 digits") as err:
             parse(f"fields u; operator A {{ local[1,1]: {'7' * 4301}*D; }}")
         assert (err.value.line, err.value.col) == (1, 36)
@@ -173,7 +173,7 @@ class TestDiagnostics:
     def test_zeroth_power_of_zero_is_one(self):
         """``x^0`` is 1 for every coefficient x, the zero one included (it raised ValueError)."""
         op = parse("fields u; operator A { local[1,1]: (u - u)^0*D + u^0; }").operators["A"]
-        assert [(as_expr(c), k) for c, k in op.merged_entry(1, 1)] == [(1, 0), (1, 1)]
+        assert [(as_expr(c), k) for c, k in _by_order(op.entry(1, 1))] == [(1, 0), (1, 1)]
 
     def test_d_outside_local(self):
         with pytest.raises(ParseError):

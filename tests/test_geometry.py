@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wno.algebra
 import wno.geometry
-from wno.algebra import Fields, _Frac
+from wno.algebra import Fields, _by_order, _Frac
 from wno.cli import main
 from wno.geometry import (
     MetricData,
@@ -461,7 +461,7 @@ class TestBuildOperator:
     def test_flat_scalar_case_is_shift(self):
         m = MetricData(F1, [[ONE]], [[ZERO]])
         P = build_operator(m)
-        assert P.merged_entry(1, 1) == [(1, 1)]
+        assert _by_order(P.entry(1, 1)) == [(1, 1)]
         assert not P.tails
 
     def test_scalar_affinor_tail(self):
@@ -475,7 +475,7 @@ class TestBuildOperator:
     def test_sphere_operator_is_skew(self):
         P = build_operator(sphere_metric())
         assert skew_check(P).ok
-        assert P.tails and P.merged_entry(1, 2)
+        assert P.tails and _by_order(P.entry(1, 2))
 
 
 class TestEquivalence:

@@ -256,7 +256,7 @@ def substitute_nonlocals(a: SuperPoly, mapping: dict) -> SuperPoly:
     """Replace nonlocal factors by local values, preserving word order."""
     out = SuperPoly.zero()
     for word, coeff in a.terms.items():
-        term = SuperPoly({(): coeff})
+        term = SuperPoly({(): coeff}, coeff.field)
         for f in word:
             term = term * (mapping[f.index] if f.kind == "nl" else SuperPoly.factor(f))
         out = out + term

@@ -7,12 +7,16 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wno.algebra import Fields, SuperPoly, p
-from wno.cli import _coefficient_report
-from wno.nonlocal_vars import NonlocalVarTable
+import wno.algebra
+import wno.geometry
+import wno.schouten
+from wno.algebra import Fields, SuperPoly, coeff_field, p
+from wno.cli import _coefficient_report, main
+from wno.nonlocal_vars import NonlocalVarTable, scalar_content
 from wno.schouten import (
     Tail,
     WNOperator,
+    _first_nonzero,
     from_superfunction,
     is_hamiltonian,
     operator_adjoint,
@@ -404,3 +408,209 @@ def test_pencil_bilinearity_with_tails_fixed_pair():
 def test_pencil_bilinearity_with_tails(P, Q, lam):
     lhs, rhs, _ = _pencil_sides(P, Q, lam)
     assert lhs == rhs
+
+
+# -- the skew test on merged rows against P + P* ------------------------------
+# skew_check sums P's entries with the adjoint terms of the transposed ones and
+# drops each tail e (w, w); the reference builds the operator P + P* and reads
+# its entries and the kernel of all its tails.  Tails are drawn equal (e w w),
+# as a swapped pair e (w, z), e (z, w), which cancels in the kernel only, and
+# unequal.
+
+G = Fields(("u1", "u2"))
+u1, u2 = jet_expr(G, 1, 0), jet_expr(G, 2, 0)
+u1_x, u2_x = jet_expr(G, 1, 1), jet_expr(G, 2, 1)
+_g_coefficients = st.builds(
+    lambda c, m, d: c * m / d,
+    _constants,
+    st.sampled_from([1, u1, u2, u1_x, u1 * u2, u2**2, u1 * u2_x]),
+    st.sampled_from([1, 1 + u1**2, 2 + u2, u1]),
+)
+_g_vectors = st.tuples(_g_coefficients | st.just(sp.Integer(0)), _g_coefficients)
+
+
+def _g_dx(e):
+    return sum((sp.diff(e, jet_expr(G, i, k)) * jet_expr(G, i, k + 1) for i in (1, 2) for k in range(4)),
+               sp.Integer(0))
+
+
+@st.composite
+def _two_field_operators(draw):
+    """Skew local parts in half the draws (2c D + D(c) on the diagonal, a and -a off it),
+    random entries of orders 0..2 otherwise, and tails of the three kinds."""
+    rows = [[[], []], [[], []]]
+    if draw(st.booleans()):
+        for i in range(2):
+            c = draw(_g_coefficients)
+            rows[i][i] += [(2 * c, 1), (_g_dx(c), 0)]
+        a = draw(_g_coefficients)
+        rows[0][1].append((a, 0))
+        rows[1][0].append((-a, 0))
+    else:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=3)):
+            rows[i][j].append((draw(_g_coefficients), draw(st.integers(0, 2))))
+    tails = []
+    for kind in draw(st.lists(st.sampled_from(["equal", "swapped", "unequal"]), max_size=3)):
+        e, w, z = draw(_constants), draw(_g_vectors), draw(_g_vectors)
+        if kind == "equal":
+            tails.append(Tail(e, w, w))
+        elif kind == "swapped":
+            tails += [Tail(e, w, z), Tail(e, z, w)]
+        else:
+            tails.append(Tail(e, w, z))
+    return WNOperator(G, rows, tails)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_two_field_operators())
+def test_skew_check_matches_the_sum_with_the_adjoint(P):
+    D = P + operator_adjoint(P)
+    witness = _first_nonzero(D.local, D.tails, D.field)
+    res = skew_check(P)
+    assert res.ok == (witness is None)
+    assert res.witness == witness
+
+
+# -- the encoding against the sum of its pieces --------------------------------
+# to_superfunction sums every term in one dict; the reference adds the local
+# part from from_terms and, per tail, the product W * v of the tail's left
+# covector with its variable, scaled by e times the density's content.
+
+
+def _encoding_as_a_sum(P, table):
+    n = P.n
+    out = SuperPoly.from_terms(
+        (coeff, [p(i, 0), p(j, order)])
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for coeff, order in P.entry(i, j)
+    )
+    for tail in P.tails:
+        density = SuperPoly.from_terms([(tail.right[j - 1], [p(j, 0)]) for j in range(1, n + 1)])
+        if density.is_zero():
+            continue
+        content, reduced = scalar_content(density)
+        v = SuperPoly.factor(table.factor(table.register(reduced, note="operator tail")))
+        W = SuperPoly.from_terms([(tail.left[i - 1], [p(i, 0)]) for i in range(1, n + 1)])
+        out = out + (W * v).scale(tail.constant * content)
+    return out
+
+
+def _table_entries(table):
+    return [(ident, e.name, e.density.sorted_texts()) for ident, e in table.entries.items()]
+
+
+@st.composite
+def _encoded_operators(draw):
+    """One or two fields; no local part in a third of the draws; tails from a pool of three,
+    so that densities repeat and tails cancel, with a zero density or a zero left covector."""
+    fields = draw(st.sampled_from([F, G]))
+    n = fields.n
+    coefficients = _coefficients if n == 1 else _g_coefficients
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    if draw(st.integers(0, 2)):
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j].append((draw(coefficients), draw(st.integers(0, 2))))
+    zero = (sp.Integer(0),) * n
+    vector = st.tuples(*[coefficients | st.just(sp.Integer(0))] * n) | st.just(zero)
+    pool = [(draw(_constants), draw(vector), draw(vector)) for _ in range(3)]
+    tails = [Tail(sign * e, w, z)
+             for k, sign in draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=4))
+             for e, w, z in (pool[k],)]
+    return WNOperator(fields, rows, tails)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_encoded_operators())
+def test_encoding_matches_the_sum_of_its_pieces(P):
+    ours, theirs = NonlocalVarTable(), NonlocalVarTable()
+    S, R = to_superfunction(P, ours), _encoding_as_a_sum(P, theirs)
+    assert S.sorted_texts() == R.sorted_texts()
+    assert list(S.terms) == list(R.terms)
+    assert S.field is R.field
+    assert _table_entries(ours) == _table_entries(theirs)
+
+
+def test_encoding_fixed_cases_match_the_sum_of_its_pieces():
+    """A zero density with and without a local part, tails that cancel, and a term that
+    comes back after its sum was zero."""
+    zero, one = sp.Integer(0), sp.Integer(1)
+    cases = [
+        WNOperator(F, [[[]]], [Tail(one, (u_x,), (zero,))]),
+        WNOperator(F, [[[(u, 1)]]], [Tail(one, (u_x,), (zero,))]),
+        WNOperator(F, [[[]]], [Tail(one, (u_x,), (u,)), Tail(-one, (u_x,), (u,))]),
+        WNOperator(G, [[[], []], [[], []]], [Tail(one, (u1, u2), (u1, zero)), Tail(-one, (u1, zero), (u1, zero)),
+                                             Tail(one, (u1, zero), (2 * u1, zero))]),
+        WNOperator(F, [[[]]], []),
+    ]
+    for P in cases:
+        ours, theirs = NonlocalVarTable(), NonlocalVarTable()
+        S, R = to_superfunction(P, ours), _encoding_as_a_sum(P, theirs)
+        assert (S.sorted_texts(), list(S.terms)) == (R.sorted_texts(), list(R.terms))
+        assert S.field is R.field and _table_entries(ours) == _table_entries(theirs)
+    empty = to_superfunction(cases[0], NonlocalVarTable())
+    assert empty.is_zero() and empty.field is coeff_field(())
+
+
+class TestSkewWork:
+    """The skew test and the encoding build no intermediate operator, and a tail that is
+    minus its own adjoint needs no two-point field; counted, so independent of machine speed."""
+
+    SOURCE = """fields u;
+operator P {
+  local[1,1]: (1 + 2*u^2)*D + 2*u*u_x;
+  nonlocal[1,1]: (1/2)*[u*u_x|u*u_x];
+  nonlocal[1,1]: (-1/3)*[(1 + u^2)*u_x|(1 + u^2)*u_x];
+  nonlocal[1,1]: (-1)*[u^2*u_x|u^2*u_x];
+}
+"""
+
+    def check(self, tmp_path, capsys):
+        f = tmp_path / "first_order_1d.wno"
+        f.write_text(self.SOURCE)
+        assert main(["check", str(f), "P"]) == 0
+        assert "HAMILTONIAN: yes" in capsys.readouterr().out
+
+    def test_symmetric_tails_build_no_two_point_field_and_no_operator(self, monkeypatch, tmp_path, capsys):
+        def refuse(field):
+            raise AssertionError("a two-point field was built")
+
+        monkeypatch.setattr(wno.algebra, "_two_point", refuse)
+        monkeypatch.setattr(wno.schouten, "_two_point", refuse)
+        built, inside, post_init, skew = [], [], WNOperator.__post_init__, skew_check
+
+        def counting(self):
+            built.append(bool(inside))
+            post_init(self)
+
+        def tracked(P):
+            inside.append(P)
+            try:
+                return skew(P)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(WNOperator, "__post_init__", counting)
+        monkeypatch.setattr(wno.schouten, "skew_check", tracked)
+        self.check(tmp_path, capsys)
+        assert built == [False]  # the parsed operator, and none inside the skew test
+
+    def test_coefficient_conversions_of_one_check(self, monkeypatch, tmp_path, capsys):
+        """17 calls of ``_into`` (50 when the skew test built P* and P + P* as operators and
+        the encoding added separately built values)."""
+        calls, original = [], wno.algebra._into
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (wno.algebra, wno.geometry, wno.schouten):
+            monkeypatch.setattr(module, "_into", counting)
+        self.check(tmp_path, capsys)
+        assert len(calls) == 17
+
+
+def test_empty_values_are_over_the_field_of_no_generators():
+    assert SuperPoly.zero().field is coeff_field(())
+    assert SuperPoly.factor(p(1, 2)).field is coeff_field(())
