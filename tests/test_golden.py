@@ -45,6 +45,9 @@ CASES["geom_perturbed.txt"] = ["geom", "curvature.wno", "perturbed", "--format",
 CASES["geom_skewed.txt"] = ["geom", "firstorder.wno", "skewed", "--format", "text"]  # asymmetric g
 for _name in ("tail8", "local7"):  # variational sums of order up to 16
     CASES[f"check_{_name}.txt"] = ["check", "highorder.wno", _name, "--el", "--format", "text"]
+for _name in ("loc", "tail"):  # skew witnesses: an entry of P + P*, a tail kernel
+    for _fmt, _ext in (("text", "txt"), ("json", "json")):
+        CASES[f"check_nonskew_{_name}.{_ext}"] = ["check", "nonskew.wno", _name, "--el", "--format", _fmt]
 for _fmt, _ext in (("text", "txt"), ("json", "json")):
     CASES[f"bracket_mkdv2_mkdv2.{_ext}"] = [
         "bracket", "mkdv.wno", "mkdv2", "mkdv2", "--format", _fmt,
