@@ -952,9 +952,12 @@ class SuperPoly:
 
     def scale(self, value) -> "SuperPoly":
         """``value`` times this, for an exact scalar or coefficient; by a rational 1, this itself."""
-        if value.__class__ in (int, Fraction) and value == 1:
-            return self
-        field, (c,) = _into(self.field, [value])
+        if value.__class__ in (int, Fraction):
+            if value == 1:
+                return self
+            field, c = self.field, _rational(self.field, value)
+        else:
+            field, (c,) = _into(self.field, [value])
         return SuperPoly({w: _lift(k, field) * c for w, k in self.terms.items()}, field)
 
     # -- structure ------------------------------------------------------

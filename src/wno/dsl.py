@@ -107,6 +107,7 @@ class Parser:
         self.pos = 0
         self.fields: Fields | None = None
         self.field = self.gens = None  # the current block's field and its generators
+        self.jets: dict[str, Jet] = {}  # identifier -> its jet (``jet_from_name``)
         self.depth = 0  # open parentheses and unary signs
 
     # -- token plumbing ---------------------------------------------------
@@ -425,20 +426,23 @@ class Parser:
         self.fail("expected a number, variable, or parenthesized expression")
 
     def jet_from_name(self, tok: Token) -> Jet:
+        """The jet that ``tok`` names, found once per parse: ``self.jets`` keeps it, not an error."""
         name = tok.text
+        if name in self.jets:
+            return self.jets[name]
         if name == "D":
             self.fail("D is only valid inside a local[] entry", tok)
         base, _, suffix = name.partition("_")
         if base not in self.fields.names:
             raise ParseError(f"undeclared field {base!r}", tok.line, tok.col)
-        if "_" not in name:
-            return self.fields.jet(self.fields.names.index(base) + 1, 0)
-        m = re.fullmatch(r"(\d*)x", suffix)
-        if not m:
-            self.fail(f"bad derivative suffix in {name!r} (use _x, _2x, ...)", tok)
-        order = self.integer(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
-        return self.fields.jet(self.fields.names.index(base) + 1, order)
-
+        order = 0
+        if "_" in name:
+            m = re.fullmatch(r"(\d*)x", suffix)
+            if not m:
+                self.fail(f"bad derivative suffix in {name!r} (use _x, _2x, ...)", tok)
+            order = self.integer(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
+        jet = self.jets[name] = self.fields.jet(self.fields.names.index(base) + 1, order)
+        return jet
 
 def parse(source: str) -> OperatorFile:
     return Parser(source).parse_file()

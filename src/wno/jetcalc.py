@@ -87,27 +87,35 @@ def _exact(a: SuperPoly, fields: Fields) -> bool:
 def _variations(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None):
     """``((slot, field), value)`` per slot group of A, cheapest first (by top order k): value is
     ``sum_m (-1)^m d_x^m(a_m)`` for ``a_m = dA/dslot_m * fixed`` by Horner's rule,
-    ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives, not k(k+1)/2."""
-    for key, parts in sorted(_slots(A, fields).items(), key=lambda g: max(g[1])):
+    ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives, not k(k+1)/2.  A partial is taken
+    when the loop reaches its order, so a caller that stops at a group takes none of the next."""
+    for key, orders in sorted(_slots(A, fields).items(), key=lambda g: max(g[1])):
         value = SuperPoly.zero()  # (-1)^m times the inner sum from order m on
-        for m in range(max(parts), -1, -1):
+        for m in range(max(orders), -1, -1):
             if value:  # a zero needs no derivative
                 value = total_x(value, fields, table)
-            if m in parts:
-                term = parts[m] if fixed is None else parts[m] * fixed
+            if m in orders:
+                term = _partial(A, fields, key, m)
+                term = term if fixed is None else term * fixed
                 value = value + (term if m % 2 == 0 else -term)
         yield key, value
 
 
-def _slots(A: SuperPoly, fields: Fields) -> dict[tuple[str, int], dict[int, SuperPoly]]:
-    """``{(slot, field): {order: partial}}`` over the even slots ``"u"`` (jet variables) and
-    the odd slots ``"p"`` (dual factors) of A, the partial of A by each."""
-    groups: dict[tuple[str, int], dict[int, SuperPoly]] = {}
+def _slots(A: SuperPoly, fields: Fields) -> dict[tuple[str, int], set[int]]:
+    """``{(slot, field): orders}`` over the even slots ``"u"`` (jet variables) and the odd slots
+    ``"p"`` (dual factors) of A: the orders at which A depends on each."""
+    groups: dict[tuple[str, int], set[int]] = {}
     for i, o in {(i, o) for c in A.terms.values() for _, i, o in fields.jet_symbols(c)}:
-        groups.setdefault(("u", i), {})[o] = A.partial_even(fields.jet(i, o))
+        groups.setdefault(("u", i), set()).add(o)
     for f in {f for w in A.terms for f in w if f.kind == "p"}:
-        groups.setdefault(("p", f.index), {})[f.order] = A.partial_odd(f)
+        groups.setdefault(("p", f.index), set()).add(f.order)
     return groups
+
+
+def _partial(A: SuperPoly, fields: Fields, key: tuple[str, int], order: int) -> SuperPoly:
+    """The partial of A by the slot ``key`` at ``order``."""
+    slot, i = key
+    return A.partial_even(fields.jet(i, order)) if slot == "u" else A.partial_odd(p(i, order))
 
 
 @dataclass
@@ -182,9 +190,9 @@ def linearize(a: SuperPoly, fields: Fields) -> LinearizationOp:
     _require_local(a, "linearize")
     rows: dict[tuple[str, int], list[tuple[SuperPoly, int]]] = {}
     for A, want in ((a, "u"), (a.parity_part(1) - a.parity_part(0), "p")):
-        for (slot, i), parts in _slots(A, fields).items():
-            if slot == want:
-                rows[slot, i] = [(part, order) for order, part in parts.items()]
+        for key, orders in _slots(A, fields).items():
+            if key[0] == want:
+                rows[key] = [(_partial(A, fields, key, order), order) for order in orders]
     return LinearizationOp(fields, rows).merged()
 
 

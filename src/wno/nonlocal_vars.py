@@ -85,9 +85,9 @@ class NonlocalVarTable:
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        key = tuple(density.sorted_texts())
-        if key in self._by_density:
-            return self._by_density[key]
+        ident = self.lookup(density)
+        if ident is not None:
+            return ident
         level = 1
         for ident in density.nonlocal_ids():
             level = max(level, self.entries[ident].level + 1)
@@ -103,8 +103,12 @@ class NonlocalVarTable:
             formal=formal,
             note=note,
         )
-        self._by_density[key] = ident
+        self._by_density[tuple(density.sorted_texts())] = ident
         return ident
+
+    def lookup(self, density: SuperPoly) -> int | None:
+        """The id of the variable registered for ``density``, or None."""
+        return self._by_density.get(tuple(density.sorted_texts()))
 
     def density(self, ident: int) -> SuperPoly:
         try:
@@ -261,10 +265,14 @@ class Antiderivative:
 
 
 def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note: str) -> Antiderivative:
+    """An antiderivative of A: its content times the variable registered for its reduced density,
+    else an explicit one, else a new formal variable.  The table is read first because a registered
+    local density never integrates: it is an operator tail's order-0 covector ``sum_j z_j p_j``,
+    whose odd-slot variational derivative is z itself, or a density whose integration failed."""
     content, reduced = scalar_content(A)
     if reduced.is_zero():
         return Antiderivative(SuperPoly.zero(), False)
-    if reduced.is_local():
+    if table.lookup(reduced) is None and reduced.is_local():
         result = integrate_density(reduced, fields)
         if result.ok:
             return Antiderivative(result.antiderivative.scale(content), False)

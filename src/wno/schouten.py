@@ -6,9 +6,13 @@ entries plus tail summands ``e * w d^(-1) z`` with rational constants e and
 vectors w, z of rational-function coefficients.  The encoding sends a local
 entry ``c d^k`` in slot (i, j) to ``c * p_i p_j[k]`` and each tail to
 ``e * (sum_i w_i p_i) * v`` for a nonlocal variable v whose density is
-``sum_j z_j p_j``.  The encoding and the skew test stay in the operator's
-coefficient field and build no other operator; a tail ``e * w d^(-1) w`` is
-minus its own adjoint, so only the other tails need the two-point kernel.
+``sum_j z_j p_j``.
+
+The odd-slot variational tuple of the encoding is ``(P - P*) p``, so the
+skew test reads the local entries of ``P + P*`` off the words with one dual
+factor in ``2 P(p) - dp``: the bracket computes that tuple anyway, and no
+formal adjoint is taken.  A tail ``e * w d^(-1) w`` is minus its own
+adjoint; only the other tails need the two-point kernel.
 
 The bracket of two operator encodings is computed slot-wise from their
 variational-derivative tuples,
@@ -29,7 +33,7 @@ from itertools import islice, product
 
 from .algebra import (
     Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _merge, _product_sum, _two_point,
-    normalize_word, p
+    coeff_field, normalize_word, p
 )
 from .jetcalc import ELResult, _adjoint_terms
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
@@ -96,40 +100,27 @@ class WNOperator:
         return WNOperator(self.fields, local, tails)
 
 
-def _adjoint(P: WNOperator, tails: list[Tail]) -> tuple[list[list[DiffRow]], list[Tail]]:
-    """The entries of P*, entry (i, j) the Leibniz terms (c d^k)* = (-1)^k d^k c of P's entry
-    (j, i) in the fields their derivatives reach, and the adjoints -z d^(-1) w of ``tails``."""
+def operator_adjoint(P: WNOperator) -> WNOperator:
+    """Formal adjoint: entries transposed through (c d^k)* = (-1)^k d^k c,
+    tails through (w d^(-1) z)* = -z d^(-1) w."""
     r = range(P.n)
     rows = [[[(factor * d.terms.get((), d.field.zero), m) for coeff, order in P.local[j][i]
               for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields)]
              for j in r] for i in r]
-    return rows, [Tail(-t.constant, t.right, t.left) for t in tails]
-
-
-def operator_adjoint(P: WNOperator) -> WNOperator:
-    """Formal adjoint: entries transposed through (c d^k)* = (-1)^k d^k c,
-    tails through (w d^(-1) z)* = -z d^(-1) w."""
-    return WNOperator(P.fields, *_adjoint(P, P.tails))
+    return WNOperator(P.fields, rows, [Tail(-t.constant, t.right, t.left) for t in P.tails])
 
 
 def skew_part(P: WNOperator) -> WNOperator:
     return (P + operator_adjoint(P).scale(-1)).scale(Fraction(1, 2))
 
 
-def _first_nonzero(rows: list[list[DiffRow]], tails: list[Tail], field) -> str | None:
-    """The first nonzero entry, as text, of the local ``rows`` (coefficients of any fields)
-    summed per order, then of the kernel of the ``tails`` (coefficients in ``field``), with
-    copies u(y), u_x(y), ... of the jets in its second slot: equal kernels, equal actions."""
-    n = len(rows)
-    pairs = list(product(range(n), repeat=2))
-    it = iter(_into(None, (c for rs in rows for row in rs for c, _ in row))[1])
-    for i, j in pairs:
-        row = _by_order([(next(it), order) for _, order in rows[i][j]])
-        if row:
-            coeff, order = row[0]
-            return f"local[{i + 1},{j + 1}]: {_coeff_text(coeff)} * D^{order}"
+def _tail_witness(tails: list[Tail], field) -> str | None:
+    """The first nonzero entry, as text, of the kernel of the ``tails`` (coefficients in ``field``),
+    with copies u(y), u_x(y), ... of the jets in its second slot: equal kernels, equal actions."""
     if not tails:  # the two-point field is built for a tail only
         return None
+    n = len(tails[0].left)
+    pairs = list(product(range(n), repeat=2))
     K, ys = _two_point(field)
     kernel = [[K.zero] * n for _ in range(n)]
     for t in tails:
@@ -143,7 +134,7 @@ def _first_nonzero(rows: list[list[DiffRow]], tails: list[Tail], field) -> str |
 
 def operators_equal(P: WNOperator, Q: WNOperator) -> bool:
     D = P + Q.scale(-1)
-    return _first_nonzero(D.local, D.tails, D.field) is None
+    return not any(_by_order(row) for rows in D.local for row in rows) and not _tail_witness(D.tails, D.field)
 
 
 @dataclass
@@ -152,13 +143,32 @@ class SkewResult:
     witness: str | None = None
 
 
-def skew_check(P: WNOperator) -> SkewResult:
-    """Test P + P* == 0 on P's entries with their adjoint terms, and on the kernel of the tails
-    other than e w d^(-1) w; the witness is the first nonzero entry found."""
+def _local_witness(P: WNOperator, dp: tuple[SuperPoly, ...]) -> str | None:
+    """The first nonzero entry of P + P* off its tails, as text: entry (i, j) at order k is
+    ``2 c - d`` for c the sum of P's entries c d^k and d the coefficient of p_j[k] in ``dp[i]``,
+    both in one field, and a skew operator takes no difference."""
+    K = coeff_field({s for f in (P.field, *(d.field for d in dp)) for s in f.symbols})
+    for i, d in enumerate(dp):
+        theirs = {(w[0].index - 1, w[0].order): _lift(c, K) for w, c in d.terms.items()
+                  if len(w) == 1 and w[0].kind == "p"}
+        for j, row in enumerate(P.local[i]):
+            ours = {(j, order): _lift(c * 2, K) for c, order in _by_order(row)}
+            for key in sorted(key for key in ours.keys() | theirs.keys() if key[0] == j):
+                a, b = ours.get(key, K.zero), theirs.get(key, K.zero)
+                if a != b:
+                    return f"local[{i + 1},{j + 1}]: {_coeff_text(a - b)} * D^{key[1]}"
+    return None
+
+
+def skew_check(P: WNOperator, dp: tuple[SuperPoly, ...] | None = None) -> SkewResult:
+    """Test P + P* == 0 on the local entries that ``dp``, the odd-slot variational tuple
+    (P - P*) p of P's encoding, gives (``_local_witness``; computed here when not given), then
+    on the kernel of the tails other than e w d^(-1) w.  The witness is the first nonzero entry."""
+    if dp is None:
+        dp = el_nonlocal(to_superfunction(P, table := NonlocalVarTable()), P.fields, table).el.dp
     tails = [t for t in P.tails if t.left != t.right]
-    (rows, adjoints), r = _adjoint(P, tails), range(P.n)
-    rows = [[P.local[i][j] + rows[i][j] for j in r] for i in r]
-    witness = _first_nonzero(rows, tails + adjoints, P.field)
+    tails += [Tail(-t.constant, t.right, t.left) for t in tails]
+    witness = _local_witness(P, dp) or _tail_witness(tails, P.field)
     return SkewResult(witness is None, witness)
 
 
@@ -232,9 +242,9 @@ def schouten_bracket(P: WNOperator, Q: WNOperator,
                      table: NonlocalVarTable | None = None) -> BracketOutcome:
     """Bracket of two operator encodings, with the divergence-triviality test.
 
-    Each distinct operand is skew-tested once.  Operators failing the test
-    are not rejected: the encoding only sees the skew part, and a warning is
-    attached instead.
+    Each distinct operand is encoded, and its skew test read off its odd-slot variational
+    tuple, once.  Operators failing the test are not rejected: the encoding only sees the skew
+    part, and a warning is attached instead.
     """
     if P.fields != Q.fields:
         raise ValueError("operators live over different field sets")
@@ -242,19 +252,14 @@ def schouten_bracket(P: WNOperator, Q: WNOperator,
     if table is None:
         table = NonlocalVarTable()
     operands = {"operator": P} if Q is P else {"first operator": P, "second operator": Q}
-    skew = [skew_check(op) for op in operands.values()]
+    els = [el_nonlocal(to_superfunction(op, table), fields, table) for op in operands.values()]
+    skew = [skew_check(op, el.el.dp) for op, el in zip(operands.values(), els)]
     warnings = [
         f"{name} is not skew-adjoint ({res.witness}); only its skew part enters the bracket"
         for name, res in zip(operands, skew)
         if not res.ok
     ]
-    SP = to_superfunction(P, table)
-    elP = el_nonlocal(SP, fields, table)
-    if Q is P:
-        SQ, elQ = SP, elP
-    else:
-        SQ = to_superfunction(Q, table)
-        elQ = el_nonlocal(SQ, fields, table)
+    elP, elQ = els[0], els[-1]
 
     sides = [(elP, elQ)] if Q is P else [(elP, elQ), (elQ, elP)]
     pairs = [(a.el.du[i], b.el.dp[i]) for i in range(fields.n) for a, b in sides]
@@ -265,7 +270,7 @@ def schouten_bracket(P: WNOperator, Q: WNOperator,
         three_vector=three,
         el=elT.el,
         trivial=elT.el.is_zero(),
-        independence_assumed=elP.formal_used or elQ.formal_used or elT.formal_used,
+        independence_assumed=any(el.formal_used for el in els) or elT.formal_used,
         skew=skew,
         warnings=warnings,
     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import wno.algebra
 import wno.dsl
 import wno.geometry
+import wno.jetcalc
 import wno.schouten
 from wno.cli import main
 
@@ -385,11 +386,34 @@ class TestOnceByConstruction:
         ],
     )
     def test_skew_tested_once_per_operand(self, monkeypatch, capsys, argv, operands):
+        """One skew test per operand, each given the odd-slot tuple of the operand's encoding."""
         calls = self.counted(monkeypatch, wno.schouten, "skew_check")
         command, name, *rest = argv.split()
         assert main([command, str(CASES / name), *rest]) in (0, 1)
         capsys.readouterr()
-        assert len(calls) == operands
+        assert len(calls) == operands and all(len(args) == 2 for args in calls)
+
+    @pytest.mark.parametrize("argv", [
+        "check mkdv.wno mkdv2", "check nonskew.wno loc", "check nonskew.wno tail",
+        "bracket mkdv.wno mkdv2 kdv", "bracket nonskew.wno loc tail", "geom firstorder.wno sphere",
+        "geom firstorder.wno skewed",
+    ])
+    def test_no_adjoint_by_the_leibniz_rule(self, monkeypatch, capsys, argv):
+        """A verdict reads P + P* off the encoding's odd-slot tuple: no command takes the
+        Leibniz terms of an adjoint, skew operands and non-skew ones alike."""
+        original, calls = wno.jetcalc._adjoint_terms, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "wno"]:
+            if getattr(module, "_adjoint_terms", None) is original:
+                monkeypatch.setattr(module, "_adjoint_terms", counting)
+        command, name, *rest = argv.split()
+        assert main([command, str(CASES / name), *rest]) in (0, 1)
+        capsys.readouterr()
+        assert calls == []
 
     @pytest.mark.parametrize("command, renders", [("geom", False), ("check", True)])
     def test_geom_renders_no_term(self, monkeypatch, capsys, command, renders):

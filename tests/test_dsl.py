@@ -65,6 +65,17 @@ class TestParse:
         assert "A" in doc.operators
 
 
+    def test_one_jet_lookup_per_identifier(self, monkeypatch):
+        """Each identifier is mapped to its jet once per parse, across blocks; a bad one is not
+        kept, so its error points at the token that the parse reaches."""
+        calls, original = [], Fields.jet
+        monkeypatch.setattr(Fields, "jet", lambda f, i, o=0: calls.append((i, o)) or original(f, i, o))
+        parse("fields u; operator A { local[1,1]: u*u_x*D + u_x^2; } operator B { local[1,1]: u^2*D; }")
+        assert sorted(calls) == [(1, 0), (1, 1)]
+        with pytest.raises(ParseError, match=r"^1:36: bad derivative suffix in 'u_y'"):
+            parse("fields u; operator A { local[1,1]: u_y*D + u_y; }")
+
+
 class TestDiagnostics:
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as err:

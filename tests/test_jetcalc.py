@@ -19,7 +19,7 @@ from wno.jetcalc import (
     linearize,
     total_x,
 )
-from wno.nonlocal_vars import NonlocalVarTable
+from wno.nonlocal_vars import NonlocalVarTable, integrate_density
 
 from conftest import jet_expr, monomial, random_local, random_local_mixed, scalar
 
@@ -165,6 +165,16 @@ class TestVariationalKernel:
         assert len(calls) == 4
         calls.clear()
         assert not _exact(monomial(u_x, [p(1)]), F) and not calls
+
+
+    def test_partials_on_demand(self, monkeypatch):
+        """A slot group's partials are taken when its Horner loop reaches it: the exactness test
+        of u*u_x*p stops at the odd slot, top order 0, before any partial by a jet."""
+        calls, partial_even = [], SuperPoly.partial_even
+        monkeypatch.setattr(SuperPoly, "partial_even",
+                            lambda a, sym: calls.append(sym) or partial_even(a, sym))
+        assert not integrate_density(monomial(u * u_x, [p(1)]), F).ok
+        assert calls == []
 
 
 class TestLinearize:

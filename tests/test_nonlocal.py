@@ -1,6 +1,7 @@
 """Nonlocal variable registry, density integration, tail-aware EL rules."""
 
 import random
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -21,10 +22,11 @@ from wno.nonlocal_vars import (
     reduce_depth,
     split_tails,
 )
-from wno.schouten import to_superfunction
+from wno.schouten import is_hamiltonian, to_superfunction
 
 from conftest import jet_expr, monomial, random_local_mixed, scalar
 
+CASES = Path(__file__).resolve().parent.parent / "cases"
 F = Fields(("u",))
 u, u_x, u_2x = jet_expr(F, 1, 0), jet_expr(F, 1, 1), jet_expr(F, 1, 2)
 
@@ -250,6 +252,33 @@ def test_tail_whose_content_is_not_split_takes_both_sums(monkeypatch, tmp_path, 
     f.write_text(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}")
     assert main(["check", str(f), "P"]) == 0
     assert "HAMILTONIAN: yes" in capsys.readouterr().out
+
+
+def test_registered_local_densities_do_not_integrate():
+    """What lets ``_antiderivative`` read the table before it integrates: every local density that
+    the checks of the worked examples register is a tail's covector or a failed integration."""
+    local = []
+    for path in sorted(CASES.glob("*.wno")):
+        doc = parse(path.read_text())
+        for P in [*doc.operators.values(), *(m.operator for m in doc.firstorder.values())]:
+            table = NonlocalVarTable()
+            is_hamiltonian(P, table)
+            local += [(e.density, doc.fields) for e in table.entries.values() if e.density.is_local()]
+    assert len(local) > 10
+    assert not any(integrate_density(d, fields).ok for d, fields in local)
+
+
+def test_symmetric_tail_prefactor_is_not_integrated(monkeypatch, tmp_path, capsys):
+    """The prefactor of a tail e*[w|w] is e times the tail's own registered density: its
+    antiderivative is read from the table, with no integration."""
+    calls = []
+    monkeypatch.setattr(wno.nonlocal_vars, "integrate_density",
+                        lambda Y, fields: calls.append(Y.sorted_texts()) or integrate_density(Y, fields))
+    f = tmp_path / "kn.wno"
+    f.write_text("fields u; operator P { nonlocal[1,1]: (-2/3)*[(1 + u^2)*u_x|(1 + u^2)*u_x]; }")
+    assert main(["check", str(f), "P"]) == 0
+    capsys.readouterr()
+    assert monomial((1 + u**2) * u_x, [p(1)]).sorted_texts() not in calls
 
 
 def substitute_nonlocals(a: SuperPoly, mapping: dict) -> SuperPoly:

@@ -1,6 +1,7 @@
 """Operator encoding, skew test, bracket outcomes, and the verdict."""
 
 import random
+from itertools import product
 from math import comb
 
 import sympy as sp
@@ -10,13 +11,13 @@ from hypothesis import strategies as st
 import wno.algebra
 import wno.geometry
 import wno.schouten
-from wno.algebra import Fields, SuperPoly, coeff_field, p
+from wno.algebra import Fields, SuperPoly, _by_order, _coeff_text, coeff_field, p
 from wno.cli import _coefficient_report, main
 from wno.nonlocal_vars import NonlocalVarTable, scalar_content
 from wno.schouten import (
     Tail,
     WNOperator,
-    _first_nonzero,
+    _tail_witness,
     from_superfunction,
     is_hamiltonian,
     operator_adjoint,
@@ -113,17 +114,21 @@ class TestSkew:
         assert res.witness == "tail kernel [1,1]: u**2*u_x*u_x(y) - u(y)**2*u_x*u_x(y)"
 
     def test_one_skew_test_and_one_warning_per_verdict(self, monkeypatch):
-        import wno.schouten
+        """The verdict's one skew test reads the odd-slot tuple of the encoding it brackets."""
+        calls, els, el_nonlocal = [], [], wno.schouten.el_nonlocal
 
-        calls = []
+        def counted(op, *dp):
+            calls.append(dp)
+            return skew_check(op, *dp)
 
-        def counted(op):
-            calls.append(op)
-            return skew_check(op)
+        def recorded(*args):
+            els.append(el_nonlocal(*args))
+            return els[-1]
 
         monkeypatch.setattr(wno.schouten, "skew_check", counted)
+        monkeypatch.setattr(wno.schouten, "el_nonlocal", recorded)
         res = is_hamiltonian(op_local([(u, 0), (sp.Integer(1), 1)]))
-        assert len(calls) == 1
+        assert calls == [(els[0].el.dp,)]
         assert res.bracket.warnings == [
             f"operator is not skew-adjoint ({res.skew.witness}); "
             "only its skew part enters the bracket"
@@ -410,10 +415,11 @@ def test_pencil_bilinearity_with_tails(P, Q, lam):
     assert lhs == rhs
 
 
-# -- the skew test on merged rows against P + P* ------------------------------
-# skew_check sums P's entries with the adjoint terms of the transposed ones and
-# drops each tail e (w, w); the reference builds the operator P + P* and reads
-# its entries and the kernel of all its tails.  Tails are drawn equal (e w w),
+# -- the skew test against the operator P + P* ---------------------------------
+# skew_check reads the local entries of P + P* off the odd-slot variational
+# tuple of P's encoding and drops each tail e (w, w); the reference builds the
+# operator P + P* with the Leibniz rule (operator_adjoint) and reads its
+# entries and the kernel of all its tails.  Tails are drawn equal (e w w),
 # as a swapped pair e (w, z), e (z, w), which cancels in the kernel only, and
 # unequal.
 
@@ -461,11 +467,20 @@ def _two_field_operators(draw):
     return WNOperator(G, rows, tails)
 
 
+def _first_nonzero(D):
+    """The first nonzero entry of the operator D, as skew_check words it: the local entries
+    summed per order, then the kernel of the tails."""
+    for i, j in product(range(D.n), repeat=2):
+        row = _by_order(D.local[i][j])
+        if row:
+            return f"local[{i + 1},{j + 1}]: {_coeff_text(row[0][0])} * D^{row[0][1]}"
+    return _tail_witness(D.tails, D.field)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_two_field_operators())
 def test_skew_check_matches_the_sum_with_the_adjoint(P):
-    D = P + operator_adjoint(P)
-    witness = _first_nonzero(D.local, D.tails, D.field)
+    witness = _first_nonzero(P + operator_adjoint(P))
     res = skew_check(P)
     assert res.ok == (witness is None)
     assert res.witness == witness
@@ -584,10 +599,10 @@ operator P {
             built.append(bool(inside))
             post_init(self)
 
-        def tracked(P):
+        def tracked(P, *dp):
             inside.append(P)
             try:
-                return skew(P)
+                return skew(P, *dp)
             finally:
                 inside.pop()
 
@@ -597,8 +612,10 @@ operator P {
         assert built == [False]  # the parsed operator, and none inside the skew test
 
     def test_coefficient_conversions_of_one_check(self, monkeypatch, tmp_path, capsys):
-        """17 calls of ``_into`` (50 when the skew test built P* and P + P* as operators and
-        the encoding added separately built values)."""
+        """4 calls of ``_into``: the parsed operator's one field and the three tail densities'
+        ``from_terms``.  A rational scale takes none, and the skew test no batch of P + P*'s entries
+        (17 when they did; 50 when the skew test built P* and P + P* as operators and the encoding
+        added separately built values)."""
         calls, original = [], wno.algebra._into
 
         def counting(*args):
@@ -608,7 +625,7 @@ operator P {
         for module in (wno.algebra, wno.geometry, wno.schouten):
             monkeypatch.setattr(module, "_into", counting)
         self.check(tmp_path, capsys)
-        assert len(calls) == 17
+        assert len(calls) == 4
 
 
 def test_empty_values_are_over_the_field_of_no_generators():
