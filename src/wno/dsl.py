@@ -444,5 +444,6 @@ class Parser:
         jet = self.jets[name] = self.fields.jet(self.fields.names.index(base) + 1, order)
         return jet
 
+
 def parse(source: str) -> OperatorFile:
     return Parser(source).parse_file()
