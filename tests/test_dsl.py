@@ -1,7 +1,11 @@
 """Operator file format: parsing and diagnostics."""
 
+import re
+
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wno.algebra import Fields, _by_order
 from wno.cli import main
@@ -241,3 +245,162 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match=f"nesting exceeds the bound {MAX_DEPTH}") as err:
             parse(source(MAX_DEPTH + 1))
         assert (err.value.line, err.value.col) == (1, start + MAX_DEPTH)
+
+
+_OP = "fields u; operator A {{ {} }}"
+
+# (source, the ParseError as it prints): every message of ``wno.dsl`` with its position, after
+# CRLF, tabs and comments, at end of input, in nested parentheses, in a later block and in a
+# firstorder block.  A change to the parser must leave each line of this table as it is.
+DIAGNOSTICS = [
+    ("fields u;\r\n\r\n# a comment\n\t$", "4:2: unexpected character '$'"),
+    (_OP.format("local[1,1]: 0.5*D;"), "1:37: unexpected character '.'"),
+    ("fields u; operator A { local[1,1] D; }", "1:35: expected ':', got 'D'"),
+    ("fields u; operator A {", "1:23: expected 'ident', got 'end of input'"),
+    ("fields u", "1:9: expected ';', got 'end of input'"),
+    ("fields u;\noperator A {\n  local[1,1]: u*D # no semicolon\n", "4:1: expected ';', got 'end of input'"),
+    (_OP.format("nonlocal[1,1]: 1*[u|u]"), "1:47: expected ';', got '}'"),
+    ("fields ;", "1:8: expected 'ident', got ';'"),
+    ("fields u; 42", "1:11: expected a declaration"),
+    ("fields u;\nfields v;", "2:1: fields may be declared only once"),
+    ("operator A { }", "1:1: declare fields before operators"),
+    ("firstorder m { }", "1:1: declare fields before firstorder blocks"),
+    ("fields u;\n\n  operators A { }", "3:3: unknown declaration 'operators'"),
+    ("", "1:1: empty file: no fields declaration"),
+    ("# only a comment\n", "2:1: empty file: no fields declaration"),
+    ("fields u; operator A { }\nfirstorder A { g[1,1]: 1; }", "2:1: duplicate definition of 'A'"),
+    ("fields u; operator A { local[1,1]: D; }\n\n\toperator A { }", "3:2: duplicate definition of 'A'"),
+    ("fields u, D;", "1:11: D is the x-derivative and cannot name a field"),
+    ("fields u_x;", "1:8: bad field name 'u_x': use letters/digits, no underscores"),
+    ("fields u,\n  p;", "2:3: reports write p for a dual or nonlocal factor, so it cannot name a field"),
+    ("fields u, u;", "1:13: field names must be unique"),
+    (_OP.format("local[1,2]: D;"), "1:32: index 2 out of range 1..1"),
+    (_OP.format("local[1,0]: D;"), "1:32: index 0 out of range 1..1"),
+    (_OP.format("local[99999,1]: D;"), "1:30: index 99999 out of range 1..1"),
+    (_OP.format("g[1,1]: 1;"), "1:24: expected 'local' or 'nonlocal' entry"),
+    ("fields u; firstorder m { local[1,1]: D; }", "1:26: expected 'g' or 'w' entry"),
+    ("fields u; firstorder m {\n  g[1,1]: 1 + u_x; }",
+     "2:11: metric entries must depend on order-0 variables only, got u_x"),
+    ("fields u; firstorder m { w[1,1]: u; }", "1:38: firstorder block needs at least one g entry"),
+    (_OP.format("local[1,1]: D*u;"), "1:37: D must be the rightmost factor of a term"),
+    ("fields u;\r\noperator A {\r\n  local[1,1]: D;\r\n  local[1,1]: u*D^2*D;\r\n}\r\n",
+     "4:20: D must be the rightmost factor of a term"),
+    (_OP.format(f"local[1,1]: {'(' * 101}u{')' * 101}*D;"), "1:136: nesting exceeds the bound 100"),
+    (_OP.format("nonlocal[1,1]: 1/0*[u_x|u_x];"), "1:41: division by zero"),
+    (_OP.format("nonlocal[1,1]: -(2/0)*[u|u];"), "1:43: division by zero"),
+    (_OP.format("nonlocal[1,1]: u*[u_x|u_x];"), "1:39: expected a rational constant"),
+    ("fields u; firstorder m { g[1,1]: 1 ) ; }", "1:36: unexpected ')' in expression"),
+    (_OP.format("nonlocal[1,1]: 1*[u_x u_x];"), "1:46: unexpected 'u_x' in expression"),
+    (_OP.format("local[1,1]: ((u^16)^16)^4*D;"), "1:36: degree exceeds the bound 1023"),
+    ("fields u; firstorder m { g[1,1]: ((u^16)^16)^2*((u^16)^16)^2; }", "1:47: degree exceeds the bound 1023"),
+    (_OP.format("local[1,1]: 1/(u-u)*D;"), "1:38: non-finite coefficient: divisor is identically zero"),
+    ("fields u, w; operator A {\n  nonlocal[1,2]: 1*[u_x|(u + (u_x/(w - w)))];\n}",
+     "2:35: non-finite coefficient: divisor is identically zero"),
+    (_OP.format("local[1,1]: D^17;"), "1:38: derivative order exceeds the bound 16"),
+    (_OP.format("local[1,1]: D^00000000000000000000017;"), "1:38: derivative order exceeds the bound 16"),
+    (_OP.format("local[1,1]: u_17x*D;"), "1:36: derivative order exceeds the bound 16"),
+    (_OP.format("local[1,1]: u^17*D;"), "1:38: exponent exceeds the bound 16"),
+    ("fields u1, u2; # c\nfirstorder m {\n\tg[1,1]: 1;\r\n\tg[2,2]: u1^17; }", "4:13: exponent exceeds the bound 16"),
+    (_OP.format(f"local[1,1]: {'7' * 4301}*D;"), "1:36: integer literal exceeds 4300 digits"),
+    (_OP.format("local[1,1]: u*;"), "1:38: expected a number, variable, or parenthesized expression"),
+    (_OP.format("local[1,1]: (u + "), "1:42: expected a number, variable, or parenthesized expression"),
+    ("fields u; operator A { local[1,1]: (u + ", "1:41: expected a number, variable, or parenthesized expression"),
+    ("fields u; firstorder m { g[1,1]: D; }", "1:34: D is only valid inside a local[] entry"),
+    (_OP.format("local[1,1]: v_x*D;"), "1:36: undeclared field 'v'"),
+    ("fields u;\noperator A { local[1,1]: D; }\noperator B {\n  local[1,1]: u*(1 + (2*v));\n}",
+     "4:25: undeclared field 'v'"),
+    (_OP.format("local[1,1]: u_y*D + u_y;"), "1:36: bad derivative suffix in 'u_y' (use _x, _2x, ...)"),
+]
+
+
+@pytest.mark.parametrize("source, printed", DIAGNOSTICS)
+def test_every_diagnostic_and_its_position(source, printed):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    line, col, message = printed.split(":", 2)
+    assert str(err.value) == printed
+    assert (err.value.line, err.value.col, err.value.message) == (int(line), int(col), message[1:])
+
+
+# -- positions under arbitrary spacing ---------------------------------------------
+# An independent reading of the token layout: a run of spaces, tabs and line ends and a comment
+# separate tokens; a token is an identifier, a digit run or one other character.
+_LAYOUT = re.compile(r"[ \t\r\n]+|#[^\n]*|(?P<token>[A-Za-z][A-Za-z0-9_]*|\d+|.)", re.S)
+_SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\n\n\n", " # note ( ; $\n", "#\r\n", "\t# x\n\n"]
+_SOUP = ["u", "v", "u_x", "v_2x", "u_y", "w", "0", "2", "17", "D", "D^2", "fields", "operator", "firstorder",
+         "local", "nonlocal", "g", "A", "m", "[", "]", ",", ":", ";", "{", "}", "|", "*", "+", "-", "/", "^",
+         "(", ")", "[1,1]", "[1,2]", "1.5", "$", "\u00e9"]
+_HEADS = ["", "fields u, v;", "fields u; operator A { local[1,1]:", "fields u, v; firstorder m { g[1,1]:"]
+
+
+def _tokens(source):
+    return [m["token"] for m in _LAYOUT.finditer(source) if m["token"]]
+
+
+@st.composite
+def _spaced(draw, tokens):
+    """``tokens`` joined by random runs of spaces, tabs, CRLF, blank lines and comments."""
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    lead = draw(st.sampled_from(["", *_SEPARATORS]))
+    return lead + "".join(t + s for t, s in zip(tokens, seps))
+
+
+def _valid_files():
+    """Operator files by the grammar, over one or two fields, with a firstorder block."""
+    atoms = st.sampled_from(["u", "v", "u_x", "v_x", "u_2x", "1", "2", "3", "(2/3)", "(-1)"])
+    expr = st.recursive(atoms, lambda e: st.one_of(
+        st.builds("({} + {})".format, e, e), st.builds("{}*{}".format, e, e), st.builds("{} - {}".format, e, e),
+        st.builds("{}/(1 + {}^2)".format, e, e), st.builds("-{}^2".format, e)), max_leaves=4)
+    order0 = st.recursive(st.sampled_from(["u", "v", "1", "2"]), lambda e: st.one_of(
+        st.builds("({} + {})".format, e, e), st.builds("{}*{}".format, e, e)), max_leaves=3)
+    pair = st.sampled_from(["1,1", "1,2", "2,1", "2,2"])
+    term = st.builds("{}*D^{}".format, expr, st.integers(0, 3)) | st.builds("{}*D".format, expr) | expr
+    local = st.builds("local[{}]: {};".format, pair, st.lists(term, min_size=1, max_size=3).map(" - ".join))
+    tail = st.builds("nonlocal[{}]: {}*[{}|{}];".format, pair, st.sampled_from(["1", "-(2/3)", "3/4"]), expr, expr)
+    metric = st.builds("{}[{}]: {};".format, st.sampled_from("gw"), pair, order0)
+    return st.builds(
+        "fields u, v; operator A {{ {} }} firstorder m {{ g[1,1]: 1 + u^2; {} }} operator B {{ {} }}".format,
+        st.lists(local | tail, max_size=3).map(" ".join), st.lists(metric, max_size=3).map(" ".join),
+        st.lists(local, max_size=2).map(" ".join))
+
+
+def _parsed(source):
+    """What a parse of ``source`` gives, as comparable values, or its message when it fails."""
+    try:
+        doc = parse(source)
+    except ParseError as exc:
+        return exc.message
+    n = doc.fields.n
+    ops = {name: ([_by_order(op.entry(i, j)) for i in range(1, n + 1) for j in range(1, n + 1)], op.tails)
+           for name, op in doc.operators.items()}
+    return doc.fields, ops, {name: (m.g, m.W) for name, m in doc.firstorder.items()}
+
+
+def _offset(source, line, col):
+    """The offset of 1-based (line, col) in ``source``, whose lines end at ``\\n``."""
+    lines = source.split("\n")
+    assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+    return sum(len(s) + 1 for s in lines[: line - 1]) + col - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.one_of(
+    st.tuples(st.sampled_from(_HEADS), st.lists(st.sampled_from(_SOUP), max_size=30)).flatmap(
+        lambda t: _spaced(_tokens(t[0]) + t[1])),
+    _valid_files().flatmap(lambda s: _spaced(_tokens(s)))))
+def test_every_error_addresses_a_token_start_or_the_end(source):
+    """A ParseError's (line, col) is where a token or a bad character starts, or the end of input."""
+    try:
+        parse(source)
+    except ParseError as exc:
+        starts = {m.start() for m in _LAYOUT.finditer(source) if m["token"]}
+        assert _offset(source, exc.line, exc.col) in starts | {len(source)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), source=_valid_files())
+def test_spacing_and_comments_change_no_parse(data, source):
+    """Blank lines, tabs, CRLF and comments between the tokens of a file leave its operators'
+    rows and tails, its metric data and any error message as they are."""
+    spaced = data.draw(_spaced(_tokens(source)))
+    assert _parsed(spaced) == _parsed(source)
