@@ -39,7 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from operator import itemgetter, or_
 from struct import Struct
 from typing import Iterable, Mapping, Sequence
@@ -567,6 +567,9 @@ def _into(field: _Field | None, values: Iterable) -> tuple[_Field, list[_Frac]]:
     verdict is an algebraic identity) and ValueError for an expression that is not a rational
     function of its symbols (``log``, ``atan``, ``RootSum``)."""
     values = list(values)
+    own = field or (values[0].field if values and values[0].__class__ is _Frac else None)
+    if own and all(v.__class__ is _Frac and v.field is own for v in values):
+        return own, values
     symbols = set()
     sympy = sys.modules.get("sympy")  # a sympy expression exists only once sympy is imported
     for v in values:
@@ -607,8 +610,12 @@ def _start_command() -> None:
 def _d_x(a: "SuperPoly", fields: "Fields", densities: tuple[_Field, ...]) -> tuple[_Field, object]:
     """``(K, D_x)`` for ``a``: K holds ``a``'s field, the next-order jet of each jet present and the
     generators of ``densities``.  The chain rule is one pass per numerator and denominator (exponent
-    ``e > 0`` of a jet in ``m`` gives ``e (m + d)``, one unit moved up an order), then ``_quotient_rule``."""
+    ``e > 0`` of a jet in ``m`` gives ``e (m + d)``, one unit moved up an order), then ``_quotient_rule``.
+    A value whose coefficients are all rational numbers, with no ``densities``, keeps its field and
+    gets the zero derivative, with no plan."""
     used = reduce(or_, (m for c in a.terms.values() for q in (c.numer, c.denom) for m in q), 0)
+    if not used and not densities:
+        return a.field, lambda c: a.field.zero
     jets = tuple(fields._jets_in(a.field, used))
     key = a.field, fields, jets, densities
     plan = _DX.get(key)
@@ -757,6 +764,29 @@ def _exponents_below(c: _Frac, bits: int) -> bool:
     monomials has a higher bit."""
     used = reduce(or_, c.numer, 0) | reduce(or_, c.denom, 0)
     return not used & (c.field.guard >> _WIDTH - 1) * (_MAX >> bits << bits)
+
+
+def _terms_bound(op: str, a: _Frac, b, limit: int) -> int:
+    """A bound on the terms of the numerator and of the denominator of ``a op b``, for ``op`` one
+    of ``+ - * /``, or ``^`` with an exponent ``b``, before it is computed: a product has at most
+    the product of its operands' terms, a sum ``(a d + c b)/(b d)`` at most their sum, and a t-term
+    polynomial to the k at most C(k+t-1, t-1), the count of its exponent vectors.  Past ``limit``,
+    the lesser of that and C(e+v, v), the count of monomials of total degree at most e in the v
+    generators that occur, e bounding the total degree of the result."""
+    n, d = len(a.numer), len(a.denom)
+    if op == "^":
+        count = max(comb(abs(b) + t - 1, t - 1) if t else 0 for t in (n, d))
+    else:
+        m, e = (len(b.denom), len(b.numer)) if op == "/" else (len(b.numer), len(b.denom))
+        count = max(n * m, d * e) if op in "*/" else max(n * e + m * d, d * e)
+    if count <= limit:
+        return count
+    polys = (a.numer, a.denom) if op == "^" else (a.numer, a.denom, b.numer, b.denom)
+    unpack, size = a.field.layout.unpack, a.field.layout.size
+    degrees = [max((sum(unpack(x.to_bytes(size, "big"))) for x in q), default=0) for q in polys]
+    used = reduce(or_, (x for q in polys for x in q), 0)
+    v = sum(1 for s in a.field.shifts if used >> s & _MAX)
+    return min(count, comb((abs(b) * max(degrees) if op == "^" else sum(degrees)) + v, v))
 
 
 def _jet_name(base: str, order: int) -> str:

@@ -15,31 +15,38 @@ Grammar (EBNF):
     expr       := sum | product | power | "(" expr ")" | rational | jetname
     jetname    := field | field "_x" | field "_<k>x"
 
-A field cannot be named ``D``, the x-derivative, nor ``p``, ``p<k>``,
-``r<k>`` or ``y<k>``, which reports give the dual and nonlocal factors.
-Numbers are integers of at most ``MAX_DIGITS`` digits; rationals are
-written as quotients (``2/3``).  Floats are rejected.  Derivative orders
-(``D^k``, ``u_kx``) and exponents are at most ``MAX_POWER``: the cost of a
-check grows steeply with them, and an unbounded one would let a short input
-run without end.  Each power, product, quotient and sum an expression builds
-has exponents of at most ``MAX_DEGREE`` in its reduced numerator and
-denominator, far below the largest exponent a packed monomial holds (see
-``wno.algebra._Field``).  Parentheses and unary signs nest at most
-``MAX_DEPTH`` deep, so the recursive descent stays within Python's stack.  Each
-``nonlocal[i,j]`` entry declares one rank-one tail ``e * w d^(-1) z`` whose
-vectors are supported in slots i and j.  Entries are parsed into one
-coefficient field per block (``Parser.enter_block``).
+The source is read in one ``finditer`` pass into ``(kind, text, offset)``
+tuples; a ``ParseError`` counts its line and column from the offset only when
+it is raised (``_error``).  A field cannot be named ``D``, the x-derivative,
+nor ``p``, ``p<k>``, ``r<k>`` or ``y<k>``, which reports give the dual and
+nonlocal factors.  Numbers are integers of at most ``MAX_DIGITS`` digits;
+rationals are written as quotients (``2/3``).  Floats are rejected.
+Derivative orders (``D^k``, ``u_kx``) and exponents are at most
+``MAX_POWER``: the cost of a check grows steeply with them, and an unbounded
+one would let a short input run without end.  Each power, product, quotient
+and sum an expression builds has at most ``MAX_TERMS`` terms in its numerator
+and in its denominator, by a bound taken before it is computed
+(``algebra._terms_bound``), and exponents of at most ``MAX_DEGREE`` in its
+reduced numerator and denominator, far below the largest exponent a packed
+monomial holds (see ``wno.algebra._Field``).  Parentheses and unary signs nest
+at most ``MAX_DEPTH`` deep, so the recursive descent stays within Python's
+stack.  Each ``nonlocal[i,j]`` entry declares one rank-one tail
+``e * w d^(-1) z`` whose vectors are supported in slots i and j.  Entries are
+parsed into one coefficient field per block (``Parser.enter_block``), and the
+first factor of a term is the start of its coefficient.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
 from .algebra import (
-    Coeff, Fields, Jet, _DIGITS, _check_field_name, _exponents_below, _int_value, _rational, coeff_field
+    Coeff, Fields, Jet, _DIGITS, _check_field_name, _exponents_below, _int_value, _rational, _terms_bound,
+    coeff_field
 )
 from .geometry import MetricData
 from .schouten import DiffRow, Tail, WNOperator
@@ -49,6 +56,9 @@ MAX_POWER = 16
 MAX_DEGREE = 2**10 - 1  # one less than a power of two: a bound on the bit length of exponents
 MAX_DEPTH = 100  # nesting of parentheses and unary signs
 MAX_DIGITS = 4300  # digits of an integer literal
+MAX_TERMS = 10_000  # terms of the numerator or the denominator of a coefficient
+_POWER_DIGITS = len(str(MAX_POWER))
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ParseError(ValueError):
@@ -59,36 +69,31 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str  # ident | int | punct | end
-    text: str
-    line: int
-    col: int
+Token = tuple[str, str, int]  # (kind: ident | int | punct | end, text, offset in the source)
 
-
-_PUNCT = ("{", "}", "[", "]", ":", ";", ",", "|", "*", "+", "-", "/", "^", "(", ")")
 _TOKEN_RE = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"(?P<punct>[{}\[\]:;,|*+\-/^()])"
+    r"|[ \t\r\n]+"
     r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<int>\d+)"
-    r"|(?P<punct>" + "|".join(re.escape(c) for c in _PUNCT) + ")"
+    r"|#[^\n]*"
     r"|(?P<bad>.)"
 )
 
+_SUFFIX_RE = re.compile(r"(\d*)x")  # the derivative suffix of a jet name, after its "_"
+
+
+def _error(source: str, message: str, offset: int) -> ParseError:
+    """The ParseError at ``offset`` of ``source``, its line and column counted from the offset."""
+    return ParseError(message, source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset))
+
 
 def tokenize(source: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(source):
-        kind, col = m.lastgroup, m.start() - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m[0]!r}", line, col)
-        elif kind:  # whitespace and comments have no group
-            tokens.append(Token(kind, m[0], line, col))
-    tokens.append(Token("end", "", line, len(source) - line_start + 1))
+    tokens = [(kind, m[0], m.start()) for m in _TOKEN_RE.finditer(source) if (kind := m.lastgroup)]
+    for kind, text, offset in tokens:
+        if kind == "bad":
+            raise _error(source, f"unexpected character {text!r}", offset)
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -103,6 +108,7 @@ class Parser:
     """Recursive-descent parser for the operator file format."""
 
     def __init__(self, source: str):
+        self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
         self.fields: Fields | None = None
@@ -112,54 +118,48 @@ class Parser:
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise _error(self.source, message, (tok or self.tokens[self.pos])[2])
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text or "end of input"
-            self.fail(f"expected {want!r}, got {got!r}")
-        return self.next()
+    def expect(self, want: str) -> Token:
+        """The next token, if it is ``want``: a kind (``ident``, ``int``) or a text."""
+        tok = self.tokens[self.pos]
+        if (tok[0] if want in ("ident", "int") else tok[1]) != want:
+            self.fail(f"expected {want!r}, got {tok[1] or 'end of input'!r}")
+        self.pos += 1
+        return tok
 
     # -- declarations -------------------------------------------------------
 
     def parse_file(self) -> OperatorFile:
         out = None
-        while self.peek().kind != "end":
-            tok = self.peek()
-            if tok.kind != "ident":
+        while (tok := self.tokens[self.pos])[0] != "end":
+            if tok[0] != "ident":
                 self.fail("expected a declaration")
-            if tok.text == "fields":
+            if tok[1] == "fields":
                 self.parse_fields()
                 if out is None:
                     out = OperatorFile(self.fields)
                 else:
                     self.fail("fields may be declared only once", tok)
-            elif tok.text == "operator":
+            elif tok[1] == "operator":
                 if out is None:
                     self.fail("declare fields before operators", tok)
                 name, op = self.parse_operator()
                 self._check_fresh(out, name, tok)
                 out.operators[name] = op
-            elif tok.text == "firstorder":
+            elif tok[1] == "firstorder":
                 if out is None:
                     self.fail("declare fields before firstorder blocks", tok)
                 name, metric = self.parse_firstorder()
                 self._check_fresh(out, name, tok)
                 out.firstorder[name] = metric
             else:
-                self.fail(f"unknown declaration {tok.text!r}")
+                self.fail(f"unknown declaration {tok[1]!r}")
         if out is None:
             self.fail("empty file: no fields declaration")
         return out
@@ -169,74 +169,76 @@ class Parser:
             self.fail(f"duplicate definition of {name!r}", tok)
 
     def parse_fields(self) -> None:
-        self.expect("ident", "fields")
+        self.expect("fields")
         toks = [self.expect("ident")]
-        while self.peek().text == ",":
-            self.next()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             toks.append(self.expect("ident"))
-        self.expect("punct", ";")
+        self.expect(";")
         for tok in toks:
-            if tok.text == "D":  # its order-0 jet could be written nowhere
+            if tok[1] == "D":  # its order-0 jet could be written nowhere
                 self.fail("D is the x-derivative and cannot name a field", tok)
             try:
-                _check_field_name(tok.text)
+                _check_field_name(tok[1])
             except ValueError as exc:
                 self.fail(str(exc), tok)
         try:
-            self.fields = Fields(tuple(tok.text for tok in toks))
+            self.fields = Fields(tuple(tok[1] for tok in toks))
         except ValueError as exc:
             self.fail(str(exc))
 
     def enter_block(self) -> None:
         """Fix the field of the block ahead: the rational functions of the jet
         names among its tokens.  Never raises; the parse reports bad names."""
-        symbols = set()
-        for tok in itertools.takewhile(lambda t: t.text != "}", self.tokens[self.pos :]):
-            if tok.kind == "ident" and tok.text.partition("_")[0] in self.fields.names:
+        names, symbols = self.fields.names, set()
+        for tok in itertools.islice(self.tokens, self.pos, None):
+            if tok[1] == "}":
+                break
+            if tok[0] == "ident" and tok[1].partition("_")[0] in names:
                 with contextlib.suppress(ParseError):
                     symbols.add(self.jet_from_name(tok))
         self.field = coeff_field(symbols)
         self.gens = dict(zip(self.field.symbols, self.field.gens))
 
     def parse_index_pair(self) -> tuple[int, int]:
-        self.expect("punct", "[")
+        self.expect("[")
         itok = self.expect("int")
-        self.expect("punct", ",")
+        self.expect(",")
         jtok = self.expect("int")
-        self.expect("punct", "]")
+        self.expect("]")
         i, j = self.integer(itok), self.integer(jtok)
         n = self.fields.n
         for tok, value in ((itok, i), (jtok, j)):
             if not 1 <= value <= n:
-                raise ParseError(f"index {value} out of range 1..{n}", tok.line, tok.col)
+                self.fail(f"index {value} out of range 1..{n}", tok)
         return i, j
 
     def parse_operator(self) -> tuple[str, WNOperator]:
-        self.expect("ident", "operator")
-        name = self.expect("ident").text
-        self.expect("punct", "{")
+        self.expect("operator")
+        name = self.expect("ident")[1]
+        self.expect("{")
         self.enter_block()
         n = self.fields.n
         local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
         tails: list[Tail] = []
-        while self.peek().text != "}":
+        while self.tokens[self.pos][1] != "}":
             kind = self.expect("ident")
-            if kind.text == "local":
+            if kind[1] == "local":
                 i, j = self.parse_index_pair()
-                self.expect("punct", ":")
+                self.expect(":")
                 local[i - 1][j - 1].extend(self.parse_diffexpr())
-                self.expect("punct", ";")
-            elif kind.text == "nonlocal":
+                self.expect(";")
+            elif kind[1] == "nonlocal":
                 i, j = self.parse_index_pair()
-                self.expect("punct", ":")
+                self.expect(":")
                 constant = self.parse_rational()
-                self.expect("punct", "*")
-                self.expect("punct", "[")
-                w_expr = self.parse_expr(stop={"|"})
-                self.expect("punct", "|")
-                z_expr = self.parse_expr(stop={"]"})
-                self.expect("punct", "]")
-                self.expect("punct", ";")
+                self.expect("*")
+                self.expect("[")
+                w_expr = self.parse_expr(stop="|")
+                self.expect("|")
+                z_expr = self.parse_expr(stop="]")
+                self.expect("]")
+                self.expect(";")
                 wvec = [self.field.zero] * n
                 zvec = [self.field.zero] * n
                 wvec[i - 1] = w_expr
@@ -244,38 +246,35 @@ class Parser:
                 tails.append(Tail(constant, tuple(wvec), tuple(zvec)))
             else:
                 self.fail("expected 'local' or 'nonlocal' entry", kind)
-        self.expect("punct", "}")
+        self.pos += 1
         return name, WNOperator(self.fields, local, tails)
 
     def parse_firstorder(self) -> tuple[str, MetricData]:
-        self.expect("ident", "firstorder")
-        name = self.expect("ident").text
-        self.expect("punct", "{")
+        self.expect("firstorder")
+        name = self.expect("ident")[1]
+        self.expect("{")
         self.enter_block()
         n = self.fields.n
         g = [[self.field.zero] * n for _ in range(n)]
         w = [[self.field.zero] * n for _ in range(n)]
+        raised = any("_" in s for s in self.field.symbols)  # a jet of positive order, by its suffix
         saw_g = False
-        while self.peek().text != "}":
+        while self.tokens[self.pos][1] != "}":
             kind = self.expect("ident")
-            if kind.text not in ("g", "w"):
+            if kind[1] not in ("g", "w"):
                 self.fail("expected 'g' or 'w' entry", kind)
             i, j = self.parse_index_pair()
-            self.expect("punct", ":")
-            etok = self.peek()
-            expr = self.parse_expr(stop={";"})
-            self.expect("punct", ";")
-            for sym, _, order in self.fields.jet_symbols(expr):
+            self.expect(":")
+            etok = self.tokens[self.pos]
+            expr = self.parse_expr(stop=";")
+            self.expect(";")
+            for sym, _, order in self.fields.jet_symbols(expr) if raised else ():
                 if order:
-                    raise ParseError(
-                        f"metric entries must depend on order-0 variables only, got {sym}",
-                        etok.line,
-                        etok.col,
-                    )
-            target = g if kind.text == "g" else w
+                    self.fail(f"metric entries must depend on order-0 variables only, got {sym}", etok)
+            target = g if kind[1] == "g" else w
             target[i - 1][j - 1] = expr
-            saw_g = saw_g or kind.text == "g"
-        self.expect("punct", "}")
+            saw_g = saw_g or kind[1] == "g"
+        self.pos += 1
         if not saw_g:
             self.fail("firstorder block needs at least one g entry")
         try:
@@ -288,159 +287,163 @@ class Parser:
 
     def parse_diffexpr(self) -> DiffRow:
         """Sum of coefficient * D^k terms; D^0 is implicit."""
-        entries = [self.parse_diffterm(sign=1)]
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.next().text == "+" else -1
-            entries.append(self.parse_diffterm(sign=sign))
+        entries = [self.parse_diffterm(False)]
+        while (sign := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            entries.append(self.parse_diffterm(sign == "-"))
         return entries
 
-    def parse_diffterm(self, sign: int) -> tuple[Coeff, int]:
-        coeff = _rational(self.field, sign)
+    def parse_diffterm(self, negated: bool) -> tuple[Coeff, int]:
+        """A term ``c*D^k``, its first factor the start of ``c``, negated after the product."""
+        coeff = None
         while True:
-            tok = self.peek()
-            if tok.kind == "ident" and tok.text == "D":
-                self.next()
-                if self.peek().text == "^":
-                    self.next()
+            tok = self.tokens[self.pos]
+            if tok[1] == "D":
+                self.pos += 1
+                if self.tokens[self.pos][1] == "^":
+                    self.pos += 1
                     order = self.integer(self.expect("int"), "derivative order")
                 else:
                     order = 1
-                if self.peek().text == "*":
+                if self.tokens[self.pos][1] == "*":
                     self.fail("D must be the rightmost factor of a term")
-                return coeff, order
+                coeff = self.field.one if coeff is None else coeff
+                return -coeff if negated else coeff, order
             factor = self.parse_power()
-            while self.peek().text == "/":
+            while self.tokens[self.pos][1] == "/":
                 slash = self.next()
-                factor = self.bounded(slash, factor / self.nonzero(self.peek(), self.parse_power()))
-            coeff = self.bounded(tok, coeff * factor)
-            if self.peek().text == "*":
-                self.next()
-                continue
-            return coeff, 0
+                factor = self.combine(slash, "/", factor, self.nonzero(self.tokens[self.pos], self.parse_power()))
+            coeff = factor if coeff is None else self.combine(tok, "*", coeff, factor)
+            if self.tokens[self.pos][1] != "*":
+                return -coeff if negated else coeff, 0
+            self.pos += 1
 
     def nested(self, parse):
         """Step past a ``(`` or unary sign and ``parse()`` one level deeper."""
         tok = self.next()
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting exceeds the bound {MAX_DEPTH}", tok.line, tok.col)
+            self.fail(f"nesting exceeds the bound {MAX_DEPTH}", tok)
         self.depth += 1
         try:
             value = parse()
-            if tok.text == "(":
-                self.expect("punct", ")")
-            return -value if tok.text == "-" else value
+            if tok[1] == "(":
+                self.expect(")")
+            return -value if tok[1] == "-" else value
         finally:
             self.depth -= 1
 
     def parse_rational(self) -> Coeff:
-        tok = self.peek()
-        if tok.text in ("-", "+", "("):
+        tok = self.tokens[self.pos]
+        if tok[1] in ("-", "+", "("):
             return self.nested(self.parse_rational)
-        if tok.kind == "int":
-            self.next()
+        if tok[0] == "int":
+            self.pos += 1
             value = _rational(self.field, self.integer(tok))
-            if self.peek().text == "/":
-                self.next()
+            if self.tokens[self.pos][1] == "/":
+                self.pos += 1
                 qtok = self.expect("int")
                 q = self.integer(qtok)
                 if q == 0:
-                    raise ParseError("division by zero", qtok.line, qtok.col)
+                    self.fail("division by zero", qtok)
                 value = value / q
             return value
         self.fail("expected a rational constant")
 
-    def parse_expr(self, stop: set[str]) -> Coeff:
+    def parse_expr(self, stop: str) -> Coeff:
         expr = self.parse_sum()
-        tok = self.peek()
-        if tok.text not in stop and tok.kind != "end":
-            self.fail(f"unexpected {tok.text!r} in expression")
+        tok = self.tokens[self.pos]
+        if tok[1] != stop and tok[0] != "end":
+            self.fail(f"unexpected {tok[1]!r} in expression")
         return expr
 
     def parse_sum(self) -> Coeff:
         left = self.parse_product()
-        while self.peek().text in ("+", "-"):
+        while self.tokens[self.pos][1] in ("+", "-"):
             tok = self.next()
-            right = self.parse_product()
-            left = self.bounded(tok, left + right if tok.text == "+" else left - right)
+            left = self.combine(tok, tok[1], left, self.parse_product())
         return left
 
     def parse_product(self) -> Coeff:
         left = self.parse_power()
-        while self.peek().text in ("*", "/"):
+        while self.tokens[self.pos][1] in ("*", "/"):
             tok = self.next()
-            if tok.text == "*":
-                left = self.bounded(tok, left * self.parse_power())
-            else:
-                left = self.bounded(tok, left / self.nonzero(self.peek(), self.parse_power()))
+            right = self.parse_power() if tok[1] == "*" else self.nonzero(self.tokens[self.pos], self.parse_power())
+            left = self.combine(tok, tok[1], left, right)
         return left
 
-    def bounded(self, tok: Token, value: Coeff) -> Coeff:
-        """``value``, if no exponent of it passes MAX_DEGREE."""
+    def combine(self, tok: Token, op: str, a: Coeff, b) -> Coeff:
+        """``a op b`` for ``op`` one of ``+ - * /``, or ``^`` with an exponent ``b``, refused at
+        ``tok`` when its numerator or denominator may pass MAX_TERMS terms, which is predicted
+        before it is computed, or when an exponent of it passes MAX_DEGREE."""
+        if _terms_bound(op, a, b, MAX_TERMS) > MAX_TERMS:
+            self.fail(f"term count exceeds the bound {MAX_TERMS}", tok)
+        # dividing, not a negative power, keeps the denominator's sign canonical
+        value = _OPS[op](a, b) if op != "^" else a**b if b >= 0 else 1 / a**-b
         if not _exponents_below(value, MAX_DEGREE.bit_length()):
-            raise ParseError(f"degree exceeds the bound {MAX_DEGREE}", tok.line, tok.col)
+            self.fail(f"degree exceeds the bound {MAX_DEGREE}", tok)
         return value
 
     def nonzero(self, tok: Token, divisor: Coeff) -> Coeff:
         """Refuse a divisor that is identically zero: the coefficient would be nan or zoo."""
         if divisor == 0:
-            raise ParseError("non-finite coefficient: divisor is identically zero", tok.line, tok.col)
+            self.fail("non-finite coefficient: divisor is identically zero", tok)
         return divisor
 
     def integer(self, tok: Token, bounded: str | None = None) -> int:
         """The value of an integer token: of at most MAX_DIGITS digits, or at
         most MAX_POWER when it is the ``bounded`` quantity (an order, an exponent)."""
-        digits = tok.text.lstrip("0") or "0"
-        if bounded and (len(digits) > len(str(MAX_POWER)) or int(digits) > MAX_POWER):
-            raise ParseError(f"{bounded} exceeds the bound {MAX_POWER}", tok.line, tok.col)
+        digits = tok[1]
+        if len(digits) > _POWER_DIGITS:  # a shorter literal needs no zeros stripped
+            digits = digits.lstrip("0") or "0"
+        if bounded and (len(digits) > _POWER_DIGITS or int(digits) > MAX_POWER):
+            self.fail(f"{bounded} exceeds the bound {MAX_POWER}", tok)
         if len(digits) > MAX_DIGITS:
-            raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", tok.line, tok.col)
+            self.fail(f"integer literal exceeds {MAX_DIGITS} digits", tok)
         return int(digits) if len(digits) < _DIGITS else _int_value(digits)
 
     def parse_power(self) -> Coeff:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         base = self.parse_atom()
         # a signed atom has taken its exponent already: -u^2 is -(u^2), and -u^2^2 is refused
-        if tok.text not in ("-", "+") and self.peek().text == "^":
-            self.next()
-            neg = False
-            if self.peek().text == "-":
-                self.next()
-                neg = True
+        if self.tokens[self.pos][1] == "^" and tok[1] not in ("-", "+"):
+            self.pos += 1
+            neg = self.tokens[self.pos][1] == "-"
+            self.pos += neg
             exp = self.integer(self.expect("int"), "exponent")
-            # dividing, not a negative power, keeps the denominator's sign canonical
-            return self.bounded(tok, 1 / self.nonzero(tok, base) ** exp if neg else base**exp)
+            return self.combine(tok, "^", self.nonzero(tok, base) if neg else base, -exp if neg else exp)
         return base
 
     def parse_atom(self) -> Coeff:
-        tok = self.peek()
-        if tok.text in ("-", "+"):
-            return self.nested(self.parse_power)
-        if tok.text == "(":
-            return self.nested(self.parse_sum)
-        if tok.kind == "int":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind, text = tok[0], tok[1]
+        if kind == "ident":
+            self.pos += 1
+            return self.gens[self.jets.get(text) or self.jet_from_name(tok)]
+        if kind == "int":
+            self.pos += 1
             return _rational(self.field, self.integer(tok))
-        if tok.kind == "ident":
-            self.next()
-            return self.gens[self.jet_from_name(tok)]
+        if text in ("-", "+"):
+            return self.nested(self.parse_power)
+        if text == "(":
+            return self.nested(self.parse_sum)
         self.fail("expected a number, variable, or parenthesized expression")
 
     def jet_from_name(self, tok: Token) -> Jet:
         """The jet that ``tok`` names, found once per parse: ``self.jets`` keeps it, not an error."""
-        name = tok.text
+        name = tok[1]
         if name in self.jets:
             return self.jets[name]
         if name == "D":
             self.fail("D is only valid inside a local[] entry", tok)
         base, _, suffix = name.partition("_")
         if base not in self.fields.names:
-            raise ParseError(f"undeclared field {base!r}", tok.line, tok.col)
+            self.fail(f"undeclared field {base!r}", tok)
         order = 0
         if "_" in name:
-            m = re.fullmatch(r"(\d*)x", suffix)
+            m = _SUFFIX_RE.fullmatch(suffix)
             if not m:
                 self.fail(f"bad derivative suffix in {name!r} (use _x, _2x, ...)", tok)
-            order = self.integer(Token("int", m.group(1) or "1", tok.line, tok.col), "derivative order")
+            order = self.integer(("int", m.group(1) or "1", tok[2]), "derivative order")
         jet = self.jets[name] = self.fields.jet(self.fields.names.index(base) + 1, order)
         return jet
 

@@ -49,15 +49,16 @@ class MetricData:
         for what, rows in (("g", self.g), ("W", self.W)):
             if len(rows) != n or any(len(r) != n for r in rows):
                 raise ValueError(f"{what} must be an {n}x{n} matrix")
-        _, flat = _into(None, [c for rows in (self.g, self.W) for row in rows for c in row])
-        for pos, c in enumerate(flat):
-            bad = [sym for sym, _, order in self.fields.jet_symbols(c) if order]
-            if bad:
-                what = "g" if pos < n * n else "W"
-                raise ValueError(
-                    f"{what} entries must depend on order-0 variables only; found {bad[0]}")
         K = coeff_field(self.coords())
-        flat = [_lift(c, K) for c in flat]
+        field, flat = _into(K, [c for rows in (self.g, self.W) for row in rows for c in row])
+        if field is not K:  # a generator besides u1..un: the entries' jets, once per entry
+            for pos, c in enumerate(flat):
+                bad = [sym for sym, _, order in self.fields.jet_symbols(c) if order]
+                if bad:
+                    what = "g" if pos < n * n else "W"
+                    raise ValueError(
+                        f"{what} entries must depend on order-0 variables only; found {bad[0]}")
+            flat = [_lift(c, K) for c in flat]
         self.g = [flat[i * n : (i + 1) * n] for i in range(n)]
         self.W = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
 

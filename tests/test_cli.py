@@ -184,6 +184,15 @@ class TestExitCodes:
             "  du[1] = 0\n  dp[1] = 0\nHAMILTONIAN: no\n"
         )
 
+    def test_term_bound(self, tmp_path, capsys):
+        """``(u1+...+u10+1)^16`` would expand to C(26, 10), about 5.3 million terms: it is
+        refused at its base before any power is taken."""
+        fields = ", ".join(f"u{i}" for i in range(1, 11))
+        f = tmp_path / "wide.wno"
+        f.write_text(f"fields {fields};\noperator A {{\n  local[1,1]: ({fields.replace(',', ' +')} + 1)^16*D;\n}}\n")
+        assert main(["check", str(f), "A"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {f}:3:15: term count exceeds the bound 10000\n")
+
     def test_exponent_overflow_is_unsupported(self, tmp_path, monkeypatch, capsys):
         """With the parse bound lifted, a product of two coefficients whose exponents
         do not fit a packed monomial's field exits 3."""
@@ -434,6 +443,17 @@ class TestOnceByConstruction:
         capsys.readouterr()
         assert bool(calls) == renders
 
+    def test_rational_coefficients_take_no_derivative_plan(self, monkeypatch, capsys, tmp_path):
+        """Of the 14 total derivatives in ``check`` of ``D^7 + 4uD + 2u_x``, 13 act on values whose
+        coefficients are rational numbers: they classify no jets and build no plan."""
+        jets = self.counted(monkeypatch, wno.algebra.Fields, "_jets_in")
+        derivatives = self.counted(monkeypatch, wno.jetcalc, "total_x")
+        f = tmp_path / "v7.wno"
+        f.write_text("fields u; operator A { local[1,1]: D^7 + 4*u*D + 2*u_x; }")
+        assert main(["check", str(f), "A"]) == 1
+        capsys.readouterr()
+        assert (len(derivatives), len(jets), len(wno.algebra._DX)) == (14, 4, 1)
+
     def test_firstorder_self_bracket_builds_one_operator(self, monkeypatch, capsys, tmp_path):
         built = self.counted(monkeypatch, wno.geometry, "build_operator")
         el = self.counted(monkeypatch, wno.schouten, "el_nonlocal")
@@ -490,6 +510,8 @@ def _operator_files(draw):
 @example(source=b"fields u;\n\xff")
 @example(source=f"fields u; operator A {{ local[1,1]: {'(' * 260}u{')' * 260}*D; }}".encode())
 @example(source=f"fields u; operator A {{ local[1,1]: {'-' * 2000}u*D; }}".encode())
+@example(source=(f"fields {', '.join(f'u{i}' for i in range(1, 11))}; operator A {{ local[1,1]: "
+                 f"({' + '.join(f'u{i}' for i in range(1, 11))} + 1)^16*D; }}").encode())
 def test_main_on_arbitrary_input(tmp_path_factory, source):
     path = tmp_path_factory.getbasetemp() / "fuzz.wno"
     path.write_bytes(source)

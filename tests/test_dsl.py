@@ -1,15 +1,17 @@
 """Operator file format: parsing and diagnostics."""
 
 import re
+from math import comb
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wno.algebra import Fields, _by_order
+import wno.algebra
+from wno.algebra import Fields, _by_order, _Frac
 from wno.cli import main
-from wno.dsl import MAX_DEGREE, MAX_DEPTH, ParseError, parse
+from wno.dsl import MAX_DEGREE, MAX_DEPTH, MAX_TERMS, ParseError, parse
 from wno.schouten import skew_check
 
 from conftest import as_expr, jet_expr
@@ -245,6 +247,89 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match=f"nesting exceeds the bound {MAX_DEPTH}") as err:
             parse(source(MAX_DEPTH + 1))
         assert (err.value.line, err.value.col) == (1, start + MAX_DEPTH)
+
+
+TEN_FIELDS = "fields " + ", ".join(f"u{i}" for i in range(1, 11)) + ";"
+TEN_SUM = "(" + " + ".join(f"u{i}" for i in range(1, 11)) + " + 1)"  # 36 characters
+
+
+class TestTermBound:
+    """A power, product, quotient or sum whose numerator or denominator may pass MAX_TERMS terms
+    is refused before it is computed, at the token where the degree bound reports."""
+
+    def test_largest_admitted_power(self):
+        """``(u1+...+u10+1)^6``, of C(16, 10) = 8008 terms, is the largest power of its family that
+        the bound admits: its term count, not the time it takes, guards it."""
+        assert MAX_TERMS == 10_000
+        op = parse(f"{TEN_FIELDS} operator A {{ local[1,1]: {TEN_SUM}^6*D; }}").operators["A"]
+        (coeff, order), = op.local[0][0]
+        assert (len(coeff.numer), len(coeff.denom), order) == (comb(16, 10), 1, 1)
+        with pytest.raises(ParseError, match=r"^1:74: term count exceeds the bound 10000$"):
+            parse(f"{TEN_FIELDS} operator A {{ local[1,1]: {TEN_SUM}^7*D; }}")
+
+    @pytest.mark.parametrize(
+        "entry, col",
+        [
+            ("{s}^16*D", 74),  # a power, at its base
+            ("{s}^4*{s}^3*D", 131),  # a product in a term, at its last factor
+            ("({s}^4*{s}^3)*D", 131),  # a product in an expression, at its operator
+            ("{s}^4/(1/{s}^3)*D", 130),  # a quotient: (s^4 * s^3) / 1
+            ("(1/{s}^4 - 1/{s}^3)*D", 134),  # a sum's denominator s^4 * s^3
+        ],
+    )
+    def test_refused_before_it_is_computed(self, monkeypatch, entry, col):
+        """Each refusal predicts C(17, 10) = 19448 > MAX_TERMS terms of total degree 7 and takes
+        no product of the operands that would pass the bound."""
+        products = []
+        original = wno.algebra._mul
+        monkeypatch.setattr(wno.algebra, "_mul", lambda f, p, q: products.append(len(p) * len(q)) or original(f, p, q))
+        with pytest.raises(ParseError, match=rf"^1:{col}: term count exceeds the bound {MAX_TERMS}$"):
+            parse(f"{TEN_FIELDS} operator A {{ local[1,1]: {entry.format(s=TEN_SUM)}; }}")
+        assert max(products) <= MAX_TERMS
+
+    @pytest.mark.parametrize(
+        "source, terms",
+        [
+            ("fields u; operator A { local[1,1]: ((u + 1)^16)^16*D; }", 257),  # C(31, 16) by the count
+            ("fields u, v; operator A { local[1,1]: ((u + v + 1)^16)^4*D; }", 2145),  # C(156, 4)
+        ],
+    )
+    def test_few_generators_bound_the_terms_by_degree(self, source, terms):
+        """A power of a sum in one or two generators has far fewer terms than its count of
+        exponent vectors predicts: C(e+v, v) for total degree e in v generators admits it."""
+        (coeff, _), = parse(source).operators["A"].local[0][0]
+        assert (len(coeff.numer), len(coeff.denom)) == (terms, 1)
+
+
+class TestParseWork:
+    """Work counts of a parse, which do not depend on machine speed."""
+
+    @staticmethod
+    def counted(monkeypatch, owner, name):
+        calls, original = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    @pytest.mark.parametrize("entry, value", [("2*u*D", 2 * u), ("D^2 - 2*u*D", -2 * u)])
+    def test_a_terms_first_factor_starts_its_coefficient(self, monkeypatch, entry, value):
+        """``2*u*D`` takes one product, ``2 * u``: no sign multiplies the first factor."""
+        products = self.counted(monkeypatch, _Frac, "__mul__")
+        op = parse(f"fields u; operator A {{ local[1,1]: {entry}; }}").operators["A"]
+        assert len(products) == 1
+        assert (as_expr(op.local[0][0][-1][0]), op.local[0][0][-1][1]) == (value, 1)
+
+    def test_a_parsed_operator_takes_no_lift(self, monkeypatch):
+        """Every coefficient of a block is parsed in its field, which ``WNOperator`` keeps."""
+        lifts = self.counted(monkeypatch, wno.algebra, "_lift")
+        doc = parse(MKDV_SOURCE)
+        assert lifts == [] and doc.operators["mkdv2"].field.symbols == ("u", "u_x")
+
+    def test_a_parsed_metric_classifies_no_entry(self, monkeypatch):
+        """A firstorder block whose jets are all of order 0 has its entries' jets classified by
+        neither the parser nor ``MetricData``."""
+        calls = self.counted(monkeypatch, Fields, "jet_symbols")
+        m = parse("fields u1, u2; firstorder m { g[1,1]: 1; g[2,2]: 1 + u1^2; w[1,2]: u1*u2; }").firstorder["m"]
+        assert calls == [] and as_expr(m.W[0][1]) == jet_expr(m.fields, 1, 0) * jet_expr(m.fields, 2, 0)
 
 
 _OP = "fields u; operator A {{ {} }}"
