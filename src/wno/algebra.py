@@ -774,8 +774,9 @@ def _terms_bound(op: str, a: _Frac, b, limit: int) -> int:
     the lesser of that and C(e+v, v), the count of monomials of total degree at most e in the v
     generators that occur, e bounding the total degree of the result."""
     n, d = len(a.numer), len(a.denom)
-    if op == "^":
-        count = max(comb(abs(b) + t - 1, t - 1) if t else 0 for t in (n, d))
+    if op == "^":  # a denominator is never empty; a numerator is for zero
+        k = abs(b)
+        count = max(comb(k + n - 1, k) if n else 0, comb(k + d - 1, k))
     else:
         m, e = (len(b.denom), len(b.numer)) if op == "/" else (len(b.numer), len(b.denom))
         count = max(n * m, d * e) if op in "*/" else max(n * e + m * d, d * e)
@@ -786,7 +787,7 @@ def _terms_bound(op: str, a: _Frac, b, limit: int) -> int:
     degrees = [max((sum(unpack(x.to_bytes(size, "big"))) for x in q), default=0) for q in polys]
     used = reduce(or_, (x for q in polys for x in q), 0)
     v = sum(1 for s in a.field.shifts if used >> s & _MAX)
-    return min(count, comb((abs(b) * max(degrees) if op == "^" else sum(degrees)) + v, v))
+    return min(count, comb((k * max(degrees) if op == "^" else sum(degrees)) + v, v))
 
 
 def _jet_name(base: str, order: int) -> str:

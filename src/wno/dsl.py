@@ -190,11 +190,14 @@ class Parser:
     def enter_block(self) -> None:
         """Fix the field of the block ahead: the rational functions of the jet
         names among its tokens.  Never raises; the parse reports bad names."""
-        names, symbols = self.fields.names, set()
+        idents, symbols = {}, set()
         for tok in itertools.islice(self.tokens, self.pos, None):
             if tok[1] == "}":
                 break
-            if tok[0] == "ident" and tok[1].partition("_")[0] in names:
+            if tok[0] == "ident":
+                idents[tok[1]] = tok
+        for name, tok in idents.items():  # each identifier once
+            if name.partition("_")[0] in self.fields.names:
                 with contextlib.suppress(ParseError):
                     symbols.add(self.jet_from_name(tok))
         self.field = coeff_field(symbols)
@@ -402,31 +405,30 @@ class Parser:
         return int(digits) if len(digits) < _DIGITS else _int_value(digits)
 
     def parse_power(self) -> Coeff:
-        tok = self.tokens[self.pos]
-        base = self.parse_atom()
-        # a signed atom has taken its exponent already: -u^2 is -(u^2), and -u^2^2 is refused
-        if self.tokens[self.pos][1] == "^" and tok[1] not in ("-", "+"):
-            self.pos += 1
-            neg = self.tokens[self.pos][1] == "-"
-            self.pos += neg
-            exp = self.integer(self.expect("int"), "exponent")
-            return self.combine(tok, "^", self.nonzero(tok, base) if neg else base, -exp if neg else exp)
-        return base
-
-    def parse_atom(self) -> Coeff:
+        """An atom with an optional exponent; a signed atom takes its exponent inside the sign:
+        -u^2 is -(u^2), and -u^2^2 is refused."""
         tok = self.tokens[self.pos]
         kind, text = tok[0], tok[1]
         if kind == "ident":
             self.pos += 1
-            return self.gens[self.jets.get(text) or self.jet_from_name(tok)]
-        if kind == "int":
+            base = self.gens[self.jets.get(text) or self.jet_from_name(tok)]
+        elif kind == "int":
             self.pos += 1
-            return _rational(self.field, self.integer(tok))
-        if text in ("-", "+"):
+            base = _rational(self.field, self.integer(tok))
+        elif text in ("-", "+"):
             return self.nested(self.parse_power)
-        if text == "(":
-            return self.nested(self.parse_sum)
-        self.fail("expected a number, variable, or parenthesized expression")
+        elif text == "(":
+            base = self.nested(self.parse_sum)
+        else:
+            self.fail("expected a number, variable, or parenthesized expression")
+        if self.tokens[self.pos][1] != "^":
+            return base
+        self.pos += 1
+        neg = self.tokens[self.pos][1] == "-"
+        if neg:
+            self.pos += 1
+        exp = self.integer(self.expect("int"), "exponent")
+        return self.combine(tok, "^", self.nonzero(tok, base) if neg else base, -exp if neg else exp)
 
     def jet_from_name(self, tok: Token) -> Jet:
         """The jet that ``tok`` names, found once per parse: ``self.jets`` keeps it, not an error."""
