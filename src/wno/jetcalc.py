@@ -68,33 +68,37 @@ def _require_local(a: SuperPoly, what: str) -> None:
         )
 
 
-def el_sum(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None) -> ELResult:
-    """sum_k (-1)^k d_x^k( (dA/dslot_k) * fixed ) over the even slots (jet
-    variables) and odd slots (dual factors) of every field.
-
-    ``fixed`` None stands for 1: the variational-derivative tuple of A.
-    """
-    values, zero = dict(_variations(A, fixed, fields, table)), SuperPoly.zero()
+def el_sum(pairs, fields: Fields, table=None) -> ELResult:
+    """sum_k (-1)^k d_x^k( (dA/dslot_k) * fixed ) over the even slots (jet variables) and odd
+    slots (dual factors) of every field, summed over the pairs ``(A, fixed)`` of one EL tuple;
+    ``fixed`` None stands for 1, so ``[(A, None)]`` gives the variational-derivative tuple of A."""
+    values, zero = dict(_variations(pairs, fields, table)), SuperPoly.zero()
     return ELResult(*(tuple(values.get((slot, i), zero) for i in range(1, fields.n + 1)) for slot in "up"))
 
 
 def _exact(a: SuperPoly, fields: Fields) -> bool:
     """Whether every variational derivative of the local value ``a`` vanishes, as
     ``euler_lagrange(a, fields).is_zero()``, stopping at the first slot group that does not."""
-    return all(value.is_zero() for _, value in _variations(a, None, fields))
+    return all(value.is_zero() for _, value in _variations([(a, None)], fields))
 
 
-def _variations(A: SuperPoly, fixed: SuperPoly | None, fields: Fields, table=None):
-    """``((slot, field), value)`` per slot group of A, cheapest first (by top order k): value is
-    ``sum_m (-1)^m d_x^m(a_m)`` for ``a_m = dA/dslot_m * fixed`` by Horner's rule,
-    ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives, not k(k+1)/2.  A partial is taken
-    when the loop reaches its order, so a caller that stops at a group takes none of the next."""
-    for key, orders in sorted(_slots(A, fields).items(), key=lambda g: max(g[1])):
+def _variations(pairs, fields: Fields, table=None):
+    """``((slot, field), value)`` per slot group of the pairs' values A, cheapest first (by top
+    order k): value is ``sum_m (-1)^m d_x^m(a_m)`` for ``a_m = sum over the pairs of dA/dslot_m *
+    fixed``, one Horner chain per group, ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives
+    for the whole tuple, not k(k+1)/2 per pair.  A partial is taken when the loop reaches its
+    order, so a caller that stops at a group takes none of the next."""
+    groups: dict[tuple[str, int], dict[int, list]] = {}
+    for A, fixed in pairs:
+        for key, orders in _slots(A, fields).items():
+            for m in orders:
+                groups.setdefault(key, {}).setdefault(m, []).append((A, fixed))
+    for key, orders in sorted(groups.items(), key=lambda g: max(g[1])):
         value = SuperPoly.zero()  # (-1)^m times the inner sum from order m on
         for m in range(max(orders), -1, -1):
             if value:  # a zero needs no derivative
                 value = total_x(value, fields, table)
-            if m in orders:
+            for A, fixed in orders.get(m, ()):
                 term = _partial(A, fields, key, m)
                 term = term if fixed is None else term * fixed
                 value = value + (term if m % 2 == 0 else -term)
@@ -144,7 +148,7 @@ class ELResult:
 def euler_lagrange(a: SuperPoly, fields: Fields) -> ELResult:
     """Full variational-derivative tuple of a local value."""
     _require_local(a, "euler_lagrange")
-    return el_sum(a, None, fields)
+    return el_sum([(a, None)], fields)
 
 
 @dataclass

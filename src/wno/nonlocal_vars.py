@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _ratint, _word_key, nl
-from .jetcalc import ELResult, _exact, el_sum, euler_lagrange, total_x
+from .jetcalc import ELResult, _exact, el_sum, total_x
 
 
 class UnsupportedStructureError(ValueError):
@@ -45,7 +45,6 @@ class NonlocalVar:
     parity: int
     name: str
     formal: bool
-    note: str = ""
 
 
 def scalar_content(a: SuperPoly) -> tuple[Fraction, SuperPoly]:
@@ -68,7 +67,7 @@ class NonlocalVarTable:
         self._by_density: dict[object, int] = {}
         self._counts = {"r": 0, "y": 0}
 
-    def register(self, density: SuperPoly, *, formal: bool = False, note: str = "") -> int:
+    def register(self, density: SuperPoly, *, formal: bool = False) -> int:
         """Register a defining density, deduplicating on its terms.
 
         The key is the density's terms with their coefficients as text
@@ -101,7 +100,6 @@ class NonlocalVarTable:
             parity=parity,
             name=f"{prefix}{self._counts[prefix]}",
             formal=formal,
-            note=note,
         )
         self._by_density[tuple(density.sorted_texts())] = ident
         return ident
@@ -264,7 +262,7 @@ class Antiderivative:
     ident: int | None = None  # the variable's registered id when value is a rational multiple of one
 
 
-def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note: str) -> Antiderivative:
+def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable) -> Antiderivative:
     """An antiderivative of A: its content times the variable registered for its reduced density,
     else an explicit one, else a new formal variable.  The table is read first because a registered
     local density never integrates: it is an operator tail's order-0 covector ``sum_j z_j p_j``,
@@ -276,7 +274,7 @@ def _antiderivative(A: SuperPoly, fields: Fields, table: NonlocalVarTable, note:
         result = integrate_density(reduced, fields)
         if result.ok:
             return Antiderivative(result.antiderivative.scale(content), False)
-    ident = table.register(reduced, formal=True, note=note)
+    ident = table.register(reduced, formal=True)
     return Antiderivative(
         SuperPoly.factor(table.factor(ident)).scale(content),
         table.entries[ident].formal,
@@ -291,30 +289,28 @@ class ELComputation:
 
 
 def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComputation:
-    """Variational-derivative tuple of a value with nonlocal tails.
-
-    Two-tail terms are first rewritten by depth reduction when their
-    prefactor integrates explicitly (fewer formal variables means sharper
-    verdicts); the symmetric rule with formal antiderivatives is the
-    fallback.
+    """Variational-derivative tuple of a value with nonlocal tails: one ``el_sum`` over the
+    ``(A, fixed)`` pairs of its local part and of the rules above for its tail terms.  Two-tail
+    terms are first rewritten by depth reduction when their prefactor integrates explicitly (fewer
+    formal variables means sharper verdicts); the symmetric rule with formal antiderivatives is
+    the fallback.
     """
     local, tails = split_tails(a, table)
-    el = euler_lagrange(local, fields)
+    pairs = [(local, None)] if local else []
     formal_used = False
 
     def single_tail(prefactor: SuperPoly, ident: int) -> None:
-        nonlocal el, formal_used
+        nonlocal formal_used
         v = SuperPoly.factor(table.factor(ident))
         Z = table.density(ident)
         for degree in sorted(prefactor.odd_degrees()):
             A = prefactor.degree_part(degree)
-            anti = _antiderivative(A, fields, table, note="tail antiderivative")
+            anti = _antiderivative(A, fields, table)
             formal_used = formal_used or anti.formal
-            sign = 1 if (degree + 1) % 2 == 0 else -1
-            if anti.ident == ident:  # A = c Z and anti = c v: el_sum(Z, anti) is el_sum(A, v)
-                el = el + el_sum(A, v, fields, table).scale(1 + sign)
-            else:
-                el = el + el_sum(A, v, fields, table) + el_sum(Z, anti.value, fields, table).scale(sign)
+            if anti.ident != ident:
+                pairs.extend([(A, v), (Z, anti.value if degree % 2 else -anti.value)])  # (-1)^(d+1)
+            elif degree % 2:  # A = c Z and anti = c v: the pair (Z, anti) is the pair (A, v)
+                pairs.append((A, v.scale(2)))
 
     for term in tails:
         if len(term.suffix) == 1:
@@ -330,24 +326,19 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
         reduced, flagged = reduce_depth(term, table, fields)
         if not flagged:
             for t in reduced:
-                if t.suffix:
-                    single_tail(t.prefactor, t.suffix[0])
-                else:
-                    el = el + euler_lagrange(t.prefactor, fields)
+                single_tail(t.prefactor, t.suffix[0])
             continue
 
         id1, id2 = term.suffix
         v1 = SuperPoly.factor(table.factor(id1))
         v2 = SuperPoly.factor(table.factor(id2))
         B = term.prefactor
-        q2 = _antiderivative(B * v2, fields, table, note="level-2 antiderivative")
-        q1 = _antiderivative(B * v1, fields, table, note="level-2 antiderivative")
+        q1 = _antiderivative(B * v1, fields, table)
+        q2 = _antiderivative(B * v2, fields, table)
         formal_used = formal_used or q1.formal or q2.formal
-        el = el + el_sum(B, v1 * v2, fields, table)
-        el = el + el_sum(table.density(id1), q2.value, fields, table)
-        el = el + el_sum(table.density(id2), q1.value, fields, table).scale(-1)
+        pairs.extend([(B, v1 * v2), (table.density(id1), q2.value), (table.density(id2), -q1.value)])
 
-    return ELComputation(el, formal_used)
+    return ELComputation(el_sum(pairs, fields, table), formal_used)
 
 
 def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tuple[list[TailTerm], bool]:
@@ -358,9 +349,9 @@ def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tup
         B*v*w  ==  d_x(y*v*w) - y*Z_v*w - y*v*Z_w
 
     so the term is equivalent to the two right-hand products, each of
-    strictly smaller nonlocal depth.  When B does not integrate, a formal
-    level-2 variable is registered for B*v and the term is returned
-    unchanged with the flag set.
+    strictly smaller nonlocal depth.  When B does not integrate, the term
+    is returned unchanged with the flag set, for the fallback rule of
+    ``el_nonlocal``, which registers its formal level-2 variables.
     """
     if len(term.suffix) != 2:
         raise UnsupportedStructureError("reduce_depth expects a two-tail term")
@@ -372,12 +363,7 @@ def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tup
         return [], False
     result = integrate_density(reduced, fields)
     if not result.ok:
-        table.register(reduced * v1, formal=True, note="level-2 antiderivative")
         return [term], True
     y = result.antiderivative.scale(content)
     rewritten = (-y) * table.density(id1) * v2 + (-y) * v1 * table.density(id2)
-    local, tails = split_tails(rewritten, table)
-    out = list(tails)
-    if not local.is_zero():
-        out.append(TailTerm(local, ()))
-    return out, False
+    return split_tails(rewritten, table)[1], False  # each term keeps v or w: no local part

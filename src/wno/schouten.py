@@ -184,7 +184,7 @@ def to_superfunction(P: WNOperator, table: NonlocalVarTable) -> SuperPoly:
         if density.is_zero():
             continue
         content, reduced = scalar_content(density)
-        v = table.factor(table.register(reduced, note="operator tail"))
+        v = table.factor(table.register(reduced))
         pieces = [((p(i, 0), v), c) for i, w in enumerate(tail.left, 1)  # a normal word: p_i sorts first
                   for c in (tail.constant * content * w,) if c]
         used = used or bool(pieces)

@@ -40,7 +40,7 @@ def report(number: int, description: str, ok: bool, detail: str = ""):
 def test_criterion_1_pure_tail_operator():
     start = time.monotonic()
     table = NonlocalVarTable()
-    rid = table.register(monomial(u_x, [p(1)]), note="tail")
+    rid = table.register(monomial(u_x, [p(1)]))
     r = table.factor(rid)
     N = monomial(u_x, [p(1), r])
     comp = el_nonlocal(N, F, table)

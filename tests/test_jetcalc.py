@@ -135,10 +135,15 @@ class TestVariationalKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), st.booleans())
     def test_el_sum_matches_the_definition(self, rng, fields, with_fixed):
-        A = random_local_mixed(rng, fields, max_degree=2, max_order=3)
-        fixed = random_local_mixed(rng, fields, max_degree=1, max_order=3) if with_fixed else None
-        got = el_sum(A, fixed, fields)
-        du, dp = _naive_el_sum(A, fixed, fields)
+        """One el_sum over one to three pairs is the sum of the definition over the pairs."""
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            A = random_local_mixed(rng, fields, max_degree=2, max_order=3)
+            fixed = random_local_mixed(rng, fields, max_degree=1, max_order=3) if with_fixed else None
+            pairs.append((A, fixed))
+        got = el_sum(pairs, fields)
+        du, dp = [[sum(xs, SuperPoly.zero()) for xs in zip(*sums)]
+                  for sums in zip(*(_naive_el_sum(A, fixed, fields) for A, fixed in pairs))]
         assert all(a == b for a, b in zip(got.du, du)) and all(a == b for a, b in zip(got.dp, dp))
 
     @settings(max_examples=40, deadline=None)
@@ -161,7 +166,7 @@ class TestVariationalKernel:
 
         monkeypatch.setattr(wno.jetcalc, "total_x", counted)
         u_3x, u_4x = jet_expr(F, 1, 3), jet_expr(F, 1, 4)
-        el_sum(monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None, F)
+        el_sum([(monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None)], F)
         assert len(calls) == 4
         calls.clear()
         assert not _exact(monomial(u_x, [p(1)]), F) and not calls

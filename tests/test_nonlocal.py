@@ -1,10 +1,13 @@
 """Nonlocal variable registry, density integration, tail-aware EL rules."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.integrals.rationaltools import ratint
 
 import wno.nonlocal_vars
@@ -20,11 +23,12 @@ from wno.nonlocal_vars import (
     el_nonlocal,
     integrate_density,
     reduce_depth,
+    scalar_content,
     split_tails,
 )
 from wno.schouten import is_hamiltonian, to_superfunction
 
-from conftest import jet_expr, monomial, random_local_mixed, scalar
+from conftest import jet_expr, monomial, random_local, random_local_mixed, scalar
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 F = Fields(("u",))
@@ -41,7 +45,7 @@ def as_superpoly(term: TailTerm, table: NonlocalVarTable) -> SuperPoly:
 
 def make_table():
     table = NonlocalVarTable()
-    rid = table.register(monomial(u_x, [p(1)]), note="tail")
+    rid = table.register(monomial(u_x, [p(1)]))
     return table, rid
 
 
@@ -193,51 +197,76 @@ class TestElNonlocal:
         assert res.formal_used
 
 
-def _two_sum_el(S: SuperPoly, table: NonlocalVarTable):
-    """The one-tail rule written out for a value S with one tail term: per odd degree d of its
-    prefactor part A, el_sum(A, v) + (-1)^(d+1) el_sum(Z, a), a the antiderivative of A."""
-    local, (term,) = split_tails(S, table)
-    (ident,) = term.suffix
-    v, Z = SuperPoly.factor(table.factor(ident)), table.density(ident)
-    el, formal = euler_lagrange(local, F), False
-    for degree in sorted(term.prefactor.odd_degrees()):
-        A = term.prefactor.degree_part(degree)
-        anti = _antiderivative(A, F, table, note="tail antiderivative")
-        formal = formal or anti.formal
-        el = el + el_sum(A, v, F, table) + el_sum(Z, anti.value, F, table).scale((-1) ** (degree + 1))
+def _per_pair_el(S: SuperPoly, fields: Fields, table: NonlocalVarTable):
+    """The tail rules written out with one ``el_sum`` per ``(A, fixed)`` pair, the results added:
+    per odd degree d of a one-tail prefactor part A, el_sum(A, v) + (-1)^(d+1) el_sum(Z, a), a the
+    antiderivative of A; a two-tail term by depth reduction, else by its three-sum fallback."""
+    local, tails = split_tails(S, table)
+    el, formal = el_sum([(local, None)], fields), False
+
+    def one_tail(prefactor, ident):
+        nonlocal el, formal
+        v, Z = SuperPoly.factor(table.factor(ident)), table.density(ident)
+        for degree in sorted(prefactor.odd_degrees()):
+            A = prefactor.degree_part(degree)
+            anti = _antiderivative(A, fields, table)
+            formal = formal or anti.formal
+            sign = (-1) ** (degree + 1)
+            el = el + el_sum([(A, v)], fields, table) + el_sum([(Z, anti.value)], fields, table).scale(sign)
+
+    for term in tails:
+        if len(term.suffix) == 1:
+            one_tail(term.prefactor, *term.suffix)
+            continue
+        reduced, flagged = reduce_depth(term, table, fields)
+        if not flagged:
+            for t in reduced:
+                one_tail(t.prefactor, *t.suffix)
+            continue
+        (id1, id2), B = term.suffix, term.prefactor
+        v1, v2 = SuperPoly.factor(table.factor(id1)), SuperPoly.factor(table.factor(id2))
+        q1, q2 = _antiderivative(B * v1, fields, table), _antiderivative(B * v2, fields, table)
+        formal = formal or q1.formal or q2.formal
+        el = el + el_sum([(B, v1 * v2)], fields, table)
+        el = el + el_sum([(table.density(id1), q2.value)], fields, table)
+        el = el + el_sum([(table.density(id2), q1.value)], fields, table).scale(-1)
     return el, formal
 
 
+def _texts(el):
+    return [x.sorted_texts() for x in (*el.du, *el.dp)]
+
+
 def _tail_sums(w: str, z: str, monkeypatch):
-    """el_nonlocal of the encoding of the tail [w|z], its table and its number of el_sum calls,
-    and the two-sum formula's EL tuple, table and formal flag."""
+    """el_nonlocal of the encoding of the tail [w|z], its table and the number of pairs it passes
+    to its one el_sum call, and the per-pair sums' EL tuple, table and formal flag."""
     P = parse(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}").operators["P"]
     expected_table = NonlocalVarTable()
-    expected, formal = _two_sum_el(to_superfunction(P, expected_table), expected_table)
+    expected, formal = _per_pair_el(to_superfunction(P, expected_table), F, expected_table)
     calls = []
     monkeypatch.setattr(wno.nonlocal_vars, "el_sum", lambda *args: calls.append(args) or el_sum(*args))
     table = NonlocalVarTable()
     comp = el_nonlocal(to_superfunction(P, table), F, table)
-    texts = [[x.sorted_texts() for x in (*el.du, *el.dp)] for el in (comp.el, expected)]
-    assert texts[0] == texts[1]
+    assert len(calls) == 1
+    assert _texts(comp.el) == _texts(expected)
     assert table.names() == expected_table.names()
     assert comp.formal_used == formal
-    return table, len(calls)
+    return table, len(calls[0][0])
 
 
 @pytest.mark.parametrize("c", ["1", "2", "(-1/3)"])
 @pytest.mark.parametrize("w", ["u_x", "(1+u^2)*u_x"])
 def test_symmetric_tail_is_summed_once(w, c, monkeypatch):
-    """For a tail [w|c w] the prefactor's antiderivative is c v, and el_sum(Z, c v) equals
-    el_sum(A, v): one call gives the two-sum formula's EL tuple, names and formal flag."""
-    table, calls = _tail_sums(w, f"{c}*{w}", monkeypatch)
-    assert calls == 1
+    """For a tail [w|c w] the prefactor's antiderivative is c v, and the pair (Z, c v) sums as the
+    pair (A, v): one pair gives the two-sum formula's EL tuple, names and formal flag."""
+    table, pairs = _tail_sums(w, f"{c}*{w}", monkeypatch)
+    assert pairs == 1
     assert table.names() == {1: "r1"}
 
 
 def test_asymmetric_tail_takes_both_sums(monkeypatch):
-    table, calls = _tail_sums("u_x", "u^2*u_x", monkeypatch)
-    assert calls == 2
+    table, pairs = _tail_sums("u_x", "u^2*u_x", monkeypatch)
+    assert pairs == 2
     assert table.names() == {1: "r1", 2: "y1"}
 
 
@@ -245,13 +274,56 @@ def test_tail_whose_content_is_not_split_takes_both_sums(monkeypatch, tmp_path, 
     """scalar_content reads 1 for u_x/(2u^2+2) p, so its antiderivative is a second variable,
     not r1/2: the one-sum rule does not apply, and the verdict stands."""
     w, z = "u_x/(2*u^2+2)", "u_x/(u^2+1)"
-    table, calls = _tail_sums(w, z, monkeypatch)
-    assert calls == 2
+    table, pairs = _tail_sums(w, z, monkeypatch)
+    assert pairs == 2
     assert table.names() == {1: "r1", 2: "y1"}
     f = tmp_path / "tail.wno"
     f.write_text(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}")
     assert main(["check", str(f), "P"]) == 0
     assert "HAMILTONIAN: yes" in capsys.readouterr().out
+
+
+def _random_tail_value(seed: int, fields: Fields, two_tail: str):
+    """A random value and its table: a local part, a one-tail term on each of two registered tails
+    (its prefactor at times holding a rational multiple of the tail's own density) and, unless
+    ``two_tail`` is "none", a two-tail term whose prefactor is exact ("reduced") or is not
+    ("fallback": it holds u^3 p, whose odd-slot EL no polynomial of degree two in the jets cancels)."""
+    rng = random.Random(seed)
+    table, ids = NonlocalVarTable(), []
+    while len(ids) < 2:
+        Z = random_local(rng, fields, 1, max_order=2)
+        if Z and (ident := table.register(scalar_content(Z)[1])) not in ids:
+            ids.append(ident)
+    v = [SuperPoly.factor(table.factor(ident)) for ident in ids]
+    value = random_local_mixed(rng, fields, max_degree=3, max_order=2)
+    for ident, vi in zip(ids, v):
+        prefactor = random_local(rng, fields, rng.choice([1, 2]), max_order=2)
+        if rng.random() < 0.5:
+            prefactor = prefactor + table.density(ident).scale(rng.choice([1, 2, Fraction(-1, 3)]))
+        value = value + prefactor * vi
+    if two_tail == "reduced":
+        value = value + total_x(random_local(rng, fields, 1, max_order=1), fields) * v[0] * v[1]
+    elif two_tail == "fallback":
+        B = random_local(rng, fields, 1, max_order=2) + monomial(jet_expr(fields, 1) ** 3, [p(1)])
+        value = value + B * v[0] * v[1]
+    return value, table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([F, Fields(("u1", "u2"))]),
+       st.sampled_from(["none", "reduced", "fallback"]))
+def test_one_el_sum_is_the_sum_of_per_pair_sums(seed, fields, two_tail):
+    """el_nonlocal's one el_sum over every pair of a value gives the per-pair sums added, with the
+    same variable table and formal flag: on one-tail terms, depth-reduced two-tail terms and the
+    two-tail fallback, which alone registers level-2 variables."""
+    value, table = _random_tail_value(seed, fields, two_tail)
+    expected_value, expected_table = _random_tail_value(seed, fields, two_tail)
+    comp = el_nonlocal(value, fields, table)
+    expected, formal = _per_pair_el(expected_value, fields, expected_table)
+    assert _texts(comp.el) == _texts(expected)
+    assert table.names() == expected_table.names()
+    assert comp.formal_used == formal
+    assert any(e.level == 2 for e in table.entries.values()) == (two_tail == "fallback")
 
 
 def test_registered_local_densities_do_not_integrate():
@@ -333,8 +405,9 @@ class TestSplitAndReduce:
         sid = table.register(monomial(u**2, [p(1)]))
         term = TailTerm(monomial(u_x, [p(1)]), (rid, sid))
         reduced, flagged = reduce_depth(term, table, F)
-        assert flagged and reduced == [term]
-        # the fallback registered a level-2 variable for prefactor * first factor
+        assert flagged and reduced == [term] and len(table.entries) == 2
+        # the fallback rule registers a level-2 variable for prefactor * first factor
+        el_nonlocal(as_superpoly(term, table), F, table)
         assert any(e.level == 2 and e.formal for e in table.entries.values())
 
     def test_reduce_depth_zero_prefactor(self):

@@ -505,7 +505,7 @@ def _encoding_as_a_sum(P, table):
         if density.is_zero():
             continue
         content, reduced = scalar_content(density)
-        v = SuperPoly.factor(table.factor(table.register(reduced, note="operator tail")))
+        v = SuperPoly.factor(table.factor(table.register(reduced)))
         W = SuperPoly.from_terms([(tail.left[i - 1], [p(i, 0)]) for i in range(1, n + 1)])
         out = out + (W * v).scale(tail.constant * content)
     return out
