@@ -21,7 +21,8 @@ coefficient's terms.  ``_coeff_text`` writes a coefficient as ``sympy.cancel`` o
 Each job of the arithmetic has one kernel.  ``_muladd`` is the one polynomial product loop.  A
 sum of many coefficients (``_fsum``) and each word of a sum of graded products (``_product_sum``,
 which ``SuperPoly.__mul__`` calls with one pair) is a running sum: ``_add_into`` adds numerators
-in place over the running lcm of the denominators, and ``_reduced`` reduces it once.  The sum of
+in place over the running lcm of the denominators, and ``_reduced`` reduces it once; a product
+by one word with a rational coefficient shifts the words instead.  The sum of
 two coefficients stays Henrici's ``_Frac.__add__``, whose ``gcd(b, d)`` spares coprime
 denominators a second gcd.  A word-keyed sum of values is ``_merge``.  ``_start_command`` empties
 the memos that last one command.
@@ -539,10 +540,13 @@ def coeff_field(symbols: Iterable[Jet]) -> _Field:
 
 @cache
 def _mover(src: _Field, dst: _Field, names: tuple | None = None):
-    """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``): the fields
-    that move by the same number of bits move together."""
+    """Monomials of ``src`` in ``dst``, generators matched by name (or by ``names``), those absent
+    from ``dst`` (which must not occur) skipped: the fields that move by the same number of bits
+    move together."""
     masks: dict[int, int] = {}
     for sym, s in zip(names or src.symbols, src.shifts):
+        if sym not in dst.index:
+            continue
         d = dst.shifts[dst.index[sym]] - s
         masks[d] = masks.get(d, 0) | _MAX << s
     moves = [(k, max(d, 0), max(-d, 0)) for d, k in masks.items()]
@@ -599,12 +603,17 @@ _JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes
 
 
 def _start_command() -> None:
-    """Empty the memos that last one command (``_GCDS``, ``_POWERS``, ``_DX``, ``_JETS``), so that
-    a command run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and
+    """Empty the memos that last one command (``_GCDS``, ``_POWERS``, ``_DX``, ``_JETS``, ``_WORDS``),
+    so that a command run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and
     ``_by_name`` persist on purpose: a value built before a command must still combine with one
     built after it, which takes the same field instance."""
-    for memo in (_GCDS, _POWERS, _DX, _JETS):
+    for memo in (_GCDS, _POWERS, _DX, _JETS, _WORDS):
         memo.clear()
+
+
+def _used(a: "SuperPoly") -> int:
+    """The bitwise OR of the monomials of ``a``'s coefficients: its generators that occur."""
+    return reduce(or_, (m for c in a.terms.values() for q in (c.numer, c.denom) for m in q), 0)
 
 
 def _d_x(a: "SuperPoly", fields: "Fields", densities: tuple[_Field, ...]) -> tuple[_Field, object]:
@@ -613,7 +622,7 @@ def _d_x(a: "SuperPoly", fields: "Fields", densities: tuple[_Field, ...]) -> tup
     ``e > 0`` of a jet in ``m`` gives ``e (m + d)``, one unit moved up an order), then ``_quotient_rule``.
     A value whose coefficients are all rational numbers, with no ``densities``, keeps its field and
     gets the zero derivative, with no plan."""
-    used = reduce(or_, (m for c in a.terms.values() for q in (c.numer, c.denom) for m in q), 0)
+    used = _used(a)
     if not used and not densities:
         return a.field, lambda c: a.field.zero
     jets = tuple(fields._jets_in(a.field, used))
@@ -708,15 +717,6 @@ def _ordered(field: _Field, poly: dict, key, d: int = 1) -> list[tuple[tuple, in
     return out
 
 
-def _parts(c: _Frac) -> tuple[list, list, list | None]:
-    """Names, numerator and denominator ``_ordered``; a ground denominator is
-    distributed over the numerator as sympy does (``2*u/3 + 1/3``) and is None."""
-    names, key = _by_name(c.field)
-    if len(c.denom) == 1 and 0 in c.denom:
-        return names, _ordered(c.field, c.numer, key, c.denom[0]), None
-    return names, _ordered(c.field, c.numer, key), _ordered(c.field, c.denom, key)
-
-
 def _term_text(monom: tuple, p: int, q: int, names) -> str:
     """A term (p/q) * monomial as sympy prints it: ``-2*u**2*v/3``, ``-1/3``."""
     factors = [name if monom[i] == 1 else f"{name}**{monom[i]}" for i, name in names if monom[i]]
@@ -736,9 +736,10 @@ def _coeff_text(c: _Frac) -> str:
     Over a polynomial denominator the quotient prints as sympy's ``Mul``, sums
     in parentheses, and a lone ``1/x**k`` as ``x**(-k)``.
     """
-    names, num, den = _parts(c)
-    if den is None:
-        return _sum_text(num, names) if num else "0"
+    names, key = _by_name(c.field)
+    if c.denom.keys() == {0}:  # a ground denominator is distributed over the numerator: ``2*u/3 + 1/3``
+        return _sum_text(_ordered(c.field, c.numer, key, c.denom[0]), names) if c else "0"
+    num, den = _ordered(c.field, c.numer, key), _ordered(c.field, c.denom, key)
     top = _term_text(*num[0], names) if len(num) == 1 else f"({_sum_text(num, names)})"
     if len(den) > 1:
         return f"{top}/({_sum_text(den, names)})"
@@ -751,12 +752,17 @@ def _coeff_text(c: _Frac) -> str:
 
 
 def _lead_rational(c: _Frac) -> tuple[int, int]:
-    """(p, q) of ``c.as_expr().as_ordered_terms()[0].as_coeff_Mul(rational=True)[0]``;
-    a monomial numerator's and denominator's contents are coprime in a reduced ``c``."""
-    _, num, den = _parts(c)
-    if den is None:
-        return num[0][1:]
-    return num[0][1] if len(num) == 1 else 1, den[0][1] if len(den) == 1 else 1
+    """(p, q) of ``c.as_expr().as_ordered_terms()[0].as_coeff_Mul(rational=True)[0]``, in one
+    pass: over a ground denominator d, the first term as ``_ordered`` puts it, over d; else a
+    monomial numerator's and denominator's contents, coprime in a reduced ``c``, or 1."""
+    if c.denom.keys() != {0}:
+        return tuple(next(iter(q.values())) if len(q) == 1 else 1 for q in (c.numer, c.denom))
+    terms, d = c.field.unpacked(c.numer), c.denom[0]
+    e = max(terms, key=_by_name(c.field)[1])
+    if len(terms) == 2 and c.numer.get(0, 0) > 0 > terms[e] and sum(map(bool, e)) == 1:
+        e = min(terms)  # ``3 - 2*u**3``: a constant before a lone negative power
+    g = gcd(terms[e], d)
+    return terms[e] // g, d // g
 
 
 def _exponents_below(c: _Frac, bits: int) -> bool:
@@ -858,6 +864,36 @@ class Fields:
         return out
 
 
+def _packed_key(density: SuperPoly) -> tuple:
+    """A density's words and packed coefficients, moved into the field of the generators that
+    occur: reduced coefficients with the canonical sign are unique, one field instance holds each
+    generator set and the generator order is global, so equal densities of any fields share it."""
+    src, used = density.field, _used(density)
+    field = coeff_field(x for x, s in zip(src.symbols, src.shifts) if used >> s & _MAX)
+    move = _mover(src, field)
+    moved = ((w, *(frozenset((move(m), k) for m, k in q.items()) for q in (c.numer, c.denom)))
+             for w, c in density.terms.items())
+    return field, frozenset(moved)
+
+
+def _top_order_linear(Y: SuperPoly, fields: Fields) -> bool:
+    """``integrate_density``'s linear-time test of a nonzero local Y: false where its top order K
+    is 0, or a term is not affine in the order-K jets and dual factors or has an order-K jet in its
+    denominator; a constant passes, for ``_exact`` to judge."""
+    jets = fields._jets_in(Y.field, _used(Y))
+    K = max([o for _, _, o in jets] + [f.order for w in Y.terms for f in w], default=None)
+    if not K:
+        return K is None
+    units = {1 << Y.field.shifts[Y.field.index[x]] for x, _, o in jets if o == K}
+    mask = sum(units) * _MAX
+    for word, c in Y.terms.items():
+        duals = sum(1 for f in word if f.order == K)
+        allowed = {0} if duals else units | {0}
+        if duals > 1 or any(m & mask for m in c.denom) or any(m & mask not in allowed for m in c.numer):
+            return False
+    return True
+
+
 class OddFactor(namedtuple("_Factor", "rank index order kind parity")):
     """One anticommuting (or even nonlocal) factor of a word.
 
@@ -899,19 +935,25 @@ def _word_key(word: Word) -> tuple:
     return len(word), word
 
 
+_WORDS: dict = {}  # a factor tuple -> its ``normalize_word``, for one command
+
+
 def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
-    """Sort a factor sequence into the global order with its Koszul sign.
+    """Sort a factor sequence into the global order with its Koszul sign, memoised in ``_WORDS``.
 
     Returns ``(sign, word)``; a repeated odd factor makes the word vanish,
     signalled by ``(0, None)``.  Even factors commute freely, sort last and
     are kept with multiplicity.  The sign is the parity of the number of
     out-of-order pairs of odd factors.
     """
-    odds = [f for f in factors if f.parity]
-    if len(set(odds)) < len(odds):
-        return 0, None
-    swaps = sum(a > b for i, a in enumerate(odds) for b in odds[i + 1 :])
-    return -1 if swaps & 1 else 1, tuple(sorted(factors))
+    factors = tuple(factors)
+    hit = _WORDS.get(factors)
+    if hit is None:
+        odds = [f for f in factors if f.parity]
+        swaps = sum(a > b for i, a in enumerate(odds) for b in odds[i + 1 :])
+        repeated = len(set(odds)) < len(odds)
+        hit = _WORDS[factors] = (0, None) if repeated else (-1 if swaps & 1 else 1, tuple(sorted(factors)))
+    return hit
 
 
 class SuperPoly:
@@ -1058,8 +1100,18 @@ class SuperPoly:
 
 def _product_sum(pairs: Iterable[tuple[SuperPoly, SuperPoly]], weight: int = 1) -> SuperPoly:
     """``weight * sum(A * B for A, B in pairs)`` in one pass over the word pairs: each word is a
-    running sum of ``_add_into``, reduced once.  ``A * B`` is this sum of one pair."""
+    running sum of ``_add_into``, reduced once.  ``A * B`` is this sum of one pair.  For B one word
+    with a rational coefficient r, over generators that A's field holds, the product appends that
+    word to each of A's, with its Koszul sign, and scales each coefficient by r in A's field, which
+    is then the union field: distinct words of A stay distinct."""
     pairs = [(A, B) for A, B in pairs if A.terms and B.terms]
+    if len(pairs) == 1 and len(pairs[0][1].terms) == 1:
+        (A, B), = pairs
+        (w2, c), = B.terms.items()
+        if c.numer.keys() == c.denom.keys() == {0} and B.field.index.keys() <= A.field.index.keys():
+            shifted = ((normalize_word(w1 + w2), c1) for w1, c1 in A.terms.items())
+            terms = {w: c1 if s > 0 else -c1 for (s, w), c1 in shifted if s}
+            return SuperPoly(terms, A.field).scale(Fraction(c.numer[0] * weight, c.denom[0]))
     field = coeff_field({s for A, B in pairs for s in A.field.symbols + B.field.symbols})
     acc: dict[Word, list] = {}  # word -> its running sum [numerator, denominator]
     for A, B in pairs:

@@ -41,8 +41,8 @@ EXIT_UNSUPPORTED = 3
 
 
 def _load(path: str) -> OperatorFile:
-    try:
-        source = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    try:  # one binary read: a leading byte-order mark is dropped, newlines are translated as in text mode
+        source = Path(path).read_bytes().decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise SystemExitWith(EXIT_USAGE, f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:

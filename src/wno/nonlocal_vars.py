@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_rational, _ratint, _word_key, nl
+from .algebra import (
+    Fields, OddFactor, SuperPoly, Word, _lead_rational, _packed_key, _ratint, _top_order_linear, _word_key, nl
+)
 from .jetcalc import ELResult, _exact, el_sum, total_x
 
 
@@ -70,11 +72,13 @@ class NonlocalVarTable:
     def register(self, density: SuperPoly, *, formal: bool = False) -> int:
         """Register a defining density, deduplicating on its terms.
 
-        The key is the density's terms with their coefficients as text
-        (``sorted_texts``), which does not depend on the field a density
-        sits in.  The density must be homogeneous with at least one odd
-        factor; a purely even density has a local antiderivative problem
-        and does not define a new variable here.
+        The key (``algebra._packed_key``) is the density's words with their
+        packed coefficients, moved into the field of the generators that
+        occur.  Reduced coefficients are unique, so the key does not depend
+        on the field a density sits in: equal densities share it and unequal
+        ones do not, as with their coefficients' texts.  The density must be
+        homogeneous with at least one odd factor; a purely even density has
+        a local antiderivative problem and does not define a new variable here.
         """
         if density.is_zero():
             raise ValueError("cannot register the zero density")
@@ -84,7 +88,8 @@ class NonlocalVarTable:
         degree = degrees.pop()
         if degree == 0:
             raise ValueError("density has no odd factors; integrate it instead")
-        ident = self.lookup(density)
+        key = _packed_key(density)
+        ident = self._by_density.get(key)
         if ident is not None:
             return ident
         level = 1
@@ -101,12 +106,12 @@ class NonlocalVarTable:
             name=f"{prefix}{self._counts[prefix]}",
             formal=formal,
         )
-        self._by_density[tuple(density.sorted_texts())] = ident
+        self._by_density[key] = ident
         return ident
 
     def lookup(self, density: SuperPoly) -> int | None:
-        """The id of the variable registered for ``density``, or None."""
-        return self._by_density.get(tuple(density.sorted_texts()))
+        """The id of the variable registered for ``density`` (by the key of ``register``), or None."""
+        return self._by_density.get(_packed_key(density))
 
     def density(self, ident: int) -> SuperPoly:
         try:
@@ -158,18 +163,24 @@ def _top_variable(a: SuperPoly, fields: Fields):
 def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
     """Find a local antiderivative of a density, or report failure.
 
-    Exactness is pre-checked with an early exit: the variational derivatives of an exact
-    density vanish, and the check stops at the first slot that does not, cheapest first
-    (``w(u) p`` fails at its odd slot, with no total derivative).  Construction then absorbs
-    the highest-order variable into a total derivative and recurses; the result is verified by
-    back-substitution.  Densities with nonlocal factors are not integrated here (use depth reduction).
+    Two tests of exactness come first, each with an early exit.  The first (``_top_order_linear``)
+    reads each term once.  Let K be the top order of Y's jets and dual factors together.  If Y =
+    D(eta), then eta has order K - 1 and D(eta) = sum_s (d eta/d s) s_x over eta's variables s, so
+    Y is affine in its order-K variables over coefficients of lower order: each term has at most
+    one order-K dual factor or order-K jet, to the first power, and no order-K jet is in a reduced
+    denominator; a nonzero Y of order 0 is not exact.  An added constant changes none of this, so
+    a Y that fails the test has a nonzero variational derivative and would fail ``_exact`` too.
+    The second, ``_exact``, checks that the variational derivatives vanish, stopping at the first
+    slot that does not, cheapest first.  Construction then absorbs the highest-order variable into
+    a total derivative and recurses; the result is verified by back-substitution.  Densities with
+    nonlocal factors are not integrated here (use depth reduction).
     """
     if not Y.is_local():
         return IntegrationResult(None, Y)
     if Y.is_zero():
         return IntegrationResult(SuperPoly.zero(), None)
 
-    if not _exact(Y, fields):
+    if not (_top_order_linear(Y, fields) and _exact(Y, fields)):
         return IntegrationResult(None, Y)
 
     eta = SuperPoly.zero()

@@ -28,14 +28,13 @@ x-derivative, certified by a vanishing variational-derivative tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import islice, product
 
 from .algebra import (
     Coeff, Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, _merge, _product_sum, _two_point,
     coeff_field, normalize_word, p
 )
-from .jetcalc import ELResult, _adjoint_terms
+from .jetcalc import ELResult
 from .nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 
 DiffRow = list[tuple[Coeff, int]]  # sum of coefficient * d^order
@@ -82,37 +81,6 @@ class WNOperator:
     def entry(self, i: int, j: int) -> DiffRow:
         return self.local[i - 1][j - 1]
 
-    def __add__(self, other: "WNOperator") -> "WNOperator":
-        if self.fields != other.fields:
-            raise ValueError("operators live over different field sets")
-        local = [
-            [self.local[i][j] + other.local[i][j] for j in range(self.n)]
-            for i in range(self.n)
-        ]
-        return WNOperator(self.fields, local, self.tails + other.tails)
-
-    def scale(self, value) -> "WNOperator":
-        K, (c,) = _into(self.field, [value])
-        local = [
-            [[(c * _lift(k, K), o) for k, o in row] for row in rows] for rows in self.local
-        ]
-        tails = [Tail(c * _lift(t.constant, K), t.left, t.right) for t in self.tails]
-        return WNOperator(self.fields, local, tails)
-
-
-def operator_adjoint(P: WNOperator) -> WNOperator:
-    """Formal adjoint: entries transposed through (c d^k)* = (-1)^k d^k c,
-    tails through (w d^(-1) z)* = -z d^(-1) w."""
-    r = range(P.n)
-    rows = [[[(factor * d.terms.get((), d.field.zero), m) for coeff, order in P.local[j][i]
-              for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields)]
-             for j in r] for i in r]
-    return WNOperator(P.fields, rows, [Tail(-t.constant, t.right, t.left) for t in P.tails])
-
-
-def skew_part(P: WNOperator) -> WNOperator:
-    return (P + operator_adjoint(P).scale(-1)).scale(Fraction(1, 2))
-
 
 def _tail_witness(tails: list[Tail], field) -> str | None:
     """The first nonzero entry, as text, of the kernel of the ``tails`` (coefficients in ``field``),
@@ -130,11 +98,6 @@ def _tail_witness(tails: list[Tail], field) -> str | None:
             kernel[i][j] = kernel[i][j] + left[i] * right[j]
     return next((f"tail kernel [{i + 1},{j + 1}]: {_coeff_text(kernel[i][j])}"
                  for i, j in pairs if kernel[i][j]), None)
-
-
-def operators_equal(P: WNOperator, Q: WNOperator) -> bool:
-    D = P + Q.scale(-1)
-    return not any(_by_order(row) for rows in D.local for row in rows) and not _tail_witness(D.tails, D.field)
 
 
 @dataclass
@@ -190,40 +153,6 @@ def to_superfunction(P: WNOperator, table: NonlocalVarTable) -> SuperPoly:
         used = used or bool(pieces)
         terms = _merge({w: c for w, c in terms.items() if c}, pieces)  # zeros leave, as from a sum
     return SuperPoly(terms, P.field) if used else SuperPoly.zero()
-
-
-def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) -> WNOperator:
-    """Inverse reading of the encoding, via the odd-slot variational tuple.
-
-    Half the odd-slot variational derivative of the encoding of P equals
-    the skew part of P applied to the dual factors, so reading off the
-    coefficients per factor reconstructs exactly skew(P).
-    """
-    comp = el_nonlocal(S, fields, table)
-    n = fields.n
-    local: list[list[DiffRow]] = [[[] for _ in range(n)] for _ in range(n)]
-    tail_vectors: dict[int, list] = {}
-    for i in range(1, n + 1):
-        v = comp.el.dp[i - 1].scale(Fraction(1, 2))
-        for word, coeff in v.terms.items():
-            if len(word) == 1 and word[0].kind == "p":
-                f = word[0]
-                local[i - 1][f.index - 1].append((coeff, f.order))
-            elif len(word) == 1 and word[0].kind == "nl":
-                tail_vectors.setdefault(word[0].index, [0] * n)[i - 1] = coeff
-            elif len(word) == 0:
-                raise ValueError("degree-0 component cannot come from an operator")
-            else:
-                raise ValueError(f"unexpected word {word} in operator reading")
-    tails = []
-    for ident, vec in sorted(tail_vectors.items()):
-        dvec = [0] * n
-        for word, coeff in table.density(ident).terms.items():
-            if len(word) != 1 or word[0].kind != "p" or word[0].order != 0:
-                raise ValueError("tail density is not a zeroth-order covector")
-            dvec[word[0].index - 1] = coeff
-        tails.append(Tail(1, tuple(vec), tuple(dvec)))
-    return WNOperator(fields, local, tails)
 
 
 @dataclass

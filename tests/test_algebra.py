@@ -1049,6 +1049,34 @@ def test_product_sum_fixed_cases():
     assert empty.is_zero() and empty.field is SuperPoly.zero().field
 
 
+@settings(max_examples=150, deadline=None)
+@given(_sum_values, st.lists(_FACTORS, min_size=1, max_size=2), st.sampled_from([1, -1, 2, Fraction(-2, 3)]),
+       st.sampled_from([1, 2]), st.sampled_from(["empty", "own", "wider"]))
+def test_word_shift_product_is_the_general_product(A, factors, r, weight, place):
+    """``A * X`` for X one word with a rational coefficient r, in an empty field or in A's, appends
+    the word with its Koszul sign (even nonlocal factors among A's and X's) and scales by r, with
+    no running sum: term for term and in order the value of the general path, which takes
+    ``A * 2X - A * X``.  In a field with a generator that A's lacks, X takes the general path."""
+    X = SuperPoly.from_terms([(r, factors)])
+    assume(X and A)
+    if place != "empty":
+        X = X.set_field(coeff_field(A.field.symbols + ("w",) * (place == "wider")))
+    general = _product_sum([(A, X.scale(2)), (A, -X)], weight)
+    with patch.object(wno.algebra, "_add_into", side_effect=AssertionError) if place != "wider" else contextlib.nullcontext():
+        shifted = _product_sum([(A, X)], weight)
+    assert shifted.field is general.field
+    assert list(shifted.terms.items()) == list(general.terms.items())
+    assert shifted.sorted_texts() == _naive_product(A, X).scale(weight).sorted_texts()
+
+
+def test_word_memo_is_emptied_per_command():
+    word = (p(1, 2), nl(2, 0), p(1, 1))
+    assert normalize_word(word) == (-1, (p(1, 1), p(1, 2), nl(2, 0))) and word in wno.algebra._WORDS
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--no-such-option"]) == 2
+    assert not wno.algebra._WORDS
+
+
 def test_product_sum_refuses_an_exponent_overflow():
     """The naive sum, the fused one and ``A * B`` raise when a product has an exponent past _TOP,
     the fused one also when a numerator past it would be brought to a new denominator; ``_fsum``

@@ -102,12 +102,15 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_non_utf8_file(self, tmp_path):
-        f = tmp_path / "bytes.wno"
-        f.write_bytes(b"fields u;\n\xff")
-        proc = run_cli("check", str(f), "A")
-        assert proc.returncode == 2
-        assert proc.stderr.startswith(f"error: cannot read {f}: ")
-        assert "Traceback" not in proc.stderr
+        """The position is counted after a leading byte-order mark."""
+        for head in (b"", b"\xef\xbb\xbf"):
+            f = tmp_path / "bytes.wno"
+            f.write_bytes(head + b"fields u;\n\xff")
+            proc = run_cli("check", str(f), "A")
+            assert proc.returncode == 2
+            assert proc.stderr.startswith(f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff "
+                                          "in position 10: invalid start byte\n")
+            assert "Traceback" not in proc.stderr
 
     def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
         """A file saved with a UTF-8 byte-order mark reads as the plain file."""
@@ -125,6 +128,20 @@ class TestExitCodes:
         f.write_bytes(b"fields u;\n\xef\xbb\xbfoperator A { local[1,1]: D; }\n")
         assert main(["check", str(f), "A"]) == 2
         assert "bom.wno:2:1: unexpected character '\\ufeff'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_newlines_read_as_in_text_mode(self, tmp_path, capsys, newline):
+        """CRLF and lone-CR files read as the LF file: the same report, the same error position."""
+        plain = (CASES / "mkdv.wno").read_bytes()
+        bad = b"fields u;\noperator A {\n  local[1,1]: D$;\n}\n"
+        outputs = []
+        for name, text in [("lf", plain), ("crlf", plain.replace(b"\n", newline)), ("bad", bad.replace(b"\n", newline))]:
+            f = tmp_path / f"{name}.wno"
+            f.write_bytes(text)
+            assert main(["check", str(f), "mkdv2", "--el"]) == (2 if name == "bad" else 0)
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out and "HAMILTONIAN: yes" in outputs[0].out
+        assert "bad.wno:3:16: unexpected character '$'" in outputs[2].err
 
     @pytest.mark.parametrize(
         "coeff, col",

@@ -1,8 +1,12 @@
 """Nonlocal variable registry, density integration, tail-aware EL rules."""
 
+import contextlib
+import io
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 import sympy as sp
@@ -10,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.integrals.rationaltools import ratint
 
+import wno.algebra
+import wno.cli
+import wno.jetcalc
 import wno.nonlocal_vars
-from wno.algebra import Fields, SuperPoly, p
+import wno.schouten
+from wno.algebra import Fields, SuperPoly, _top_order_linear, coeff_field, p
 from wno.cli import main
 from wno.dsl import parse
-from wno.jetcalc import el_sum, euler_lagrange, total_x
+from wno.jetcalc import _exact, el_sum, euler_lagrange, total_x
 from wno.nonlocal_vars import (
     NonlocalVarTable,
     TailTerm,
@@ -504,3 +512,115 @@ class TestSplitAndReduce:
             total = total + as_superpoly(t, table)
         via_reduction = el_nonlocal(total, F, table)
         assert direct.el == via_reduction.el
+
+
+# -- the one-tail bookkeeping: the top-order test, structural table keys, no rendering --
+
+_G = Fields(("u1", "u2"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([F, _G]),
+       st.sampled_from(["1", "1 + {0}**2", "1 + {0}_x**2", "{0}_2x"]), st.booleans())
+def test_top_order_test_keeps_every_exact_density(rng, fields, denominator, planted):
+    """``_top_order_linear`` never rejects ``total_x(eta)`` of a local eta (jets up to order 3, over
+    a denominator in the first field's jets), and a density it rejects is not exact."""
+    den = sp.sympify(denominator.format(fields.names[0]))
+    eta = random_local_mixed(rng, fields, max_degree=2, max_order=3).scale(1 / den)
+    Y = total_x(eta, fields) if planted else eta
+    assert _top_order_linear(Y, fields) or not (planted or _exact(Y, fields))
+
+
+def test_top_order_test_rejects_what_no_total_derivative_is():
+    """A top jet squared or in a denominator, two top-order dual factors in one word, a top jet
+    times a top dual factor and a nonzero order-0 density fail; exact or not, an affine density
+    and a constant pass."""
+    p1, p2 = p(1, 2), p(2, 2)
+    refused = [scalar(u_x**2), scalar(u / u_x), monomial(u_x, [p(1, 1)]), monomial(u**2, [p(1)]), scalar(u)]
+    for Y, fields in [(Y, F) for Y in refused] + [(monomial(1, [p1, p2]), _G)]:
+        assert not _top_order_linear(Y, fields) and not _exact(Y, fields)
+    for Y in (monomial(1, [p(1, 0), p(1, 2)]), scalar(u_2x / (1 + u_x**2)), monomial(u, [p(1, 1)]), scalar(3)):
+        assert _top_order_linear(Y, F)
+
+
+def _register_all(densities):
+    table = NonlocalVarTable()
+    ids = [table.register(d, formal=formal) for d, formal in densities]
+    found = [table.lookup(d) for d, _ in densities]
+    return ids, found, [(e.name, e.formal, e.level) for e in table.entries.values()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.lists(st.booleans(), min_size=4, max_size=8))
+def test_structural_keys_dedup_as_text_keys(rng, formals):
+    """Keys by words and packed coefficients give the ids, names and formal flags that keys by
+    ``sorted_texts`` give, on equal densities placed in two fields and on unequal ones, among
+    them ``u1 p1`` and ``u2 p1``, whose one coefficient packs alike in their own fields."""
+    wide = coeff_field([_G.jet(i, k) for i in (1, 2) for k in range(4)])
+    pool = [monomial(jet_expr(_G, 1), [p(1)]), monomial(jet_expr(_G, 2), [p(1)])]
+    pool += [d for d in (random_local(rng, _G, rng.choice([1, 2]), max_order=2) for _ in range(3)) if d]
+    densities = []
+    for formal in formals:
+        d = rng.choice(pool)
+        d = d.set_field(wide) if rng.random() < 0.5 else d
+        densities.append((d.scale(rng.choice([1, -1, 2])) if rng.random() < 0.3 else d, formal))
+    structural = _register_all(densities)
+    with patch.object(wno.nonlocal_vars, "_packed_key", lambda d: tuple(d.sorted_texts())):
+        assert _register_all(densities) == structural
+
+
+def test_perturbed_affinor_densities_are_refused_before_the_variations():
+    """The prefactor of each perturbed-affinor block's tail term is not exact, and the top-order
+    test says so: ``integrate_density`` returns with no call of ``_variations``."""
+    results, inside = [], []
+    variations = wno.jetcalc._variations
+
+    def integrate(Y, fields):
+        inside.append(Y)
+        result = integrate_density(Y, fields)
+        inside.clear()
+        results.append(result.ok)
+        return result
+
+    def spy(*args):
+        assert not inside, "integrate_density called _variations"
+        return variations(*args)
+
+    with patch.object(wno.nonlocal_vars, "integrate_density", integrate), patch.object(wno.jetcalc, "_variations", spy):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", str(CASES / "curvature.wno"), "perturbed", "--el"]) == 1
+            assert main(["check", str(CASES / "firstorder.wno"), "spherebad", "--el"]) == 1
+    assert results == [False, False]
+
+
+def test_nonlocal_vars_renders_nothing():
+    """Across every ``check``, ``bracket`` and ``geom`` on ``cases/``, no coefficient is rendered
+    while a function of ``nonlocal_vars`` runs: only ``cli`` renders."""
+    seen = []
+
+    def spying(render):
+        def spy(*args):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "wno.nonlocal_vars":
+                    seen.append(frame.f_code.co_name)
+                frame = frame.f_back
+            return render(*args)
+        return spy
+
+    patches = [patch.object(SuperPoly, "sorted_texts", spying(SuperPoly.sorted_texts))]
+    patches += [patch.object(module, "_coeff_text", spying(module._coeff_text))
+                for module in (wno.algebra, wno.schouten, wno.cli) if hasattr(module, "_coeff_text")]
+    commands = 0
+    with contextlib.ExitStack() as stack, contextlib.redirect_stdout(io.StringIO()):
+        for active in patches:
+            stack.enter_context(active)
+        for path in sorted(CASES.glob("*.wno")):
+            doc = parse(path.read_text())
+            names = [*doc.operators, *doc.firstorder]
+            argvs = [["check", str(path), a, "--el"] for a in names] + [["geom", str(path), a] for a in doc.firstorder]
+            argvs += [["bracket", str(path), a, b] for a in names for b in names]
+            for argv in argvs:
+                assert main(argv) in (0, 1)
+                commands += 1
+    assert commands > 50 and not seen

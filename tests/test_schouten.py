@@ -1,6 +1,7 @@
 """Operator encoding, skew test, bracket outcomes, and the verdict."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -11,20 +12,17 @@ from hypothesis import strategies as st
 import wno.algebra
 import wno.geometry
 import wno.schouten
-from wno.algebra import Fields, SuperPoly, _by_order, _coeff_text, coeff_field, p
+from wno.algebra import Fields, SuperPoly, _by_order, _coeff_text, _into, _lift, coeff_field, p
 from wno.cli import _coefficient_report, main
-from wno.nonlocal_vars import NonlocalVarTable, scalar_content
+from wno.jetcalc import _adjoint_terms
+from wno.nonlocal_vars import NonlocalVarTable, el_nonlocal, scalar_content
 from wno.schouten import (
     Tail,
     WNOperator,
     _tail_witness,
-    from_superfunction,
     is_hamiltonian,
-    operator_adjoint,
-    operators_equal,
     schouten_bracket,
     skew_check,
-    skew_part,
     to_superfunction,
 )
 
@@ -195,7 +193,7 @@ class TestBracket:
             P = op_local([(random_coeff(rng, F, 1), rng.randint(0, 2))])
             Q1 = op_local([(random_coeff(rng, F, 1), rng.randint(0, 2))])
             Q2 = op_local([(random_coeff(rng, F, 1), rng.randint(0, 2))])
-            lhs = schouten_bracket(P, Q1 + Q2).el
+            lhs = schouten_bracket(P, add(Q1, Q2)).el
             rhs = schouten_bracket(P, Q1).el + schouten_bracket(P, Q2).el
             assert lhs == rhs
 
@@ -203,7 +201,7 @@ class TestBracket:
         rng = random.Random(41)
         for c in (sp.Integer(2), sp.Rational(-3, 2)):
             P = op_local([(random_coeff(rng, F, 1), rng.randint(0, 3))])
-            lhs = schouten_bracket(P.scale(c), P.scale(c)).el
+            lhs = schouten_bracket(scale(P, c), scale(P, c)).el
             rhs = schouten_bracket(P, P).el.scale(c**2)
             assert lhs == rhs
 
@@ -232,6 +230,76 @@ class TestVerdicts:
         rows = _coefficient_report(res.bracket.el, F, table)
         du_rows = [r for r in rows if r["component"] == "du[1]"]
         assert {"component": "du[1]", "monomial": "p*p_x*p_3x", "coefficient": "16/3"} in du_rows
+
+
+# -- operator arithmetic, the adjoint and the skew part: the oracle of the encoding's inverse --
+
+
+def add(P: WNOperator, Q: WNOperator) -> WNOperator:
+    if P.fields != Q.fields:
+        raise ValueError("operators live over different field sets")
+    local = [[P.local[i][j] + Q.local[i][j] for j in range(P.n)] for i in range(P.n)]
+    return WNOperator(P.fields, local, P.tails + Q.tails)
+
+
+def scale(P: WNOperator, value) -> WNOperator:
+    K, (c,) = _into(P.field, [value])
+    local = [[[(c * _lift(k, K), o) for k, o in row] for row in rows] for rows in P.local]
+    return WNOperator(P.fields, local, [Tail(c * _lift(t.constant, K), t.left, t.right) for t in P.tails])
+
+
+def operator_adjoint(P: WNOperator) -> WNOperator:
+    """Formal adjoint: entries transposed through (c d^k)* = (-1)^k d^k c,
+    tails through (w d^(-1) z)* = -z d^(-1) w."""
+    r = range(P.n)
+    rows = [[[(factor * d.terms.get((), d.field.zero), m) for coeff, order in P.local[j][i]
+              for factor, d, m in _adjoint_terms(SuperPoly({(): coeff}, P.field), order, P.fields)]
+             for j in r] for i in r]
+    return WNOperator(P.fields, rows, [Tail(-t.constant, t.right, t.left) for t in P.tails])
+
+
+def skew_part(P: WNOperator) -> WNOperator:
+    return scale(add(P, scale(operator_adjoint(P), -1)), Fraction(1, 2))
+
+
+def operators_equal(P: WNOperator, Q: WNOperator) -> bool:
+    D = add(P, scale(Q, -1))
+    return not any(_by_order(row) for rows in D.local for row in rows) and not _tail_witness(D.tails, D.field)
+
+
+def from_superfunction(S: SuperPoly, fields: Fields, table: NonlocalVarTable) -> WNOperator:
+    """Inverse reading of the encoding, via the odd-slot variational tuple: the oracle for
+    ``to_superfunction``.
+
+    Half the odd-slot variational derivative of the encoding of P equals
+    the skew part of P applied to the dual factors, so reading off the
+    coefficients per factor reconstructs exactly skew(P).
+    """
+    comp = el_nonlocal(S, fields, table)
+    n = fields.n
+    local: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    tail_vectors: dict[int, list] = {}
+    for i in range(1, n + 1):
+        v = comp.el.dp[i - 1].scale(Fraction(1, 2))
+        for word, coeff in v.terms.items():
+            if len(word) == 1 and word[0].kind == "p":
+                f = word[0]
+                local[i - 1][f.index - 1].append((coeff, f.order))
+            elif len(word) == 1 and word[0].kind == "nl":
+                tail_vectors.setdefault(word[0].index, [0] * n)[i - 1] = coeff
+            elif len(word) == 0:
+                raise ValueError("degree-0 component cannot come from an operator")
+            else:
+                raise ValueError(f"unexpected word {word} in operator reading")
+    tails = []
+    for ident, vec in sorted(tail_vectors.items()):
+        dvec = [0] * n
+        for word, coeff in table.density(ident).terms.items():
+            if len(word) != 1 or word[0].kind != "p" or word[0].order != 0:
+                raise ValueError("tail density is not a zeroth-order covector")
+            dvec[word[0].index - 1] = coeff
+        tails.append(Tail(1, tuple(vec), tuple(dvec)))
+    return WNOperator(fields, local, tails)
 
 
 class TestRoundTrip:
@@ -354,7 +422,7 @@ _SECOND = [(1 + u**2, 1), (u * u_x, 0)]
 
 def _pencil_sides(P, Q, lam):
     table = NonlocalVarTable()
-    R = P + Q.scale(lam)
+    R = add(P, scale(Q, lam))
     lhs = schouten_bracket(R, R, table).el
     pq = schouten_bracket(P, Q, table).el
     rhs = schouten_bracket(P, P, table).el + pq.scale(2 * lam)
@@ -480,7 +548,7 @@ def _first_nonzero(D):
 @settings(max_examples=60, deadline=None)
 @given(_two_field_operators())
 def test_skew_check_matches_the_sum_with_the_adjoint(P):
-    witness = _first_nonzero(P + operator_adjoint(P))
+    witness = _first_nonzero(add(P, operator_adjoint(P)))
     res = skew_check(P)
     assert res.ok == (witness is None)
     assert res.witness == witness
