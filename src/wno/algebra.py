@@ -40,8 +40,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
+from itertools import combinations, starmap
 from math import comb, gcd, isqrt
-from operator import itemgetter, or_
+from operator import gt, itemgetter, or_
 from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
@@ -950,7 +951,7 @@ def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
     hit = _WORDS.get(factors)
     if hit is None:
         odds = [f for f in factors if f.parity]
-        swaps = sum(a > b for i, a in enumerate(odds) for b in odds[i + 1 :])
+        swaps = sum(starmap(gt, combinations(odds, 2)))
         repeated = len(set(odds)) < len(odds)
         hit = _WORDS[factors] = (0, None) if repeated else (-1 if swaps & 1 else 1, tuple(sorted(factors)))
     return hit
