@@ -752,18 +752,9 @@ def _coeff_text(c: _Frac) -> str:
     return f"{top}/({bottom})" if len(powers) + (d != 1) > 1 else f"{top}/{bottom}"
 
 
-def _lead_rational(c: _Frac) -> tuple[int, int]:
-    """(p, q) of ``c.as_expr().as_ordered_terms()[0].as_coeff_Mul(rational=True)[0]``, in one
-    pass: over a ground denominator d, the first term as ``_ordered`` puts it, over d; else a
-    monomial numerator's and denominator's contents, coprime in a reduced ``c``, or 1."""
-    if c.denom.keys() != {0}:
-        return tuple(next(iter(q.values())) if len(q) == 1 else 1 for q in (c.numer, c.denom))
-    terms, d = c.field.unpacked(c.numer), c.denom[0]
-    e = max(terms, key=_by_name(c.field)[1])
-    if len(terms) == 2 and c.numer.get(0, 0) > 0 > terms[e] and sum(map(bool, e)) == 1:
-        e = min(terms)  # ``3 - 2*u**3``: a constant before a lone negative power
-    g = gcd(terms[e], d)
-    return terms[e] // g, d // g
+def _lead_ratio(c: _Frac) -> Fraction:
+    """``lc(numer)/lc(denom)`` of a nonzero ``c`` in the field's lex order; ``q*c`` has ``q`` times it."""
+    return Fraction(c.numer[max(c.numer)], c.denom[max(c.denom)])
 
 
 def _exponents_below(c: _Frac, bits: int) -> bool:

@@ -179,6 +179,7 @@ def check_conditions(m: MetricData) -> list[ConditionCheck]:
     the first nonzero one as a reduced-fraction expression.  For a symmetric g,
     metric_compatibility (symmetric in i, j) runs on i <= j and gauss_relation (antisymmetric)
     on i < j; a skipped entry is 0 or plus or minus one met before, so the witness is the same.
+    An asymmetric g needs its i > j entries: in ``lower`` (cases/firstorder.wno) only dg[2,1]/du1 fails.
     nablaW_symmetry is one sum per i < k, the torsion term only for an asymmetric g.
     """
     geo, r = m.geometry, range(m.n)

@@ -30,9 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    Fields, OddFactor, SuperPoly, Word, _lead_rational, _packed_key, _ratint, _top_order_linear, _word_key, nl
-)
+from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_ratio, _packed_key, _ratint, _top_order_linear, nl
 from .jetcalc import ELResult, _exact, el_sum, total_x
 
 
@@ -50,14 +48,16 @@ class NonlocalVar:
 
 
 def scalar_content(a: SuperPoly) -> tuple[Fraction, SuperPoly]:
-    """Split off the leading rational content: ``a == content * reduced``.
+    """Split off the rational content: ``a == content * reduced``.
 
-    Used before registration so that densities differing by a rational
-    multiple share one variable (their antiderivatives are proportional).
+    The content is the lex-leading coefficient ratio (``algebra._lead_ratio``) of the coefficient
+    of the first word, so that of ``q*a`` is ``q`` times that of ``a`` and the two share one
+    reduced density: densities differing by a rational multiple share one variable (their
+    antiderivatives are proportional).
     """
     if not a.terms:
         return Fraction(1), a
-    content = Fraction(*_lead_rational(a.terms[min(a.terms, key=_word_key)]))
+    content = _lead_ratio(a.terms[min(a.terms)])
     return content, a.scale(1 / content)
 
 
@@ -172,8 +172,10 @@ def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
     a Y that fails the test has a nonzero variational derivative and would fail ``_exact`` too.
     The second, ``_exact``, checks that the variational derivatives vanish, stopping at the first
     slot that does not, cheapest first.  Construction then absorbs the highest-order variable into
-    a total derivative and recurses; the result is verified by back-substitution.  Densities with
-    nonlocal factors are not integrated here (use depth reduction).
+    a total derivative and recurses.  Each step adds to eta what it subtracts the total derivative
+    of from ``remaining``, so ``remaining == Y - total_x(eta)`` exactly, and the loop leaves by
+    ``break`` only when ``remaining`` is zero: ``total_x(eta) == Y`` needs no back-substitution.
+    Densities with nonlocal factors are not integrated here (use depth reduction).
     """
     if not Y.is_local():
         return IntegrationResult(None, Y)
@@ -217,9 +219,6 @@ def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
         eta = eta + step
         remaining = remaining - total_x(step, fields)
     else:
-        return IntegrationResult(None, remaining)
-
-    if not (total_x(eta, fields) - Y).is_zero():
         return IntegrationResult(None, remaining)
     return IntegrationResult(eta, None)
 
@@ -334,15 +333,14 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
                 "two-tail terms must have an odd-degree-1 prefactor; "
                 f"got degrees {sorted(degrees)}"
             )
-        reduced, flagged = reduce_depth(term, table, fields)
-        if not flagged:
+        reduced = reduce_depth(term, table, fields)
+        if reduced is not None:
             for t in reduced:
                 single_tail(t.prefactor, t.suffix[0])
             continue
 
         id1, id2 = term.suffix
-        v1 = SuperPoly.factor(table.factor(id1))
-        v2 = SuperPoly.factor(table.factor(id2))
+        v1, v2 = (SuperPoly.factor(table.factor(ident)) for ident in term.suffix)
         B = term.prefactor
         q1 = _antiderivative(B * v1, fields, table)
         q2 = _antiderivative(B * v2, fields, table)
@@ -352,7 +350,7 @@ def el_nonlocal(a: SuperPoly, fields: Fields, table: NonlocalVarTable) -> ELComp
     return ELComputation(el_sum(pairs, fields, table), formal_used)
 
 
-def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tuple[list[TailTerm], bool]:
+def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> list[TailTerm] | None:
     """Rewrite a two-tail term into one-tail terms modulo a total derivative.
 
     With y an explicit antiderivative of the prefactor B,
@@ -360,21 +358,17 @@ def reduce_depth(term: TailTerm, table: NonlocalVarTable, fields: Fields) -> tup
         B*v*w  ==  d_x(y*v*w) - y*Z_v*w - y*v*Z_w
 
     so the term is equivalent to the two right-hand products, each of
-    strictly smaller nonlocal depth.  When B does not integrate, the term
-    is returned unchanged with the flag set, for the fallback rule of
-    ``el_nonlocal``, which registers its formal level-2 variables.
+    strictly smaller nonlocal depth.  When B does not integrate, None, for
+    the fallback rule of ``el_nonlocal``, which registers its formal level-2
+    variables.
     """
     if len(term.suffix) != 2:
         raise UnsupportedStructureError("reduce_depth expects a two-tail term")
-    id1, id2 = term.suffix
-    v1 = SuperPoly.factor(table.factor(id1))
-    v2 = SuperPoly.factor(table.factor(id2))
-    content, reduced = scalar_content(term.prefactor)
-    if reduced.is_zero():
-        return [], False
-    result = integrate_density(reduced, fields)
+    result = integrate_density(term.prefactor, fields)
     if not result.ok:
-        return [term], True
-    y = result.antiderivative.scale(content)
+        return None
+    id1, id2 = term.suffix
+    v1, v2 = (SuperPoly.factor(table.factor(ident)) for ident in term.suffix)
+    y = result.antiderivative
     rewritten = (-y) * table.density(id1) * v2 + (-y) * v1 * table.density(id2)
-    return split_tails(rewritten, table)[1], False  # each term keeps v or w: no local part
+    return split_tails(rewritten, table)[1]  # each term keeps v or w: no local part

@@ -43,6 +43,7 @@ for _name in ("sphere", "flatbad"):
 CASES["check_perturbed.txt"] = ["check", "curvature.wno", "perturbed", "--el", "--format", "text"]
 CASES["geom_perturbed.txt"] = ["geom", "curvature.wno", "perturbed", "--format", "text"]
 CASES["geom_skewed.txt"] = ["geom", "firstorder.wno", "skewed", "--format", "text"]  # asymmetric g
+CASES["geom_lower.txt"] = ["geom", "firstorder.wno", "lower", "--format", "text"]  # fails only at i > j
 for _name in ("tail8", "local7"):  # variational sums of order up to 16
     CASES[f"check_{_name}.txt"] = ["check", "highorder.wno", _name, "--el", "--format", "text"]
 for _name in ("loc", "tail"):  # skew witnesses: an entry of P + P*, a tail kernel

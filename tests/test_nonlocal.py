@@ -226,8 +226,8 @@ def _per_pair_el(S: SuperPoly, fields: Fields, table: NonlocalVarTable):
         if len(term.suffix) == 1:
             one_tail(term.prefactor, *term.suffix)
             continue
-        reduced, flagged = reduce_depth(term, table, fields)
-        if not flagged:
+        reduced = reduce_depth(term, table, fields)
+        if reduced is not None:
             for t in reduced:
                 one_tail(t.prefactor, *t.suffix)
             continue
@@ -278,13 +278,14 @@ def test_asymmetric_tail_takes_both_sums(monkeypatch):
     assert table.names() == {1: "r1", 2: "y1"}
 
 
-def test_tail_whose_content_is_not_split_takes_both_sums(monkeypatch, tmp_path, capsys):
-    """scalar_content reads 1 for u_x/(2u^2+2) p, so its antiderivative is a second variable,
-    not r1/2: the one-sum rule does not apply, and the verdict stands."""
+def test_tail_with_polynomial_denominator_multiple_is_summed_once(monkeypatch, tmp_path, capsys):
+    """u_x/(2u^2+2) p is r1's density u_x/(u^2+1) p over 2, a multiple whose leading coefficient
+    has a polynomial denominator: its antiderivative is r1/2, not a second variable, so the
+    one-sum rule applies, and the verdict stands."""
     w, z = "u_x/(2*u^2+2)", "u_x/(u^2+1)"
     table, pairs = _tail_sums(w, z, monkeypatch)
-    assert pairs == 2
-    assert table.names() == {1: "r1", 2: "y1"}
+    assert pairs == 1
+    assert table.names() == {1: "r1"}
     f = tmp_path / "tail.wno"
     f.write_text(f"fields u; operator P {{ nonlocal[1,1]: 1*[{w}|{z}]; }}")
     assert main(["check", str(f), "P"]) == 0
@@ -397,8 +398,8 @@ class TestSplitAndReduce:
         r, s = table.factor(rid), table.factor(sid)
         B = monomial(u_x, [p(1, 0)]) + monomial(u, [p(1, 1)])
         term = TailTerm(B, (rid, sid))
-        reduced, flagged = reduce_depth(term, table, F)
-        assert not flagged
+        reduced = reduce_depth(term, table, F)
+        assert reduced is not None
         assert all(len(t.suffix) <= 1 for t in reduced)
         y = monomial(u, [p(1, 0)])
         lhs = as_superpoly(term, table)
@@ -412,8 +413,7 @@ class TestSplitAndReduce:
         table, rid = make_table()
         sid = table.register(monomial(u**2, [p(1)]))
         term = TailTerm(monomial(u_x, [p(1)]), (rid, sid))
-        reduced, flagged = reduce_depth(term, table, F)
-        assert flagged and reduced == [term] and len(table.entries) == 2
+        assert reduce_depth(term, table, F) is None and len(table.entries) == 2
         # the fallback rule registers a level-2 variable for prefactor * first factor
         el_nonlocal(as_superpoly(term, table), F, table)
         assert any(e.level == 2 and e.formal for e in table.entries.values())
@@ -422,8 +422,7 @@ class TestSplitAndReduce:
         table, rid = make_table()
         sid = table.register(monomial(u**2, [p(1)]))
         term = TailTerm(SuperPoly.zero(), (rid, sid))
-        reduced, flagged = reduce_depth(term, table, F)
-        assert reduced == [] and not flagged
+        assert reduce_depth(term, table, F) == []
 
     def test_metric_operator_brackets_have_no_two_tail_terms(self):
         # Self-dual tails (left vector == right vector) make the cross terms
@@ -461,8 +460,8 @@ class TestSplitAndReduce:
         assert two_tail
         for term in two_tail:
             before = el_nonlocal(as_superpoly(term, table), F, table)
-            reduced, flagged = reduce_depth(term, table, F)
-            assert not flagged
+            reduced = reduce_depth(term, table, F)
+            assert reduced is not None
             assert all(len(t.suffix) < 2 for t in reduced)
             total = SuperPoly.zero()
             for t in reduced:
@@ -505,8 +504,8 @@ class TestSplitAndReduce:
         B = monomial(u_2x, [p(1, 0)]) + monomial(u_x, [p(1, 1)])
         term = TailTerm(B, (rid, sid))
         direct = el_nonlocal(as_superpoly(term, table), F, table)
-        reduced, flagged = reduce_depth(term, table, F)
-        assert not flagged
+        reduced = reduce_depth(term, table, F)
+        assert reduced is not None
         total = SuperPoly.zero()
         for t in reduced:
             total = total + as_superpoly(t, table)

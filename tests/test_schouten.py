@@ -420,8 +420,8 @@ _VIRASORO = [(sp.Integer(1), 3), (2 * u, 1), (u_x, 0)]
 _SECOND = [(1 + u**2, 1), (u * u_x, 0)]
 
 
-def _pencil_sides(P, Q, lam):
-    table = NonlocalVarTable()
+def _pencil_sides(P, Q, lam, table=None):
+    table = NonlocalVarTable() if table is None else table
     R = add(P, scale(Q, lam))
     lhs = schouten_bracket(R, R, table).el
     pq = schouten_bracket(P, Q, table).el
@@ -447,14 +447,16 @@ def test_pencil_bilinearity(p_rows, q_rows, lam):
 
 
 # With one tail each, skew local parts whose coefficients depend on u alone
-# (a constant multiple of D^3 plus 2c D + D(c)) and tail vectors f(u) u_x with
-# monomial denominators, the densities the four brackets meet either integrate
-# or are rational multiples of ones already in the shared table, so the
-# identity holds term by term in the nonlocal variables.  Outside this family
-# it can fail: a local coefficient in u_x can make one formal density the sum
-# of others, and the table misses a rational multiple whose leading
-# coefficient has a polynomial denominator (see ROADMAP.md, robustness oracles).
-_TAIL_VECTORS = st.sampled_from([u_x, u * u_x, u**2 * u_x, u_x / u])
+# (a constant multiple of D^3 plus 2c D + D(c)) and tail vectors f(u) u_x, some
+# over a polynomial denominator, the densities the four brackets meet either
+# integrate or are rational multiples of ones already in the shared table,
+# which share their variable (scalar_content), so the identity holds term by
+# term in the nonlocal variables.  Outside this family it can fail: a local
+# coefficient in u_x can make one formal density the sum of others (see
+# ROADMAP.md, robustness oracles).
+_TAIL_VECTORS = st.sampled_from(
+    [u_x, u * u_x, u**2 * u_x, u_x / u, u_x / (1 + u**2), u * u_x / (2 + u), (1 + u) * u_x / (3 + u**2)]
+)
 _u_coefficients = st.builds(
     lambda a, b, c: (a + b * u) / c, _constants, _constants, st.sampled_from([1, 1 + u, 1 + u**2, u])
 )
@@ -474,6 +476,25 @@ def test_pencil_bilinearity_with_tails_fixed_pair():
     lhs, rhs, pq = _pencil_sides(P, Q, sp.Rational(2, 3))
     assert not pq.is_zero()
     assert lhs == rhs
+
+
+def test_pencil_bilinearity_with_tails_fixed_multiples():
+    """Two pairs whose brackets meet rational multiples, over a polynomial denominator, of densities
+    already registered (u_x/(2u^2+2) p of r2's u_x/(u^2+1) p in the first): each multiple shares
+    its variable, so one table of r1, r2 and y1 serves the four brackets, and the identity holds."""
+    local = [(sp.Integer(1), 3), (2 * (u + 1), 1), (u_x, 0)]
+    w = u_x / (u**2 + 1)
+    pairs = [
+        (WNOperator(F, [[local]], [Tail(sp.Integer(1), (u_x,), (u_x,))]),
+         WNOperator(F, [[local]], [Tail(sp.Integer(1), (w,), (w,))])),
+        (WNOperator(F, [[[(sp.Integer(1), 0)]]], [Tail(sp.Integer(1), (u_x,), (u_x,))]),
+         WNOperator(F, [[[(1 / (u + 1), 2)]]], [Tail(sp.Integer(1), (u * u_x,), (u * u_x,))])),
+    ]
+    for P, Q in pairs:
+        table = NonlocalVarTable()
+        lhs, rhs, _ = _pencil_sides(P, Q, sp.Rational(1, 2), table)
+        assert lhs == rhs
+        assert list(table.names().values()) == ["r1", "r2", "y1"]
 
 
 @settings(max_examples=15, deadline=None)
