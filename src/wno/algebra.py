@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import combinations, starmap
 from math import comb, gcd, isqrt
-from operator import gt, itemgetter, or_
+from operator import floordiv, gt, itemgetter, mul, or_
 from struct import Struct
 from typing import Iterable, Mapping, Sequence
 
@@ -475,10 +475,11 @@ def _interpolate(field: _Field, image, x: int, j: int, i: int) -> dict | None:
 
 
 def _prs_gcd(field: _Field, p: dict, q: dict):
-    """``_cofactors`` by sympy's primitive PRS, through the converter: ``_heu``'s fallback."""
-    to = _sympy(field).ring
-    f, g = (to.from_dict(field.unpacked(a)) for a in (p, q))
-    found = [field.packed(x) for x in to.dmp_rr_prs_gcd(f, g)]  # the gcd's sign as it falls
+    """``_cofactors`` by sympy's primitive PRS, which is dense, on exponents over their gcd per generator."""
+    to, (f, g) = _sympy(field).ring, (field.unpacked(a) for a in (p, q))
+    js = [gcd(*column) or 1 for column in zip(*f, *g)]
+    f, g = (to.from_dict({tuple(map(floordiv, m, js)): c for m, c in a.items()}) for a in (f, g))
+    found = [field.packed({tuple(map(mul, m, js)): c for m, c in x.items()}) for x in to.dmp_rr_prs_gcd(f, g)]
     return tuple(found if found[0][max(found[0])] > 0 else map(_neg, found))
 
 
@@ -1126,11 +1127,7 @@ def render_factor(f: OddFactor, fields: Fields, names: Mapping[int, str] | None 
     return _jet_name("p" if fields.n == 1 else f"p{f.index}", f.order)
 
 
-def render_superpoly(
-    a: SuperPoly,
-    fields: Fields,
-    names: Mapping[int, str] | None = None,
-) -> str:
+def render_superpoly(a: SuperPoly, fields: Fields, names: Mapping[int, str] | None = None) -> str:
     """Deterministic text form with reduced-fraction coefficients."""
     if not a.terms:
         return "0"

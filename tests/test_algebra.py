@@ -956,9 +956,18 @@ def _candidate_past_the_guard():
     return ring.one, -2 * u**3 * u_x**4 + u**2 * u_x**2 - 2 * u * u_x**4, 3 * u + 1
 
 
+def _candidate_for_the_prs():
+    """``(h, f, g)`` on whose ``h*f`` and ``h*g`` ``_dividing`` and ``_heu`` give up: the PRS, which
+    is dense, takes the exponents over their gcd ``_STEP``, not dense polynomials of degree ``_TOP``."""
+    ring = Twin(coeff_field(["u", "u_x", "v"])).ring
+    u, v, u_x = (x**_STEP for x in ring.gens)  # the field's generator order
+    return v**2 * u_x * (3 * u**3 - 4 * v), 3 * u * v**2 * u_x * (u**2 - 2 * v**2 * u_x**3), ring(-4)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_polys_at_the_guard())
 @example(polys=_candidate_past_the_guard())
+@example(polys=_candidate_for_the_prs())
 def test_exquo_and_heu_at_the_guard(polys):
     """Exact division and the gcd of packed polynomials whose exponents reach ``_TOP``: a
     division whose remainder would pass it fails, as sympy's leaves a remainder."""

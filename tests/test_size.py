@@ -5,7 +5,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "wno"
 
 # Lines of src/wno/*.py.  A change that raises the budget says why in CHANGES.md.
-BUDGET = 2926
+BUDGET = 2923
 
 
 def test_library_stays_within_its_line_budget():
