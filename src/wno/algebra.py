@@ -14,8 +14,8 @@ factors only; a gcd of two sums is exact division where one divides the other (`
 else the heuristic gcd ``_heu``, else the PRS gcd, memoised in ``_GCDS`` until the next command.
 Values of two fields lift into the field over the union of their generators;
 fields are memoised per name set, in sympy's ``_sort_gens`` order, which fixes signs.  Sympy is
-imported by private converters only (the PRS gcd where ``_heu`` gives up, ``ratint``, expressions
-given to ``_into``), which no report reaches, and no other module imports it or reads a
+imported by private converters only (the PRS gcd where ``_heu`` gives up, expressions given
+to ``_into``), which no report reaches, and no other module imports it or reads a
 coefficient's terms.  ``_coeff_text`` writes a coefficient as ``sympy.cancel`` of it prints.
 
 Each job of the arithmetic has one kernel.  ``_muladd`` is the one polynomial product loop.  A
@@ -605,11 +605,11 @@ _JETS: dict = {}  # (fields, field) -> ``Fields._jets_in``'s classes
 
 
 def _start_command() -> None:
-    """Empty the memos that last one command (``_GCDS``, ``_POWERS``, ``_DX``, ``_JETS``, ``_WORDS``),
+    """Empty the memos that last one command (``_GCDS``, ``_POWERS``, ``_DX``, ``_JETS``),
     so that a command run in-process starts as cold as a fresh process.  ``_FIELDS``, ``_mover`` and
     ``_by_name`` persist on purpose: a value built before a command must still combine with one
     built after it, which takes the same field instance."""
-    for memo in (_GCDS, _POWERS, _DX, _JETS, _WORDS):
+    for memo in (_GCDS, _POWERS, _DX, _JETS):
         memo.clear()
 
 
@@ -659,20 +659,6 @@ def _inverse(rows: list[list[_Frac]], field: _Field) -> list[list[_Frac]] | None
             if i != k and m[i][k]:
                 m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
     return [row[n:] for row in m]
-
-
-def _ratint(c: _Frac, x: Jet) -> _Frac | None:
-    """An antiderivative of ``c`` in ``x``, or None when it is not a rational function:
-    ``ratint`` leaves a log part as ``RootSum`` instead of solving for roots."""
-    import sympy as sp
-    from sympy.integrals.rationaltools import ratint
-
-    to = _sympy(c.field).ring
-    numer, denom = (to.from_dict(c.field.unpacked(q)).as_expr() for q in (c.numer, c.denom))
-    try:
-        return _into(None, [ratint(numer / denom, sp.Symbol(x), real=False)])[1][0]
-    except ValueError:  # log, atan, RootSum, ...
-        return None
 
 
 def _two_point(field: _Field) -> tuple[_Field, tuple]:
@@ -872,7 +858,7 @@ def _packed_key(density: SuperPoly) -> tuple:
 def _top_order_linear(Y: SuperPoly, fields: Fields) -> bool:
     """``integrate_density``'s linear-time test of a nonzero local Y: false where its top order K
     is 0, or a term is not affine in the order-K jets and dual factors or has an order-K jet in its
-    denominator; a constant passes, for ``_exact`` to judge."""
+    denominator; a constant passes, for the variational derivatives to judge."""
     jets = fields._jets_in(Y.field, _used(Y))
     K = max([o for _, _, o in jets] + [f.order for w in Y.terms for f in w], default=None)
     if not K:
@@ -928,25 +914,18 @@ def _word_key(word: Word) -> tuple:
     return len(word), word
 
 
-_WORDS: dict = {}  # a factor tuple -> its ``normalize_word``, for one command
-
-
 def normalize_word(factors: Sequence[OddFactor]) -> tuple[int, Word | None]:
-    """Sort a factor sequence into the global order with its Koszul sign, memoised in ``_WORDS``.
+    """Sort a factor sequence into the global order with its Koszul sign.
 
     Returns ``(sign, word)``; a repeated odd factor makes the word vanish,
     signalled by ``(0, None)``.  Even factors commute freely, sort last and
     are kept with multiplicity.  The sign is the parity of the number of
     out-of-order pairs of odd factors.
     """
-    factors = tuple(factors)
-    hit = _WORDS.get(factors)
-    if hit is None:
-        odds = [f for f in factors if f.parity]
-        swaps = sum(starmap(gt, combinations(odds, 2)))
-        repeated = len(set(odds)) < len(odds)
-        hit = _WORDS[factors] = (0, None) if repeated else (-1 if swaps & 1 else 1, tuple(sorted(factors)))
-    return hit
+    odds = [f for f in factors if f.parity]
+    if len(set(odds)) < len(odds):
+        return 0, None
+    return -1 if sum(starmap(gt, combinations(odds, 2))) & 1 else 1, tuple(sorted(factors))
 
 
 class SuperPoly:

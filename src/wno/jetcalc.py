@@ -72,29 +72,24 @@ def el_sum(pairs, fields: Fields, table=None) -> ELResult:
     """sum_k (-1)^k d_x^k( (dA/dslot_k) * fixed ) over the even slots (jet variables) and odd
     slots (dual factors) of every field, summed over the pairs ``(A, fixed)`` of one EL tuple;
     ``fixed`` None stands for 1, so ``[(A, None)]`` gives the variational-derivative tuple of A."""
-    values, zero = dict(_variations(pairs, fields, table)), SuperPoly.zero()
-    return ELResult(*(tuple(values.get((slot, i), zero) for i in range(1, fields.n + 1)) for slot in "up"))
-
-
-def _exact(a: SuperPoly, fields: Fields) -> bool:
-    """Whether every variational derivative of the local value ``a`` vanishes, as
-    ``euler_lagrange(a, fields).is_zero()``, stopping at the first slot group that does not."""
-    return all(value.is_zero() for _, value in _variations([(a, None)], fields))
+    chains, zero = dict(_variations(pairs, fields, table)), [SuperPoly.zero()]
+    return ELResult(*(tuple(chains.get((slot, i), zero)[0] for i in range(1, fields.n + 1)) for slot in "up"))
 
 
 def _variations(pairs, fields: Fields, table=None):
-    """``((slot, field), value)`` per slot group of the pairs' values A, cheapest first (by top
-    order k): value is ``sum_m (-1)^m d_x^m(a_m)`` for ``a_m = sum over the pairs of dA/dslot_m *
-    fixed``, one Horner chain per group, ``a_0 - d_x(a_1 - d_x(a_2 - ...))``: k total derivatives
-    for the whole tuple, not k(k+1)/2 per pair.  A partial is taken when the loop reaches its
-    order, so a caller that stops at a group takes none of the next."""
+    """``((slot, field), [V_0, ..., V_k])`` per slot group of the pairs' values A, cheapest first
+    (by top order k): ``V_m = sum_(j>=m) (-1)^j d_x^(j-m)(a_j)`` for ``a_j = sum over the pairs of
+    dA/dslot_j * fixed``, so V_0 is the variational derivative.  One Horner chain per group,
+    ``V_m = d_x(V_(m+1)) + (-1)^m a_m``: k total derivatives for the whole tuple, not k(k+1)/2 per
+    pair.  A partial is taken when the loop reaches its order, so a caller that stops at a group
+    takes none of the next."""
     groups: dict[tuple[str, int], dict[int, list]] = {}
     for A, fixed in pairs:
         for key, orders in _slots(A, fields).items():
             for m in orders:
                 groups.setdefault(key, {}).setdefault(m, []).append((A, fixed))
     for key, orders in sorted(groups.items(), key=lambda g: max(g[1])):
-        value = SuperPoly.zero()  # (-1)^m times the inner sum from order m on
+        value, chain = SuperPoly.zero(), []  # V_m, and V_(m+1), ..., V_k reversed
         for m in range(max(orders), -1, -1):
             if value:  # a zero needs no derivative
                 value = total_x(value, fields, table)
@@ -102,7 +97,8 @@ def _variations(pairs, fields: Fields, table=None):
                 term = _partial(A, fields, key, m)
                 term = term if fixed is None else term * fixed
                 value = value + (term if m % 2 == 0 else -term)
-        yield key, value
+            chain.append(value)
+        yield key, chain[::-1]
 
 
 def _slots(A: SuperPoly, fields: Fields) -> dict[tuple[str, int], set[int]]:

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_ratio, _packed_key, _ratint, _top_order_linear, nl
-from .jetcalc import ELResult, _exact, el_sum, total_x
+from .algebra import Fields, OddFactor, SuperPoly, Word, _lead_ratio, _packed_key, _top_order_linear, nl, p
+from .jetcalc import ELResult, _variations, el_sum
 
 
 class UnsupportedStructureError(ValueError):
@@ -77,8 +77,8 @@ class NonlocalVarTable:
         occur.  Reduced coefficients are unique, so the key does not depend
         on the field a density sits in: equal densities share it and unequal
         ones do not, as with their coefficients' texts.  The density must be
-        homogeneous with at least one odd factor; a purely even density has
-        a local antiderivative problem and does not define a new variable here.
+        homogeneous with at least one odd factor; a purely even density
+        defines no variable.
         """
         if density.is_zero():
             raise ValueError("cannot register the zero density")
@@ -87,7 +87,7 @@ class NonlocalVarTable:
             raise ValueError(f"density must be homogeneous; got degrees {sorted(degrees)}")
         degree = degrees.pop()
         if degree == 0:
-            raise ValueError("density has no odd factors; integrate it instead")
+            raise ValueError("density has no odd factors, so it defines no nonlocal variable")
         key = _packed_key(density)
         ident = self._by_density.get(key)
         if ident is not None:
@@ -128,11 +128,11 @@ class NonlocalVarTable:
 
 @dataclass
 class IntegrationResult:
-    """Outcome of an explicit antiderivative search.
+    """Outcome of ``integrate_density``.
 
-    On success ``antiderivative`` satisfies total_x(antiderivative) == input
-    exactly and ``residual`` is None; on failure ``residual`` carries the
-    non-integrable part for reporting.
+    On success ``antiderivative`` satisfies total_x(antiderivative) == Y
+    exactly and ``residual`` is None; on failure ``residual`` is Y itself,
+    for reporting.
     """
 
     antiderivative: SuperPoly | None
@@ -143,83 +143,42 @@ class IntegrationResult:
         return self.residual is None
 
 
-def _top_variable(a: SuperPoly, fields: Fields):
-    """Highest-order variable of a value: (order, odd?, index, handle)."""
-    best = None
-    for word, coeff in a.terms.items():
-        for f in word:
-            if f.kind != "p":
-                continue
-            key = (f.order, 1, f.index)
-            if best is None or key > best[0]:
-                best = (key, ("odd", f))
-        for sym, idx, order in fields.jet_symbols(coeff):
-            key = (order, 0, idx)
-            if best is None or key > best[0]:
-                best = (key, ("even", sym, idx, order))
-    return best
-
-
 def integrate_density(Y: SuperPoly, fields: Fields) -> IntegrationResult:
-    """Find a local antiderivative of a density, or report failure.
+    """The local antiderivative of a density whose every term has an odd factor, or failure.
 
-    Two tests of exactness come first, each with an early exit.  The first (``_top_order_linear``)
-    reads each term once.  Let K be the top order of Y's jets and dual factors together.  If Y =
-    D(eta), then eta has order K - 1 and D(eta) = sum_s (d eta/d s) s_x over eta's variables s, so
-    Y is affine in its order-K variables over coefficients of lower order: each term has at most
-    one order-K dual factor or order-K jet, to the first power, and no order-K jet is in a reduced
-    denominator; a nonzero Y of order 0 is not exact.  An added constant changes none of this, so
-    a Y that fails the test has a nonzero variational derivative and would fail ``_exact`` too.
-    The second, ``_exact``, checks that the variational derivatives vanish, stopping at the first
-    slot that does not, cheapest first.  Construction then absorbs the highest-order variable into
-    a total derivative and recurses.  Each step adds to eta what it subtracts the total derivative
-    of from ``remaining``, so ``remaining == Y - total_x(eta)`` exactly, and the loop leaves by
-    ``break`` only when ``remaining`` is zero: ``total_x(eta) == Y`` needs no back-substitution.
-    Densities with nonlocal factors are not integrated here (use depth reduction).
+    ``_top_order_linear`` reads each term once: if Y = D(eta), eta has order K - 1 for Y's top
+    order K of jets and dual factors, so Y is affine in its order-K variables over coefficients of
+    lower order (at most one order-K dual factor or jet per term, to the first power, none in a
+    reduced denominator), and a nonzero Y of order 0 is not exact.  A Y that fails has a nonzero
+    variational derivative.  Then each degree-d part, which D keeps, is tested slot group by slot
+    group, cheapest first, on the Horner chain V_0, ..., V_K of ``jetcalc._variations``.  Euler's
+    identity sum_(i,m) p_i^(m) dY/dp_i^(m) = d Y and p^(m) a = D(p^(m-1) a) - p^(m-1) D(a) give
+    d Y = D(H) + sum_i p_i V_(i,0) for H = sum_i sum_(m<K) (-1)^(m+1) p_i^(m) V_(i,m+1), so eta =
+    H / d once every V_(i,0) vanishes: rational by construction, and unique, as D has no kernel in
+    odd degree d >= 1.  A term with no odd factor raises ``UnsupportedStructureError``; a density
+    with nonlocal factors is not integrated here (use depth reduction).
     """
     if not Y.is_local():
         return IntegrationResult(None, Y)
     if Y.is_zero():
         return IntegrationResult(SuperPoly.zero(), None)
-
-    if not (_top_order_linear(Y, fields) and _exact(Y, fields)):
+    degrees = Y.odd_degrees()
+    if 0 in degrees:
+        raise UnsupportedStructureError("only a density whose every term has an odd factor is integrated")
+    if not _top_order_linear(Y, fields):
         return IntegrationResult(None, Y)
 
     eta = SuperPoly.zero()
-    remaining = Y
-    budget = 40 * (len(Y.terms) + 4)
-    while budget > 0:
-        budget -= 1
-        if remaining.is_zero():
-            break
-        top = _top_variable(remaining, fields)
-        if top is None or top[0][0] == 0:
-            # only order-0 content left; exactness would force it to vanish
-            return IntegrationResult(None, remaining)
-
-        if top[1][0] == "odd":
-            f = top[1][1]
-            lowered = OddFactor("p", f.index, f.order - 1)
-            step = SuperPoly.from_terms((c, [lowered if g == f else g for g in w])
-                                        for w, c in remaining.terms.items() if f in w)
-        else:
-            _, sym, idx, order = top[1]
-            slope = remaining.partial_even(sym)
-            if slope.partial_even(sym):  # not linear in the top variable
-                return IntegrationResult(None, remaining)
-            # antiderivatives in the lowered variable, so coefficients
-            # like f(u_k) * u_{k+1} absorb into F(u_k) exactly
-            rows = [(_ratint(d, fields.jet(idx, order - 1)), w) for w, d in slope.terms.items()]
-            if any(anti is None for anti, _ in rows):  # a piece outside the rational functions
-                return IntegrationResult(None, remaining)
-            step = SuperPoly.from_terms(rows)
-
-        if step.is_zero():
-            return IntegrationResult(None, remaining)
-        eta = eta + step
-        remaining = remaining - total_x(step, fields)
-    else:
-        return IntegrationResult(None, remaining)
+    for d in sorted(degrees):
+        H = SuperPoly.zero()
+        for (slot, i), chain in _variations([(Y.degree_part(d), None)], fields):
+            if chain[0]:
+                return IntegrationResult(None, Y)
+            if slot == "p":
+                for m, V in enumerate(chain[1:]):
+                    term = SuperPoly.factor(p(i, m)) * V
+                    H = H + (term if m % 2 else -term)
+        eta = eta + H.scale(Fraction(1, d))
     return IntegrationResult(eta, None)
 
 

@@ -1077,14 +1077,6 @@ def test_word_shift_product_is_the_general_product(A, factors, r, weight, place)
     assert shifted.sorted_texts() == _naive_product(A, X).scale(weight).sorted_texts()
 
 
-def test_word_memo_is_emptied_per_command():
-    word = (p(1, 2), nl(2, 0), p(1, 1))
-    assert normalize_word(word) == (-1, (p(1, 1), p(1, 2), nl(2, 0))) and word in wno.algebra._WORDS
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["--no-such-option"]) == 2
-    assert not wno.algebra._WORDS
-
-
 def test_product_sum_refuses_an_exponent_overflow():
     """The naive sum, the fused one and ``A * B`` raise when a product has an exponent past _TOP,
     the fused one also when a numerator past it would be brought to a new denominator; ``_fsum``

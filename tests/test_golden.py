@@ -171,7 +171,7 @@ def test_reports_repeat_with_warm_gcd_memo():
 def test_reports_import_no_sympy():
     """In a process where sympy cannot be imported, every snapshot command
     prints its snapshot byte for byte: no worked example reaches a sympy
-    converter, ``ratint`` or the PRS gcd."""
+    converter or the PRS gcd."""
     script = (
         "import contextlib, io, json, sys\n"
         "sys.modules['sympy'] = None  # every import of sympy now raises\n"

@@ -12,7 +12,6 @@ from wno.algebra import Fields, SuperPoly, p
 from wno.jetcalc import (
     LinearizationOp,
     NonlocalInputError,
-    _exact,
     adjoint,
     el_sum,
     euler_lagrange,
@@ -146,18 +145,9 @@ class TestVariationalKernel:
                   for sums in zip(*(_naive_el_sum(A, fixed, fields) for A, fixed in pairs))]
         assert all(a == b for a, b in zip(got.du, du)) and all(a == b for a, b in zip(got.dp, dp))
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), st.booleans())
-    def test_exactness_matches_euler_lagrange(self, rng, fields, planted):
-        Y = random_local_mixed(rng, fields, max_degree=2, max_order=3)
-        if planted:
-            Y = total_x(Y, fields)
-        assert _exact(Y, fields) == euler_lagrange(Y, fields).is_zero()
-        assert _exact(Y, fields) or not planted
-
     def test_total_derivatives_per_slot(self, monkeypatch):
-        """A slot of top order k takes k total derivatives, not k(k+1)/2, and the exactness
-        test stops at the cheapest nonzero slot: u_x*p fails at the odd slot, with none."""
+        """A slot of top order k takes k total derivatives, not k(k+1)/2, and the integration
+        stops at the cheapest nonzero slot: u_x*p fails at the odd slot, with none."""
         calls = []
 
         def counted(*args):
@@ -169,11 +159,11 @@ class TestVariationalKernel:
         el_sum([(monomial(u_x * u_2x * u_3x * u_4x, [p(1)]), None)], F)
         assert len(calls) == 4
         calls.clear()
-        assert not _exact(monomial(u_x, [p(1)]), F) and not calls
+        assert not integrate_density(monomial(u_x, [p(1)]), F).ok and not calls
 
 
     def test_partials_on_demand(self, monkeypatch):
-        """A slot group's partials are taken when its Horner loop reaches it: the exactness test
+        """A slot group's partials are taken when its Horner loop reaches it: the integration
         of u*u_x*p stops at the odd slot, top order 0, before any partial by a jet."""
         calls, partial_even = [], SuperPoly.partial_even
         monkeypatch.setattr(SuperPoly, "partial_even",

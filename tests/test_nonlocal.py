@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.integrals.rationaltools import ratint
 
@@ -22,7 +22,7 @@ import wno.schouten
 from wno.algebra import Fields, SuperPoly, _top_order_linear, coeff_field, p
 from wno.cli import main
 from wno.dsl import parse
-from wno.jetcalc import _exact, el_sum, euler_lagrange, total_x
+from wno.jetcalc import el_sum, euler_lagrange, total_x
 from wno.nonlocal_vars import (
     NonlocalVarTable,
     TailTerm,
@@ -90,10 +90,6 @@ class TestIntegrateDensity:
         assert res.ok
         assert res.antiderivative == monomial(-1, [p(1, 1), p(1, 2)])
 
-    def test_plain_even(self):
-        res = integrate_density(scalar(u_x), F)
-        assert res.ok and res.antiderivative == scalar(u)
-
     def test_nonexact_fails_with_residual(self):
         Y = SuperPoly.from_terms([(1, [p(1, 0), p(1, 1)])])
         res = integrate_density(Y, F)
@@ -114,16 +110,6 @@ class TestIntegrateDensity:
         piece = ratint(1 / (u + 1) ** 2, u, real=False)
         assert scalar(piece) == scalar(-1 / (u + 1))
 
-    @pytest.mark.parametrize("density", [u_x / u, u_x / (1 + u**2), u_x / (u**3 + u + 1)])
-    def test_exact_density_with_non_rational_antiderivative_fails(self, density):
-        # the variational test passes, but log and RootSum pieces are refused
-        res = integrate_density(scalar(density), F)
-        assert not res.ok
-
-    def test_rational_antiderivative_found(self):
-        res = integrate_density(scalar(u_x / (1 + u) ** 2), F)
-        assert res.ok and res.antiderivative == scalar(-1 / (1 + u))
-
     def test_nonlocal_input_fails(self):
         table, rid = make_table()
         Y = monomial(1, [p(1, 1), table.factor(rid)])
@@ -134,10 +120,9 @@ class TestIntegrateDensity:
         checked = 0
         for _ in range(40):
             f = random_local_mixed(rng, F, max_degree=3, max_order=3)
-            Y = total_x(f, F)
-            res = integrate_density(Y, F)
-            assert res.ok
-            assert (total_x(res.antiderivative, F) - Y).is_zero()
+            f = f - f.degree_part(0)
+            res = integrate_density(total_x(f, F), F)
+            assert res.ok and res.antiderivative == f
             checked += 1
         assert checked == 40
 
@@ -527,7 +512,7 @@ def test_top_order_test_keeps_every_exact_density(rng, fields, denominator, plan
     den = sp.sympify(denominator.format(fields.names[0]))
     eta = random_local_mixed(rng, fields, max_degree=2, max_order=3).scale(1 / den)
     Y = total_x(eta, fields) if planted else eta
-    assert _top_order_linear(Y, fields) or not (planted or _exact(Y, fields))
+    assert _top_order_linear(Y, fields) or not (planted or euler_lagrange(Y, fields).is_zero())
 
 
 def test_top_order_test_rejects_what_no_total_derivative_is():
@@ -537,9 +522,64 @@ def test_top_order_test_rejects_what_no_total_derivative_is():
     p1, p2 = p(1, 2), p(2, 2)
     refused = [scalar(u_x**2), scalar(u / u_x), monomial(u_x, [p(1, 1)]), monomial(u**2, [p(1)]), scalar(u)]
     for Y, fields in [(Y, F) for Y in refused] + [(monomial(1, [p1, p2]), _G)]:
-        assert not _top_order_linear(Y, fields) and not _exact(Y, fields)
+        assert not _top_order_linear(Y, fields) and not euler_lagrange(Y, fields).is_zero()
     for Y in (monomial(1, [p(1, 0), p(1, 2)]), scalar(u_2x / (1 + u_x**2)), monomial(u, [p(1, 1)]), scalar(3)):
         assert _top_order_linear(Y, F)
+
+
+# -- the antiderivative from the Horner chain: eta = H / d, with no search --
+
+_DENOMINATORS = st.sampled_from(["1", "1 + {0}**2", "1 + {0}_x**2", "{0}_2x"])
+
+
+def _odd_eta(rng, fields: Fields, denominator: str) -> SuperPoly:
+    """A random local value of odd degrees 1 to 3, jets up to order 3, over a denominator in the
+    first field's jets."""
+    eta = random_local_mixed(rng, fields, max_degree=3, max_order=3)
+    return (eta - eta.degree_part(0)).scale(1 / sp.sympify(denominator.format(fields.names[0])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), _DENOMINATORS)
+def test_planted_antiderivative_is_found_exactly(rng, fields, denominator):
+    """The antiderivative of ``total_x(eta)`` is eta itself: D has no kernel in odd degree 1 or
+    more, so the chain's H / d is the one antiderivative there is."""
+    eta = _odd_eta(rng, fields, denominator)
+    assume(eta)
+    result = integrate_density(total_x(eta, fields), fields)
+    assert result.ok and result.antiderivative == eta
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([F, _G]), _DENOMINATORS)
+def test_integration_fails_exactly_where_the_variational_derivative_is_not_zero(rng, fields, denominator):
+    """On a density that is not planted, the verdict is ``euler_lagrange``'s, a failure keeps Y as
+    its residual, and an antiderivative found is one."""
+    Y = _odd_eta(rng, fields, denominator)
+    assume(Y)
+    result = integrate_density(Y, fields)
+    assert result.ok == euler_lagrange(Y, fields).is_zero()
+    assert result.residual == (None if result.ok else Y)
+    assert not result.ok or total_x(result.antiderivative, fields) == Y
+
+
+def test_even_top_variable_takes_no_sympy_integration(monkeypatch):
+    """The top variable of D((u_x/(1+u)^2) p) is the jet u_2x, whose coefficient once went to
+    sympy's ``ratint``; the antiderivative now comes from the Horner chain alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sympy's ratint was called")
+
+    monkeypatch.setattr(sp.integrals.rationaltools, "ratint", refuse)
+    eta = monomial(u_x / (1 + u) ** 2, [p(1)])
+    result = integrate_density(total_x(eta, F), F)
+    assert result.ok and result.antiderivative == eta
+
+
+@pytest.mark.parametrize("Y", [scalar(u_x), scalar(u_x) + monomial(u, [p(1, 1)])])
+def test_density_with_a_term_free_of_odd_factors_is_refused(Y):
+    with pytest.raises(UnsupportedStructureError):
+        integrate_density(Y, F)
 
 
 def _register_all(densities):
@@ -585,7 +625,9 @@ def test_perturbed_affinor_densities_are_refused_before_the_variations():
         assert not inside, "integrate_density called _variations"
         return variations(*args)
 
-    with patch.object(wno.nonlocal_vars, "integrate_density", integrate), patch.object(wno.jetcalc, "_variations", spy):
+    # each module calls the name it holds: ``el_sum`` jetcalc's, ``integrate_density`` its own
+    with (patch.object(wno.nonlocal_vars, "integrate_density", integrate),
+          patch.object(wno.jetcalc, "_variations", spy), patch.object(wno.nonlocal_vars, "_variations", spy)):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["check", str(CASES / "curvature.wno"), "perturbed", "--el"]) == 1
             assert main(["check", str(CASES / "firstorder.wno"), "spherebad", "--el"]) == 1
